@@ -538,6 +538,10 @@ def results_from_store(
     permanently failed tasks) are routed to each result's failure ledger
     instead of counting as missing — a failed cell is *known* bad, not
     absent, and reports render it as NaN with a failures block.
+
+    When the store has lost shards (:meth:`RunStore.missing_shards`),
+    every scheme keeps its column in every result even if all its cells
+    were on a lost shard, so those cells render as NaN (DESIGN §8).
     """
     schemes = build_schemes(spec.schemes)
     signatures = [scheme.signature() for scheme in schemes]
@@ -545,9 +549,13 @@ def results_from_store(
         topology: from_spec(topology).fingerprint()
         for topology, _ in _topology_groups(spec)
     }
+    keep_columns = bool(store.missing_shards())
     results = {metric: SweepResult(metric=metric) for metric in metrics}
     for result in results.values():
         result.points = [SweepPoint(label=point.label) for point in spec.points]
+        if keep_columns:
+            for point in result.points:
+                point.values.update((scheme.name, []) for scheme in schemes)
     missing = {metric: 0 for metric in metrics}
     for index, (label, configs) in enumerate(spec.point_specs()):
         fingerprint = fingerprints[spec.points[index].config.topology]

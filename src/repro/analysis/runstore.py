@@ -27,7 +27,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from .. import __version__
 from ..faults import maybe_inject
@@ -157,6 +157,10 @@ class RunStore:
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
         """Look up a record without touching the hit/miss counters."""
         return self._records.get(key)
+
+    def missing_shards(self) -> List[int]:
+        """Ids of lost shard files: none, a single-file store has no shards."""
+        return []
 
     # ----------------------------------------------------------------- update
     def put(self, key: str, record: Dict[str, Any]) -> None:

@@ -105,20 +105,26 @@ def _open_store(args: argparse.Namespace, spec) -> Optional[RunStore]:
 
 
 def execute(args: argparse.Namespace) -> int:
-    """Render the store; exit 1 when the store is empty or absent."""
+    """Render the store; exit 1 when the store is absent, or empty with no
+    shard missing.
+
+    A sharded store whose surviving shards are all empty still renders
+    (every cell NaN) after naming each lost shard: the partial-store
+    contract of DESIGN §8.
+    """
     spec = resolve_spec(args)
     store = _open_store(args, spec)
     if store is None:
         return 1
     store_path = store.path
-    if isinstance(store, ShardedRunStore):
-        for shard_id in store.missing_shards():
-            print(
-                f"repro report: shard {shard_id} of {store.root} is missing "
-                "(lost worker?); its tasks render as nan",
-                file=sys.stderr,
-            )
-    if len(store) == 0:
+    lost = store.missing_shards()
+    for shard_id in lost:
+        print(
+            f"repro report: shard {shard_id} of {store_path} is missing "
+            "(lost worker?); its tasks render as nan",
+            file=sys.stderr,
+        )
+    if len(store) == 0 and not lost:
         print(f"repro report: run store {store_path} is empty", file=sys.stderr)
         print("run `repro sweep` first, or pass --store", file=sys.stderr)
         return 1

@@ -8,7 +8,8 @@ run-store key alone — whether a task faults, with which kind, and at which
 instrumented site.  The three production sites are
 
 * the LP solve (:func:`repro.lp.solver.solve`)         — site ``"lp"``,
-* the simulator kernel (:meth:`SimulationKernel.run`)  — site ``"sim"``,
+* the simulator kernel (:meth:`ResidentSimulationKernel.run`, either
+  tier)                                                — site ``"sim"``,
 * run-store appends (:meth:`RunStore.put`)             — site ``"store"``,
 
 each carrying a one-line :func:`maybe_inject` hook that is a no-op unless an

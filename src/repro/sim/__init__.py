@@ -2,8 +2,10 @@
 
 Three layers (see ``docs/simulator.md``):
 
-* :mod:`repro.sim.kernel` — the array-based event core;
-* :mod:`repro.sim.kernel_jit` — the compiled kernel tier (bit-identical,
+* :mod:`repro.sim.kernel` — the event core, a resident session over slot
+  state (:class:`ResidentSimulationKernel`, the Python tier);
+* :mod:`repro.sim.kernel_jit` — the compiled tier of the same session
+  (:class:`ResidentJitKernel`, bit-identical, greedy allocator only,
   selected via ``backend="jit"`` / ``REPRO_SIM_BACKEND``);
 * :mod:`repro.sim.allocators` — pluggable per-event rate policies;
 * :mod:`repro.sim.streaming` — the long-running scheduler service:
@@ -12,8 +14,10 @@ Three layers (see ``docs/simulator.md``):
 * :mod:`repro.sim.online` — arrival-driven online re-planning, now the
   batch-size-1 special case of the streaming service.
 
-:class:`FlowLevelSimulator` is the orchestrating entry point and keeps the
-original dict-based event loop available as ``run_reference``.
+:class:`FlowLevelSimulator` is the orchestrating entry point: a static run
+is a one-epoch kernel session, and the streaming engine keeps one session
+across every re-plan.  :func:`make_kernel` is the single tier selector, and
+the original dict-based event loop stays available as ``run_reference``.
 """
 
 from .allocators import (
@@ -24,8 +28,8 @@ from .allocators import (
     WeightedFairAllocator,
     resolve_allocator,
 )
-from .kernel import ResidentSimulationKernel, SimulationKernel
-from .kernel_jit import JitSimulationKernel, ResidentJitKernel, paused_gc
+from .kernel import ResidentSimulationKernel
+from .kernel_jit import ResidentJitKernel, paused_gc
 from .metrics import SchemeComparison, coflow_slowdowns, improvement_percent
 from .online import OnlineFlowSimulator, ReplanContext, StaticPlanReplanner
 from .plan import SimulationPlan
@@ -42,7 +46,6 @@ from .simulator import (
     SimulationResult,
     make_kernel,
     resolve_backend,
-    resolve_resident,
     validate_backend,
 )
 
@@ -50,15 +53,12 @@ __all__ = [
     "SimulationPlan",
     "FlowLevelSimulator",
     "SimulationResult",
-    "SimulationKernel",
     "ResidentSimulationKernel",
-    "JitSimulationKernel",
     "ResidentJitKernel",
     "paused_gc",
     "BACKENDS",
     "make_kernel",
     "resolve_backend",
-    "resolve_resident",
     "validate_backend",
     "SchemeComparison",
     "improvement_percent",

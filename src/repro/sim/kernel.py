@@ -1,63 +1,59 @@
-"""Array-based simulation kernel: the fast event core of the simulator.
+"""The simulation kernel: one event core, run as a resident session.
 
 The original event loop (preserved as
 :meth:`repro.sim.simulator.FlowLevelSimulator.run_reference`) re-derives
 every flow's state from Python dicts at every event: it copies the capacity
 dict, scans *all* flows for eligibility, scans all flows again for the next
 release, and records every bandwidth segment through a per-segment
-``insort``.  That made the simulator the last pure-Python hot path of large
-scenario sweeps.
+``insort``.  :class:`ResidentSimulationKernel` keeps the exact same event
+semantics over flat, slot-addressed state that survives re-plans:
 
-:class:`SimulationKernel` keeps the exact same event semantics but lays the
-state out in flat index-addressed arrays built once per run:
-
-* flows become contiguous indices ``0..n-1`` with ``remaining`` /
-  ``release`` / ``rate`` state vectors (exposed as NumPy snapshots);
-* the flow -> edge-index incidence is built once from the plan as a
-  CSR-style pair (``flow_edge_ptr``, ``flow_edge_idx``) over the network's
-  deterministic edge indexing; the allocation pass walks per-flow views of
-  it against the edge-residual array;
+* flows live in *slots* with ``remaining`` / ``release`` / ``rate`` state
+  lists; the flow -> edge-id incidence of each slot is built once from its
+  path over the network's deterministic edge indexing, and the allocation
+  pass walks those rows against the edge-residual array;
 * the *active* set (released, unfinished) is maintained incrementally in
   priority order — releases arrive through a sorted pointer, completions
   delete in place — so per-event work scales with the number of active
   flows, not the instance size;
-* rate allocation is an index-ordered pass over the edge-residual array;
-  for the default greedy-priority policy the pass is incremental: a flow's
-  rate is re-derived only when it is marked *dirty* (a release, completion
-  or upstream rate change on one of its edges), which is exact because a
-  greedy rate depends only on higher-priority contributions — and when no
-  flow is dirty the previous grants are reused outright;
+* for the default greedy-priority policy the allocation pass is
+  incremental: a flow's rate is re-derived only when it is marked *dirty*
+  (a release, completion or upstream rate change on one of its edges),
+  which is exact because a greedy rate depends only on higher-priority
+  contributions — and when no flow is dirty the previous grants are reused
+  outright;
 * next-event selection is a running argmin over projected completion
   times, and the next release comes from the sorted pointer instead of a
   scan;
 * bandwidth segments are coalesced on the fly (consecutive events at the
-  same rate extend one segment) and recorded into
-  :class:`~repro.core.schedule.CircuitSchedule` through the bulk
-  :meth:`~repro.core.schedule.CircuitSchedule.extend_segments` append.
+  same rate extend one segment).
 
-The kernel is numerically *identical* to the reference loop — same
-arithmetic on the same values in the same order (covered by
-``tests/sim/test_kernel_equivalence.py``) — and supports pausing at a
-deadline (``run(until=...)``), which is what the online re-planning engine
-in :mod:`repro.sim.online` splices epochs with.
+Every run is a *session* of epochs.  :meth:`~ResidentSimulationKernel.ingest`
+admits flows, :meth:`~ResidentSimulationKernel.begin_epoch` opens an epoch
+in a plan's priority order, :meth:`~ResidentSimulationKernel.run` advances
+it (optionally pausing at a deadline), and
+:meth:`~ResidentSimulationKernel.harvest_epoch` /
+:meth:`~ResidentSimulationKernel.drain_all_segments` report the outcome.  A
+static run (:meth:`repro.sim.simulator.FlowLevelSimulator.run`) is a
+one-epoch session; the streaming engine (:mod:`repro.sim.streaming`) keeps
+one session across every re-plan.  The kernel is numerically *identical* to
+the reference loop — same arithmetic on the same values in the same order
+(covered by ``tests/sim/test_kernel_equivalence.py``).  The compiled tier
+(:mod:`repro.sim.kernel_jit`) lowers the greedy loop of this class to C.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from ..core.flows import CoflowInstance, FlowId
+from ..core.flows import FlowId
 from ..core.network import Network, path_edges
-from ..core.schedule import CircuitSchedule
 from ..faults import maybe_inject
 from .allocators import GreedyPriorityAllocator, RateAllocator, resolve_allocator
-from .plan import SimulationPlan
 
-__all__ = ["SimulationKernel", "ResidentSimulationKernel", "format_stuck_report"]
+__all__ = ["ResidentSimulationKernel", "format_stuck_report"]
 
 #: Volumes below this are considered fully transferred (numerical guard).
 _VOLUME_EPS = 1e-9
@@ -95,61 +91,90 @@ def format_stuck_report(
     return "; ".join(lines)
 
 
-class SimulationKernel:
-    """One simulation run over flat array state (see the module docstring).
+class ResidentSimulationKernel:
+    """The Python kernel tier: a simulation session over slot state.
+
+    All per-flow state lives in growable slot lists with a free-list, so a
+    re-plan is an in-place delta:
+
+    * :meth:`ingest` appends a row (or reuses a freed slot) for each newly
+      admitted flow;
+    * :meth:`begin_epoch` tombstones departed flows, ranks the survivors
+      from the new plan order, rebuilds the release/active bookkeeping and
+      resets the epoch-local baselines (sizes, start detection, event
+      counter), reaching exactly the state a fresh session loaded with the
+      same flows would reach (unique ranks from the plan order, a
+      rank-sorted active set, ``(release, rank, slot)``-sorted pending
+      admissions, a forced full first allocation pass);
+    * :meth:`harvest_epoch` reports what the closing epoch changed
+      (completions, starts, touched volumes, first-moved flows) in
+      O(slots) bookkeeping scans, and :meth:`drain_all_segments` yields
+      every flow's coalesced segments keyed by its ingest-unique id.
 
     Parameters
     ----------
     network:
-        The capacitated topology.
-    instance:
-        The coflow instance being simulated.
-    plan:
-        A *normalized and validated* simulation plan (the
-        :class:`~repro.sim.simulator.FlowLevelSimulator` orchestrator takes
-        care of that before building a kernel).
+        The capacitated topology (fixed for the session).
     allocator:
-        Rate policy override; defaults to the allocator named by the plan.
-    max_events:
-        Optional event cap (defaults to the same ``4 n + 16`` defensive
-        bound as the reference loop).
+        Rate policy: a registry name (see
+        :data:`repro.sim.allocators.ALLOCATORS`) or a
+        :class:`~repro.sim.allocators.RateAllocator` instance.
     start_time:
-        Simulation clock start; the online engine launches epoch kernels at
-        the arrival time they splice in at.
+        Session clock start.
+
+    Contract: flows are ingested with positive sizes only (zero-size flows
+    complete at their release and are never ingested), and :meth:`ingest` /
+    :meth:`update_path` are only called between :meth:`run` returning and
+    the next :meth:`begin_epoch`.
     """
 
     def __init__(
         self,
         network: Network,
-        instance: CoflowInstance,
-        plan: SimulationPlan,
-        allocator: Optional[RateAllocator] = None,
-        max_events: Optional[int] = None,
+        allocator: Union[str, RateAllocator] = "greedy",
         start_time: float = 0.0,
     ) -> None:
         self.network = network
-        self.instance = instance
-        self.plan = plan
-        self.allocator = allocator or resolve_allocator(plan.allocator)
-        self.fids: List[FlowId] = instance.flow_ids()
-        n = len(self.fids)
-        #: flow id -> array position, prebuilt so per-flow lookups are O(1)
-        #: (``fids.index`` would be O(n) per call — O(n^2) when iterating).
-        self._pos: Dict[FlowId, int] = {fid: k for k, fid in enumerate(self.fids)}
+        self.allocator = (
+            allocator
+            if isinstance(allocator, RateAllocator)
+            else resolve_allocator(allocator)
+        )
+        self.allocator_name = self.allocator.name
 
-        flows = [instance.flow(fid) for fid in self.fids]
-        self._size: List[float] = [float(f.size) for f in flows]
-        self._remaining: List[float] = list(self._size)
-        self._release: List[float] = [float(f.release_time) for f in flows]
-        self._completion: List[float] = [math.nan] * n
-        self._start: List[float] = [math.nan] * n
-        self._started: List[bool] = [False] * n
-        coflow_weight = {
-            i: float(coflow.weight) for i, coflow in enumerate(instance.coflows)
-        }
+        # Slot state (grows by append; freed slots are recycled LIFO).
+        self.fids: List[Optional[FlowId]] = []
+        self._pos: Dict[FlowId, int] = {}
+        self._free: List[int] = []
+        self._sid: List[int] = []  # ingest-unique id per slot occupancy
+        self._next_sid = 0
+        self.slots_reused = 0
+        self._live: List[bool] = []
+        self._size: List[float] = []
+        self._remaining: List[float] = []
+        self._release: List[float] = []
+        self._completion: List[float] = []
+        self._start: List[float] = []
+        self._started: List[bool] = []
+        self._rate_prev: List[float] = []
+        self._rank: List[int] = []
+        self._flow_dirty: List[bool] = []
+        self._weight: List[float] = []
+        self._edges_of: List[List[int]] = []
+        # Allocator entries: (slot, edge ids, coflow weight), prebuilt so a
+        # generic allocator pass only gathers references.
+        self._entries: List[Tuple[int, List[int], float]] = []
+        self._segments: List[List[List[float]]] = []
 
-        # Edge indexing shared with the LP layer: deterministic edge -> id.
+        # Harvest bookkeeping (what has already been reported upstream).
+        self._harvested_completed: List[bool] = []
+        self._harvest_remaining: List[float] = []
+        self._harvest_moved: List[bool] = []
+        self._archived_segments: Dict[int, List[List[float]]] = {}
+
+        # Edge indexing shared with the LP layer (fixed for the session).
         edge_index = network.edge_index()
+        self._edge_index = edge_index
         self.edge_list: List[Tuple[Hashable, Hashable]] = [None] * len(edge_index)
         for edge, idx in edge_index.items():
             self.edge_list[idx] = edge
@@ -158,55 +183,18 @@ class SimulationKernel:
         for edge, idx in edge_index.items():
             self._caps[idx] = capacities[edge]
 
-        # CSR-style flow -> edge-id incidence (built once from the plan);
-        # the allocation pass walks the per-flow row views.
-        ptr = [0]
-        flat: List[int] = []
-        for fid in self.fids:
-            flat.extend(edge_index[e] for e in path_edges(list(plan.paths[fid])))
-            ptr.append(len(flat))
-        self.flow_edge_ptr = np.array(ptr, dtype=np.intp)
-        self.flow_edge_idx = np.array(flat, dtype=np.intp)
-        self._edges_of: List[List[int]] = [
-            flat[ptr[k] : ptr[k + 1]] for k in range(n)
-        ]
-
-        # Allocator entries: (position, edge ids, coflow weight), prebuilt so
-        # a generic allocator pass only gathers references.
-        self._entries = [
-            (k, self._edges_of[k], coflow_weight[self.fids[k][0]])
-            for k in range(n)
-        ]
-
-        # Priority rank per position; the active list stays sorted by it.
-        rank_of = plan.priority_rank()
-        self._rank = [rank_of[fid] for fid in self.fids]
-
-        # Pre-complete zero-size flows; everything else is pending release.
-        self._segments: List[List[List[float]]] = [[] for _ in range(n)]
+        # Event-loop state (rebuilt per epoch by begin_epoch).  Incremental
+        # greedy state: previous rates, cached grants, and flow-level dirty
+        # marks.  A greedy rate depends only on higher-priority
+        # contributions on shared edges, so a change at one flow can only
+        # affect the *active* lower-priority flows on its edges; those are
+        # found through per-edge active lists kept sorted by rank.
+        self._greedy = type(self.allocator) is GreedyPriorityAllocator
         self._completed = 0
         self._active: List[int] = []
         self._active_ranks: List[int] = []
-        pending: List[Tuple[float, int, int]] = []
-        for k in range(n):
-            if self._size[k] <= _VOLUME_EPS:
-                self._completion[k] = self._release[k]
-                self._completed += 1
-            else:
-                pending.append((self._release[k], self._rank[k], k))
-        pending.sort()
-        self._pending = pending
+        self._pending: List[Tuple[float, int, int]] = []
         self._pending_ptr = 0
-
-        # Incremental greedy state: previous rates, cached grants, and
-        # flow-level dirty marks.  A greedy rate depends only on
-        # higher-priority contributions on shared edges, so a change at one
-        # flow can only affect the *active* lower-priority flows on its
-        # edges; those are found through per-edge active lists kept sorted
-        # by rank.
-        self._greedy = type(self.allocator) is GreedyPriorityAllocator
-        self._rate_prev: List[float] = [0.0] * n
-        self._flow_dirty: List[bool] = [False] * n
         self._dirty_flows: List[int] = []
         self._force_full = True
         self._granted_pos: List[int] = []
@@ -216,78 +204,221 @@ class SimulationKernel:
 
         self.now = float(start_time)
         self.events = 0
-        self.max_events = max_events if max_events is not None else 4 * n + 16
+        self.max_events = 16
 
-    # ------------------------------------------------------------- snapshots
-    @property
-    def remaining(self) -> np.ndarray:
-        """Remaining volume per flow position (snapshot vector)."""
-        return np.array(self._remaining)
+    # ------------------------------------------------------------ slot deltas
+    def _path_edge_ids(self, path) -> List[int]:
+        edge_index = self._edge_index
+        return [edge_index[e] for e in path_edges(list(path))]
 
-    @property
-    def release(self) -> np.ndarray:
-        """Release time per flow position (snapshot vector)."""
-        return np.array(self._release)
+    def ingest(self, fid: FlowId, size: float, release: float, path,
+               weight: float = 1.0) -> int:
+        """Admit one flow into a (new or recycled) slot; returns the slot.
 
-    @property
-    def rate(self) -> np.ndarray:
-        """Most recently allocated rate per flow position (snapshot vector)."""
-        return np.array(self._rate_prev)
+        A fresh session fills slots ``0, 1, 2, ...`` in ingest order, and
+        the ingest-unique ids (:meth:`sid_of`) follow the same numbering.
+        """
+        if fid in self._pos:
+            raise ValueError(f"flow {fid!r} is already resident")
+        size = float(size)
+        if size <= _VOLUME_EPS:
+            raise ValueError(
+                f"flow {fid!r} has no volume ({size:g}); zero-size flows "
+                "complete at their release and are never ingested"
+            )
+        edges = self._path_edge_ids(path)
+        sid = self._next_sid
+        self._next_sid += 1
+        if self._free:
+            k = self._free.pop()
+            self.slots_reused += 1
+            self.fids[k] = fid
+            self._sid[k] = sid
+            self._live[k] = True
+            self._size[k] = size
+            self._remaining[k] = size
+            self._release[k] = float(release)
+            self._completion[k] = math.nan
+            self._start[k] = math.nan
+            self._started[k] = False
+            self._rate_prev[k] = 0.0
+            self._rank[k] = 0
+            self._flow_dirty[k] = False
+            self._weight[k] = float(weight)
+            self._edges_of[k] = edges
+            self._entries[k] = (k, edges, float(weight))
+            self._segments[k] = []
+            self._harvested_completed[k] = False
+            self._harvest_remaining[k] = size
+            self._harvest_moved[k] = False
+        else:
+            k = len(self.fids)
+            self.fids.append(fid)
+            self._sid.append(sid)
+            self._live.append(True)
+            self._size.append(size)
+            self._remaining.append(size)
+            self._release.append(float(release))
+            self._completion.append(math.nan)
+            self._start.append(math.nan)
+            self._started.append(False)
+            self._rate_prev.append(0.0)
+            self._rank.append(0)
+            self._flow_dirty.append(False)
+            self._weight.append(float(weight))
+            self._edges_of.append(edges)
+            self._entries.append((k, edges, float(weight)))
+            self._segments.append([])
+            self._harvested_completed.append(False)
+            self._harvest_remaining.append(size)
+            self._harvest_moved.append(False)
+        self._pos[fid] = k
+        return k
 
-    @property
-    def completion(self) -> np.ndarray:
-        """Completion time per flow position (NaN = unfinished)."""
-        return np.array(self._completion)
+    def ingest_many(self, fids, sizes, releases, paths,
+                    weight: float = 1.0) -> List[int]:
+        """Admit a batch of flows; equivalent to sequential :meth:`ingest`.
 
-    @property
-    def finished(self) -> bool:
-        """Whether every flow of the instance has completed."""
-        return self._completed == len(self.fids)
+        The compiled tier overrides this with a vectorised version; here it
+        is the plain loop, kept so both tiers expose the same delta API.
+        """
+        return [
+            self.ingest(fid, size, release, path, weight=weight)
+            for fid, size, release, path in zip(fids, sizes, releases, paths)
+        ]
 
-    def position(self, fid: FlowId) -> int:
-        """The array position of flow ``fid`` (O(1)).
+    def slot_of(self, fid: FlowId) -> int:
+        """The slot currently holding ``fid``.
 
-        Raises a ``KeyError`` naming the flow when the id is not part of
-        this kernel's instance.
+        Raises a ``KeyError`` naming the flow when it is not resident.
         """
         try:
             return self._pos[fid]
         except KeyError:
             raise KeyError(
-                f"unknown flow {fid!r}: not part of instance "
-                f"{self.instance.name!r}"
+                f"unknown flow {fid!r}: not resident in this session"
             ) from None
 
-    def raw_segments(self, fid: FlowId) -> List[Tuple[float, float, float]]:
-        """The coalesced ``(start, end, rate)`` segments recorded for ``fid``."""
-        return [tuple(seg) for seg in self._segments[self.position(fid)]]
+    def sid_of(self, fid: FlowId) -> int:
+        """The ingest-unique id of the slot currently holding ``fid``."""
+        return self._sid[self.slot_of(fid)]
 
-    def iter_raw_segments(
+    def update_path(self, k: int, path) -> None:
+        """Re-route slot ``k`` (only legal between epochs, and only for
+        flows that have not moved volume yet — the engine pins the path of
+        every flow with recorded segments)."""
+        edges = self._path_edge_ids(path)
+        self._edges_of[k] = edges
+        self._entries[k] = (k, edges, self._weight[k])
+
+    def _free_slot(self, k: int, tombstone_time: float) -> None:
+        if math.isnan(self._completion[k]):
+            # Dwindled below the volume epsilon under a pause: the engine
+            # records its completion at the re-plan time, mirror that here
+            # so diagnostics never list a freed slot as unfinished.
+            self._completion[k] = tombstone_time
+        segments = self._segments[k]
+        if segments:
+            self._archived_segments[self._sid[k]] = segments
+        self._segments[k] = []
+        del self._pos[self.fids[k]]
+        self.fids[k] = None
+        self._live[k] = False
+        self._free.append(k)
+
+    # ------------------------------------------------------------- epoch turn
+    def begin_epoch(
         self,
-    ) -> Iterator[Tuple[FlowId, List[List[float]]]]:
-        """Yield ``(flow id, [[start, end, rate], ...])`` for every flow."""
-        for k, fid in enumerate(self.fids):
-            yield fid, self._segments[k]
+        now: float,
+        order: Sequence[int],
+        max_events: Optional[int] = None,
+        allocator: Optional[str] = None,
+    ) -> None:
+        """Start a new epoch at time ``now`` with slots in ``order`` (the
+        plan's priority order over every live, unfinished flow).
 
-    def remaining_map(self) -> Dict[FlowId, float]:
-        """Remaining volume per flow id."""
-        return {fid: self._remaining[k] for k, fid in enumerate(self.fids)}
+        Live slots missing from ``order`` must be finished (completed
+        during the closing epoch, or paused below the volume epsilon) and
+        are tombstoned into the free-list.  Everything the event loop
+        derives from a plan — ranks, the rank-sorted active set and
+        per-edge slabs, the ``(release, rank, slot)`` pending order, the
+        epoch-local size/start baselines, the event counter and cap
+        (``4 n + 16`` over the ``n`` ordered flows unless ``max_events``
+        is given), the forced full allocation pass — is rebuilt in place.
+        """
+        if now + _TIME_EPS < self.now:
+            raise ValueError(
+                f"epoch start t={now:g} precedes the kernel clock "
+                f"t={self.now:g}"
+            )
+        if allocator is not None and allocator != self.allocator_name:
+            self.allocator = resolve_allocator(allocator)
+            self.allocator_name = self.allocator.name
+            self._greedy = type(self.allocator) is GreedyPriorityAllocator
 
-    def flow_completion_map(self) -> Dict[FlowId, float]:
-        """Completion time per flow id (only flows that completed)."""
-        return {
-            fid: self._completion[k]
-            for k, fid in enumerate(self.fids)
-            if not math.isnan(self._completion[k])
-        }
+        in_order = set(order)
+        for k in range(len(self.fids)):
+            if self._live[k] and k not in in_order:
+                if (math.isnan(self._completion[k])
+                        and self._remaining[k] > _VOLUME_EPS):
+                    raise ValueError(
+                        f"slot {k} ({self.fids[k]!r}) still holds "
+                        f"{self._remaining[k]:g} volume but is absent from "
+                        "the epoch order"
+                    )
+                self._free_slot(k, now)
 
-    def flow_start_map(self) -> Dict[FlowId, float]:
-        """Start time per flow id (only flows that moved real volume)."""
-        return {
-            fid: self._start[k]
-            for k, fid in enumerate(self.fids)
-            if self._started[k]
-        }
+        rank = self._rank
+        size = self._size
+        remaining = self._remaining
+        release = self._release
+        start = self._start
+        started = self._started
+        threshold = now + _TIME_EPS
+        active: List[int] = []
+        active_ranks: List[int] = []
+        pending: List[Tuple[float, int, int]] = []
+        for i, k in enumerate(order):
+            rank[k] = i
+            # Epoch-local baselines: the epoch's size is the volume
+            # remaining at its start, and start detection restarts (the
+            # engine keeps only the first epoch's start per flow).
+            size[k] = remaining[k]
+            started[k] = False
+            start[k] = math.nan
+            if release[k] <= threshold:
+                active.append(k)
+                active_ranks.append(i)
+            else:
+                pending.append((release[k], i, k))
+        pending.sort()
+        self._active = active
+        self._active_ranks = active_ranks
+        self._pending = pending
+        self._pending_ptr = 0
+
+        edge_active = self._edge_active = [[] for _ in self._caps]
+        edge_active_ranks = self._edge_active_ranks = [[] for _ in self._caps]
+        if self._greedy:
+            for k, rk in zip(active, active_ranks):
+                for e in self._edges_of[k]:
+                    edge_active[e].append(k)
+                    edge_active_ranks[e].append(rk)
+
+        for k in self._dirty_flows:
+            self._flow_dirty[k] = False
+        self._dirty_flows.clear()
+        self._force_full = True
+        self._granted_pos = []
+        self._granted_rate = []
+        # Freed slots count as completed so the loop's
+        # ``completed < len(fids)`` termination sees only live work.
+        self._completed = len(self.fids) - len(order)
+        self.now = float(now)
+        self.events = 0
+        self.max_events = (
+            max_events if max_events is not None else 4 * len(order) + 16
+        )
 
     # ------------------------------------------------------------ diagnostics
     def _unfinished_report(self) -> List[Tuple[FlowId, float, float]]:
@@ -368,7 +499,7 @@ class SimulationKernel:
                 del self._edge_active_ranks[e][i]
 
     def _allocate(self) -> Tuple[List[int], List[float]]:
-        """One rate-allocation pass; returns the granted (positions, rates).
+        """One rate-allocation pass; returns the granted (slots, rates).
 
         The greedy-priority policy runs incrementally over flow-level dirty
         marks (exactly equivalent to a full pass — a greedy rate can only
@@ -435,11 +566,11 @@ class SimulationKernel:
 
     # ------------------------------------------------------------- event loop
     def run(self, until: Optional[float] = None) -> bool:
-        """Advance the simulation; returns ``True`` once every flow is done.
+        """Advance the epoch; returns ``True`` once every flow is done.
 
         With ``until`` the loop pauses (state intact, segments recorded up
         to the deadline) as soon as the next event would land strictly
-        beyond it — the online engine's splice point.
+        beyond it — the streaming engine's splice point.
         """
         maybe_inject("sim")
         remaining = self._remaining
@@ -550,324 +681,6 @@ class SimulationKernel:
                 return
         segs.append([start, end, rate])
 
-    # ----------------------------------------------------------------- output
-    def build_schedule(self) -> CircuitSchedule:
-        """Materialise the realised :class:`CircuitSchedule` (bulk append)."""
-        schedule = CircuitSchedule()
-        for k, fid in enumerate(self.fids):
-            schedule.set_path(fid, self.plan.paths[fid])
-            if self._segments[k]:
-                schedule.extend_segments(
-                    fid, [(s, e, r) for s, e, r in self._segments[k]]
-                )
-        return schedule
-
-
-class ResidentSimulationKernel(SimulationKernel):
-    """A :class:`SimulationKernel` whose state survives re-plans.
-
-    The per-epoch rebuild path constructs a fresh kernel from a
-    sub-instance at every re-plan; this class instead keeps all per-flow
-    state resident in growable slot arrays with a free-list, so a re-plan
-    is an in-place delta:
-
-    * :meth:`ingest` appends a row (or reuses a freed slot) for each newly
-      admitted flow;
-    * :meth:`begin_epoch` tombstones departed flows, re-ranks the
-      survivors from the new plan order, rebuilds the release/active
-      bookkeeping and resets the epoch-local baselines (sizes, start
-      detection, event counter) so the inherited event loop behaves
-      exactly as a freshly built kernel would;
-    * :meth:`harvest_epoch` reports what the closing epoch changed
-      (completions, starts, touched volumes, first-moved flows) in
-      O(slots) bookkeeping scans, and :meth:`drain_all_segments` yields
-      every flow's coalesced segments keyed by its ingest-unique id.
-
-    The event loop itself is inherited unchanged, which is what makes the
-    resident session bit-identical to the rebuild reference: within an
-    epoch both run the same arithmetic on the same values in the same
-    order, and :meth:`begin_epoch` reproduces exactly the state a fresh
-    kernel construction would reach (unique ranks from the plan order, a
-    rank-sorted active set, ``(release, rank, slot)``-sorted pending
-    admissions, a forced full first allocation pass).
-
-    Contract: flows are ingested with positive sizes only (the streaming
-    engine completes zero-size ghosts at submit time, exactly like the
-    rebuild path, which never places them in a sub-instance), and
-    :meth:`ingest` / :meth:`update_path` are only called between
-    :meth:`run` returning and the next :meth:`begin_epoch`.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        allocator: str = "greedy",
-        start_time: float = 0.0,
-    ) -> None:
-        self.network = network
-        self.instance = None
-        self.plan = None
-        self.allocator_name = str(allocator)
-        self.allocator = resolve_allocator(self.allocator_name)
-
-        # Slot state (grows by append; freed slots are recycled LIFO).
-        self.fids: List[Optional[FlowId]] = []
-        self._pos: Dict[FlowId, int] = {}
-        self._free: List[int] = []
-        self._sid: List[int] = []  # ingest-unique id per slot occupancy
-        self._next_sid = 0
-        self.slots_reused = 0
-        self._live: List[bool] = []
-        self._size: List[float] = []
-        self._remaining: List[float] = []
-        self._release: List[float] = []
-        self._completion: List[float] = []
-        self._start: List[float] = []
-        self._started: List[bool] = []
-        self._rate_prev: List[float] = []
-        self._rank: List[int] = []
-        self._flow_dirty: List[bool] = []
-        self._weight: List[float] = []
-        self._edges_of: List[List[int]] = []
-        self._entries: List[Tuple[int, List[int], float]] = []
-        self._segments: List[List[List[float]]] = []
-
-        # Harvest bookkeeping (what has already been reported upstream).
-        self._harvested_completed: List[bool] = []
-        self._harvest_remaining: List[float] = []
-        self._harvest_moved: List[bool] = []
-        self._archived_segments: Dict[int, List[List[float]]] = {}
-
-        # Edge indexing shared with the LP layer (fixed for the session).
-        edge_index = network.edge_index()
-        self._edge_index = edge_index
-        self.edge_list = [None] * len(edge_index)
-        for edge, idx in edge_index.items():
-            self.edge_list[idx] = edge
-        capacities = network.capacities()
-        self._caps = [0.0] * len(edge_index)
-        for edge, idx in edge_index.items():
-            self._caps[idx] = capacities[edge]
-
-        # Event-loop state (rebuilt per epoch by begin_epoch).
-        self._greedy = type(self.allocator) is GreedyPriorityAllocator
-        self._completed = 0
-        self._active: List[int] = []
-        self._active_ranks: List[int] = []
-        self._pending: List[Tuple[float, int, int]] = []
-        self._pending_ptr = 0
-        self._dirty_flows: List[int] = []
-        self._force_full = True
-        self._granted_pos: List[int] = []
-        self._granted_rate: List[float] = []
-        self._edge_active: List[List[int]] = [[] for _ in edge_index]
-        self._edge_active_ranks: List[List[int]] = [[] for _ in edge_index]
-
-        self.now = float(start_time)
-        self.events = 0
-        self.max_events = 16
-
-    # ------------------------------------------------------------ slot deltas
-    def _path_edge_ids(self, path) -> List[int]:
-        edge_index = self._edge_index
-        return [edge_index[e] for e in path_edges(list(path))]
-
-    def ingest(self, fid: FlowId, size: float, release: float, path,
-               weight: float = 1.0) -> int:
-        """Admit one flow into a (new or recycled) slot; returns the slot."""
-        if fid in self._pos:
-            raise ValueError(f"flow {fid!r} is already resident")
-        size = float(size)
-        if size <= _VOLUME_EPS:
-            raise ValueError(
-                f"flow {fid!r} has no volume ({size:g}); zero-size flows "
-                "complete at submit time and are never ingested"
-            )
-        edges = self._path_edge_ids(path)
-        sid = self._next_sid
-        self._next_sid += 1
-        if self._free:
-            k = self._free.pop()
-            self.slots_reused += 1
-            self.fids[k] = fid
-            self._sid[k] = sid
-            self._live[k] = True
-            self._size[k] = size
-            self._remaining[k] = size
-            self._release[k] = float(release)
-            self._completion[k] = math.nan
-            self._start[k] = math.nan
-            self._started[k] = False
-            self._rate_prev[k] = 0.0
-            self._rank[k] = 0
-            self._flow_dirty[k] = False
-            self._weight[k] = float(weight)
-            self._edges_of[k] = edges
-            self._entries[k] = (k, edges, float(weight))
-            self._segments[k] = []
-            self._harvested_completed[k] = False
-            self._harvest_remaining[k] = size
-            self._harvest_moved[k] = False
-        else:
-            k = len(self.fids)
-            self.fids.append(fid)
-            self._sid.append(sid)
-            self._live.append(True)
-            self._size.append(size)
-            self._remaining.append(size)
-            self._release.append(float(release))
-            self._completion.append(math.nan)
-            self._start.append(math.nan)
-            self._started.append(False)
-            self._rate_prev.append(0.0)
-            self._rank.append(0)
-            self._flow_dirty.append(False)
-            self._weight.append(float(weight))
-            self._edges_of.append(edges)
-            self._entries.append((k, edges, float(weight)))
-            self._segments.append([])
-            self._harvested_completed.append(False)
-            self._harvest_remaining.append(size)
-            self._harvest_moved.append(False)
-        self._pos[fid] = k
-        return k
-
-    def ingest_many(self, fids, sizes, releases, paths,
-                    weight: float = 1.0) -> List[int]:
-        """Admit a batch of flows; equivalent to sequential :meth:`ingest`.
-
-        The compiled tier overrides this with a vectorised version; here it
-        is the plain loop, kept so both tiers expose the same delta API.
-        """
-        return [
-            self.ingest(fid, size, release, path, weight=weight)
-            for fid, size, release, path in zip(fids, sizes, releases, paths)
-        ]
-
-    def slot_of(self, fid: FlowId) -> int:
-        """The slot currently holding ``fid`` (raises when not resident)."""
-        return self._pos[fid]
-
-    def sid_of(self, fid: FlowId) -> int:
-        """The ingest-unique id of the slot currently holding ``fid``."""
-        return self._sid[self._pos[fid]]
-
-    def update_path(self, k: int, path) -> None:
-        """Re-route slot ``k`` (only legal between epochs, and only for
-        flows that have not moved volume yet — the engine pins the path of
-        every flow with recorded segments)."""
-        edges = self._path_edge_ids(path)
-        self._edges_of[k] = edges
-        self._entries[k] = (k, edges, self._weight[k])
-
-    def _free_slot(self, k: int, tombstone_time: float) -> None:
-        if math.isnan(self._completion[k]):
-            # Dwindled below the volume epsilon under a pause: the engine
-            # records its completion at the re-plan time, mirror that here
-            # so diagnostics never list a freed slot as unfinished.
-            self._completion[k] = tombstone_time
-        segments = self._segments[k]
-        if segments:
-            self._archived_segments[self._sid[k]] = segments
-        self._segments[k] = []
-        del self._pos[self.fids[k]]
-        self.fids[k] = None
-        self._live[k] = False
-        self._free.append(k)
-
-    # ------------------------------------------------------------- epoch turn
-    def begin_epoch(
-        self,
-        now: float,
-        order: Sequence[int],
-        max_events: Optional[int] = None,
-        allocator: Optional[str] = None,
-    ) -> None:
-        """Start a new epoch at time ``now`` with slots in ``order`` (the
-        plan's priority order over every live, unfinished flow).
-
-        Live slots missing from ``order`` must be finished (completed
-        during the closing epoch, or paused below the volume epsilon) and
-        are tombstoned into the free-list.  Everything a fresh kernel
-        construction would derive — ranks, the rank-sorted active set and
-        per-edge slabs, the ``(release, rank, slot)`` pending order, the
-        epoch-local size/start baselines, the event counter and cap, the
-        forced full allocation pass — is rebuilt in place.
-        """
-        if now + _TIME_EPS < self.now:
-            raise ValueError(
-                f"epoch start t={now:g} precedes the kernel clock "
-                f"t={self.now:g}"
-            )
-        if allocator is not None and allocator != self.allocator_name:
-            self.allocator_name = str(allocator)
-            self.allocator = resolve_allocator(self.allocator_name)
-            self._greedy = type(self.allocator) is GreedyPriorityAllocator
-
-        in_order = set(order)
-        for k in range(len(self.fids)):
-            if self._live[k] and k not in in_order:
-                if (math.isnan(self._completion[k])
-                        and self._remaining[k] > _VOLUME_EPS):
-                    raise ValueError(
-                        f"slot {k} ({self.fids[k]!r}) still holds "
-                        f"{self._remaining[k]:g} volume but is absent from "
-                        "the epoch order"
-                    )
-                self._free_slot(k, now)
-
-        rank = self._rank
-        size = self._size
-        remaining = self._remaining
-        release = self._release
-        start = self._start
-        started = self._started
-        threshold = now + _TIME_EPS
-        active: List[int] = []
-        active_ranks: List[int] = []
-        pending: List[Tuple[float, int, int]] = []
-        for i, k in enumerate(order):
-            rank[k] = i
-            # Epoch-local baselines: a fresh kernel's size is the volume
-            # remaining at the epoch start, and start detection restarts
-            # (the engine keeps only the first epoch's start per flow).
-            size[k] = remaining[k]
-            started[k] = False
-            start[k] = math.nan
-            if release[k] <= threshold:
-                active.append(k)
-                active_ranks.append(i)
-            else:
-                pending.append((release[k], i, k))
-        pending.sort()
-        self._active = active
-        self._active_ranks = active_ranks
-        self._pending = pending
-        self._pending_ptr = 0
-
-        edge_active = self._edge_active = [[] for _ in self._caps]
-        edge_active_ranks = self._edge_active_ranks = [[] for _ in self._caps]
-        if self._greedy:
-            for k, rk in zip(active, active_ranks):
-                for e in self._edges_of[k]:
-                    edge_active[e].append(k)
-                    edge_active_ranks[e].append(rk)
-
-        for k in self._dirty_flows:
-            self._flow_dirty[k] = False
-        self._dirty_flows.clear()
-        self._force_full = True
-        self._granted_pos = []
-        self._granted_rate = []
-        # Freed slots count as completed so the inherited loop's
-        # ``completed < len(fids)`` termination sees only live work.
-        self._completed = len(self.fids) - len(order)
-        self.now = float(now)
-        self.events = 0
-        self.max_events = (
-            max_events if max_events is not None else 4 * len(order) + 16
-        )
-
     # ---------------------------------------------------------------- harvest
     def harvest_epoch(self):
         """What the closing epoch changed, as slot-keyed deltas.
@@ -903,14 +716,10 @@ class ResidentSimulationKernel(SimulationKernel):
 
     def drain_all_segments(self) -> Iterator[Tuple[int, List[List[float]]]]:
         """Yield ``(ingest id, segments)`` for every flow that ever moved
-        volume in this session (tombstoned occupancies included)."""
+        volume in this session (tombstoned occupancies included); each
+        flow's ``[start, end, rate]`` segments are coalesced and in time
+        order."""
         yield from self._archived_segments.items()
         for k in range(len(self.fids)):
             if self._live[k] and self._segments[k]:
                 yield self._sid[k], self._segments[k]
-
-    def build_schedule(self) -> CircuitSchedule:  # pragma: no cover - guard
-        raise RuntimeError(
-            "a resident kernel has no plan of its own; the streaming "
-            "engine assembles the final schedule from its session state"
-        )

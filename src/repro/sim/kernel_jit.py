@@ -1,13 +1,14 @@
-"""Compiled kernel tier: the event loop lowered to a native code core.
+"""Compiled kernel tier: the greedy event loop lowered to a native code core.
 
-The array kernel (:mod:`repro.sim.kernel`) removed the per-event
-re-derivation of the reference loop but still dispatches every event —
-active-set maintenance, the dirty-flag greedy allocation pass over the CSR
-flow→edge incidence, the argmin next-event selection, segment coalescing —
-through the Python interpreter.  That caps sweep instances around a few
-thousand flows.  This module lowers exactly that loop into a small C core
-operating on the same typed arrays, which is what 100k-flow instances need
-(millions of events per second instead of tens of thousands).
+The Python tier (:class:`repro.sim.kernel.ResidentSimulationKernel`)
+removed the per-event re-derivation of the reference loop but still
+dispatches every event — active-set maintenance, the dirty-flag greedy
+allocation pass over the flow→edge incidence, the argmin next-event
+selection, segment coalescing — through the Python interpreter.  That caps
+sweep instances around a few thousand flows.  This module lowers exactly
+that loop into a small C core operating on typed arrays, which is what
+100k-flow instances need (millions of events per second instead of tens
+of thousands).
 
 Engine
 ------
@@ -20,27 +21,22 @@ a source digest, and loaded through :mod:`ctypes`.  ``-ffp-contract=off``
 matters: fused multiply-adds would change the rounding of
 ``remaining - rate * elapsed`` and break the bit-identity contract below.
 When no C compiler is present, :func:`available` reports ``False`` and the
-dispatch layer (:func:`repro.sim.simulator.make_kernel`) falls back to the
-array kernel — selecting the ``jit`` backend is always safe.
+kernel selector (:func:`repro.sim.simulator.make_kernel`) falls back to the
+Python tier — selecting the ``jit`` backend is always safe.
 
 Bit-identity contract
 ---------------------
-:class:`JitSimulationKernel` performs the *same IEEE-754 double arithmetic
-on the same values in the same order* as :class:`SimulationKernel` (which
-is itself property-tested against ``run_reference()``), so all three event
-loops produce identical completion/start times.  The C core only lowers the
-default greedy-priority policy — the one the paper's methodology and every
-pinned benchmark use; plans selecting ``max-min`` / ``weighted`` allocators
-transparently run on the array kernel.  ``tests/sim/test_kernel_equivalence.py``
-asserts the three-way equivalence across topology × workload × allocator
-families, online splicing included.
-
-State lives in the parent class's Python lists between calls: each
-:meth:`JitSimulationKernel.run` call lowers the current state to typed
-arrays, executes the compiled core (pausing at ``until`` exactly like the
-array kernel), and writes the state back — so pause/resume splicing, the
-online engine and every diagnostic (stuck reports, snapshots) behave
-identically across backends.
+:class:`ResidentJitKernel` performs the *same IEEE-754 double arithmetic on
+the same values in the same order* as the Python tier (which is itself
+property-tested against ``run_reference()``), so all three event loops
+produce identical completion and start times and identical segments.  The
+C core only lowers the default greedy-priority policy — the one the paper's
+methodology and every pinned benchmark use; plans selecting ``max-min`` /
+``weighted`` allocators run on the Python tier.
+``tests/sim/test_kernel_equivalence.py`` asserts the three-way equivalence
+across topology × workload × allocator families, pause/resume included,
+and ``tests/sim/test_streaming_equivalence.py`` holds streaming sessions on
+both tiers to a rebuild-per-epoch oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +44,7 @@ from __future__ import annotations
 import ctypes
 import gc
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -59,15 +56,9 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..faults import maybe_inject
-from .kernel import (
-    ResidentSimulationKernel,
-    SimulationKernel,
-    _TIME_EPS,
-    _VOLUME_EPS,
-)
+from .kernel import ResidentSimulationKernel, _TIME_EPS, _VOLUME_EPS
 
 __all__ = [
-    "JitSimulationKernel",
     "ResidentJitKernel",
     "available",
     "engine",
@@ -80,7 +71,8 @@ __all__ = [
 def paused_gc():
     """Pause cyclic garbage collection for the enclosed block.
 
-    The compiled core's write-back materialises O(events) Python objects
+    Result assembly (the segment drain, the per-flow completion and start
+    maps, the realised schedule) materialises O(events) Python objects
     that are all retained, so cyclic-GC passes over the (large)
     surrounding heap only add cost during that storm.  The manager is
     reentrant-safe — nesting it inside an already-paused scope is a no-op
@@ -185,8 +177,8 @@ static i64 upper_bound(const i64 *arr, i64 len, i64 value) {
     return lo;
 }
 
-/* SimulationKernel._mark_dirty: the active lower-priority flows sharing an
- * edge with k (plus, on release, k itself). */
+/* ResidentSimulationKernel._mark_dirty: the active lower-priority flows
+ * sharing an edge with k (plus, on release, k itself). */
 static void mark_dirty(ctx_t *c, i64 k, int include_self) {
     if (include_self && !c->flow_dirty[k]) {
         c->flow_dirty[k] = 1;
@@ -207,8 +199,8 @@ static void mark_dirty(ctx_t *c, i64 k, int include_self) {
     }
 }
 
-/* SimulationKernel._enter_active: sorted insert into the active list and
- * into each edge's active slab. */
+/* ResidentSimulationKernel._enter_active: sorted insert into the active
+ * list and into each edge's active slab. */
 static void enter_active(ctx_t *c, i64 k, i64 rk) {
     i64 len = c->istate[ST_ACT_LEN];
     i64 lo = upper_bound(c->act_rank, len, rk);
@@ -233,8 +225,8 @@ static void enter_active(ctx_t *c, i64 k, i64 rk) {
     }
 }
 
-/* SimulationKernel._leave_active: delete-in-place from the active list and
- * each edge slab. */
+/* ResidentSimulationKernel._leave_active: delete-in-place from the active
+ * list and each edge slab. */
 static void leave_active(ctx_t *c, i64 k) {
     i64 len = c->istate[ST_ACT_LEN];
     i64 i = 0;
@@ -257,8 +249,9 @@ static void leave_active(ctx_t *c, i64 k) {
     }
 }
 
-/* SimulationKernel._allocate, greedy incremental path: re-derive only the
- * dirty flows; reuse the cached grants outright when nothing is dirty. */
+/* ResidentSimulationKernel._allocate, greedy incremental path: re-derive
+ * only the dirty flows; reuse the cached grants outright when nothing is
+ * dirty. */
 static void allocate(ctx_t *c) {
     int force = (int)c->istate[ST_FORCE_FULL];
     if (!force && c->istate[ST_DIRTY_LEN] == 0) return;
@@ -297,11 +290,10 @@ static void allocate(ctx_t *c) {
     c->istate[ST_G_LEN] = g;
 }
 
-/* SimulationKernel._record_segment: coalesce into the flow's last segment
- * of this call's buffer, else append.  Segments are attributed to the
- * slot's stable id (sid) rather than the slot index so the resident tier
- * can recycle slots without mixing up flows; the per-run tier passes the
- * identity mapping. */
+/* ResidentSimulationKernel._record_segment: coalesce into the flow's last
+ * segment of the session's log, else append.  Segments are attributed to
+ * the slot's stable id (sid) rather than the slot index so the session can
+ * recycle slots without mixing up flows. */
 static void record_segment(ctx_t *c, i64 k, double s, double e, double r) {
     i64 last = c->last_seg[k];
     if (last >= 0 && c->seg_end[last] == s && c->seg_rate[last] == r) {
@@ -452,7 +444,7 @@ i64 repro_greedy_run(
  * stale-dirty clearing, ranks, epoch-local baselines, the active/pending
  * split and the per-edge slabs in two passes over the live flows.  The
  * order is already rank-sorted, so appending actives as they are visited
- * is a counting sort — the slab layout is identical to the per-run
+ * is a counting sort — the slab layout is identical to the Python
  * tier's (grouped by edge, ranks ascending).  Pending flows come out in
  * rank order; the caller stable-sorts them by release.  Departed slots
  * (previous live set plus fresh ingests, minus the new order) land in
@@ -720,232 +712,9 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
 # -------------------------------------------------------------------- kernel
 
 
-class JitSimulationKernel(SimulationKernel):
-    """:class:`SimulationKernel` whose event loop runs in the compiled core.
-
-    Construction, snapshots, diagnostics, schedule building and the Python
-    list state are all inherited; only :meth:`run` differs — it lowers the
-    current state into typed arrays, executes the C event loop (with the
-    exact pause-at-``until`` semantics of the parent), and writes the state
-    back.  Non-greedy allocators and machines without a C toolchain
-    transparently use the inherited (array-kernel) loop, so results never
-    depend on the backend.
-    """
-
-    def run(self, until: Optional[float] = None) -> bool:
-        if not self._greedy or not available():
-            return super().run(until)
-        maybe_inject("sim")
-        with paused_gc():
-            return self._run_compiled(until)
-
-    # ------------------------------------------------------------- lowering
-    def _run_compiled(self, until: Optional[float]) -> bool:
-        lib = _load()
-        n = len(self.fids)
-        n_edges = len(self._caps)
-
-        size = np.asarray(self._size, dtype=np.float64)
-        remaining = np.asarray(self._remaining, dtype=np.float64)
-        completion = np.asarray(self._completion, dtype=np.float64)
-        start = np.asarray(self._start, dtype=np.float64)
-        started = np.asarray(self._started, dtype=np.uint8)
-        rate_prev = np.asarray(self._rate_prev, dtype=np.float64)
-
-        eoff, eend, csr_idx, rank, sid, caps, pend = self._static_arrays()
-        pend_release, pend_rank, pend_k = pend
-        residual = np.empty(n_edges, dtype=np.float64)
-
-        act = np.zeros(n, dtype=np.int64)
-        act_rank = np.zeros(n, dtype=np.int64)
-        act[: len(self._active)] = self._active
-        act_rank[: len(self._active)] = self._active_ranks
-
-        ea_off = self._edge_slab_offsets
-        ea_flow = np.zeros(max(len(csr_idx), 1), dtype=np.int64)
-        ea_rank = np.zeros(max(len(csr_idx), 1), dtype=np.int64)
-        ea_len = np.zeros(max(n_edges, 1), dtype=np.int64)
-        for e, members in enumerate(self._edge_active):
-            if members:
-                off = int(ea_off[e])
-                ea_flow[off : off + len(members)] = members
-                ea_rank[off : off + len(members)] = self._edge_active_ranks[e]
-                ea_len[e] = len(members)
-
-        flow_dirty = np.asarray(self._flow_dirty, dtype=np.uint8)
-        dirty_stack = np.zeros(n, dtype=np.int64)
-        dirty_stack[: len(self._dirty_flows)] = self._dirty_flows
-        g_pos = np.zeros(n, dtype=np.int64)
-        g_rate = np.zeros(n, dtype=np.float64)
-        g_pos[: len(self._granted_pos)] = self._granted_pos
-        g_rate[: len(self._granted_rate)] = self._granted_rate
-
-        seg_cap = max(4 * n + 1024, 1 << 16)
-        seg_flow = np.empty(seg_cap, dtype=np.int64)
-        seg_start = np.empty(seg_cap, dtype=np.float64)
-        seg_end = np.empty(seg_cap, dtype=np.float64)
-        seg_rate = np.empty(seg_cap, dtype=np.float64)
-        last_seg = np.full(n, -1, dtype=np.int64)
-        done_scratch = np.empty(max(n, 1), dtype=np.int64)
-
-        istate = np.zeros(_ISTATE_SLOTS, dtype=np.int64)
-        istate[_EVENTS] = self.events
-        istate[_PENDING_PTR] = self._pending_ptr
-        istate[_ACT_LEN] = len(self._active)
-        istate[_DIRTY_LEN] = len(self._dirty_flows)
-        istate[_G_LEN] = len(self._granted_pos)
-        istate[_FORCE_FULL] = int(self._force_full)
-        istate[_COMPLETED] = self._completed
-        istate[_MAX_EVENTS] = self.max_events
-        dstate = np.array([self.now], dtype=np.float64)
-
-        until_c = math.inf if until is None else float(until)
-        while True:
-            status = lib.repro_greedy_run(
-                n, n_edges,
-                _ptr(size), _ptr(remaining),
-                _ptr(completion), _ptr(start), _ptr(started),
-                _ptr(rank), _ptr(sid),
-                _ptr(eoff), _ptr(eend), _ptr(csr_idx),
-                _ptr(caps), _ptr(residual),
-                _ptr(pend_release), _ptr(pend_rank), _ptr(pend_k),
-                len(pend_k),
-                _ptr(act), _ptr(act_rank),
-                _ptr(ea_off), _ptr(ea_flow), _ptr(ea_rank), _ptr(ea_len),
-                _ptr(flow_dirty), _ptr(dirty_stack),
-                _ptr(g_pos), _ptr(g_rate), _ptr(rate_prev),
-                _ptr(seg_flow), _ptr(seg_start), _ptr(seg_end), _ptr(seg_rate),
-                seg_cap, _ptr(last_seg), _ptr(done_scratch),
-                _ptr(istate), _ptr(dstate),
-                until_c, _VOLUME_EPS, _TIME_EPS,
-            )
-            self._merge_segment_buffer(seg_flow, seg_start, seg_end, seg_rate,
-                                       int(istate[_SEG_LEN]))
-            if status == _NEED_SEGMENT_SPACE:
-                istate[_SEG_LEN] = 0
-                last_seg.fill(-1)
-                continue
-            break
-
-        self._write_back(remaining, completion, start, started, rate_prev,
-                         act, act_rank, ea_off, ea_flow, ea_rank, ea_len,
-                         flow_dirty, dirty_stack, g_pos, g_rate,
-                         istate, dstate)
-        if status == _STALLED:
-            raise self._stuck_error(
-                f"simulation stalled at t={self.now:g}: no runnable "
-                "flow and no pending release"
-            )
-        if status == _EVENT_CAP:
-            raise self._stuck_error(
-                f"simulation exceeded the event cap ({self.max_events}) "
-                f"at t={self.now:g}; this indicates an internal "
-                "inconsistency"
-            )
-        return status == _FINISHED
-
-    def _static_arrays(self):
-        """Immutable per-run arrays (CSR, ranks, capacities, sorted
-        pending releases), lowered once per kernel and cached."""
-        cached = getattr(self, "_jit_static", None)
-        if cached is None:
-            csr_ptr = np.ascontiguousarray(self.flow_edge_ptr, dtype=np.int64)
-            csr_idx = np.ascontiguousarray(self.flow_edge_idx, dtype=np.int64)
-            # The C core takes per-flow (offset, end) bounds so the resident
-            # tier can grow incidence rows in place; the per-run tier's rows
-            # are the adjacent CSR windows (zero-copy views).
-            eoff = csr_ptr[:-1]
-            eend = csr_ptr[1:]
-            rank = np.asarray(self._rank, dtype=np.int64)
-            sid = np.arange(len(self.fids), dtype=np.int64)
-            caps = np.asarray(self._caps, dtype=np.float64)
-            pend_release = np.asarray(
-                [p[0] for p in self._pending], dtype=np.float64
-            )
-            pend_rank = np.asarray([p[1] for p in self._pending], dtype=np.int64)
-            pend_k = np.asarray([p[2] for p in self._pending], dtype=np.int64)
-            counts = np.bincount(csr_idx, minlength=len(self._caps))
-            self._edge_slab_offsets = np.concatenate(
-                ([0], np.cumsum(counts))
-            ).astype(np.int64)
-            cached = (eoff, eend, csr_idx, rank, sid, caps,
-                      (pend_release, pend_rank, pend_k))
-            self._jit_static = cached
-        return cached
-
-    # ------------------------------------------------------------ write-back
-    def _merge_segment_buffer(self, seg_flow, seg_start, seg_end, seg_rate,
-                              count: int) -> None:
-        """Fold the C core's segment buffer into the per-flow lists,
-        coalescing across the buffer boundary exactly like
-        :meth:`SimulationKernel._record_segment`."""
-        if count == 0:
-            return
-        flows = seg_flow[:count]
-        order = np.argsort(flows, kind="stable")  # groups flows, keeps time order
-        triples: List[List[float]] = np.column_stack(
-            (seg_start[:count][order], seg_end[:count][order],
-             seg_rate[:count][order])
-        ).tolist()
-        flows_sorted = flows[order]
-        bounds = np.flatnonzero(flows_sorted[1:] != flows_sorted[:-1]) + 1
-        chunk_starts = np.concatenate(([0], bounds))
-        chunk_ends = np.concatenate((bounds, [count]))
-        chunk_flows = flows_sorted[chunk_starts]
-        for a, b, k in zip(chunk_starts.tolist(), chunk_ends.tolist(),
-                           chunk_flows.tolist()):
-            segments = self._segments[k]
-            if segments:
-                last = segments[-1]
-                first = triples[a]
-                if last[1] == first[0] and last[2] == first[2]:
-                    last[1] = first[1]
-                    a += 1
-            segments.extend(triples[a:b])
-
-    def _write_back(self, remaining, completion, start, started, rate_prev,
-                    act, act_rank, ea_off, ea_flow, ea_rank, ea_len,
-                    flow_dirty, dirty_stack, g_pos, g_rate,
-                    istate, dstate) -> None:
-        """Restore the parent class's Python-list state from the arrays so
-        pause/resume, diagnostics and snapshots see the exact same state
-        the array kernel would hold."""
-        self._remaining = remaining.tolist()
-        self._completion = completion.tolist()
-        self._start = start.tolist()
-        self._started = started.astype(bool).tolist()
-        self._rate_prev = rate_prev.tolist()
-        alen = int(istate[_ACT_LEN])
-        self._active = act[:alen].tolist()
-        self._active_ranks = act_rank[:alen].tolist()
-        for e in range(len(self._edge_active)):
-            off = int(ea_off[e])
-            length = int(ea_len[e])
-            self._edge_active[e] = ea_flow[off : off + length].tolist()
-            self._edge_active_ranks[e] = ea_rank[off : off + length].tolist()
-        self._flow_dirty = flow_dirty.astype(bool).tolist()
-        self._dirty_flows = dirty_stack[: int(istate[_DIRTY_LEN])].tolist()
-        glen = int(istate[_G_LEN])
-        self._granted_pos = g_pos[:glen].tolist()
-        self._granted_rate = g_rate[:glen].tolist()
-        self._force_full = bool(istate[_FORCE_FULL])
-        self._completed = int(istate[_COMPLETED])
-        self._pending_ptr = int(istate[_PENDING_PTR])
-        self.events = int(istate[_EVENTS])
-        self.now = float(dstate[0])
-
-
-# ---------------------------------------------------------- resident session
-
-
 class ResidentJitKernel(ResidentSimulationKernel):
-    """:class:`ResidentSimulationKernel` whose state lives in the compiled
-    core's ctypes-owned arrays across epochs.
-
-    The per-run :class:`JitSimulationKernel` lowers Python lists to typed
-    arrays at every ``run()`` call and writes them back afterwards — an
-    O(n) list⇄array⇄list round-trip per epoch that dominates streaming
-    re-planning at 100k flows.  This tier keeps the arrays *resident*:
+    """The compiled kernel tier: a :class:`ResidentSimulationKernel` whose
+    state lives in ctypes-owned arrays the C core runs on directly.
 
     * per-slot state (sizes, volumes, clocks, ranks, incidence bounds) is
       preallocated with capacity doubling and a LIFO free-list;
@@ -954,14 +723,14 @@ class ResidentJitKernel(ResidentSimulationKernel):
       row; freed rows are leaked, bounded by total ingested incidence);
     * the segment log is one growable buffer shared by all epochs,
       attributed by ingest-unique slot ids, so pause/resume splices
-      coalesce in C exactly like the rebuild path's merge and nothing is
-      re-ingested or copied between epochs;
+      coalesce in C and nothing is re-ingested or copied between epochs;
     * ``run()`` re-enters the C core directly on the persistent arrays —
-      no ``.tolist()`` round-trips; the Python-side state of the parent
-      class is used only for error diagnostics.
+      no list round-trips; the Python-side state of the parent class is
+      used only for slot bookkeeping and error diagnostics.
 
-    Only the greedy-priority policy is lowered (as with the per-run jit
-    tier); sessions with other allocators use the array-resident parent.
+    Only the greedy-priority policy is lowered; sessions with other
+    allocators run on the Python tier, and :meth:`begin_epoch` raises
+    ``ValueError`` when a later plan switches a compiled session to one.
     """
 
     def __init__(
@@ -974,9 +743,9 @@ class ResidentJitKernel(ResidentSimulationKernel):
     ) -> None:
         if allocator != "greedy":
             raise ValueError(
-                f"the compiled resident tier only lowers the greedy "
-                f"allocator, not {allocator!r}; use the array-resident "
-                "kernel for other policies"
+                f"the compiled kernel tier only lowers the greedy "
+                f"allocator, not {allocator!r}; use the Python tier "
+                "(ResidentSimulationKernel) for other policies"
             )
         if not available():
             raise RuntimeError(
@@ -1114,7 +883,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
         if size <= _VOLUME_EPS:
             raise ValueError(
                 f"flow {fid!r} has no volume ({size:g}); zero-size flows "
-                "complete at submit time and are never ingested"
+                "complete at their release and are never ingested"
             )
         edges = self._path_edge_ids(path)
         sid = self._next_sid
@@ -1169,24 +938,23 @@ class ResidentJitKernel(ResidentSimulationKernel):
             if size <= _VOLUME_EPS:
                 raise ValueError(
                     f"flow {fid!r} has no volume ({size:g}); zero-size "
-                    "flows complete at submit time and are never ingested"
+                    "flows complete at their release and are never ingested"
                 )
         edge_lists = [self._path_edge_ids(path) for path in paths]
-        ks = []
+        # Sequential ingests pop free slots first, then append fresh rows.
         free = self._free
-        for fid in fids:
-            if free:
-                k = free.pop()
-                self.slots_reused += 1
-                self.fids[k] = fid
-            else:
-                if self._nrows >= self._cap:
-                    self._grow_rows()
-                k = self._nrows
-                self._nrows += 1
-                self.fids.append(fid)
-            self._pos[fid] = k
-            ks.append(k)
+        reused = min(len(free), n)
+        ks = [free.pop() for _ in range(reused)]
+        for k, fid in zip(ks, fids):
+            self.fids[k] = fid
+        self.slots_reused += reused
+        fresh = n - reused
+        while self._nrows + fresh > self._cap:
+            self._grow_rows()
+        ks.extend(range(self._nrows, self._nrows + fresh))
+        self.fids.extend(fids[reused:])
+        self._nrows += fresh
+        self._pos.update(zip(fids, ks))
         k_arr = np.asarray(ks, dtype=np.int64)
         sid0 = self._next_sid
         self._next_sid += n
@@ -1208,26 +976,28 @@ class ResidentJitKernel(ResidentSimulationKernel):
         self.a_harvest_remaining[k_arr] = size_arr
         self.a_harvest_moved[k_arr] = 0
         self.a_start_harvested[k_arr] = 0
-        total = sum(len(edges) for edges in edge_lists)
+        lengths = np.fromiter(map(len, edge_lists), dtype=np.int64, count=n)
+        total = int(lengths.sum())
         while self._pool_len + total > len(self._pool):
             new = np.zeros(len(self._pool) * 2, dtype=np.int64)
             new[: self._pool_len] = self._pool[: self._pool_len]
             self._pool = new
             self._run_ptrs = self._be_ptrs = None
-        pool = self._pool
+        # The rows land back to back in ingest order, exactly as a run of
+        # single ingests would lay them out.
         off = self._pool_len
-        for k, edges in zip(ks, edge_lists):
-            m = len(edges)
-            pool[off : off + m] = edges
-            self.a_eoff[k] = off
-            self.a_eend[k] = off + m
-            off += m
-        self._pool_len = off
+        ends = off + np.cumsum(lengths)
+        self._pool[off : off + total] = np.fromiter(
+            itertools.chain.from_iterable(edge_lists), dtype=np.int64, count=total
+        )
+        self.a_eoff[k_arr] = ends - lengths
+        self.a_eend[k_arr] = ends
+        self._pool_len = off + total
         self._ingested_since.extend(ks)
         return ks
 
     def sid_of(self, fid) -> int:
-        return int(self.a_sid[self._pos[fid]])
+        return int(self.a_sid[self.slot_of(fid)])
 
     def update_path(self, k: int, path) -> None:
         self._set_edges(k, self._path_edge_ids(path))
@@ -1236,7 +1006,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
     def begin_epoch(self, now, order, max_events=None, allocator=None):
         if allocator is not None and allocator != "greedy":
             raise ValueError(
-                f"the compiled resident tier only lowers the greedy "
+                f"the compiled kernel tier only lowers the greedy "
                 f"allocator; the plan switched to {allocator!r} mid-session"
             )
         if now + _TIME_EPS < self.now:
@@ -1289,7 +1059,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
         # and stale-dirty clearing over the previous live set, then ranks,
         # epoch-local baselines, the active/pending split and the per-edge
         # rank-sorted slabs (the order is already rank-sorted, so the slab
-        # fill is a counting sort with the same layout the per-run tier
+        # fill is a counting sort with the same layout the Python tier
         # builds).  The call is idempotent; a too-small slab buffer grows
         # geometrically and retries.
         threshold = float(now) + _TIME_EPS
@@ -1504,18 +1274,6 @@ class ResidentJitKernel(ResidentSimulationKernel):
             yield sid, triples[a:b]
 
     # ------------------------------------------------------------ diagnostics
-    @property
-    def finished(self) -> bool:
-        return int(self._istate[_COMPLETED]) == self._n_target
-
-    @property
-    def remaining(self) -> np.ndarray:
-        return self.a_remaining[: self._nrows].copy()
-
-    @property
-    def completion(self) -> np.ndarray:
-        return self.a_completion[: self._nrows].copy()
-
     def _edge_ids_of(self, k: int) -> List[int]:
         return self._pool[int(self.a_eoff[k]) : int(self.a_eend[k])].tolist()
 

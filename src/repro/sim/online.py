@@ -26,8 +26,9 @@ import surface for sweeps and pipeline schemes.
   :class:`ReplanContext`: a sub-instance holding the arrived coflows'
   unfinished flows (sizes replaced by their remaining volumes), the
   network, and the mapping back to original flow ids;
-* the returned plan is spliced into one continuous simulation: a fresh
-  kernel epoch starts at the arrival time and runs until the next arrival.
+* the returned plan is spliced into one continuous simulation: the
+  session kernel opens a new epoch at the arrival time and runs it until
+  the next arrival.
   Flows that already moved volume keep their path (re-routing mid-transfer
   would corrupt the realised schedule); their priorities may change freely.
 
@@ -71,14 +72,10 @@ class OnlineFlowSimulator:
     max_events:
         Optional per-epoch event cap forwarded to each kernel epoch.
     backend:
-        Kernel backend for every epoch (``"array"``, ``"jit"``, ``"auto"``
-        or ``None`` — defer to the per-epoch plan / environment).  Epoch
-        splicing is backend-agnostic: the compiled tier pauses at arrival
-        deadlines with exactly the array kernel's semantics.
-    resident:
-        Keep kernel state resident across re-plans instead of rebuilding a
-        kernel per arrival (``None`` defers to ``REPRO_SIM_RESIDENT``, then
-        ``False``).  Bit-identical to the rebuild path by contract.
+        Kernel backend of each run's session (``"array"``, ``"jit"``,
+        ``"auto"`` or ``None`` — defer to the first plan / environment).
+        Epoch splicing is backend-agnostic: the compiled tier pauses at
+        arrival deadlines with exactly the Python tier's semantics.
     """
 
     def __init__(
@@ -87,14 +84,12 @@ class OnlineFlowSimulator:
         replanner: Replanner,
         max_events: Optional[int] = None,
         backend: Optional[str] = None,
-        resident: Optional[bool] = None,
     ) -> None:
         validate_backend(backend)
         self.network = network
         self.replanner = replanner
         self.max_events = max_events
         self.backend = backend
-        self.resident = resident
         #: The streaming session behind the most recent :meth:`run` (exposes
         #: ``decision_log`` / ``streaming_metrics()`` for diagnostics).
         self.last_session: Optional[StreamingScheduler] = None
@@ -114,7 +109,6 @@ class OnlineFlowSimulator:
             policy=BatchPolicy(max_batch=1),
             max_events=self.max_events,
             backend=self.backend,
-            resident=self.resident,
         )
         self.last_session = session
         return session.run(instance, plan_name=plan_name)

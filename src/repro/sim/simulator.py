@@ -21,11 +21,12 @@ event time:
    earliest projected completion under the granted rates.
 
 The simulator is deterministic given the plan and produces exact completion
-times (no time discretisation).  :meth:`FlowLevelSimulator.run` executes on
-the array-based :class:`~repro.sim.kernel.SimulationKernel`;
-:meth:`FlowLevelSimulator.run_reference` preserves the original dict-based
-event loop, kept as the executable specification the kernel is equivalence-
-tested against (``tests/sim/test_kernel_equivalence.py``).
+times (no time discretisation).  :meth:`FlowLevelSimulator.run` executes as
+a one-epoch kernel session (:func:`make_kernel` picks the tier,
+:func:`load_plan` opens the epoch); :meth:`FlowLevelSimulator.run_reference`
+preserves the original dict-based event loop, kept as the executable
+specification both kernel tiers are equivalence-tested against
+(``tests/sim/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -34,23 +35,24 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
 
 from ..core.flows import CoflowInstance, FlowId
 from ..core.network import Network, path_edges
 from ..core.objective import ObjectiveBreakdown, objective_breakdown
 from ..core.schedule import CircuitSchedule
-from .allocators import RateAllocator, resolve_allocator
-from .kernel import SimulationKernel, format_stuck_report
+from .allocators import GreedyPriorityAllocator, RateAllocator, resolve_allocator
+from .kernel import ResidentSimulationKernel, format_stuck_report
+from .kernel_jit import paused_gc
 from .plan import SimulationPlan
 
 __all__ = [
     "BACKENDS",
     "FlowLevelSimulator",
     "SimulationResult",
+    "load_plan",
     "make_kernel",
     "resolve_backend",
-    "resolve_resident",
     "validate_backend",
 ]
 
@@ -62,7 +64,7 @@ _VOLUME_EPS = 1e-9
 _TIME_EPS = 1e-12
 
 #: Kernel backends a plan / CLI flag / environment variable may name.
-#: ``"array"`` is the Python array kernel, ``"jit"`` the compiled tier
+#: ``"array"`` is the Python kernel tier, ``"jit"`` the compiled tier
 #: (:mod:`repro.sim.kernel_jit`), ``"auto"`` picks ``jit`` when it can run
 #: here and ``array`` otherwise.  Backends are bit-identical by contract —
 #: a speed knob only — so the choice never enters scheme signatures or
@@ -72,13 +74,6 @@ BACKENDS: Tuple[str, ...] = ("array", "jit", "auto")
 #: Environment variable consulted when neither the caller nor the plan
 #: pins a backend (``repro run --backend`` sets it for scheme pipelines).
 _BACKEND_ENV = "REPRO_SIM_BACKEND"
-
-#: Environment variable consulted when a streaming session is not told
-#: explicitly whether to keep its kernel state resident across re-plans.
-#: Residency is orthogonal to the ``array|jit`` backend choice and — like
-#: the backend — bit-identical by contract, so it never enters scheme
-#: signatures or run-store keys.
-_RESIDENT_ENV = "REPRO_SIM_RESIDENT"
 
 _fallback_warned = False
 
@@ -119,80 +114,102 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     return backend
 
 
-def resolve_resident(resident: Optional[bool] = None) -> bool:
-    """Resolve the residency request of a streaming session.
-
-    Precedence: explicit argument > ``REPRO_SIM_RESIDENT`` environment
-    variable > ``False`` (rebuild a kernel per epoch).  Residency is a
-    speed knob with the same contract as the backend choice: resident
-    sessions are bit-identical to the rebuild reference, so the choice
-    never enters scheme signatures or run-store keys.
-    """
-    if resident is not None:
-        return bool(resident)
-    raw = os.environ.get(_RESIDENT_ENV, "").strip().lower()
-    if not raw:
-        return False
-    if raw in ("1", "true", "yes", "on"):
-        return True
-    if raw in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(
-        f"unrecognised {_RESIDENT_ENV} value {raw!r}; expected a boolean "
-        "(1/0, true/false, yes/no, on/off)"
-    )
-
-
 def make_kernel(
     network: Network,
-    instance: CoflowInstance,
-    plan: SimulationPlan,
-    allocator: Optional[RateAllocator] = None,
-    max_events: Optional[int] = None,
-    start_time: float = 0.0,
+    allocator: Union[str, RateAllocator] = "greedy",
     backend: Optional[str] = None,
-) -> SimulationKernel:
-    """Build the simulation kernel for the selected backend.
+    start_time: float = 0.0,
+) -> ResidentSimulationKernel:
+    """A fresh kernel session on the selected tier.
 
-    ``backend`` overrides ``plan.backend``; with neither set the
-    ``REPRO_SIM_BACKEND`` environment variable and finally ``"array"``
-    apply (see :func:`resolve_backend`).  Requesting ``"jit"`` on a
-    machine without a C toolchain degrades to the array kernel with a
-    one-time ``RuntimeWarning`` — never an error, since backends are
-    bit-identical and availability is a property of the machine, not of
-    the experiment.
+    ``backend`` resolves through :func:`resolve_backend`.  The compiled
+    :class:`~repro.sim.kernel_jit.ResidentJitKernel` is returned only when
+    the resolved backend is ``"jit"``, the allocator is the greedy policy
+    and the C core builds on this machine; otherwise the Python
+    :class:`~repro.sim.kernel.ResidentSimulationKernel` runs the session.
+    Requesting ``"jit"`` on a machine without a C toolchain degrades to
+    the Python tier with a one-time ``RuntimeWarning`` — never an error,
+    since tiers are bit-identical and availability is a property of the
+    machine, not of the experiment.  The tier is fixed for the kernel's
+    lifetime: the Python tier re-resolves the allocator at every epoch,
+    while a compiled kernel rejects an epoch naming any allocator but
+    the greedy one.
     """
-    resolved = resolve_backend(backend if backend is not None else plan.backend)
-    if resolved == "jit":
+    policy = (
+        allocator
+        if isinstance(allocator, RateAllocator)
+        else resolve_allocator(allocator)
+    )
+    if resolve_backend(backend) == "jit":
         from . import kernel_jit
 
         if kernel_jit.available():
-            return kernel_jit.JitSimulationKernel(
-                network,
-                instance,
-                plan,
-                allocator=allocator,
-                max_events=max_events,
-                start_time=start_time,
-            )
-        global _fallback_warned
-        if not _fallback_warned:
-            _fallback_warned = True
-            warnings.warn(
-                "the 'jit' simulator backend is unavailable "
-                f"({kernel_jit.unavailable_reason()}); "
-                "falling back to the 'array' kernel (results are identical)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return SimulationKernel(
-        network,
-        instance,
-        plan,
-        allocator=allocator,
-        max_events=max_events,
-        start_time=start_time,
+            if type(policy) is GreedyPriorityAllocator:
+                return kernel_jit.ResidentJitKernel(
+                    network, start_time=start_time
+                )
+        else:
+            global _fallback_warned
+            if not _fallback_warned:
+                _fallback_warned = True
+                warnings.warn(
+                    "the 'jit' simulator backend is unavailable "
+                    f"({kernel_jit.unavailable_reason()}); "
+                    "falling back to the 'array' kernel (results are identical)",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+    return ResidentSimulationKernel(
+        network, allocator=policy, start_time=start_time
     )
+
+
+def load_plan(
+    kernel: ResidentSimulationKernel,
+    instance: CoflowInstance,
+    plan: SimulationPlan,
+    max_events: Optional[int] = None,
+) -> List[FlowId]:
+    """Open ``plan`` over ``instance`` as one epoch of a fresh ``kernel``.
+
+    ``plan`` must be normalized and validated against ``instance``.  Every
+    flow with volume is ingested, coflow by coflow with its coflow's
+    weight; zero-size flows are left out (they complete at their release).
+    The epoch starts at the kernel's clock (``kernel.now``, the
+    ``start_time`` it was made with) and serves the ingested flows in plan
+    priority order under an event cap of ``4 n + 16`` over all ``n`` flows
+    of the instance, unless ``max_events`` is given.  Returns the ingested
+    flow ids: ``ingested[k]`` holds slot ``k`` and ingest id ``k``.
+    """
+    if kernel.fids:
+        raise ValueError("load_plan needs a fresh kernel session")
+    paths = plan.paths
+    ingested: List[FlowId] = []
+    total = 0
+    for i, coflow in enumerate(instance.coflows):
+        fids: List[FlowId] = []
+        sizes: List[float] = []
+        releases: List[float] = []
+        routes = []
+        for j, flow in enumerate(coflow.flows):
+            if flow.size > _VOLUME_EPS:
+                fid = (i, j)
+                fids.append(fid)
+                sizes.append(flow.size)
+                releases.append(flow.release_time)
+                routes.append(paths[fid])
+        total += len(coflow.flows)
+        if fids:
+            kernel.ingest_many(fids, sizes, releases, routes, weight=coflow.weight)
+            ingested.extend(fids)
+    rank = plan.priority_rank()
+    ranks = [rank[fid] for fid in ingested]
+    kernel.begin_epoch(
+        kernel.now,
+        sorted(range(len(ingested)), key=ranks.__getitem__),
+        max_events=max_events if max_events is not None else 4 * total + 16,
+    )
+    return ingested
 
 
 @dataclass
@@ -311,34 +328,52 @@ class FlowLevelSimulator:
         allocator: Optional[RateAllocator] = None,
         backend: Optional[str] = None,
     ) -> SimulationResult:
-        """Simulate the plan on the selected kernel; return the result.
+        """Simulate the plan as a one-epoch kernel session; return the result.
 
         ``allocator`` overrides the rate policy named by the plan (mainly
         for tests; schemes select allocators through their plans).
         ``backend`` overrides the simulator's and the plan's kernel tier
         for this one run; backends are bit-identical, so the result does
-        not depend on the choice.
+        not depend on the choice.  Zero-size flows complete at their
+        release.
         """
         plan = plan.normalized(instance)
         plan.validate(instance, self.network)
+        if backend is None:
+            backend = self.backend if self.backend is not None else plan.backend
         kernel = make_kernel(
-            self.network,
-            instance,
-            plan,
-            allocator=allocator,
-            max_events=max_events,
-            backend=backend if backend is not None else self.backend,
+            self.network, allocator or plan.allocator, backend=backend
         )
-        kernel.run()
-        return _build_result(
-            instance,
-            self.network,
-            plan,
-            kernel.flow_completion_map(),
-            kernel.flow_start_map(),
-            kernel.build_schedule(),
-            kernel.events,
-        )
+        with paused_gc():
+            ingested = load_plan(kernel, instance, plan, max_events=max_events)
+            kernel.run()
+            done, started = kernel.harvest_epoch()[:2]
+            completion: Dict[FlowId, float] = {}
+            schedule = CircuitSchedule()
+            for i, coflow in enumerate(instance.coflows):
+                for j, flow in enumerate(coflow.flows):
+                    fid = (i, j)
+                    schedule.set_path(fid, plan.paths[fid])
+                    # Zero-size flows were never ingested and are done at
+                    # release; the harvest overwrites every other entry.
+                    completion[fid] = float(flow.release_time)
+            for k, t in done:
+                completion[ingested[k]] = t
+            started = dict(started)
+            start = {
+                fid: started[k] for k, fid in enumerate(ingested) if k in started
+            }
+            for sid, segments in kernel.drain_all_segments():
+                schedule.extend_segments(ingested[sid], segments)
+            return _build_result(
+                instance,
+                self.network,
+                plan,
+                completion,
+                start,
+                schedule,
+                kernel.events,
+            )
 
     # -------------------------------------------------------------- reference
     def run_reference(
@@ -351,8 +386,8 @@ class FlowLevelSimulator:
         """The original dict-based event loop, kept as the executable spec.
 
         Slow but transparent: every event rebuilds the residual-capacity
-        dict and re-derives every flow's rate from scratch.  The array
-        kernel behind :meth:`run` is property-tested to produce numerically
+        dict and re-derives every flow's rate from scratch.  Both kernel
+        tiers behind :meth:`run` are property-tested to produce numerically
         identical completion times and schedule volumes; use this path when
         debugging the kernel or validating a new allocator.
         """

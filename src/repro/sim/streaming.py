@@ -19,7 +19,12 @@ a long-running **service**:
   :meth:`StreamingScheduler.staleness_report`;
 * per re-plan wall-clock decision latency and replans/sec are recorded
   first-class (:meth:`StreamingScheduler.streaming_metrics`) — the metrics
-  ``repro bench streaming`` appends to ``BENCH_simulator.json``.
+  ``repro bench streaming`` appends to ``BENCH_simulator.json``;
+* one resident kernel session
+  (:class:`~repro.sim.kernel.ResidentSimulationKernel`, or its compiled
+  tier) lives across every re-plan: arrivals are ingested once, re-plans
+  patch priorities and paths in place, and departures tombstone slots
+  into a free-list.
 
 With ``BatchPolicy(max_batch=1)`` the re-plan times are exactly the distinct
 coflow release times, and the engine reproduces
@@ -69,17 +74,10 @@ from ..core.flows import Coflow, CoflowInstance, Flow, FlowId
 from ..core.network import Network
 from ..core.schedule import CircuitSchedule
 from .allocators import resolve_allocator
-from .kernel import ResidentSimulationKernel, SimulationKernel
+from .kernel import ResidentSimulationKernel
 from .kernel_jit import paused_gc
 from .plan import SimulationPlan
-from .simulator import (
-    SimulationResult,
-    _build_result,
-    make_kernel,
-    resolve_backend,
-    resolve_resident,
-    validate_backend,
-)
+from .simulator import SimulationResult, _build_result, make_kernel, validate_backend
 
 __all__ = [
     "BatchPolicy",
@@ -288,17 +286,14 @@ class StreamingScheduler:
     max_events:
         Optional per-epoch event cap forwarded to each kernel epoch.
     backend:
-        Kernel backend for every epoch (``"array"``, ``"jit"``, ``"auto"``
-        or ``None`` — defer to the per-epoch plan / environment).
-    resident:
-        Keep one resident kernel session across re-plans instead of
-        rebuilding a kernel per epoch: arrivals are ingested once,
-        re-plans patch priorities/paths on the live kernel, and departures
-        tombstone slots into a free-list.  ``None`` defers to the
-        ``REPRO_SIM_RESIDENT`` environment variable, then ``False``.
-        Orthogonal to ``backend`` and bit-identical to the rebuild path
-        by contract (the equivalence suite asserts it), so — like the
-        backend — it never enters scheme signatures or run-store keys.
+        Kernel backend of the session (``"array"``, ``"jit"``, ``"auto"``
+        or ``None`` — defer to the first re-plan's plan / environment);
+        :func:`~repro.sim.simulator.make_kernel` picks the tier once, at
+        the first re-plan, from that plan's allocator.  A compiled session
+        keeps the greedy allocator of its first plan and raises
+        ``ValueError`` at a later plan naming another one; a replanner
+        that switches allocators needs ``backend="array"``, whose kernel
+        follows each plan's allocator.
     """
 
     def __init__(
@@ -309,7 +304,6 @@ class StreamingScheduler:
         max_events: Optional[int] = None,
         backend: Optional[str] = None,
         name: Optional[str] = None,
-        resident: Optional[bool] = None,
     ) -> None:
         validate_backend(backend)
         self.network = network
@@ -317,7 +311,6 @@ class StreamingScheduler:
         self.policy = policy
         self.max_events = max_events
         self.backend = backend
-        self.resident = resolve_resident(resident)
         self.name = name
         # ---- arrival stream state
         self._coflows: List[Coflow] = []
@@ -329,15 +322,15 @@ class StreamingScheduler:
         self._remaining: Dict[FlowId, float] = {}
         self._completion: Dict[FlowId, float] = {}
         self._start: Dict[FlowId, float] = {}
+        #: Realised segments per flow, drained from the session kernel when
+        #: the final result is assembled.
         self._segments: Dict[FlowId, List[List[float]]] = {}
         self._current_path: Dict[FlowId, Tuple[Hashable, ...]] = {}
         self._pinned: Dict[FlowId, Tuple[Hashable, ...]] = {}
         self._previous_plan: Optional[SimulationPlan] = None
         self._events = 0
-        # ---- the epoch planned at the last re-plan, not yet simulated
-        self._open_epoch: Optional[
-            Tuple[float, CoflowInstance, SimulationPlan, Dict[FlowId, FlowId]]
-        ] = None
+        # ---- whether the epoch planned at the last re-plan is unsimulated
+        self._epoch_open = False
         # ---- sub-instance memoization
         self._flow_memo: Dict[FlowId, Tuple[float, Flow]] = {}
         self._section_memo: Dict[int, _CoflowSection] = {}
@@ -361,7 +354,7 @@ class StreamingScheduler:
         #: away from the session's current one.  Lets the per-epoch patch
         #: skip the per-flow path compare entirely.
         self._changed_paths: List[Tuple[FlowId, Tuple[Hashable, ...]]] = []
-        # ---- the resident kernel session (lazy; rebuild mode never makes one)
+        # ---- the resident kernel session (made at the first re-plan)
         self._session_kernel: Optional[ResidentSimulationKernel] = None
         self._sid_to_fid: Dict[int, FlowId] = {}
         # ---- observability
@@ -403,7 +396,6 @@ class StreamingScheduler:
         for j, flow in enumerate(coflow.flows):
             fid = (index, j)
             self._remaining[fid] = flow.size
-            self._segments[fid] = []
             if flow.size <= _VOLUME_EPS:
                 # Zero-size flows complete at release, as in the static loop.
                 self._completion[fid] = flow.release_time
@@ -461,9 +453,7 @@ class StreamingScheduler:
         """Process every known re-plan and run the final epoch to completion.
 
         The online phase of :meth:`finish` without the result assembly —
-        the seam the streaming bench times (both modes pay the same final
-        materialisation cost, which would otherwise dilute the comparison).
-        No-op on a finished session.
+        the seam the streaming bench times.  No-op on a finished session.
         """
         if self._result is not None:
             return
@@ -477,8 +467,9 @@ class StreamingScheduler:
         Idempotent: repeated calls return the same result object.
         """
         if self._result is None:
-            self.drain()
-            self._result = self._build_final()
+            with paused_gc():
+                self.drain()
+                self._result = self._build_final()
         return self._result
 
     def run(
@@ -507,9 +498,8 @@ class StreamingScheduler:
         plan (kernel simulation time is excluded; it is the part PR 7 already
         made cheap).  *Replans/sec* is ``replans / total planning seconds``.
         *Epoch setup seconds* is the mean per-re-plan wall time spent
-        outside both the event loop and the planner — kernel construction
-        and state merging in rebuild mode, harvest/patch deltas in resident
-        mode — the cost residency exists to erase.
+        outside both the event loop and the planner: the session kernel's
+        harvest and patch deltas.
         """
         walls = [entry["wall_seconds"] for entry in self.decision_log]
         total = float(sum(walls))
@@ -587,26 +577,11 @@ class StreamingScheduler:
             name=sub_plan.name,
             allocator=sub_plan.allocator,
         )
-        if self.resident:
-            wall = time.perf_counter() - t0
-            t1 = time.perf_counter()
-            self._patch_resident(now, sub_plan, orig_order, new_coflows)
-            self._setup_seconds += time.perf_counter() - t1
-        else:
-            # Canonical tuples via _finalize_plan mean current_path only
-            # needs updating for flows that are new or actually re-routed.
-            current_path = self._current_path
-            validated = self._validated_paths
-            for i in new_coflows:
-                section = self._section_memo.get(i)
-                if section is None:
-                    continue
-                for orig in section.members:
-                    current_path[orig] = validated[orig]
-            for orig, path in self._changed_paths:
-                current_path[orig] = path
-            wall = time.perf_counter() - t0
-        self._open_epoch = (now, sub_instance, sub_plan, fid_map)
+        wall = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        self._patch_session(now, sub_plan, orig_order, new_coflows)
+        self._setup_seconds += time.perf_counter() - t1
+        self._epoch_open = True
         self._last_replan = now
         self.decision_log.append(
             {
@@ -695,58 +670,18 @@ class StreamingScheduler:
 
     def _close_open_epoch(self, until: Optional[float]) -> None:
         """Simulate the epoch planned at the last re-plan up to ``until``."""
-        if self._open_epoch is None:
+        if not self._epoch_open:
             return
-        now, sub_instance, sub_plan, fid_map = self._open_epoch
-        self._open_epoch = None
-        if self.resident:
-            kernel = self._session_kernel
-            kernel.run(until=until)
-            t1 = time.perf_counter()
-            self._events += kernel.events
-            self._harvest_resident(kernel)
-            self._setup_seconds += time.perf_counter() - t1
-            return
-        t1 = time.perf_counter()
-        kernel = make_kernel(
-            self.network,
-            sub_instance,
-            sub_plan,
-            max_events=self.max_events,
-            start_time=now,
-            backend=self.backend,
-        )
-        setup = time.perf_counter() - t1
+        self._epoch_open = False
+        kernel = self._session_kernel
         kernel.run(until=until)
-        t2 = time.perf_counter()
+        t1 = time.perf_counter()
         self._events += kernel.events
-        self._merge_epoch(kernel, fid_map)
-        self._setup_seconds += setup + (time.perf_counter() - t2)
+        self._harvest_session(kernel)
+        self._setup_seconds += time.perf_counter() - t1
 
-    # --------------------------------------------------------------- resident
-    def _make_resident_kernel(
-        self, now: float, allocator: str
-    ) -> ResidentSimulationKernel:
-        """One resident kernel per session, chosen once at the first re-plan.
-
-        The compiled resident tier lowers only the greedy policy (like the
-        per-run jit tier); other allocators — and machines without a C
-        toolchain — use the array-resident kernel.  Both are bit-identical
-        to the rebuild path, so the choice is invisible in results.
-        """
-        resolved = resolve_backend(self.backend)
-        if resolved == "jit" and allocator == "greedy":
-            from . import kernel_jit
-
-            if kernel_jit.available():
-                return kernel_jit.ResidentJitKernel(
-                    self.network, allocator=allocator, start_time=now
-                )
-        return ResidentSimulationKernel(
-            self.network, allocator=allocator, start_time=now
-        )
-
-    def _patch_resident(
+    # ---------------------------------------------------------------- session
+    def _patch_session(
         self,
         now: float,
         sub_plan: SimulationPlan,
@@ -760,7 +695,10 @@ class StreamingScheduler:
         whose plan path changed are re-routed (only ever flows that have
         not moved volume — moved flows arrive pre-pinned); everything else
         is merely re-ranked by :meth:`ResidentSimulationKernel.begin_epoch`,
-        which also tombstones the slots of departed flows.
+        which also tombstones the slots of departed flows.  The first
+        re-plan makes the session kernel through
+        :func:`~repro.sim.simulator.make_kernel` (the session's backend,
+        else the plan's).
 
         The delta is O(new + changed): _finalize_plan canonicalises every
         path and records re-routes, and the admission loop records new
@@ -770,8 +708,11 @@ class StreamingScheduler:
         """
         kernel = self._session_kernel
         if kernel is None:
-            kernel = self._session_kernel = self._make_resident_kernel(
-                now, sub_plan.allocator
+            backend = self.backend
+            if backend is None:
+                backend = sub_plan.backend
+            kernel = self._session_kernel = make_kernel(
+                self.network, sub_plan.allocator, backend=backend, start_time=now
             )
         slot_map = kernel._pos
         current_path = self._current_path
@@ -809,14 +750,13 @@ class StreamingScheduler:
             now, order, max_events=self.max_events, allocator=sub_plan.allocator
         )
 
-    def _harvest_resident(self, kernel: ResidentSimulationKernel) -> None:
+    def _harvest_session(self, kernel: ResidentSimulationKernel) -> None:
         """Fold the closing epoch's deltas into the global accumulators.
 
-        The resident twin of :meth:`_merge_epoch`: instead of walking every
-        sub-instance flow it applies only what actually changed —
-        completions, epoch starts, touched volumes (which also dirty the
-        owning coflow's memoized section) and first-ever segment recordings
-        (which pin the flow's path, exactly like the rebuild merge).
+        Applies only what actually changed — completions, epoch starts,
+        touched volumes (which also dirty the owning coflow's memoized
+        section) and first-ever segment recordings (which pin the flow's
+        path: a flow that moved volume is never re-routed).
         """
         completions, starts, touched, moved = kernel.harvest_epoch()
         fids = kernel.fids
@@ -954,43 +894,6 @@ class StreamingScheduler:
             return source.name
         return self.name or "instance"
 
-    def _merge_epoch(
-        self, kernel: SimulationKernel, fid_map: Dict[FlowId, FlowId]
-    ) -> None:
-        """Fold one epoch's kernel state back into the global accumulators."""
-        remaining = self._remaining
-        completion = self._completion
-        start = self._start
-        segments = self._segments
-        epoch_completion = kernel.flow_completion_map()
-        epoch_start = kernel.flow_start_map()
-        dirty = self._dirty_coflows
-        for sub_fid, volume in kernel.remaining_map().items():
-            orig = fid_map[sub_fid]
-            if remaining[orig] != volume:
-                remaining[orig] = volume
-                dirty.add(orig[0])
-            if sub_fid in epoch_start and orig not in start:
-                start[orig] = epoch_start[sub_fid]
-        for sub_fid, new_segments in kernel.iter_raw_segments():
-            if not new_segments:
-                continue
-            orig = fid_map[sub_fid]
-            target = segments[orig]
-            for seg in new_segments:
-                if target and target[-1][1] == seg[0] and target[-1][2] == seg[2]:
-                    target[-1][1] = seg[1]
-                else:
-                    target.append(list(seg))
-            self._pinned[orig] = self._current_path[orig]
-        pinned = self._pinned
-        for sub_fid, finished_at in epoch_completion.items():
-            orig = fid_map[sub_fid]
-            completion[orig] = finished_at
-            # Completed flows never re-enter a plan: drop their pins so the
-            # per-re-plan pinned snapshot stays O(live), not O(history).
-            pinned.pop(orig, None)
-
     # ------------------------------------------------------------------ final
     def _full_instance(self) -> CoflowInstance:
         source = self._source_instance
@@ -1002,11 +905,11 @@ class StreamingScheduler:
 
     def _build_final(self) -> SimulationResult:
         instance = self._full_instance()
+        segments = self._segments
         if self._session_kernel is not None:
-            # Resident sessions accumulate segments inside the kernel
+            # The session accumulates segments inside the kernel
             # (attributed by ingest-unique slot ids so the free-list can
             # recycle slots); drain them into the per-flow map once.
-            segments = self._segments
             sid_to_fid = self._sid_to_fid
             for sid, segs in self._session_kernel.drain_all_segments():
                 segments[sid_to_fid[sid]] = segs
@@ -1022,10 +925,8 @@ class StreamingScheduler:
                 )
                 self._current_path[fid] = path
             schedule.set_path(fid, path)
-            if self._segments[fid]:
-                schedule.extend_segments(
-                    fid, [tuple(s) for s in self._segments[fid]]
-                )
+            if fid in segments:
+                schedule.extend_segments(fid, segments[fid])
         previous_plan = self._previous_plan
         final_plan = SimulationPlan(
             paths=dict(self._current_path),

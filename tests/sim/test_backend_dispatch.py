@@ -18,17 +18,16 @@ from repro.baselines import SEBFScheme
 from repro.core import topologies
 from repro.sim import (
     BACKENDS,
-    BatchPolicy,
     FlowLevelSimulator,
-    JitSimulationKernel,
-    SimulationKernel,
-    SimulationPlan,
+    GreedyPriorityAllocator,
+    MaxMinFairAllocator,
+    ResidentJitKernel,
+    ResidentSimulationKernel,
     StaticPlanReplanner,
     StreamingScheduler,
     kernel_jit,
     make_kernel,
     resolve_backend,
-    resolve_resident,
     validate_backend,
 )
 from repro.workloads import CoflowGenerator, WorkloadConfig
@@ -91,36 +90,87 @@ class TestResolution:
 
 
 class TestDispatch:
-    def test_plan_backend_selects_the_kernel_class(self, case, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-        import dataclasses
+    """``make_kernel`` is the one tier selector of static runs and streaming
+    sessions: the compiled tier only for a resolved ``jit`` backend, the
+    greedy allocator and a C core that builds; the Python tier otherwise."""
 
-        network, _config, instance, plan = case
-        assert type(make_kernel(network, instance, plan)) is SimulationKernel
+    def test_backend_selects_the_kernel_class(self, case, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        network, _config, _instance, _plan = case
+        assert type(make_kernel(network)) is ResidentSimulationKernel
+        assert type(make_kernel(network, backend="array")) is ResidentSimulationKernel
         if kernel_jit.available():
-            pinned = dataclasses.replace(plan, backend="jit")
-            assert isinstance(make_kernel(network, instance, pinned), JitSimulationKernel)
+            assert type(make_kernel(network, backend="jit")) is ResidentJitKernel
 
-    def test_explicit_backend_overrides_plan(self, case, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+    def test_only_the_greedy_allocator_reaches_the_compiled_tier(self, case):
+        if not kernel_jit.available():
+            pytest.skip("compiled kernel tier unavailable")
+        network, _config, _instance, _plan = case
+        for allocator in ("max-min", "weighted", MaxMinFairAllocator()):
+            kernel = make_kernel(network, allocator, backend="jit")
+            assert type(kernel) is ResidentSimulationKernel
+        greedy = make_kernel(network, GreedyPriorityAllocator(), backend="jit")
+        assert type(greedy) is ResidentJitKernel
+
+    def test_run_precedence_argument_over_simulator_over_plan(
+        self, case, monkeypatch
+    ):
+        """``FlowLevelSimulator.run`` resolves its backend as run argument >
+        simulator backend > plan backend > environment."""
+        if not kernel_jit.available():
+            pytest.skip("compiled kernel tier unavailable")
         import dataclasses
 
+        from repro.sim import simulator as simulator_module
+
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
         network, _config, instance, plan = case
+        made = []
+        real_make_kernel = simulator_module.make_kernel
+
+        def spy(*args, **kwargs):
+            kernel = real_make_kernel(*args, **kwargs)
+            made.append(type(kernel))
+            return kernel
+
+        monkeypatch.setattr(simulator_module, "make_kernel", spy)
         pinned = dataclasses.replace(plan, backend="jit")
-        kernel = make_kernel(network, instance, pinned, backend="array")
-        assert type(kernel) is SimulationKernel
+        FlowLevelSimulator(network).run(instance, pinned)
+        FlowLevelSimulator(network, backend="array").run(instance, pinned)
+        FlowLevelSimulator(network, backend="array").run(
+            instance, plan, backend="jit"
+        )
+        assert made == [ResidentJitKernel, ResidentSimulationKernel, ResidentJitKernel]
+
+    def test_streaming_session_honours_the_plan_backend(self, case, monkeypatch):
+        if not kernel_jit.available():
+            pytest.skip("compiled kernel tier unavailable")
+        import dataclasses
+
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        network, _config, instance, plan = case
+        restrict = StaticPlanReplanner(plan)
+
+        def pinned(context):
+            return dataclasses.replace(restrict(context), backend="jit")
+
+        for backend, expected in ((None, ResidentJitKernel),
+                                  ("array", ResidentSimulationKernel)):
+            session = StreamingScheduler(network, pinned, backend=backend)
+            session.run(instance)
+            assert type(session._session_kernel) is expected
 
     def test_environment_variable_reaches_the_kernel(self, case, monkeypatch):
         if not kernel_jit.available():
             pytest.skip("compiled kernel tier unavailable")
-        network, _config, instance, plan = case
+        network, _config, _instance, _plan = case
         monkeypatch.setenv("REPRO_SIM_BACKEND", "jit")
-        assert isinstance(make_kernel(network, instance, plan), JitSimulationKernel)
+        assert type(make_kernel(network)) is ResidentJitKernel
 
     def test_unavailable_jit_falls_back_with_a_warning(self, case, monkeypatch):
         """An explicit jit request on a machine without a toolchain degrades
-        to the array kernel (identical results) instead of failing."""
-        network, _config, instance, plan = case
+        to the Python tier (identical results) instead of failing."""
+        network, _config, _instance, _plan = case
         monkeypatch.setattr(kernel_jit, "available", lambda: False)
         monkeypatch.setattr(
             kernel_jit, "unavailable_reason", lambda: "no C compiler (test)"
@@ -129,100 +179,33 @@ class TestDispatch:
 
         monkeypatch.setattr(simulator_module, "_fallback_warned", False)
         with pytest.warns(RuntimeWarning, match="falling back to the 'array'"):
-            kernel = make_kernel(network, instance, plan, backend="jit")
-        assert type(kernel) is SimulationKernel
+            kernel = make_kernel(network, backend="jit")
+        assert type(kernel) is ResidentSimulationKernel
         # ... and only warns once per process.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            kernel = make_kernel(network, instance, plan, backend="jit")
-        assert type(kernel) is SimulationKernel
+            kernel = make_kernel(network, backend="jit")
+        assert type(kernel) is ResidentSimulationKernel
 
-    def test_jit_kernel_without_library_delegates_to_python_loop(self, case, monkeypatch):
-        """A constructed JitSimulationKernel still runs correctly when the
-        compiled core vanishes (e.g. cache deleted mid-process)."""
+    def test_unavailable_jit_run_matches_the_python_tier(self, case, monkeypatch):
+        """A jit run on a machine without the compiled core gives the array
+        run's result, through the fallback."""
         network, _config, instance, plan = case
-        kernel = JitSimulationKernel(network, instance, plan)
+        simulator = FlowLevelSimulator(network)
+        expected = simulator.run(instance, plan, backend="array")
         monkeypatch.setattr(kernel_jit, "available", lambda: False)
-        assert kernel.run()
-        reference = SimulationKernel(network, instance, plan)
-        reference.run()
-        assert kernel.flow_completion_map() == reference.flow_completion_map()
+        from repro.sim import simulator as simulator_module
+
+        monkeypatch.setattr(simulator_module, "_fallback_warned", True)
+        fallback = simulator.run(instance, plan, backend="jit")
+        assert fallback.flow_completion == expected.flow_completion
+        assert fallback.flow_start == expected.flow_start
+        assert fallback.events == expected.events
 
     def test_simulator_constructor_validates_backend(self, case):
         network, _config, _instance, _plan = case
         with pytest.raises(ValueError, match="unknown simulator backend"):
             FlowLevelSimulator(network, backend="fortran")
-
-
-class TestResidentResolution:
-    """Streaming-session residency is a speed knob with the backend's
-    contract: explicit argument > ``REPRO_SIM_RESIDENT`` environment
-    variable > off, bit-identical either way, never in cache keys."""
-
-    def test_default_is_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_RESIDENT", raising=False)
-        assert resolve_resident() is False
-        assert resolve_resident(None) is False
-
-    def test_explicit_argument_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_RESIDENT", "1")
-        assert resolve_resident(False) is False
-        monkeypatch.setenv("REPRO_SIM_RESIDENT", "0")
-        assert resolve_resident(True) is True
-
-    def test_environment_spellings(self, monkeypatch):
-        for raw, expected in [
-            ("1", True), ("true", True), ("yes", True), ("on", True),
-            ("0", False), ("false", False), ("no", False), ("off", False),
-            ("TRUE", True), ("Off", False), (" on ", True),
-        ]:
-            monkeypatch.setenv("REPRO_SIM_RESIDENT", raw)
-            assert resolve_resident() is expected, raw
-        monkeypatch.setenv("REPRO_SIM_RESIDENT", "")  # empty == unset
-        assert resolve_resident() is False
-
-    def test_unrecognised_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_RESIDENT", "maybe")
-        with pytest.raises(ValueError, match="REPRO_SIM_RESIDENT"):
-            resolve_resident()
-
-    def test_environment_reaches_the_streaming_session(self, case, monkeypatch):
-        network, _config, instance, plan = case
-        monkeypatch.setenv("REPRO_SIM_RESIDENT", "on")
-        session = StreamingScheduler(
-            network, StaticPlanReplanner(plan), policy=BatchPolicy(max_batch=1)
-        )
-        assert session.resident is True
-        session.run(instance)
-        assert session._session_kernel is not None
-
-    def test_explicit_off_beats_environment_in_the_session(
-        self, case, monkeypatch
-    ):
-        network, _config, instance, plan = case
-        monkeypatch.setenv("REPRO_SIM_RESIDENT", "1")
-        session = StreamingScheduler(
-            network,
-            StaticPlanReplanner(plan),
-            policy=BatchPolicy(max_batch=1),
-            resident=False,
-        )
-        assert session.resident is False
-        session.run(instance)
-        assert session._session_kernel is None
-
-    def test_residency_never_forks_the_run_store_key(self, case, monkeypatch):
-        network, config, _instance, _plan = case
-        scheme = SEBFScheme()
-        keys = set()
-        signatures = set()
-        for raw in ("0", "1"):
-            monkeypatch.setenv("REPRO_SIM_RESIDENT", raw)
-            keys.add(run_key(network.fingerprint(), config, scheme.signature()))
-            signatures.add(scheme.signature())
-        assert len(keys) == 1
-        assert len(signatures) == 1
-        assert all("resident" not in s for s in signatures)
 
 
 class TestCacheIdentity:

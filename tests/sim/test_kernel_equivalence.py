@@ -1,10 +1,11 @@
 """Every kernel tier is numerically identical to the reference event loop.
 
-``FlowLevelSimulator.run`` (the array kernel and, where a C toolchain
-exists, the compiled jit kernel) and ``run_reference`` (the original
-dict-based loop, kept as the executable specification) must agree
-*exactly* — same arithmetic on the same values in the same order — across
-random topologies x workload families x every rate allocator.  These
+``FlowLevelSimulator.run`` (a one-epoch session of the Python kernel tier
+and, where a C toolchain exists, of the compiled jit tier) and
+``run_reference`` (the original dict-based loop, kept as the executable
+specification) must agree *exactly* — same arithmetic on the same values in
+the same order — across random topologies x workload families x every rate
+allocator.  These
 property tests replay seeded scenarios through all paths (a 3-way check
 when the jit tier is available) and compare completion times bit-for-bit,
 plus the realised schedule volumes (where segment coalescing legitimately
@@ -13,7 +14,9 @@ reorders float additions, so a tight tolerance applies).
 The online engine's anchor property rides along: online simulation under a
 scheduler that never changes the plan (``StaticPlanReplanner``) reproduces
 the static simulation up to splice-point rounding — on every backend, since
-the jit tier implements the same pause-at-deadline splice semantics.
+the jit tier implements the same pause-at-deadline splice semantics — and a
+kernel session paused at deadlines reproduces its uninterrupted run
+bit-for-bit on each tier.
 """
 
 import dataclasses
@@ -29,7 +32,9 @@ from repro.sim import (
     OnlineFlowSimulator,
     StaticPlanReplanner,
     kernel_jit,
+    make_kernel,
 )
+from repro.sim.simulator import load_plan
 from repro.workloads import CoflowGenerator, WorkloadConfig
 
 #: The kernel tiers under test; the jit tier drops out (skip, not fail) on
@@ -173,38 +178,21 @@ def _pause_resume_case():
 
 @pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
 def test_pause_and_resume_matches_uninterrupted_run(backend):
-    """run(until=...) splicing reproduces an uninterrupted run of the kernel."""
-    from repro.sim import make_kernel
-    from repro.sim.kernel import SimulationKernel
-
+    """run(until=...) splicing reproduces an uninterrupted run of the same
+    kernel tier: completions, starts and segments, bit-for-bit."""
     network, instance, plan = _pause_resume_case()
-    whole = SimulationKernel(network, instance, plan)
-    whole.run()
-    paused = make_kernel(network, instance, plan, backend=backend)
+
+    def session():
+        kernel = make_kernel(network, plan.allocator, backend=backend)
+        load_plan(kernel, instance, plan)
+        return kernel
+
+    whole = session()
+    assert whole.run()
+    paused = session()
+    assert type(paused) is type(whole)
     for deadline in (0.5, 1.0, 1.7, 2.5):
-        paused.run(until=deadline)
-    paused.run()
-    assert paused.flow_completion_map() == pytest.approx(whole.flow_completion_map())
-    assert whole.finished and paused.finished
-
-
-def test_mixed_backend_splicing_is_identical():
-    """Alternating event loops across pauses on one kernel's state produces
-    the exact uninterrupted result: the compiled core reads and writes the
-    same canonical state as the Python loop."""
-    if not kernel_jit.available():
-        pytest.skip("compiled kernel tier unavailable")
-    from repro.sim import JitSimulationKernel
-    from repro.sim.kernel import SimulationKernel
-
-    network, instance, plan = _pause_resume_case()
-    whole = SimulationKernel(network, instance, plan)
-    whole.run()
-    mixed = JitSimulationKernel(network, instance, plan)
-    mixed.run(until=0.5)                         # compiled loop
-    SimulationKernel.run(mixed, until=1.0)       # Python loop, same state
-    mixed.run(until=1.7)                         # compiled again
-    mixed.run()
-    assert mixed.flow_completion_map() == whole.flow_completion_map()
-    for fid in instance.flow_ids():
-        assert mixed.raw_segments(fid) == whole.raw_segments(fid), fid
+        assert not paused.run(until=deadline)
+    assert paused.run()
+    assert paused.harvest_epoch() == whole.harvest_epoch()
+    assert dict(paused.drain_all_segments()) == dict(whole.drain_all_segments())

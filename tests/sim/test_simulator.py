@@ -3,7 +3,14 @@
 import pytest
 
 from repro.core import Coflow, CoflowInstance, Flow, topologies
-from repro.sim import FlowLevelSimulator, RateAllocator, SimulationPlan
+from repro.sim import (
+    FlowLevelSimulator,
+    RateAllocator,
+    SimulationPlan,
+    kernel_jit,
+    make_kernel,
+)
+from repro.sim.simulator import load_plan
 
 
 @pytest.fixture
@@ -137,12 +144,22 @@ class TestRealisedSchedule:
         assert result.average_completion_time == pytest.approx(1.5)
 
 
+KERNEL_TIERS = [
+    "array",
+    pytest.param(
+        "jit",
+        marks=pytest.mark.skipif(
+            not kernel_jit.available(), reason="compiled kernel tier unavailable"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("backend", KERNEL_TIERS)
 class TestKernelFlowLookups:
     """Per-flow kernel lookups are O(1) and name the flow on a miss."""
 
-    def build_kernel(self, triangle):
-        from repro.sim.kernel import SimulationKernel
-
+    def build_kernel(self, triangle, backend):
         instance = CoflowInstance(
             coflows=[
                 Coflow(flows=(Flow("x", "y", size=2.0), Flow("y", "z", size=1.0))),
@@ -150,27 +167,40 @@ class TestKernelFlowLookups:
             name="lookup-case",
         )
         plan = plan_for(instance, triangle).normalized(instance)
-        kernel = SimulationKernel(triangle, instance, plan)
-        kernel.run()
-        return kernel
+        kernel = make_kernel(triangle, backend=backend)
+        ingested = load_plan(kernel, instance, plan)
+        assert kernel.run()
+        return kernel, ingested
 
-    def test_position_maps_every_flow(self, triangle):
-        kernel = self.build_kernel(triangle)
-        for k, fid in enumerate(kernel.fids):
-            assert kernel.position(fid) == k
+    def test_slot_and_sid_map_every_flow(self, triangle, backend):
+        kernel, ingested = self.build_kernel(triangle, backend)
+        assert ingested == [(0, 0), (0, 1)]
+        for k, fid in enumerate(ingested):
+            assert kernel.slot_of(fid) == k
+            assert kernel.sid_of(fid) == k
 
-    def test_unknown_flow_raises_keyerror_naming_it(self, triangle):
-        kernel = self.build_kernel(triangle)
-        with pytest.raises(KeyError, match=r"unknown flow \(7, 7\).*lookup-case"):
-            kernel.position((7, 7))
+    def test_unknown_flow_raises_keyerror_naming_it(self, triangle, backend):
+        kernel, _ingested = self.build_kernel(triangle, backend)
         with pytest.raises(KeyError, match=r"unknown flow \(7, 7\)"):
-            kernel.raw_segments((7, 7))
+            kernel.slot_of((7, 7))
+        with pytest.raises(KeyError, match=r"unknown flow \(7, 7\)"):
+            kernel.sid_of((7, 7))
 
-    def test_raw_segments_returns_coalesced_tuples(self, triangle):
-        kernel = self.build_kernel(triangle)
-        segments = kernel.raw_segments((0, 0))
-        assert segments and all(len(seg) == 3 for seg in segments)
-        assert all(isinstance(seg, tuple) for seg in segments)
+    def test_load_plan_needs_a_fresh_session(self, triangle, backend):
+        kernel, _ingested = self.build_kernel(triangle, backend)
+        instance = CoflowInstance(coflows=[Coflow(flows=(Flow("x", "y", size=1.0),))])
+        plan = plan_for(instance, triangle).normalized(instance)
+        with pytest.raises(ValueError, match="fresh kernel session"):
+            load_plan(kernel, instance, plan)
+
+    def test_drained_segments_are_coalesced_per_flow(self, triangle, backend):
+        kernel, ingested = self.build_kernel(triangle, backend)
+        segments = dict(kernel.drain_all_segments())
+        assert set(segments) == {kernel.sid_of(fid) for fid in ingested}
+        for segs in segments.values():
+            assert segs and all(len(seg) == 3 for seg in segs)
+            for before, after in zip(segs, segs[1:]):
+                assert not (before[1] == after[0] and before[2] == after[2])
 
 
 class TestPlanValidation:

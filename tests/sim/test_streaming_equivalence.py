@@ -18,13 +18,15 @@ Five pillars:
   result as a one-shot ``run``, with the fid-map memoization (replan count
   and map identity) stable across the splice;
 * **resident == rebuild** — a session holding one resident kernel across
-  every re-plan (``resident=True`` / ``REPRO_SIM_RESIDENT``) reproduces
-  the rebuild-per-epoch reference bit-identically (``==``, no tolerance)
-  on both kernel tiers, including under departures (free-list recycling),
-  buffer growth past the initial capacities, zero-size ghosts and
-  pause/resume splices.
+  every re-plan reproduces :class:`RebuildOracle`, the rebuild-per-epoch
+  reference kept here as an executable oracle, bit-identically (``==``, no
+  tolerance) on both kernel tiers, including under departures (free-list
+  recycling), buffer growth past the initial capacities, zero-size ghosts
+  and pause/resume splices; a single-epoch session equals the static
+  simulator.
 """
 
+import dataclasses
 import gc
 
 import pytest
@@ -34,6 +36,7 @@ from repro.core import Coflow, CoflowInstance, Flow, topologies
 from repro.sim import (
     BatchPolicy,
     ColdLPReplanner,
+    FlowLevelSimulator,
     OnlineFlowSimulator,
     ResidentJitKernel,
     ResidentSimulationKernel,
@@ -43,13 +46,86 @@ from repro.sim import (
     StreamingScheduler,
     WarmLPReplanner,
     kernel_jit,
+    make_kernel,
     paused_gc,
 )
+from repro.sim.simulator import load_plan
 from repro.workloads import CoflowGenerator, WorkloadConfig
 
 needs_jit = pytest.mark.skipif(
     not kernel_jit.available(), reason="compiled kernel tier unavailable"
 )
+
+#: Both kernel tiers; the jit tier drops out (skip, not fail) on machines
+#: without a C toolchain.
+TIERS = ["array", pytest.param("jit", marks=needs_jit)]
+
+
+class RebuildOracle(StreamingScheduler):
+    """The rebuild-per-epoch reference a resident session is held to.
+
+    Every epoch runs on a fresh kernel of the class the session would use,
+    loaded from the epoch's sub-instance and plan (remaining volumes as
+    sizes, starting at the re-plan time), and its outcome is folded into
+    the session's accumulators: volumes, first starts, segments coalesced
+    across epoch boundaries, a pin for every flow that moved, completions.
+    The oracle never holds a session kernel.
+    """
+
+    def _finalize_plan(self, sub_plan, sub_instance, fid_map):
+        sub_plan = super()._finalize_plan(sub_plan, sub_instance, fid_map)
+        self._planned = (sub_instance, sub_plan, fid_map)
+        return sub_plan
+
+    def _patch_session(self, now, sub_plan, orig_order, new_coflows):
+        current_path = self._current_path
+        for i in new_coflows:
+            section = self._section_memo.get(i)
+            if section is not None:
+                for orig in section.members:
+                    current_path[orig] = self._validated_paths[orig]
+        for orig, path in self._changed_paths:
+            current_path[orig] = path
+        self._epoch = (now, *self._planned)
+
+    def _close_open_epoch(self, until):
+        if not self._epoch_open:
+            return
+        self._epoch_open = False
+        now, sub_instance, sub_plan, fid_map = self._epoch
+        backend = self.backend if self.backend is not None else sub_plan.backend
+        kernel = make_kernel(
+            self.network, sub_plan.allocator, backend=backend, start_time=now
+        )
+        ingested = load_plan(
+            kernel, sub_instance, sub_plan, max_events=self.max_events
+        )
+        kernel.run(until=until)
+        self._events += kernel.events
+        self._fold_epoch(kernel, [fid_map[sub] for sub in ingested])
+
+    def _fold_epoch(self, kernel, origs):
+        """Fold one fresh epoch kernel (slot/ingest id ``k`` holds flow
+        ``origs[k]``) into the global accumulators."""
+        completions, starts, touched, _moved = kernel.harvest_epoch()
+        for k, volume in touched:
+            self._remaining[origs[k]] = volume
+            self._dirty_coflows.add(origs[k][0])
+        for k, t in starts:
+            self._start.setdefault(origs[k], t)
+        for sid, new_segments in kernel.drain_all_segments():
+            orig = origs[sid]
+            target = self._segments.setdefault(orig, [])
+            for seg in new_segments:
+                if target and target[-1][1] == seg[0] and target[-1][2] == seg[2]:
+                    target[-1][1] = seg[1]
+                else:
+                    target.append(list(seg))
+            self._pinned[orig] = self._current_path[orig]
+        for k, t in completions:
+            self._completion[origs[k]] = t
+            # Completed flows never re-enter a plan: drop their pins.
+            self._pinned.pop(origs[k], None)
 
 
 def assert_results_identical(a, b):
@@ -298,6 +374,26 @@ class RecordingReplanner:
         return SimulationPlan(paths=paths, order=order, name="srpt")
 
 
+class ReroutingReplanner(RecordingReplanner):
+    """SRPT that moves every flow to another of its equal-cost shortest
+    paths at each re-plan, so admitted flows that have not moved volume
+    yet are re-routed (the engine pins the paths of the rest)."""
+
+    def __init__(self, network):
+        super().__init__(network)
+        self.calls = 0
+
+    def __call__(self, context):
+        plan = super().__call__(context)
+        self.calls += 1
+        paths = {}
+        for fid in context.instance.flow_ids():
+            flow = context.instance.flow(fid)
+            options = self.network.all_shortest_paths(flow.source, flow.destination)
+            paths[fid] = tuple(options[(self.calls + fid[1]) % len(options)])
+        return SimulationPlan(paths=paths, order=plan.order, name="srpt-reroute")
+
+
 class TestPauseResumeSplice:
     @pytest.mark.parametrize(
         "policy",
@@ -418,44 +514,49 @@ class TestServiceContract:
 
 # ------------------------------------------------------ resident == rebuild
 
+def assert_schedules_identical(a, b, instance):
+    for fid in instance.flow_ids():
+        assert a.schedule.path(fid) == b.schedule.path(fid), fid
+        assert a.schedule.segments(fid) == b.schedule.segments(fid), fid
+
+
 class TestResidentEqualsRebuild:
-    """The resident session (ISSUE 9) is a speed knob: one kernel survives
-    every re-plan — arrivals are ingested as deltas, re-plans patch
-    priorities and paths in place, departures tombstone slots into a
-    free-list — and the results must stay bit-identical (``==``, no
-    tolerance) to the rebuild-per-epoch reference."""
+    """One kernel survives every re-plan — arrivals are ingested as deltas,
+    re-plans patch priorities and paths in place, departures tombstone
+    slots into a free-list — and the results must stay bit-identical
+    (``==``, no tolerance) to :class:`RebuildOracle`, on both tiers."""
 
-    def _sessions(self, network, plan, policy=None, backend=None):
+    def _sessions(self, network, replanner, policy=None, backend=None):
         policy = policy or BatchPolicy(max_batch=1)
-        make = lambda resident: StreamingScheduler(
-            network,
-            StaticPlanReplanner(plan),
-            policy=policy,
-            backend=backend,
-            resident=resident,
+        return tuple(
+            cls(network, replanner(), policy=policy, backend=backend)
+            for cls in (StreamingScheduler, RebuildOracle)
         )
-        return make(True), make(False)
 
+    @pytest.mark.parametrize("backend", TIERS)
     @pytest.mark.parametrize("topology_key", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
     @pytest.mark.parametrize("allocator", ["greedy", "max-min"])
     def test_bit_identical_across_matrix(
-        self, topology_key, workload_key, allocator
+        self, topology_key, workload_key, allocator, backend
     ):
         network, instance = seeded_case(topology_key, workload_key)
         base = SEBFScheme().plan(instance, network)
         plan = SimulationPlan(
             paths=base.paths, order=base.order, name="sebf", allocator=allocator
         )
-        resident_session, rebuild_session = self._sessions(network, plan)
-        resident = resident_session.run(instance)
-        rebuild = rebuild_session.run(instance)
+        session, oracle = self._sessions(
+            network, lambda: StaticPlanReplanner(plan), backend=backend
+        )
+        resident = session.run(instance)
+        rebuild = oracle.run(instance)
         assert_results_identical(resident, rebuild)
-        # Residency really engaged — and only on the resident session.
-        assert resident_session._session_kernel is not None
-        assert rebuild_session._session_kernel is None
-        assert [e["now"] for e in resident_session.decision_log] == [
-            e["now"] for e in rebuild_session.decision_log
+        assert_schedules_identical(resident, rebuild, instance)
+        # Residency really engaged — and only on the session.
+        assert session._session_kernel is not None
+        assert oracle._session_kernel is None
+        assert [e["now"] for e in session.decision_log] == [
+            e["now"] for e in oracle.decision_log
         ]
 
     @needs_jit
@@ -466,36 +567,59 @@ class TestResidentEqualsRebuild:
     ):
         network, instance = seeded_case(topology_key, workload_key)
         plan = SEBFScheme().plan(instance, network)
-        resident_session, rebuild_session = self._sessions(
-            network, plan, backend="jit"
+        session, oracle = self._sessions(
+            network, lambda: StaticPlanReplanner(plan), backend="jit"
         )
-        resident = resident_session.run(instance)
-        rebuild = rebuild_session.run(instance)
-        assert_results_identical(resident, rebuild)
-        assert isinstance(resident_session._session_kernel, ResidentJitKernel)
-        # ... and both agree with the array-resident session.
-        array_session, _ = self._sessions(network, plan, backend="array")
-        assert_results_identical(array_session.run(instance), resident)
+        resident = session.run(instance)
+        assert_results_identical(resident, oracle.run(instance))
+        assert isinstance(session._session_kernel, ResidentJitKernel)
+        # ... and both agree with the Python-tier session.
+        array_session, _ = self._sessions(
+            network, lambda: StaticPlanReplanner(plan), backend="array"
+        )
+        array = array_session.run(instance)
+        assert_results_identical(array, resident)
+        assert_schedules_identical(array, resident, instance)
 
-    def test_departures_recycle_slots(self):
+    @pytest.mark.parametrize("backend", TIERS)
+    def test_departures_recycle_slots(self, backend):
         """The staircase stream departs coflows mid-session: the resident
         kernel must tombstone their slots and hand them to later arrivals
         (the free list is load-bearing, not decorative)."""
         network, instance = staircase_stream()
-        rebuild = StreamingScheduler(
-            network, RecordingReplanner(network), policy=BatchPolicy(max_batch=1)
-        ).run(instance)
-        session = StreamingScheduler(
-            network,
-            RecordingReplanner(network),
-            policy=BatchPolicy(max_batch=1),
-            resident=True,
+        session, oracle = self._sessions(
+            network, lambda: RecordingReplanner(network), backend=backend
         )
         result = session.run(instance)
-        assert_results_identical(result, rebuild)
+        assert_results_identical(result, oracle.run(instance))
         assert session._session_kernel.slots_reused > 0
 
-    def test_zero_size_ghost_never_reaches_the_session(self):
+    @pytest.mark.parametrize("backend", TIERS)
+    def test_reroutes_of_unmoved_flows_are_identical(self, backend, monkeypatch):
+        """Re-plans that move admitted-but-unmoved flows to other paths
+        patch the session kernel in place (``update_path``) and must still
+        equal the oracle, which simply builds each epoch on the new paths."""
+        reroutes = []
+        for cls in (ResidentSimulationKernel, ResidentJitKernel):
+            def counted(kernel, k, path, _update=cls.update_path):
+                reroutes.append(k)
+                _update(kernel, k, path)
+
+            monkeypatch.setattr(cls, "update_path", counted)
+        network, instance = seeded_case("fat-tree", "pareto", seed=51)
+        policies = (BatchPolicy(max_batch=1), BatchPolicy(max_batch=2, max_delay=4.0))
+        for policy in policies:
+            session, oracle = self._sessions(
+                network, lambda: ReroutingReplanner(network), policy, backend
+            )
+            result = session.run(instance)
+            rebuild = oracle.run(instance)
+            assert_results_identical(result, rebuild)
+            assert_schedules_identical(result, rebuild, instance)
+        assert reroutes, "no admitted flow was re-routed; the case is too easy"
+
+    @pytest.mark.parametrize("backend", TIERS)
+    def test_zero_size_ghost_never_reaches_the_session(self, backend):
         """Zero-size coflows complete at submit time; the resident kernel
         must never see them (ingesting one is an error by contract)."""
         network = topologies.triangle()
@@ -509,35 +633,30 @@ class TestResidentEqualsRebuild:
             ],
             name="stable-membership",
         )
-        rebuild = StreamingScheduler(
-            network, RecordingReplanner(network), policy=BatchPolicy(max_batch=1)
-        ).run(instance)
-        session = StreamingScheduler(
-            network,
-            RecordingReplanner(network),
-            policy=BatchPolicy(max_batch=1),
-            resident=True,
+        session, oracle = self._sessions(
+            network, lambda: RecordingReplanner(network), backend=backend
         )
         result = session.run(instance)
-        assert_results_identical(result, rebuild)
+        assert_results_identical(result, oracle.run(instance))
         assert result.flow_completion[(1, 0)] == pytest.approx(2.0)
         kernel = session._session_kernel
         assert all(fid != (1, 0) for fid in kernel.fids if fid is not None)
 
+    @pytest.mark.parametrize("backend", TIERS)
     @pytest.mark.parametrize(
         "policy",
         [BatchPolicy(max_batch=1), BatchPolicy(max_batch=2, max_delay=4.0)],
         ids=["per-arrival", "batched"],
     )
-    def test_pause_resume_splice_stays_identical(self, policy):
+    def test_pause_resume_splice_stays_identical(self, policy, backend):
         network, instance = seeded_case("leaf-spine", "poisson", seed=51)
-        one_shot = StreamingScheduler(
-            network, RecordingReplanner(network), policy=policy, resident=True
+        one_shot, oracle = self._sessions(
+            network, lambda: RecordingReplanner(network), policy, backend
         )
         expected = one_shot.run(instance)
 
         spliced = StreamingScheduler(
-            network, RecordingReplanner(network), policy=policy, resident=True
+            network, RecordingReplanner(network), policy=policy, backend=backend
         )
         for coflow in sorted(instance.coflows, key=lambda c: c.release_time):
             spliced.submit(coflow)
@@ -547,10 +666,105 @@ class TestResidentEqualsRebuild:
         assert_results_identical(result, expected)
         assert spliced.replan_count == one_shot.replan_count
         # The spliced resident stream also matches the rebuild reference.
-        rebuild = StreamingScheduler(
-            network, RecordingReplanner(network), policy=policy
-        ).run(instance)
+        assert_results_identical(result, oracle.run(instance))
+
+    @pytest.mark.parametrize("backend", TIERS)
+    @pytest.mark.parametrize("allocator", ["greedy", "max-min"])
+    def test_single_epoch_session_equals_the_static_simulator(
+        self, allocator, backend
+    ):
+        """Every coflow arrives at t=0, so the session runs one epoch: it
+        must equal ``FlowLevelSimulator.run`` of the same plan, segments
+        included."""
+        network = topologies.leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
+        config = WorkloadConfig(
+            num_coflows=4, coflow_width=3, mean_flow_size=4.0, seed=29
+        )
+        generated = CoflowGenerator(network, config).instance()
+        # Shift every coflow to arrive at t=0, keeping the later releases
+        # of its other flows (they stay pending inside the one epoch).
+        coflows = [
+            Coflow(
+                flows=tuple(
+                    dataclasses.replace(
+                        flow, release_time=flow.release_time - coflow.release_time
+                    )
+                    for flow in coflow.flows
+                ),
+                weight=coflow.weight,
+            )
+            for coflow in generated.coflows
+        ]
+        # A zero-size flow rides along: both paths complete it at release.
+        first = coflows[0].flows[0]
+        coflows.append(
+            Coflow(flows=(Flow(first.source, first.destination, size=0.0),))
+        )
+        instance = CoflowInstance(coflows=coflows, name="t0")
+        assert {c.release_time for c in instance.coflows} == {0.0}
+        assert max(f.release_time for _, _, f in instance.iter_flows()) > 0.0
+        base = SEBFScheme().plan(instance, network)
+        plan = SimulationPlan(
+            paths=base.paths, order=base.order, name="sebf", allocator=allocator
+        )
+        session = StreamingScheduler(
+            network, StaticPlanReplanner(plan), backend=backend
+        )
+        streamed = session.run(instance)
+        static = FlowLevelSimulator(network).run(instance, plan, backend=backend)
+        assert session.replan_count == 1
+        assert_results_identical(streamed, static)
+        assert streamed.breakdown == static.breakdown
+        assert_schedules_identical(streamed, static, instance)
+
+    @staticmethod
+    def _switching_replanner(plan):
+        """Greedy at the first re-plan, max-min at every later one."""
+        restrict = StaticPlanReplanner(plan)
+        replans = []
+
+        def replan(context):
+            replans.append(context.now)
+            sub_plan = restrict(context)
+            if len(replans) == 1:
+                return sub_plan
+            return dataclasses.replace(sub_plan, allocator="max-min")
+
+        return replan
+
+    @pytest.mark.parametrize("oracle_backend", TIERS)
+    def test_python_tier_follows_an_allocator_switch(self, oracle_backend):
+        """The Python-tier session re-resolves the allocator at every
+        epoch and equals the rebuild oracle, whose fresh per-epoch kernels
+        pick their tier from each plan (greedy epochs reach the compiled
+        tier when the oracle runs on ``jit``)."""
+        network, instance = seeded_case("leaf-spine", "poisson")
+        plan = SEBFScheme().plan(instance, network)
+        session = StreamingScheduler(
+            network, self._switching_replanner(plan), backend="array"
+        )
+        oracle = RebuildOracle(
+            network, self._switching_replanner(plan), backend=oracle_backend
+        )
+        result = session.run(instance)
+        rebuild = oracle.run(instance)
+        assert session.replan_count > 1
+        assert session._session_kernel.allocator_name == "max-min"
         assert_results_identical(result, rebuild)
+        assert_schedules_identical(result, rebuild, instance)
+
+    @needs_jit
+    def test_compiled_session_rejects_an_allocator_switch(self):
+        """A compiled session keeps the greedy allocator of its first plan:
+        a later plan naming another allocator is refused, not run."""
+        network, instance = seeded_case("leaf-spine", "poisson")
+        plan = SEBFScheme().plan(instance, network)
+        session = StreamingScheduler(
+            network, self._switching_replanner(plan), backend="jit"
+        )
+        with pytest.raises(ValueError, match="'max-min' mid-session"):
+            session.run(instance)
+        assert isinstance(session._session_kernel, ResidentJitKernel)
 
 
 @needs_jit
@@ -641,6 +855,27 @@ class TestResidentBufferGrowth:
         done_seq, starts_seq, _, _ = seq.harvest_epoch()
         assert done_batch == done_seq
         assert starts_batch == starts_seq
+
+        # A second batch spans the free list and fresh rows: all 9 slots
+        # are tombstoned, then 12 flows arrive on a two-hop path.
+        now = batch.now
+        assert seq.now == now
+        two_hop = ("x", "y", "z")
+        later = [("b", i) for i in range(12)]
+        for kernel in (batch, seq):
+            kernel.begin_epoch(now, [])
+        ks = batch.ingest_many(later, [2.0] * 12, [now] * 12, [two_hop] * 12)
+        ks_seq = [seq.ingest(fid, 2.0, now, two_hop) for fid in later]
+        assert list(ks) == ks_seq
+        assert batch.slots_reused == seq.slots_reused == 9
+        for fid in later:
+            k = batch.slot_of(fid)
+            assert batch.sid_of(fid) == seq.sid_of(fid)
+            assert batch._edge_ids_of(k) == seq._edge_ids_of(k)
+        for kernel in (batch, seq):
+            kernel.begin_epoch(now, [kernel.slot_of(fid) for fid in later])
+            assert kernel.run() is True
+        assert batch.harvest_epoch()[:2] == seq.harvest_epoch()[:2]
 
     def test_zero_volume_flow_is_rejected_by_both_tiers(self):
         network = topologies.triangle()
