@@ -28,7 +28,7 @@ they produce are numerically identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -191,16 +191,11 @@ def add_completion_structure_bulk(
     instance: CoflowInstance,
     grid: IntervalGrid,
     transfer_rhs: np.ndarray,
-    release_intervals: Optional[np.ndarray] = None,
 ) -> CompletionLayout:
     """Emit the completion skeleton in vectorized blocks.
 
     ``transfer_rhs[f]`` is the right-hand side of the transfer strengthening
     for flow position ``f`` (only read where the flow has positive size).
-    ``release_intervals[f]``, when given, must equal
-    ``grid.release_interval(flow.release_time)`` for flow position ``f`` —
-    the incremental assembler passes its per-flow cache here so warm epochs
-    skip the per-flow grid search without changing the emitted rows.
     """
     layout = add_completion_variables_bulk(lp, instance, grid)
     flows = list(instance.iter_flows())
@@ -224,13 +219,10 @@ def add_completion_structure_bulk(
             rhs=np.asarray(transfer_rhs, dtype=float)[active],
         )
     # ---- release: x[f, ell] == 0 for ell < release_interval(f).
-    if release_intervals is not None:
-        first = np.asarray(release_intervals, dtype=np.int64)
-    else:
-        first = np.asarray(
-            [grid.release_interval(f.release_time) for _i, _j, f in flows],
-            dtype=np.int64,
-        )
+    first = np.asarray(
+        [grid.release_interval(f.release_time) for _i, _j, f in flows],
+        dtype=np.int64,
+    )
     total = int(first.sum())
     if total:
         cols = np.repeat(xc_base, first) + stacked_aranges(first)

@@ -62,7 +62,6 @@ __all__ = [
     "GivenPathsRelaxation",
     "GivenPathsResult",
     "GivenPathsScheduler",
-    "emit_given_paths_lp",
     "feasible_rounding_parameters",
     "DEFAULT_EPSILON",
 ]
@@ -148,62 +147,6 @@ class GivenPathsRelaxation:
         )
 
 
-def emit_given_paths_lp(
-    instance: CoflowInstance,
-    network: Network,
-    grid: IntervalGrid,
-    transfer_rhs: np.ndarray,
-    edge_users: Mapping[Tuple[object, object], List[Tuple[int, float]]],
-    release_intervals: Optional[np.ndarray] = None,
-) -> Tuple[LinearProgram, "CompletionLayout"]:
-    """Emit the given-paths LP (4)-(10) from precomputed per-flow inputs.
-
-    This is the single emission path shared by :meth:`GivenPathsLP.build`
-    (which derives ``transfer_rhs`` / ``edge_users`` from the instance on
-    every call) and the incremental assembler in :mod:`repro.lp.incremental`
-    (which replays cached values) — sharing the code is what makes the
-    warm-started matrices *byte-identical* to a cold rebuild by construction.
-    """
-    L = grid.num_intervals
-    lp = LinearProgram(name="circuit-given-paths")
-    layout = add_completion_structure_bulk(
-        lp, instance, grid, transfer_rhs, release_intervals=release_intervals
-    )
-
-    # (7)+(8) capacity per edge per interval, with bandwidths expressed
-    # directly in terms of x: sum_f sigma_f * x_f_ell / len_ell <= c(e).
-    # One COO sub-block of L rows per edge, concatenated and committed in
-    # a single call.
-    ell_offsets = np.arange(L, dtype=np.int64)
-    rows_parts: List[np.ndarray] = []
-    cols_parts: List[np.ndarray] = []
-    vals_parts: List[np.ndarray] = []
-    rhs_parts: List[np.ndarray] = []
-    row_offset = 0
-    for edge, users in edge_users.items():
-        positions = np.asarray([p for p, _s in users], dtype=np.int64)
-        sizes = np.asarray([s for _p, s in users], dtype=float)
-        # row per interval, one entry per user: x[user, ell].
-        rows_parts.append(
-            np.repeat(row_offset + ell_offsets, positions.shape[0])
-        )
-        cols_parts.append(
-            (layout.xc_base[positions][None, :] + ell_offsets[:, None]).ravel()
-        )
-        vals_parts.append((sizes[None, :] / layout.lengths[:, None]).ravel())
-        rhs_parts.append(np.full(L, network.capacity(*edge)))
-        row_offset += L
-    if rhs_parts:
-        lp.add_constraints_coo(
-            rows=np.concatenate(rows_parts),
-            cols=np.concatenate(cols_parts),
-            vals=np.concatenate(vals_parts),
-            senses="<=",
-            rhs=np.concatenate(rhs_parts),
-        )
-    return lp, layout
-
-
 class GivenPathsLP:
     """Builder for the interval-indexed LP (4)-(10)."""
 
@@ -257,14 +200,45 @@ class GivenPathsLP:
 
     def build(self) -> LinearProgram:
         """Assemble the LP through the bulk (vectorized) pipeline."""
-        lp, layout = emit_given_paths_lp(
-            self.instance,
-            self.network,
-            self.grid,
-            self._transfer_rhs(),
-            self._edge_users(),
+        network, grid = self.network, self.grid
+        L = grid.num_intervals
+        lp = LinearProgram(name="circuit-given-paths")
+        layout = add_completion_structure_bulk(
+            lp, self.instance, grid, self._transfer_rhs()
         )
         self._layout = layout
+
+        # (7)+(8) capacity per edge per interval, with bandwidths expressed
+        # directly in terms of x: sum_f sigma_f * x_f_ell / len_ell <= c(e).
+        # One COO sub-block of L rows per edge, concatenated and committed in
+        # a single call.
+        ell_offsets = np.arange(L, dtype=np.int64)
+        rows_parts: List[np.ndarray] = []
+        cols_parts: List[np.ndarray] = []
+        vals_parts: List[np.ndarray] = []
+        rhs_parts: List[np.ndarray] = []
+        row_offset = 0
+        for edge, users in self._edge_users().items():
+            positions = np.asarray([p for p, _s in users], dtype=np.int64)
+            sizes = np.asarray([s for _p, s in users], dtype=float)
+            # row per interval, one entry per user: x[user, ell].
+            rows_parts.append(
+                np.repeat(row_offset + ell_offsets, positions.shape[0])
+            )
+            cols_parts.append(
+                (layout.xc_base[positions][None, :] + ell_offsets[:, None]).ravel()
+            )
+            vals_parts.append((sizes[None, :] / layout.lengths[:, None]).ravel())
+            rhs_parts.append(np.full(L, network.capacity(*edge)))
+            row_offset += L
+        if rhs_parts:
+            lp.add_constraints_coo(
+                rows=np.concatenate(rows_parts),
+                cols=np.concatenate(cols_parts),
+                vals=np.concatenate(vals_parts),
+                senses="<=",
+                rhs=np.concatenate(rhs_parts),
+            )
         return lp
 
     def build_scalar(self) -> LinearProgram:

@@ -16,11 +16,11 @@ spec/engine/artifact pipeline as ``repro sweep``:
   vs the reference event loop, static vs online, on a pinned leaf-spine
   instance plus a 100k-flow gate instance; appends every run to
   ``BENCH_simulator.json`` at the repo root;
-* ``streaming``       — the streaming scheduler service: warm-started
-  batched re-planning vs cold rebuild-per-arrival on a pinned arrival
-  stream (``specs/streaming.yaml``), reporting replans/sec, arrivals per
+* ``streaming``       — the streaming scheduler service: the LP replanner
+  batched vs re-planning per arrival on a pinned arrival stream
+  (``specs/streaming.yaml``), reporting replans/sec, arrivals per
   planning second, p99 decision latency, per-re-plan epoch-setup cost and
-  online events/sec, with warm == cold exactness and the staleness-bound
+  online events/sec, with every flow's completion and the staleness-bound
   invariant asserted; plus the 100k-flow session stream
   (``specs/streaming-100k.yaml``): one resident kernel session re-planning
   at every arrival, its online events/sec recorded, every flow's
@@ -1058,32 +1058,29 @@ def run_streaming(
 
     Two sections:
 
-    * the classic pinned stream (:data:`_STREAMING_BENCH`) through four
-      configurations — {cold rebuild, warm-started assembly} x {re-plan per
-      arrival, batched per :data:`_STREAMING_POLICY`} — reporting each
-      session's replans/sec, arrivals per planning second, p99 decision
-      latency, observed staleness, mean epoch-setup cost and online
-      events/sec (events over the streamed phase's wall time minus planning
-      time);
+    * the classic pinned stream (:data:`_STREAMING_BENCH`) through the LP
+      replanner in two configurations — re-plan per arrival, and batched
+      per :data:`_STREAMING_POLICY` — reporting each session's replans/sec,
+      arrivals per planning second, p99 decision latency, observed
+      staleness, mean epoch-setup cost and online events/sec (events over
+      the streamed phase's wall time minus planning time);
     * the 100k-flow session stream (:data:`_STREAMING_BENCH_100K`): one
       resident kernel session re-planning at every arrival on the jit
       backend, reporting its online events/sec.
 
     Invariants asserted on every run, smoke included:
 
-    * warm-started sessions produce **exactly** the completions of their
-      cold twins (``==``, no tolerance) at both batch sizes;
+    * every flow of every session completes;
     * every session's observed staleness respects its policy's declared
       bound (``staleness_report()["within_bound"]``);
     * the batch-size-1 re-plan count equals the number of distinct coflow
-      release times (the online-engine semantics);
-    * every flow of the 100k stream completes.
+      release times (the online-engine semantics).
 
-    Hard gate (full scale only): the warm-batched session processes
-    arrivals per planning second at least ``min_throughput_ratio`` times
-    the cold rebuild-per-arrival baseline.  Every run — smoke included —
-    appends its metrics (the 100k session's online events/sec among them)
-    to ``BENCH_simulator.json``.
+    Hard gate (full scale only): the batched session processes arrivals
+    per planning second at least ``min_throughput_ratio`` times the
+    per-arrival session.  Every run — smoke included — appends its metrics
+    (the 100k session's online events/sec among them) to
+    ``BENCH_simulator.json``.
 
     Returns ``{configuration: streaming_metrics()}`` plus the ratios under
     the ``"_gate"`` key.
@@ -1093,10 +1090,9 @@ def run_streaming(
     from ..circuit.given_paths import _default_horizon
     from ..sim import (
         BatchPolicy,
-        ColdLPReplanner,
+        LPReplanner,
         StaticPlanReplanner,
         StreamingScheduler,
-        WarmLPReplanner,
         kernel_jit,
     )
     from ..workloads import CoflowGenerator
@@ -1105,7 +1101,7 @@ def run_streaming(
     config = strict_config_from_dict(base, "streaming bench")
     network = config.build_network()
     instance = CoflowGenerator(network, config).instance()
-    # Both replanners share one pinned interval grid: the full instance's
+    # Both sessions share one pinned interval grid: the full instance's
     # default horizon (sub-instance volumes only shrink, so it stays safe).
     routed = instance.with_paths(
         {
@@ -1116,13 +1112,9 @@ def run_streaming(
         }
     )
     horizon = _default_horizon(routed, network)
-    batched = BatchPolicy(**_STREAMING_POLICY)
-    per_arrival = BatchPolicy(max_batch=1)
     configurations = [
-        ("cold / per-arrival", lambda: ColdLPReplanner(network, horizon), per_arrival),
-        ("warm / per-arrival", lambda: WarmLPReplanner(network, horizon), per_arrival),
-        ("cold / batched", lambda: ColdLPReplanner(network, horizon), batched),
-        ("warm / batched", lambda: WarmLPReplanner(network, horizon), batched),
+        ("per-arrival", BatchPolicy(max_batch=1)),
+        ("batched", BatchPolicy(**_STREAMING_POLICY)),
     ]
     headers = [
         "configuration",
@@ -1138,10 +1130,17 @@ def run_streaming(
     ]
     rows: List[List[Any]] = []
     metrics: Dict[str, Dict[str, float]] = {}
-    results: Dict[str, Any] = {}
 
-    def record(label: str, session, result, wall: float) -> Dict[str, float]:
-        """One session's report row + metrics entry (shared by both tiers)."""
+    def record(label: str, session, stream, result, wall: float) -> Dict[str, float]:
+        """One session's report row + metrics entry (shared by both
+        streams), after asserting that every flow of ``stream`` completed."""
+        unfinished = [
+            fid for fid in stream.flow_ids() if fid not in result.flow_completion
+        ]
+        assert not unfinished, (
+            f"{label}: {len(unfinished)} flow(s) never completed: "
+            f"{unfinished[:5]}"
+        )
         staleness = session.staleness_report()
         assert staleness["within_bound"] == 1.0, (
             f"{label}: observed staleness {staleness['max_staleness']:.3f} "
@@ -1157,7 +1156,6 @@ def run_streaming(
             "online_events_per_sec": report["events"] / engine_seconds,
         }
         metrics[label] = report
-        results[label] = result
         rows.append(
             [
                 label,
@@ -1174,25 +1172,17 @@ def run_streaming(
         )
         return report
 
-    for label, make_replanner, policy in configurations:
-        session = StreamingScheduler(network, make_replanner(), policy=policy)
+    for label, policy in configurations:
+        session = StreamingScheduler(
+            network, LPReplanner(network, horizon), policy=policy
+        )
         result, wall = _timed_streaming(session, instance, label)
-        record(label, session, result, wall)
+        record(label, session, instance, result, wall)
 
     releases = sorted({c.release_time for c in instance.coflows})
-    assert metrics["cold / per-arrival"]["replans"] == float(len(releases)), (
+    assert metrics["per-arrival"]["replans"] == float(len(releases)), (
         "batch-size-1 must re-plan exactly once per distinct release time"
     )
-    for policy_label in ("per-arrival", "batched"):
-        warm, cold = results[f"warm / {policy_label}"], results[f"cold / {policy_label}"]
-        assert warm.flow_completion == cold.flow_completion, (
-            f"warm-started completions diverged from the cold rebuild "
-            f"({policy_label})"
-        )
-        assert warm.flow_start == cold.flow_start, (
-            f"warm-started start times diverged from the cold rebuild "
-            f"({policy_label})"
-        )
 
     # ------------------------------------------------- 100k session stream
     gate_cfg = dict(_STREAMING_BENCH_100K_SMOKE if smoke else _STREAMING_BENCH_100K)
@@ -1219,25 +1209,18 @@ def run_streaming(
     result, wall = _timed_streaming(
         session, gate_instance, f"resident / {gate_suffix}"
     )
-    res_report = record("resident / 100k", session, result, wall)
-    unfinished = [
-        fid for fid in gate_instance.flow_ids() if fid not in result.flow_completion
-    ]
-    assert not unfinished, (
-        f"{len(unfinished)} flow(s) of the 100k stream never completed: "
-        f"{unfinished[:5]}"
-    )
+    res_report = record("resident / 100k", session, gate_instance, result, wall)
 
     ratio = (
-        metrics["warm / batched"]["arrivals_per_plan_sec"]
-        / metrics["cold / per-arrival"]["arrivals_per_plan_sec"]
+        metrics["batched"]["arrivals_per_plan_sec"]
+        / metrics["per-arrival"]["arrivals_per_plan_sec"]
     )
     metrics["_gate"] = {"throughput_ratio": ratio}
 
     name = "streaming-smoke" if smoke else "streaming"
     title = (
-        "Streaming scheduler benchmark — warm batched re-planning vs cold "
-        f"rebuild per arrival, plus the 100k session stream "
+        "Streaming scheduler benchmark — batched vs per-arrival LP "
+        f"re-planning, plus the 100k session stream "
         f"({'smoke' if smoke else 'pinned'} streams: "
         f"{base['num_coflows']} coflows x {base['coflow_width']} flows, "
         f"batch policy {_STREAMING_POLICY['max_batch']} / "
@@ -1289,8 +1272,8 @@ def run_streaming(
 
     if min_throughput_ratio is not None:
         assert ratio >= min_throughput_ratio, (
-            f"warm batched throughput is only {ratio:.2f}x the cold "
-            f"per-arrival baseline (gate: {min_throughput_ratio:.1f}x)"
+            f"batched throughput is only {ratio:.2f}x the per-arrival "
+            f"baseline (gate: {min_throughput_ratio:.1f}x)"
         )
     return metrics
 
@@ -1513,10 +1496,10 @@ def run_suite(
         name = "streaming-smoke" if smoke else "streaming"
         print((Path(out_dir) / name / "report.txt").read_text())
         print(
-            "warm batched vs cold per-arrival throughput: "
+            "batched vs per-arrival throughput: "
             f"{metrics['_gate']['throughput_ratio']:.2f}x "
             f"(p99 decision latency "
-            f"{metrics['warm / batched']['p99_decision_latency'] * 1e3:.1f} ms)"
+            f"{metrics['batched']['p99_decision_latency'] * 1e3:.1f} ms)"
         )
         session = metrics["resident / 100k"]
         print(

@@ -22,22 +22,9 @@ The layer has two tiers (see DESIGN.md Section 2):
   large instances.
 
 Internally both tiers append into the same growable NumPy buffers; the scalar
-API is a thin wrapper over the bulk one.  :meth:`LinearProgram.matrices` is a
-cached single pass over those buffers, invalidated whenever the model mutates.
-
-On top of the append-only buffers the model supports **delta edits** for the
-streaming scheduler (`sim/streaming.py`): rows and columns can be *dropped*
-(tombstoned) and later *restored* without rewriting the COO buffers —
-:meth:`LinearProgram.drop_constraints` / :meth:`LinearProgram.drop_columns`
-mark identities inactive, and :meth:`LinearProgram.matrices` compacts the
-active rows/columns into dense positions on assembly.  Dropping a column
-removes its coefficient entries from *every* row it appears in (this is what
-lets a departed coflow vanish from shared capacity rows), and the compacted
-matrices are byte-identical to a from-scratch build over the surviving
-structure.  Row ids returned by :meth:`LinearProgram.add_constraints_coo` /
-:meth:`ConstraintBlock.flush` and column ids returned by
-:meth:`LinearProgram.add_variables` are stable *identities* — they never shift
-when other rows/columns are dropped, so delta-append and drop compose freely.
+API is a thin wrapper over the bulk one.  The buffers are append-only: a model
+is built once, in full, and :meth:`LinearProgram.matrices` is a cached single
+pass over them, invalidated whenever the model grows.
 
 Only what the paper's LPs need is implemented: continuous variables with
 bounds, linear ``<=`` / ``>=`` / ``==`` constraints, and a minimization
@@ -196,9 +183,6 @@ class LinearProgram:
         self._row_sense = _GrowableArray(np.int8)
         self._row_rhs = _GrowableArray(np.float64)
         self._row_names: List[Optional[str]] = []
-        # Tombstoned identities (empty on the append-only fast path).
-        self._dropped_rows: set = set()
-        self._dropped_cols: set = set()
         self._matrices_cache = None
 
     # -------------------------------------------------------------- variables
@@ -265,9 +249,11 @@ class LinearProgram:
         return range(start, start + n)
 
     def has_variable(self, key: VarKey) -> bool:
+        """Whether a variable with this key is registered."""
         return key in self._index
 
     def variable_index(self, key: VarKey) -> int:
+        """Column index of the variable ``key`` (:class:`LPError` if unknown)."""
         try:
             return self._index[key]
         except KeyError as exc:
@@ -279,22 +265,12 @@ class LinearProgram:
 
     @property
     def num_variables(self) -> int:
-        """Number of *active* (non-dropped) variables."""
-        return len(self._keys) - len(self._dropped_cols)
-
-    @property
-    def num_constraints(self) -> int:
-        """Number of *active* (non-dropped) constraint rows."""
-        return len(self._row_rhs) - len(self._dropped_rows)
-
-    @property
-    def num_raw_variables(self) -> int:
-        """Number of variable identities ever registered (dropped included)."""
+        """Number of registered variables (columns)."""
         return len(self._keys)
 
     @property
-    def num_raw_constraints(self) -> int:
-        """Number of row identities ever appended (dropped included)."""
+    def num_constraints(self) -> int:
+        """Number of constraint rows."""
         return len(self._row_rhs)
 
     @property
@@ -304,102 +280,13 @@ class LinearProgram:
 
     @property
     def variable_keys(self) -> List[VarKey]:
-        """Keys of the active variables, in column order."""
-        if not self._dropped_cols:
-            return list(self._keys)
-        dropped = self._dropped_cols
-        return [k for i, k in enumerate(self._keys) if i not in dropped]
-
-    # ------------------------------------------------------------ delta edits
-    def drop_constraints(self, rows: Iterable[int]) -> None:
-        """Tombstone constraint rows by identity (row ids as returned by
-        :meth:`add_constraints_coo` / :meth:`ConstraintBlock.flush`).
-
-        Dropped rows (and their coefficient entries) are excluded from
-        :meth:`matrices`; surviving rows compact into dense positions while
-        keeping their relative order.  Dropping an already-dropped or unknown
-        row id raises :class:`LPError`.
-        """
-        limit = len(self._row_rhs)
-        for row in rows:
-            r = int(row)
-            if r < 0 or r >= limit:
-                raise LPError(f"unknown constraint row {r} (have {limit})")
-            if r in self._dropped_rows:
-                raise LPError(f"constraint row {r} is already dropped")
-            self._dropped_rows.add(r)
-        self._matrices_cache = None
-
-    def restore_constraints(self, rows: Iterable[int]) -> None:
-        """Undo :meth:`drop_constraints` for the given row identities."""
-        for row in rows:
-            r = int(row)
-            if r not in self._dropped_rows:
-                raise LPError(f"constraint row {r} is not dropped")
-            self._dropped_rows.remove(r)
-        self._matrices_cache = None
-
-    def drop_columns(self, indices: Iterable[int]) -> None:
-        """Tombstone variables by column identity (indices as returned by
-        :meth:`add_variables`).
-
-        A dropped column disappears from the bounds/objective vectors and its
-        coefficient entries vanish from *every* constraint row — including
-        shared rows that also reference surviving columns.  Surviving columns
-        compact into dense positions, keeping their relative order.
-        """
-        limit = len(self._keys)
-        for index in indices:
-            c = int(index)
-            if c < 0 or c >= limit:
-                raise LPError(f"unknown variable column {c} (have {limit})")
-            if c in self._dropped_cols:
-                raise LPError(f"variable column {c} is already dropped")
-            self._dropped_cols.add(c)
-        self._matrices_cache = None
-
-    def restore_columns(self, indices: Iterable[int]) -> None:
-        """Undo :meth:`drop_columns` for the given column identities."""
-        for index in indices:
-            c = int(index)
-            if c not in self._dropped_cols:
-                raise LPError(f"variable column {c} is not dropped")
-            self._dropped_cols.remove(c)
-        self._matrices_cache = None
-
-    def drop_variables(self, keys: Iterable[VarKey]) -> None:
-        """Key-addressed convenience wrapper over :meth:`drop_columns`."""
-        self.drop_columns(self.variable_index(k) for k in keys)
-
-    def restore_variables(self, keys: Iterable[VarKey]) -> None:
-        """Key-addressed convenience wrapper over :meth:`restore_columns`."""
-        self.restore_columns(self.variable_index(k) for k in keys)
-
-    def active_row_mask(self) -> np.ndarray:
-        """Boolean mask over row identities (True = active)."""
-        mask = np.ones(len(self._row_rhs), dtype=bool)
-        if self._dropped_rows:
-            mask[np.fromiter(self._dropped_rows, dtype=np.int64)] = False
-        return mask
-
-    def active_column_mask(self) -> np.ndarray:
-        """Boolean mask over column identities (True = active)."""
-        mask = np.ones(len(self._keys), dtype=bool)
-        if self._dropped_cols:
-            mask[np.fromiter(self._dropped_cols, dtype=np.int64)] = False
-        return mask
+        """Keys of the variables, in column order."""
+        return list(self._keys)
 
     def solution_keys(self) -> Tuple[List[VarKey], Dict[VarKey, int]]:
-        """``(keys, index)`` describing the *solved* column space.
-
-        Without drops these are zero-copy aliases of the internal registries;
-        with dropped columns they are compacted copies whose positions match
-        the columns of :meth:`matrices`.
-        """
-        if not self._dropped_cols:
-            return self._keys, self._index
-        keys = self.variable_keys
-        return keys, {k: i for i, k in enumerate(keys)}
+        """``(keys, index)`` describing the solved column space: zero-copy
+        aliases of the internal registries."""
+        return self._keys, self._index
 
     # ------------------------------------------------------------ constraints
     def add_constraint(
@@ -516,25 +403,16 @@ class LinearProgram:
 
     def iter_constraints(self) -> Iterator[Constraint]:
         """Materialise the stored rows as :class:`Constraint` views (slow path,
-        intended for tests and debugging only).  Only active rows are yielded,
-        with column indices in the compacted (solved) column space so they
-        match :meth:`matrices`."""
+        intended for tests and debugging only)."""
         rows = self._entry_rows.view()
         cols = self._entry_cols.view()
         vals = self._entry_vals.view()
-        col_keep = self.active_column_mask()
-        col_newid = np.cumsum(col_keep) - 1
         order = np.argsort(rows, kind="stable")
-        raw = len(self._row_rhs)
-        boundaries = np.searchsorted(rows[order], np.arange(raw + 1))
-        for r in range(raw):
-            if r in self._dropped_rows:
-                continue
+        boundaries = np.searchsorted(rows[order], np.arange(self.num_constraints + 1))
+        for r in range(self.num_constraints):
             sel = order[boundaries[r] : boundaries[r + 1]]
-            if self._dropped_cols:
-                sel = sel[col_keep[cols[sel]]]
             yield Constraint(
-                indices=[int(col_newid[c]) for c in cols[sel]],
+                indices=[int(c) for c in cols[sel]],
                 coefficients=[float(v) for v in vals[sel]],
                 sense=_SENSE_STR[int(self._row_sense[r])],
                 rhs=float(self._row_rhs[r]),
@@ -543,24 +421,16 @@ class LinearProgram:
 
     # ---------------------------------------------------------------- exports
     def bounds(self) -> List[Tuple[float, float]]:
-        lower, upper = self.bounds_arrays()
-        return list(zip(lower.tolist(), upper.tolist()))
+        """``(lower, upper)`` bound pairs, one per variable in column order."""
+        return list(zip(self._lower.view().tolist(), self._upper.view().tolist()))
 
     def bounds_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(lower, upper)`` bound vectors as arrays (no per-variable tuples).
-
-        Dropped columns are compacted away so positions match
-        :meth:`matrices`.
-        """
-        if not self._dropped_cols:
-            return self._lower.view(), self._upper.view()
-        keep = self.active_column_mask()
-        return self._lower.view()[keep], self._upper.view()[keep]
+        """``(lower, upper)`` bound vectors as arrays (no per-variable tuples)."""
+        return self._lower.view(), self._upper.view()
 
     def objective_vector(self) -> np.ndarray:
-        if not self._dropped_cols:
-            return np.array(self._objective.view(), dtype=float)
-        return np.array(self._objective.view()[self.active_column_mask()], dtype=float)
+        """The objective coefficients as a fresh array, in column order."""
+        return np.array(self._objective.view(), dtype=float)
 
     def matrices(
         self,
@@ -575,14 +445,8 @@ class LinearProgram:
         ``>=`` constraints are negated into ``<=`` form.  Empty groups are
         returned as ``None`` (the convention :func:`scipy.optimize.linprog`
         expects).  The result is cached and the cache is invalidated whenever
-        a variable or constraint is added, dropped or restored, so repeated
-        calls (solve + diagnostics) assemble only once.
-
-        With dropped rows/columns present, the surviving structure is
-        compacted: active rows and columns take dense positions in their
-        original relative order, and entries touching a dropped row *or*
-        column are excluded.  The result is byte-identical to assembling only
-        the surviving structure from scratch.
+        a variable or constraint is added, so repeated calls (solve +
+        diagnostics) assemble only once.
         """
         if self._matrices_cache is not None:
             return self._matrices_cache
@@ -593,19 +457,6 @@ class LinearProgram:
         cols = self._entry_cols.view()
         vals = self._entry_vals.view()
         n = self.num_variables
-
-        if self._dropped_rows or self._dropped_cols:
-            row_keep = self.active_row_mask()
-            col_keep = self.active_column_mask()
-            row_newid = np.cumsum(row_keep) - 1
-            col_newid = np.cumsum(col_keep) - 1
-            if rows.size:
-                entry_keep = row_keep[rows] & col_keep[cols]
-                rows = row_newid[rows[entry_keep]]
-                cols = col_newid[cols[entry_keep]]
-                vals = vals[entry_keep]
-            senses = senses[row_keep]
-            rhs = rhs[row_keep]
 
         is_eq_row = senses == _SENSE_EQ
         num_eq = int(is_eq_row.sum())
@@ -681,6 +532,7 @@ class ConstraintBlock:
 
     @property
     def num_rows(self) -> int:
+        """Number of rows accumulated since the last :meth:`flush`."""
         return len(self._rhs)
 
     def add_row(

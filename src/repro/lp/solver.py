@@ -86,9 +86,6 @@ class LPSolution:
         structures (zero-copy); the solution snapshots the variable *count*
         at construction, so variables added to the model afterwards are
         simply unknown to the solution rather than corrupting lookups.
-    values:
-        Legacy construction path: a key→value mapping, from which ``x`` and
-        ``keys`` are derived.  Mutually exclusive with ``x``/``keys``.
     """
 
     def __init__(
@@ -101,17 +98,11 @@ class LPSolution:
         x: Optional[np.ndarray] = None,
         keys: Optional[Sequence[Hashable]] = None,
         index: Optional[Mapping[Hashable, int]] = None,
-        values: Optional[Mapping[Hashable, float]] = None,
     ) -> None:
         self.objective = float(objective)
         self.status = int(status)
         self.message = str(message)
         self.iterations = int(iterations)
-        if values is not None:
-            if x is not None or keys is not None:
-                raise ValueError("pass either values= or x=/keys=, not both")
-            keys = list(values.keys())
-            x = np.asarray([values[k] for k in keys], dtype=float)
         self._x = np.zeros(0, dtype=float) if x is None else np.asarray(x, dtype=float)
         if keys is None:
             self._keys: List[Hashable] = []

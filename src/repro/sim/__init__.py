@@ -9,8 +9,8 @@ Three layers (see ``docs/simulator.md``):
   selected via ``backend="jit"`` / ``REPRO_SIM_BACKEND``);
 * :mod:`repro.sim.allocators` — pluggable per-event rate policies;
 * :mod:`repro.sim.streaming` — the long-running scheduler service:
-  batched re-planning with a staleness bound, warm-startable LP
-  replanners, replans/sec + decision-latency metrics;
+  batched re-planning with a staleness bound, the LP replanner,
+  replans/sec + decision-latency metrics;
 * :mod:`repro.sim.online` — arrival-driven online re-planning, now the
   batch-size-1 special case of the streaming service.
 
@@ -35,10 +35,9 @@ from .online import OnlineFlowSimulator, ReplanContext, StaticPlanReplanner
 from .plan import SimulationPlan
 from .streaming import (
     BatchPolicy,
-    ColdLPReplanner,
+    LPReplanner,
     StreamingError,
     StreamingScheduler,
-    WarmLPReplanner,
 )
 from .simulator import (
     BACKENDS,
@@ -75,6 +74,5 @@ __all__ = [
     "BatchPolicy",
     "StreamingScheduler",
     "StreamingError",
-    "WarmLPReplanner",
-    "ColdLPReplanner",
+    "LPReplanner",
 ]

@@ -1,4 +1,4 @@
-"""Streaming scheduler service: batched, warm-startable re-planning.
+"""Streaming scheduler service: batched re-planning under a staleness bound.
 
 :mod:`repro.sim.online` re-plans at *every* coflow arrival — the right
 semantics for paper-style comparisons, but unusable at production arrival
@@ -33,18 +33,13 @@ online simulator is now literally a batch-size-1 streaming session (see its
 ``run``), and ``tests/sim/test_streaming_equivalence.py`` holds the two
 engines equal across a seeded topology × workload × allocator matrix.
 
-Warm-starting lives one layer down: replanners that solve the Section-2.1 LP
-per epoch can keep a :class:`repro.lp.incremental.IncrementalGivenPathsLP`
-across re-plans (see :class:`WarmLPReplanner`), which caches per-flow
-derived structure over a pinned interval grid and re-emits matrices
-byte-identical to a cold rebuild — so warm-started solutions match cold ones
-exactly (``==``, no tolerance) while skipping the per-flow path/bottleneck/
-grid work.  The engine itself additionally **memoizes the sub-instance**
-across re-plans: per-flow ``Flow`` objects are rebuilt only when their
-remaining volume changed, per-coflow sections only when membership or any
-member's volume changed, and the ``fid_map`` object is *reused* whenever the
-active membership is unchanged (the fix for the per-arrival fid-map rebuild
-noted in ISSUE 8).
+Replanners decide each epoch's plan; :class:`LPReplanner` solves the
+Section-2.1 given-paths LP over the active sub-instance, built from scratch
+at every re-plan over one pinned interval grid.  The engine itself
+**memoizes the sub-instance** across re-plans: per-flow ``Flow`` objects
+are rebuilt only when their remaining volume changed, per-coflow sections
+only when membership or any member's volume changed, and the ``fid_map``
+object is *reused* whenever the active membership is unchanged.
 
 The service API is deliberately small::
 
@@ -86,8 +81,7 @@ __all__ = [
     "StaticPlanReplanner",
     "StreamingError",
     "StreamingScheduler",
-    "WarmLPReplanner",
-    "ColdLPReplanner",
+    "LPReplanner",
 ]
 
 #: Volumes below this are considered fully transferred (numerical guard).
@@ -946,75 +940,19 @@ class StreamingScheduler:
         )
 
 
-class WarmLPReplanner:
-    """LP-ordering replanner that warm-starts assembly across re-plans.
+class LPReplanner:
+    """LP-ordering replanner over a pinned interval grid.
 
     At every re-plan: route each *new* flow on its shortest path (flows that
     already moved volume arrive pre-pinned via ``pinned_paths``), solve the
-    Section-2.1 given-paths LP over the active sub-instance through a
-    persistent :class:`repro.lp.incremental.IncrementalGivenPathsLP`, and
-    order flows by LP completion time.
+    Section-2.1 given-paths LP over the active sub-instance with a fresh
+    ``GivenPathsLP``, and order flows by LP completion time.
 
-    The interval grid is **pinned** by ``horizon`` at construction (pass the
-    value of ``GivenPathsLP``'s default horizon for the *full* instance), so
-    every epoch's LP shares coefficients and the per-flow structure cache
-    stays valid.  :class:`ColdLPReplanner` makes the same decisions by
-    rebuilding from scratch over the same pinned grid — the equivalence
-    harness holds the two bit-identical, and the streaming bench measures
-    the wall-clock gap.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        horizon: float,
-        epsilon: Optional[float] = None,
-        allocator: str = "greedy",
-        use_basis: str = "never",
-    ) -> None:
-        from ..lp.incremental import IncrementalGivenPathsLP
-
-        self.assembler = IncrementalGivenPathsLP(
-            network, horizon=horizon, epsilon=epsilon, use_basis=use_basis
-        )
-        self.network = network
-        self.allocator = allocator
-        self.last_relaxation = None
-
-    def _routed(self, context: ReplanContext) -> Dict[FlowId, Tuple]:
-        paths: Dict[FlowId, Tuple] = {}
-        for sub, orig in context.fid_map.items():
-            pinned = context.pinned_paths.get(orig)
-            if pinned is not None:
-                paths[sub] = tuple(pinned)
-            else:
-                flow = context.instance.flow(sub)
-                paths[sub] = tuple(
-                    self.network.shortest_path(flow.source, flow.destination)
-                )
-        return paths
-
-    def __call__(self, context: ReplanContext) -> SimulationPlan:
-        paths = self._routed(context)
-        routed = context.instance.with_paths(paths)
-        self.assembler.sync(routed, stable_ids=context.fid_map)
-        relaxation = self.assembler.relax()
-        self.last_relaxation = relaxation
-        return SimulationPlan(
-            paths=paths,
-            order=relaxation.flow_order(),
-            name="warm-lp",
-            allocator=self.allocator,
-        )
-
-
-class ColdLPReplanner:
-    """The rebuild-from-scratch twin of :class:`WarmLPReplanner`.
-
-    Identical routing and ordering decisions, but every re-plan constructs a
-    fresh ``GivenPathsLP`` over the same pinned grid — the baseline the
-    streaming bench's ≥3× gate compares against, and the reference the
-    warm == cold exactness property is checked with.
+    The interval grid is **pinned** by ``horizon`` at construction (pass
+    ``GivenPathsLP``'s default horizon for the *full* instance): the default
+    horizon depends on the instance's total volume, which shrinks as flows
+    drain, so letting each epoch pick its own would move interval
+    boundaries between re-plans.
     """
 
     def __init__(
@@ -1057,6 +995,6 @@ class ColdLPReplanner:
         return SimulationPlan(
             paths=paths,
             order=relaxation.flow_order(),
-            name="cold-lp",
+            name="lp",
             allocator=self.allocator,
         )

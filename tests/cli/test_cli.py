@@ -515,7 +515,7 @@ class TestBench:
         assert "p99 decision ms" in stdout
         assert "setup ms/replan" in stdout
         assert "online events/sec" in stdout
-        assert "warm batched vs cold per-arrival throughput" in stdout
+        assert "batched vs per-arrival throughput" in stdout
         assert "resident session, 100k-flow stream" in stdout
 
         metadata = run_metadata(out, "streaming-smoke")
@@ -531,10 +531,8 @@ class TestBench:
         # The 100k session's online rate is recorded on every run, smoke
         # included, so the perf trajectory always carries it.
         assert set(record["streaming"]) == {
-            "cold / per-arrival",
-            "warm / per-arrival",
-            "cold / batched",
-            "warm / batched",
+            "per-arrival",
+            "batched",
             "resident / 100k",
         }
         assert record["streaming"]["resident / 100k"]["online_events_per_sec"] > 0

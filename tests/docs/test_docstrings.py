@@ -40,7 +40,8 @@ MODULES = [
     "repro.sim.plan",
     "repro.sim.simulator",
     "repro.sim.streaming",
-    "repro.lp.incremental",
+    "repro.lp.model",
+    "repro.lp.solver",
     "repro.workloads.generator",
     "repro.workloads.serialization",
 ]

@@ -1,14 +1,11 @@
-"""Property harness for the streaming scheduler service (ISSUE 8/9).
+"""Property harness for the streaming scheduler service.
 
-Five pillars:
+Four pillars:
 
 * **batch=1 == online** — a batch-size-1 :class:`StreamingScheduler`
   session reproduces :class:`OnlineFlowSimulator` bit-identically across a
   seeded topology × workload-family × allocator matrix (the online engine
   is the streaming service's special case, and must stay that way);
-* **warm == cold** — :class:`WarmLPReplanner`'s warm-started LP decisions
-  match :class:`ColdLPReplanner`'s rebuild-from-scratch decisions exactly
-  (``==``, no tolerance), including after coflow departures pruned the LP;
 * **staleness bound** — under any :class:`BatchPolicy`, no coflow waits
   longer than the policy's declared bound between arriving and being
   planned, and the realised re-plan times equal
@@ -21,7 +18,8 @@ Five pillars:
   every re-plan reproduces :class:`RebuildOracle`, the rebuild-per-epoch
   reference kept here as an executable oracle, bit-identically (``==``, no
   tolerance) on both kernel tiers, including under departures (free-list
-  recycling), buffer growth past the initial capacities, zero-size ghosts
+  recycling, and :class:`LPReplanner` re-solving its LP as coflows
+  leave), buffer growth past the initial capacities, zero-size ghosts
   and pause/resume splices; a single-epoch session equals the static
   simulator.
 """
@@ -32,11 +30,12 @@ import gc
 import pytest
 
 from repro.baselines import SEBFScheme
+from repro.circuit.given_paths import _default_horizon
 from repro.core import Coflow, CoflowInstance, Flow, topologies
 from repro.sim import (
     BatchPolicy,
-    ColdLPReplanner,
     FlowLevelSimulator,
+    LPReplanner,
     OnlineFlowSimulator,
     ResidentJitKernel,
     ResidentSimulationKernel,
@@ -44,7 +43,6 @@ from repro.sim import (
     StaticPlanReplanner,
     StreamingError,
     StreamingScheduler,
-    WarmLPReplanner,
     kernel_jit,
     make_kernel,
     paused_gc,
@@ -212,79 +210,6 @@ class TestBatchOneEqualsOnline:
             "bound": 0.0,
             "within_bound": 1.0,
         }
-
-
-# ------------------------------------------------------------ warm == cold
-
-class TestWarmEqualsCold:
-    def _horizon(self, instance, network):
-        from repro.circuit.given_paths import _default_horizon
-
-        routed = instance.with_paths(
-            {
-                fid: network.shortest_path(
-                    instance.flow(fid).source, instance.flow(fid).destination
-                )
-                for fid in instance.flow_ids()
-            }
-        )
-        return _default_horizon(routed, network)
-
-    @pytest.mark.parametrize(
-        "policy",
-        [BatchPolicy(max_batch=1), BatchPolicy(max_batch=2, max_delay=4.0)],
-        ids=["per-arrival", "batched"],
-    )
-    def test_exact_equality_with_departures(self, policy):
-        network, instance = staircase_stream()
-        horizon = self._horizon(instance, network)
-        warm_session = StreamingScheduler(
-            network, WarmLPReplanner(network, horizon), policy=policy
-        )
-        cold_session = StreamingScheduler(
-            network, ColdLPReplanner(network, horizon), policy=policy
-        )
-        warm = warm_session.run(instance)
-        cold = cold_session.run(instance)
-        assert_results_identical(warm, cold)
-        # The stream really exercises departures: some re-plan sees fewer
-        # active coflows than have been admitted by then.
-        admitted = 0
-        pruned = False
-        for entry in warm_session.decision_log:
-            admitted += entry["admitted"]
-            if entry["active_coflows"] < admitted:
-                pruned = True
-        assert pruned, "no coflow departed mid-stream; the case is too easy"
-
-    @pytest.mark.parametrize(
-        "policy",
-        [BatchPolicy(max_batch=1), BatchPolicy(max_batch=3, max_delay=5.0)],
-        ids=["per-arrival", "batched"],
-    )
-    def test_exact_equality_on_seeded_matrix(self, policy):
-        network, instance = seeded_case("leaf-spine", "poisson", seed=23)
-        horizon = self._horizon(instance, network)
-        warm = StreamingScheduler(
-            network, WarmLPReplanner(network, horizon), policy=policy
-        ).run(instance)
-        cold = StreamingScheduler(
-            network, ColdLPReplanner(network, horizon), policy=policy
-        ).run(instance)
-        assert_results_identical(warm, cold)
-
-    def test_warm_assembler_caches_across_epochs(self):
-        network, instance = staircase_stream()
-        horizon = self._horizon(instance, network)
-        replanner = WarmLPReplanner(network, horizon)
-        StreamingScheduler(
-            network, replanner, policy=BatchPolicy(max_batch=1)
-        ).run(instance)
-        stats = replanner.assembler.last_sync_stats
-        assert stats["flows"] >= 1
-        # Pinned mid-transfer flows keep their cached structure; only truly
-        # new arrivals miss.
-        assert replanner.assembler.warm_state.solves == 4
 
 
 # --------------------------------------------------------- staleness bound
@@ -593,6 +518,43 @@ class TestResidentEqualsRebuild:
         result = session.run(instance)
         assert_results_identical(result, oracle.run(instance))
         assert session._session_kernel.slots_reused > 0
+
+    @pytest.mark.parametrize("backend", TIERS)
+    @pytest.mark.parametrize(
+        "policy",
+        [BatchPolicy(max_batch=1), BatchPolicy(max_batch=2, max_delay=4.0)],
+        ids=["per-arrival", "batched"],
+    )
+    def test_lp_replanner_with_departures(self, policy, backend):
+        """The LP replanner re-solves its LP over one pinned grid while
+        coflows depart mid-stream; the session must still equal the
+        oracle."""
+        network, instance = staircase_stream()
+        routed = instance.with_paths(
+            {
+                fid: network.shortest_path(
+                    instance.flow(fid).source, instance.flow(fid).destination
+                )
+                for fid in instance.flow_ids()
+            }
+        )
+        horizon = _default_horizon(routed, network)
+        session, oracle = self._sessions(
+            network, lambda: LPReplanner(network, horizon), policy, backend
+        )
+        result = session.run(instance)
+        rebuild = oracle.run(instance)
+        assert_results_identical(result, rebuild)
+        assert_schedules_identical(result, rebuild, instance)
+        # The stream really exercises departures: some re-plan sees fewer
+        # active coflows than have been admitted by then.
+        admitted = 0
+        pruned = False
+        for entry in session.decision_log:
+            admitted += entry["admitted"]
+            if entry["active_coflows"] < admitted:
+                pruned = True
+        assert pruned, "no coflow departed mid-stream; the case is too easy"
 
     @pytest.mark.parametrize("backend", TIERS)
     def test_reroutes_of_unmoved_flows_are_identical(self, backend, monkeypatch):
