@@ -22,7 +22,7 @@ from __future__ import annotations
 import abc
 import random
 import re
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from ..core.flows import CoflowInstance, Flow, FlowId
 from ..core.network import Network, path_edges
@@ -35,8 +35,6 @@ __all__ = [
     "load_balanced_route",
     "respect_given_paths",
 ]
-
-Edge = Tuple[Hashable, Hashable]
 
 #: The default ``object.__repr__`` shape: ``<pkg.Cls object at 0x7f...>``
 #: (the qualname may itself contain ``<locals>`` for nested classes).
@@ -131,15 +129,14 @@ def random_route(
     Flows that already carry a path keep it.
     """
     paths = respect_given_paths(instance)
-    cache: Dict[Tuple[Hashable, Hashable], List[List[Hashable]]] = {}
     for i, j, flow in instance.iter_flows():
         fid = (i, j)
         if fid in paths:
             continue
-        key = (flow.source, flow.destination)
-        if key not in cache:
-            cache[key] = network.candidate_paths(*key, max_paths=max_paths)
-        paths[fid] = tuple(rng.choice(cache[key]))
+        candidates = network.candidate_set(
+            flow.source, flow.destination, max_paths=max_paths
+        )
+        paths[fid] = rng.choice(candidates.paths)
     return paths
 
 
@@ -156,17 +153,17 @@ def load_balanced_route(
     breaking ties by path length and then deterministically.
     Flows that already carry a path keep it (their load is still counted).
     """
-    load: Dict[Edge, float] = {}
-
-    def add_load(path: Sequence[Hashable], size: float) -> None:
-        for e in path_edges(list(path)):
-            load[e] = load.get(e, 0.0) + size / network.capacity(*e)
+    capacity = network.capacity_vector()
+    load = [0.0] * len(capacity)
 
     paths = respect_given_paths(instance)
+    index = network.edge_index()
     for fid, path in paths.items():
-        add_load(path, instance.flow(fid).size)
+        size = instance.flow(fid).size
+        for edge in path_edges(path):
+            e = index[edge]
+            load[e] += size / capacity[e]
 
-    cache: Dict[Tuple[Hashable, Hashable], List[List[Hashable]]] = {}
     unrouted = [
         ((i, j), flow)
         for i, j, flow in instance.iter_flows()
@@ -174,26 +171,29 @@ def load_balanced_route(
     ]
     unrouted.sort(key=lambda item: (-item[1].size, item[0]))
     for fid, flow in unrouted:
-        key = (flow.source, flow.destination)
-        if key not in cache:
-            cache[key] = network.candidate_paths(*key, max_paths=max_paths)
-        best_path: Optional[Sequence[Hashable]] = None
+        size = flow.size
+        candidates = network.candidate_set(
+            flow.source, flow.destination, max_paths=max_paths
+        )
+        best = 0
         best_cost: Optional[Tuple[float, float, int]] = None
-        for candidate in cache[key]:
+        for q, edge_ids in enumerate(candidates.edge_ids):
             worst = 0.0
             total = 0.0
-            for e in path_edges(candidate):
-                contribution = load.get(e, 0.0) + flow.size / network.capacity(*e)
-                worst = max(worst, contribution)
-                total += load.get(e, 0.0)
+            for e in edge_ids:
+                current = load[e]
+                contribution = current + size / capacity[e]
+                if contribution > worst:
+                    worst = contribution
+                total += current
             # Tie-break the bottleneck congestion by the total congestion so
             # flows spread over equal-cost paths even when an unavoidable
             # host uplink dominates the maximum.
-            ranking = (worst, total, len(candidate))
+            ranking = (worst, total, len(edge_ids))
             if best_cost is None or ranking < best_cost:
                 best_cost = ranking
-                best_path = candidate
-        assert best_path is not None
-        paths[fid] = tuple(best_path)
-        add_load(best_path, flow.size)
+                best = q
+        paths[fid] = candidates.paths[best]
+        for e in candidates.edge_ids[best]:
+            load[e] += size / capacity[e]
     return paths

@@ -179,6 +179,12 @@ class Orderer(Stage):
 
 # ------------------------------------------------------------------ routers
 
+def _require_path_count(name: str, value: int) -> None:
+    """Reject candidate-set sizes below one (an empty set routes nothing)."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RandomRouter(Router):
     """Uniformly random choice among the candidate shortest paths.
@@ -191,6 +197,9 @@ class RandomRouter(Router):
 
     seed: Optional[int] = 0
     max_paths: int = 16
+
+    def __post_init__(self) -> None:
+        _require_path_count("max_paths", self.max_paths)
 
     def route(self, context: PlanContext) -> Dict[FlowId, Tuple[Hashable, ...]]:
         """Route every flow on a random candidate path (seeded)."""
@@ -209,6 +218,9 @@ class BalancedRouter(Router):
     key: ClassVar[str] = "balanced"
 
     max_paths: int = 16
+
+    def __post_init__(self) -> None:
+        _require_path_count("max_paths", self.max_paths)
 
     def route(self, context: PlanContext) -> Dict[FlowId, Tuple[Hashable, ...]]:
         """Route flows largest-first onto the least-congested candidates."""
@@ -234,6 +246,9 @@ class LPRouter(Router):
     max_candidate_paths: int = 16
     seed: Optional[int] = 0
     path_selection: str = "thickest"
+
+    def __post_init__(self) -> None:
+        _require_path_count("max_candidate_paths", self.max_candidate_paths)
 
     def route(self, context: PlanContext) -> Dict[FlowId, Tuple[Hashable, ...]]:
         """Solve the routing LP and round to one path per flow."""

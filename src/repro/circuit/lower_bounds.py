@@ -22,7 +22,7 @@ makes them ideal oracles for property-based tests.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
 import numpy as np
 
@@ -40,28 +40,15 @@ __all__ = [
 
 
 def widest_bottleneck(
-    network: Network,
-    source: Hashable,
-    destination: Hashable,
-    cache: Optional[Dict[Tuple[Hashable, Hashable], float]] = None,
+    network: Network, source: Hashable, destination: Hashable
 ) -> float:
     """Bottleneck capacity of the widest ``source -> destination`` path.
 
-    Pass a ``cache`` dict to memoize across calls: flows of one instance
-    share a handful of endpoint pairs, and the widest-path search is by far
-    the most expensive part of every transfer bound (and of the LP builders'
-    transfer-strengthening rows).
+    Memoized per endpoint pair on the network
+    (:meth:`~repro.core.network.Network.widest_bottleneck`): flows share a
+    handful of endpoint pairs, and a topology serves a whole sweep.
     """
-    if cache is None:
-        widest = network.widest_path(source, destination)
-        return network.bottleneck_capacity(widest)
-    key = (source, destination)
-    bottleneck = cache.get(key)
-    if bottleneck is None:
-        widest = network.widest_path(source, destination)
-        bottleneck = network.bottleneck_capacity(widest)
-        cache[key] = bottleneck
-    return bottleneck
+    return network.widest_bottleneck(source, destination)
 
 
 def flow_transfer_lower_bound(
@@ -87,14 +74,12 @@ def flow_transfer_lower_bounds(
     pair.  This is what the LP builders use for their transfer-strengthening
     rows.
     """
-    cache: Dict[Tuple[Hashable, Hashable], float] = {}
     bounds = []
     for _i, _j, flow in instance.iter_flows():
         if flow.size > 0:
             bounds.append(
                 flow.release_time
-                + flow.size
-                / widest_bottleneck(network, flow.source, flow.destination, cache)
+                + flow.size / widest_bottleneck(network, flow.source, flow.destination)
             )
         else:
             bounds.append(flow.release_time)
@@ -106,13 +91,12 @@ def coflow_transfer_lower_bound(
 ) -> float:
     """Max transfer bound over the coflow's flows."""
     bound = 0.0
-    cache: Dict[Tuple[Hashable, Hashable], float] = {}
     for flow in instance[coflow_index].flows:
         if flow.size <= 0:
             candidate = flow.release_time
         else:
             candidate = flow.release_time + flow.size / widest_bottleneck(
-                network, flow.source, flow.destination, cache
+                network, flow.source, flow.destination
             )
         bound = max(bound, candidate)
     return bound

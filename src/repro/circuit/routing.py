@@ -357,19 +357,15 @@ class RoutingLP:
 
     # ----------------------------------------------------------- path builder
     def candidate_paths(self) -> Dict[FlowId, List[List[Hashable]]]:
-        """Candidate path set per flow (cached)."""
+        """Candidate path set per flow (cached; the network memoizes Yen's runs)."""
         if not self._candidate_paths:
-            cache: Dict[Tuple[Hashable, Hashable], List[List[Hashable]]] = {}
             for i, j, flow in self.instance.iter_flows():
-                key = (flow.source, flow.destination)
-                if key not in cache:
-                    cache[key] = self.network.candidate_paths(
-                        flow.source,
-                        flow.destination,
-                        max_paths=self.max_candidate_paths,
-                        stretch=self.path_stretch,
-                    )
-                self._candidate_paths[(i, j)] = cache[key]
+                self._candidate_paths[(i, j)] = self.network.candidate_paths(
+                    flow.source,
+                    flow.destination,
+                    max_paths=self.max_candidate_paths,
+                    stretch=self.path_stretch,
+                )
         return self._candidate_paths
 
     def _build_path(self) -> LinearProgram:

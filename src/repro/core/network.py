@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import networkx as nx
 
-__all__ = ["Network", "Edge", "path_edges"]
+__all__ = ["Network", "Edge", "CandidateSet", "path_edges"]
 
 Node = Hashable
 Edge = Tuple[Node, Node]
@@ -38,8 +38,44 @@ def path_edges(path: Sequence[Node]) -> List[Edge]:
     return list(zip(path[:-1], path[1:]))
 
 
+class CandidateSet(NamedTuple):
+    """One memoized candidate path set (see :meth:`Network.candidate_set`).
+
+    Shared by every caller that asks for the same key, hence immutable.
+    """
+
+    #: Node paths in Yen's order (shortest first); never empty.
+    paths: Tuple[Tuple[Node, ...], ...]
+    #: Each path's edges as ids of :meth:`Network.edge_index`, aligned with
+    #: ``paths``.
+    edge_ids: Tuple[Tuple[int, ...], ...]
+
+
+class _PathMemo:
+    """The path facts of one topology, filled lazily.
+
+    The network replaces it with an empty one on every edit, so a fact is
+    never served for a graph other than the one it was computed on.
+    """
+
+    def __init__(self) -> None:
+        self.edge_index: Optional[Dict[Edge, int]] = None
+        self.capacity_vector: Optional[Tuple[float, ...]] = None
+        #: ``(source, target, max_paths, stretch)`` -> candidate set.
+        self.candidates: Dict[Tuple[Node, Node, int, int], CandidateSet] = {}
+        #: ``(source, target)`` -> widest-path bottleneck capacity.
+        self.widest: Dict[Tuple[Node, Node], float] = {}
+
+
 class Network:
     """A directed, capacitated network.
+
+    A topology is fixed for a whole sweep or stream, so its path facts
+    (edge index, capacity vector, candidate sets, widest-path bottlenecks)
+    are memoized on first use and dropped by :meth:`add_node` and
+    :meth:`add_edge`.  Build and edit the topology through those methods
+    only: :attr:`graph` must stay read-only, because mutating it directly
+    bypasses the memo and leaves stale paths behind.
 
     Parameters
     ----------
@@ -60,19 +96,19 @@ class Network:
             raise ValueError("default capacity must be positive")
         self.default_capacity = float(default_capacity)
         self._graph = nx.DiGraph()
+        self._memo = _PathMemo()
         if graph is not None:
             for node in graph.nodes:
                 self._graph.add_node(node)
             for u, v, data in graph.edges(data=True):
                 cap = float(data.get("capacity", default_capacity))
                 self.add_edge(u, v, capacity=cap)
-        self._edge_index_cache: Optional[Dict[Edge, int]] = None
 
     # ------------------------------------------------------------------ build
     def add_node(self, node: Node) -> None:
         """Add an isolated node."""
         self._graph.add_node(node)
-        self._edge_index_cache = None
+        self._memo = _PathMemo()
 
     def add_edge(self, u: Node, v: Node, capacity: Optional[float] = None) -> None:
         """Add the directed edge ``u -> v`` with the given capacity."""
@@ -82,7 +118,7 @@ class Network:
         if cap <= 0:
             raise ValueError(f"edge capacity must be positive, got {cap}")
         self._graph.add_edge(u, v, capacity=cap)
-        self._edge_index_cache = None
+        self._memo = _PathMemo()
 
     def add_bidirectional_edge(
         self, u: Node, v: Node, capacity: Optional[float] = None
@@ -94,7 +130,7 @@ class Network:
     # -------------------------------------------------------------- accessors
     @property
     def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (treat as read-only)."""
+        """The underlying directed graph (read-only: edits bypass the memo)."""
         return self._graph
 
     @property
@@ -150,11 +186,22 @@ class Network:
 
     def edge_index(self) -> Dict[Edge, int]:
         """Deterministic ``edge -> column index`` mapping for LP layouts."""
-        if self._edge_index_cache is None:
-            self._edge_index_cache = {
+        memo = self._memo
+        if memo.edge_index is None:
+            memo.edge_index = {
                 e: i for i, e in enumerate(sorted(self._graph.edges, key=repr))
             }
-        return self._edge_index_cache
+        return memo.edge_index
+
+    def capacity_vector(self) -> Tuple[float, ...]:
+        """Edge capacities indexed by the ids of :meth:`edge_index`."""
+        memo = self._memo
+        if memo.capacity_vector is None:
+            graph = self._graph
+            memo.capacity_vector = tuple(
+                float(graph[u][v]["capacity"]) for u, v in self.edge_index()
+            )
+        return memo.capacity_vector
 
     # ------------------------------------------------------------------ paths
     def shortest_path(self, source: Node, target: Node) -> List[Node]:
@@ -212,19 +259,54 @@ class Network:
         """Candidate path set used by the path-based LP formulation.
 
         Returns up to ``max_paths`` simple paths whose length is within
-        ``stretch`` hops of the shortest path.  With ``stretch=0`` this is the
-        set of equal-cost shortest paths (ECMP set), which on a fat-tree is
-        exactly the set the paper's flow decomposition ends up using.
+        ``stretch`` hops of the shortest path, in Yen's order (shortest
+        first).  With ``stretch=0`` this is the set of equal-cost shortest
+        paths (ECMP set), which on a fat-tree is exactly the set the paper's
+        flow decomposition ends up using.  The lists are fresh copies of the
+        memoized :meth:`candidate_set`, so callers may mutate them.
         """
-        shortest = self.shortest_path_length(source, target)
-        paths: List[List[Node]] = []
-        for path in nx.shortest_simple_paths(self._graph, source, target):
-            if len(path) - 1 > shortest + stretch:
-                break
-            paths.append(list(path))
-            if len(paths) >= max_paths:
-                break
-        return paths
+        found = self.candidate_set(source, target, max_paths, stretch)
+        return [list(path) for path in found.paths]
+
+    def candidate_set(
+        self,
+        source: Node,
+        target: Node,
+        max_paths: int = 16,
+        stretch: int = 0,
+    ) -> CandidateSet:
+        """The memoized candidate set behind :meth:`candidate_paths`.
+
+        Yen's algorithm (``nx.shortest_simple_paths``) runs once per
+        ``(source, target, max_paths, stretch)`` for the life of the
+        topology; later calls return the same immutable
+        :class:`CandidateSet`, with each path's edge ids precomputed for
+        load arrays indexed like :meth:`capacity_vector`.  Raises
+        ``ValueError`` for ``max_paths < 1``, ``stretch < 0`` or an
+        unreachable target.
+        """
+        if max_paths < 1:
+            raise ValueError(f"max_paths must be at least 1, got {max_paths!r}")
+        if stretch < 0:
+            raise ValueError(f"stretch must be non-negative, got {stretch!r}")
+        key = (source, target, max_paths, stretch)
+        memo = self._memo
+        found = memo.candidates.get(key)
+        if found is None:
+            shortest = self.shortest_path_length(source, target)
+            paths: List[Tuple[Node, ...]] = []
+            for path in nx.shortest_simple_paths(self._graph, source, target):
+                if len(path) - 1 > shortest + stretch:
+                    break
+                paths.append(tuple(path))
+                if len(paths) >= max_paths:
+                    break
+            index = self.edge_index()
+            edge_ids = tuple(
+                tuple(index[edge] for edge in zip(path, path[1:])) for path in paths
+            )
+            found = memo.candidates[key] = CandidateSet(tuple(paths), edge_ids)
+        return found
 
     def bottleneck_capacity(self, path: Sequence[Node]) -> float:
         """Minimum edge capacity along a path (``c_m`` in Lemma 2)."""
@@ -276,6 +358,21 @@ class Network:
             path.append(parent[path[-1]])
         path.reverse()
         return path
+
+    def widest_bottleneck(self, source: Node, target: Node) -> float:
+        """Bottleneck capacity of :meth:`widest_path`, memoized per pair.
+
+        Flows share a handful of endpoint pairs, and the widest-path search
+        is the most expensive part of every transfer lower bound (and of the
+        LP builders' transfer-strengthening rows).
+        """
+        key = (source, target)
+        widest = self._memo.widest
+        bottleneck = widest.get(key)
+        if bottleneck is None:
+            bottleneck = self.bottleneck_capacity(self.widest_path(source, target))
+            widest[key] = bottleneck
+        return bottleneck
 
     # -------------------------------------------------------------- utilities
     def validate_path(self, path: Sequence[Node]) -> None:

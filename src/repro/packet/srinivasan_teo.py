@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..core.flows import CoflowInstance, FlowId
 from ..core.network import Network, path_edges
@@ -85,14 +85,13 @@ def route_packets(
         if (i, j) not in paths
     ]
     rng.shuffle(pending)
-    cache: Dict[Tuple[Hashable, Hashable], List[List[Hashable]]] = {}
     for i, j, flow in pending:
-        key = (flow.source, flow.destination)
-        if key not in cache:
-            cache[key] = network.candidate_paths(*key, max_paths=max_paths)
+        candidates = network.candidate_set(
+            flow.source, flow.destination, max_paths=max_paths
+        )
         best: Optional[Sequence[Hashable]] = None
         best_cost: Optional[Tuple[int, int, int]] = None
-        for candidate in cache[key]:
+        for candidate in candidates.paths:
             edges = path_edges(candidate)
             worst = max(load.get(e, 0) for e in edges) + 1
             total = sum(load.get(e, 0) for e in edges)

@@ -178,10 +178,7 @@ class ResidentSimulationKernel:
         self.edge_list: List[Tuple[Hashable, Hashable]] = [None] * len(edge_index)
         for edge, idx in edge_index.items():
             self.edge_list[idx] = edge
-        capacities = network.capacities()
-        self._caps: List[float] = [0.0] * len(edge_index)
-        for edge, idx in edge_index.items():
-            self._caps[idx] = capacities[edge]
+        self._caps: List[float] = list(network.capacity_vector())
 
         # Event-loop state (rebuilt per epoch by begin_epoch).  Incremental
         # greedy state: previous rates, cached grants, and flow-level dirty

@@ -9,8 +9,10 @@ from repro.baselines import (
     ORDERERS,
     ROUTERS,
     SCHEME_ALIASES,
+    BalancedRouter,
     BaselineScheme,
     LPOrderer,
+    LPRouter,
     OnlineScheme,
     PipelineScheme,
     PlanContext,
@@ -107,6 +109,18 @@ class TestGrammarErrors:
             ("nope", "unknown scheme 'nope'"),
             ("nope", "known scheme names: "),
             ("nope", "pipeline(router="),
+            (
+                "pipeline(router=random(max_paths=0), order=random)",
+                "invalid parameters for router 'random': max_paths must be at least 1",
+            ),
+            (
+                "pipeline(router=balanced(max_paths=-2), order=sebf)",
+                "invalid parameters for router 'balanced': max_paths must be at least 1",
+            ),
+            (
+                "pipeline(router=lp(max_candidate_paths=0), order=lp)",
+                "invalid parameters for router 'lp': max_candidate_paths must be at least 1",
+            ),
         ],
     )
     def test_errors_name_the_bad_piece(self, text, fragment):
@@ -170,6 +184,19 @@ class TestStages:
         order = LPOrderer(epsilon=0.25).order(context)
         assert sorted(order) == sorted(instance.flow_ids())
         assert "last_relaxation" in context.diagnostics  # really solved
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RandomRouter(max_paths=0),
+            lambda: BalancedRouter(max_paths=-1),
+            lambda: LPRouter(max_candidate_paths=0),
+        ],
+        ids=["random", "balanced", "lp"],
+    )
+    def test_routers_reject_empty_candidate_sets(self, make):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            make()
 
     def test_int_parameters_reject_fractional_floats(self):
         with pytest.raises(ValueError, match="expected an integer for 'max_paths'"):

@@ -12,6 +12,10 @@ families, that each legacy name produces **bit-identical**
 tolerance) to its reference.  The online wrappers ride along: the
 ``online=true`` flag must reproduce the former ``OnlineScheme`` wrapper's
 re-planning runs exactly.
+
+The legacy plans route through :mod:`.reference_routing`, the routers as
+they stood before candidate sets were memoized on the network, so the
+memoized edge-id routers are checked against an independent copy.
 """
 
 import random
@@ -34,6 +38,8 @@ from repro.core.network import path_edges
 from repro.sim import FlowLevelSimulator, OnlineFlowSimulator, SimulationPlan
 from repro.workloads import CoflowGenerator, WorkloadConfig
 
+from . import reference_routing
+
 
 # ----------------------------------------------------- legacy reference plans
 # Verbatim copies of the pre-refactor Scheme.plan() bodies (PR 4 state).
@@ -41,7 +47,7 @@ from repro.workloads import CoflowGenerator, WorkloadConfig
 def legacy_baseline_plan(instance, network, seed=0, max_paths=16):
     """The deleted BaselineScheme.plan: one rng routes then shuffles."""
     rng = random.Random(seed)
-    paths = random_route(instance, network, rng, max_paths=max_paths)
+    paths = reference_routing.random_route(instance, network, rng, max_paths=max_paths)
     order = list(instance.flow_ids())
     rng.shuffle(order)
     return SimulationPlan(paths=paths, order=order, name="Baseline")
@@ -50,7 +56,7 @@ def legacy_baseline_plan(instance, network, seed=0, max_paths=16):
 def legacy_schedule_only_plan(instance, network, seed=0, max_paths=16):
     """The deleted ScheduleOnlyScheme.plan."""
     rng = random.Random(seed)
-    paths = random_route(instance, network, rng, max_paths=max_paths)
+    paths = reference_routing.random_route(instance, network, rng, max_paths=max_paths)
 
     def min_completion(fid):
         flow = instance.flow(fid)
@@ -63,7 +69,9 @@ def legacy_schedule_only_plan(instance, network, seed=0, max_paths=16):
 
 def legacy_route_only_plan(instance, network, max_paths=16):
     """The deleted RouteOnlyScheme.plan."""
-    paths = load_balanced_route(instance, network, max_paths=max_paths)
+    paths = reference_routing.load_balanced_route(
+        instance, network, max_paths=max_paths
+    )
     return SimulationPlan(
         paths=paths, order=list(instance.flow_ids()), name="Route-only"
     )
@@ -71,7 +79,9 @@ def legacy_route_only_plan(instance, network, max_paths=16):
 
 def legacy_sebf_plan(instance, network, max_paths=16):
     """The deleted SEBFScheme.plan."""
-    paths = load_balanced_route(instance, network, max_paths=max_paths)
+    paths = reference_routing.load_balanced_route(
+        instance, network, max_paths=max_paths
+    )
 
     def coflow_bottleneck(index):
         loads = {}
@@ -239,6 +249,95 @@ class TestStaticEquivalence:
         scheme = scheme_from_spec("LP-Based (given paths)")
         reference = legacy_lp_given_paths_plan(routed, network)
         assert_bit_identical(routed, network, scheme, reference)
+
+
+# ---------------------------------------------------------- router oracle
+
+#: The lp-sweep fat-tree and both perfbench leaf-spines, each with a
+#: smoke-sized workload: (topology, coflows, width).
+ORACLE_CASES = [
+    pytest.param("fat_tree(k=4)", 4, 8, id="fat_tree-k4"),
+    pytest.param(
+        "leaf_spine(num_leaves=8, num_spines=8, hosts_per_leaf=16)",
+        10,
+        5,
+        id="leaf_spine-128",
+    ),
+    pytest.param(
+        "leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=2)",
+        12,
+        8,
+        id="leaf_spine-8",
+    ),
+]
+
+
+def oracle_case(topology, num_coflows, width, seed):
+    """A fresh network plus an instance where every fifth flow has a path.
+
+    The given paths come from ``all_shortest_paths``, which bypasses the
+    network's candidate memo, so the network starts with an empty memo.
+    """
+    config = WorkloadConfig(
+        num_coflows=num_coflows,
+        coflow_width=width,
+        mean_flow_size=3.0,
+        coflow_arrival_rate=0.5,
+        seed=900 + seed,
+        topology=topology,
+    )
+    network = config.build_network()
+    instance = CoflowGenerator(network, config).instance()
+    given = {
+        fid: network.all_shortest_paths(
+            instance.flow(fid).source, instance.flow(fid).destination
+        )[-1]
+        for k, fid in enumerate(instance.flow_ids())
+        if k % 5 == 0
+    }
+    return network, instance.with_paths(given)
+
+
+class TestRouterOracle:
+    """The memoized edge-id routers == the per-call-dict reference, cold and warm."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("topology,num_coflows,width", ORACLE_CASES)
+    def test_balanced_paths_on_fresh_then_warm_memo(
+        self, topology, num_coflows, width, seed
+    ):
+        network, instance = oracle_case(topology, num_coflows, width, seed)
+        for memo in ("fresh", "warm"):
+            paths = load_balanced_route(instance, network)
+            expected = reference_routing.load_balanced_route(instance, network)
+            assert list(paths.items()) == list(expected.items()), memo
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("topology,num_coflows,width", ORACLE_CASES)
+    def test_random_paths_on_fresh_then_warm_memo(
+        self, topology, num_coflows, width, seed
+    ):
+        network, instance = oracle_case(topology, num_coflows, width, seed)
+        for memo in ("fresh", "warm"):
+            paths = random_route(instance, network, random.Random(seed))
+            expected = reference_routing.random_route(
+                instance, network, random.Random(seed)
+            )
+            assert list(paths.items()) == list(expected.items()), memo
+
+    @pytest.mark.parametrize("name", ["Route-only", "SEBF", "Baseline"])
+    @pytest.mark.parametrize("topology,num_coflows,width", ORACLE_CASES)
+    def test_simulate_equal_on_fresh_then_warm_memo(
+        self, name, topology, num_coflows, width
+    ):
+        network, instance = oracle_case(topology, num_coflows, width, 0)
+        scheme = build_schemes([name])[0]
+        fresh_plan = scheme.plan(instance, network)
+        reference = LEGACY_PLANS[name](instance, network)
+        reference.allocator = LEGACY_ALLOCATORS.get(name, "greedy")
+        assert list(fresh_plan.paths.items()) == list(reference.paths.items())
+        # Plans again and simulates, now with the memo warm.
+        assert_bit_identical(instance, network, scheme, reference)
 
 
 class TestOnlineEquivalence:

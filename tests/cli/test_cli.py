@@ -480,7 +480,9 @@ class TestBench:
         timings = metadata["timings"]
         assert "pipeline(router=lp, order=lp)" in timings
         for breakdown in timings.values():
-            assert set(breakdown) == {"route_ms", "order_ms", "plan_ms"}
+            assert set(breakdown) == {
+                "route_cold_ms", "route_ms", "order_ms", "plan_ms",
+            }
 
     def test_fig3_smoke_suite(self, tmp_path, capsys):
         out = tmp_path / "artifacts"

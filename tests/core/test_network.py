@@ -1,9 +1,11 @@
 """Unit tests for the capacitated network substrate."""
 
+import itertools
+
 import networkx as nx
 import pytest
 
-from repro.core import Network
+from repro.core import Network, topologies
 from repro.core.network import path_edges
 
 
@@ -142,6 +144,15 @@ class TestPaths:
     def test_candidate_paths_max_paths(self, diamond):
         assert len(diamond.candidate_paths("a", "d", max_paths=1)) == 1
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_paths": 0}, {"max_paths": -1}, {"stretch": -1}]
+    )
+    def test_candidate_paths_reject_meaningless_parameters(self, diamond, kwargs):
+        with pytest.raises(ValueError, match="max_paths|stretch"):
+            diamond.candidate_paths("a", "d", **kwargs)
+        with pytest.raises(ValueError, match="max_paths|stretch"):
+            diamond.candidate_set("a", "d", **kwargs)
+
     def test_bottleneck_capacity(self, diamond):
         assert diamond.bottleneck_capacity(["a", "c", "d"]) == 3.0
         assert diamond.bottleneck_capacity(["a", "b", "d"]) == 2.0
@@ -169,6 +180,115 @@ class TestPaths:
             diamond.validate_path(["a", "d"])
         with pytest.raises(ValueError, match="two nodes"):
             diamond.validate_path(["a"])
+
+
+def yen_reference(graph, source, target, max_paths):
+    """The leading ``nx.shortest_simple_paths``, cut at the shortest length."""
+    paths = []
+    for path in nx.shortest_simple_paths(graph, source, target):
+        if paths and len(path) > len(paths[0]):
+            break
+        paths.append(path)
+        if len(paths) == max_paths:
+            break
+    return paths
+
+
+class TestPathMemo:
+    """Path facts are memoized per topology, in Yen's order, and dropped on edits."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: topologies.fat_tree(4),
+            lambda: topologies.leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=2),
+        ],
+        ids=["fat_tree-k4", "leaf_spine-8"],
+    )
+    def test_candidate_paths_keep_yen_order_cold_and_warm(self, build):
+        network = build()
+        pairs = list(itertools.permutations(topologies.host_nodes(network), 2))
+        expected = {
+            (s, t, m): yen_reference(network.graph, s, t, m)
+            for s, t in pairs
+            for m in (16, 2)
+        }
+        for memo in ("cold", "warm"):
+            for (s, t, m), paths in expected.items():
+                assert network.candidate_paths(s, t, max_paths=m) == paths, memo
+
+    def test_edge_ids_and_capacity_vector_align_with_edge_index(self, diamond):
+        found = diamond.candidate_set("a", "d")
+        index = diamond.edge_index()
+        capacity = diamond.capacity_vector()
+        assert found.paths == (("a", "b", "d"), ("a", "c", "d"))
+        for path, edge_ids in zip(found.paths, found.edge_ids):
+            assert edge_ids == tuple(index[e] for e in path_edges(path))
+        for edge, e in index.items():
+            assert capacity[e] == diamond.capacity(*edge)
+
+    def test_widest_bottleneck_is_memoized_per_pair(self, diamond):
+        expected = {("a", "d"): 3.0, ("a", "b"): 2.0, ("a", "c"): 5.0, ("b", "d"): 2.0}
+        for memo in ("cold", "warm"):
+            for (s, t), bottleneck in expected.items():
+                assert diamond.widest_bottleneck(s, t) == bottleneck, memo
+
+    def test_returned_lists_are_copies(self, diamond):
+        paths = diamond.candidate_paths("a", "d")
+        paths[0].append("x")
+        paths.pop()
+        assert diamond.candidate_paths("a", "d") == [["a", "b", "d"], ["a", "c", "d"]]
+
+    def test_construction_computes_nothing_and_queries_run_once(self, monkeypatch):
+        calls = []
+        original = nx.shortest_simple_paths
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nx, "shortest_simple_paths", counting)
+        network = topologies.fat_tree(4)
+        assert calls == []
+        network.candidate_paths("host_0", "host_5")
+        network.candidate_paths("host_0", "host_5")
+        assert len(calls) == 1
+        network.candidate_paths("host_0", "host_5", max_paths=2)
+        assert len(calls) == 2
+
+    def test_add_edge_invalidates_candidate_sets(self, diamond):
+        assert len(diamond.candidate_paths("a", "d")) == 2
+        diamond.add_edge("a", "d", capacity=1.0)
+        assert diamond.candidate_paths("a", "d") == [["a", "d"]]
+        assert diamond.candidate_set("a", "d").edge_ids == (
+            (diamond.edge_index()[("a", "d")],),
+        )
+
+    def test_re_adding_an_edge_invalidates_capacity_facts(self, diamond):
+        e = diamond.edge_index()[("c", "d")]
+        assert diamond.widest_bottleneck("a", "d") == 3.0
+        assert diamond.capacity_vector()[e] == 3.0
+        diamond.add_edge("c", "d", capacity=1.0)
+        assert diamond.widest_bottleneck("a", "d") == 2.0
+        assert diamond.capacity_vector()[e] == 1.0
+
+    def test_add_node_invalidates(self, diamond):
+        found = diamond.candidate_set("a", "d")
+        index = diamond.edge_index()
+        diamond.add_node("solo")
+        assert diamond.candidate_set("a", "d") is not found
+        assert diamond.candidate_set("a", "d") == found
+        assert diamond.edge_index() is not index
+
+    def test_copies_start_with_an_empty_memo(self, diamond):
+        found = diamond.candidate_set("a", "d")
+        assert diamond.widest_bottleneck("a", "d") == 3.0
+        clone = diamond.copy()
+        assert clone.candidate_set("a", "d") is not found
+        assert clone.candidate_set("a", "d") == found
+        scaled = diamond.scaled_capacities(10.0)
+        assert scaled.widest_bottleneck("a", "d") == 30.0
+        assert sorted(scaled.capacity_vector()) == [20.0, 20.0, 30.0, 50.0]
 
 
 class TestUtilities:
