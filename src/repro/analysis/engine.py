@@ -134,7 +134,7 @@ def _execute_task(
 
     Dispatches through :meth:`~repro.baselines.base.Scheme.simulate`, so
     online schemes run their arrival-driven re-planning loop while static
-    schemes plan once and execute on the array kernel.
+    schemes plan once and execute as one kernel session.
     """
     instance = CoflowGenerator(network, task.config).instance()
     result = scheme.simulate(instance, network, simulator)

@@ -134,7 +134,7 @@ class PipelineScheme(Scheme):
     def simulate(self, instance: CoflowInstance, network: Network, simulator=None):
         """Execute the scheme: static single plan, or arrival-driven re-plans.
 
-        Static pipelines plan once and run on the array kernel (via the
+        Static pipelines plan once and run as one kernel session (via the
         base-class path).  Online pipelines hand a replanner to the
         :class:`~repro.sim.online.OnlineFlowSimulator`: at every coflow
         arrival the *same* stage composition re-plans the currently known,

@@ -757,7 +757,13 @@ def run_simulator(
     """
     from ..analysis.artifacts import strict_config_from_dict
     from ..baselines import OnlineScheme, SEBFScheme
-    from ..sim import FlowLevelSimulator, kernel_jit, make_kernel, paused_gc
+    from ..sim import (
+        FlowLevelSimulator,
+        kernel_jit,
+        make_kernel,
+        paused_gc,
+        resolve_backend,
+    )
     from ..sim.simulator import load_plan
     from ..workloads import CoflowGenerator
 
@@ -947,6 +953,8 @@ def run_simulator(
                 "events": gate_events,
             },
             "jit_available": jit_available,
+            # The tier unpinned rows (the online row) ran on.
+            "default_backend": resolve_backend(None),
             "events_per_sec": events_per_sec,
             "speedups": speedups,
         }
@@ -1094,6 +1102,7 @@ def run_streaming(
         StaticPlanReplanner,
         StreamingScheduler,
         kernel_jit,
+        resolve_backend,
     )
     from ..workloads import CoflowGenerator
 
@@ -1259,6 +1268,8 @@ def run_streaming(
                 "events": res_report["events"],
             },
             "gate_backend": gate_backend,
+            # The tier the unpinned per-arrival and batched sessions ran on.
+            "default_backend": resolve_backend(None),
             "policy": dict(_STREAMING_POLICY),
             "streaming": {
                 label: report

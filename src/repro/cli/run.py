@@ -120,7 +120,7 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
         "(compiled tier, falls back to array when no C toolchain is "
         "available) or 'auto'; backends are bit-identical, so this only "
         "affects speed (default: the REPRO_SIM_BACKEND environment "
-        "variable, then 'array')",
+        "variable, then 'auto')",
     )
     parser.add_argument(
         "--output", type=Path, metavar="FILE", help="write the JSON here instead of stdout"

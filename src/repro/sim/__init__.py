@@ -3,10 +3,13 @@
 Three layers (see ``docs/simulator.md``):
 
 * :mod:`repro.sim.kernel` — the event core, a resident session over slot
-  state (:class:`ResidentSimulationKernel`, the Python tier);
+  state (:class:`ResidentSimulationKernel`, the Python tier: the
+  no-compiler fallback, the non-greedy and custom allocators, and the
+  oracle of the compiled tier);
 * :mod:`repro.sim.kernel_jit` — the compiled tier of the same session
-  (:class:`ResidentJitKernel`, bit-identical, greedy allocator only,
-  selected via ``backend="jit"`` / ``REPRO_SIM_BACKEND``);
+  (:class:`ResidentJitKernel`, bit-identical, greedy allocator only; an
+  unpinned run gets it wherever its C core builds, and
+  ``backend="array"`` / ``REPRO_SIM_BACKEND=array`` opts out);
 * :mod:`repro.sim.allocators` — pluggable per-event rate policies;
 * :mod:`repro.sim.streaming` — the long-running scheduler service:
   batched re-planning with a staleness bound, the LP replanner,

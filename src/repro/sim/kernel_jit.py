@@ -1007,7 +1007,9 @@ class ResidentJitKernel(ResidentSimulationKernel):
         if allocator is not None and allocator != "greedy":
             raise ValueError(
                 f"the compiled kernel tier only lowers the greedy "
-                f"allocator; the plan switched to {allocator!r} mid-session"
+                f"allocator; the plan switched to {allocator!r} mid-session "
+                f'(pin backend="array" for a replanner that switches '
+                f"allocators)"
             )
         if now + _TIME_EPS < self.now:
             raise ValueError(

@@ -73,7 +73,10 @@ class OnlineFlowSimulator:
         Optional per-epoch event cap forwarded to each kernel epoch.
     backend:
         Kernel backend of each run's session (``"array"``, ``"jit"``,
-        ``"auto"`` or ``None`` — defer to the first plan / environment).
+        ``"auto"`` or ``None`` — defer to the first plan / environment,
+        then resolve like ``"auto"``).  A replanner that switches away
+        from the greedy allocator needs ``backend="array"``: a compiled
+        session keeps the allocator of its first plan.
         Epoch splicing is backend-agnostic: the compiled tier pauses at
         arrival deadlines with exactly the Python tier's semantics.
     """

@@ -45,7 +45,8 @@ class SimulationPlan:
         Kernel backend this plan requests: ``"array"`` (the Python array
         kernel), ``"jit"`` (the compiled kernel tier,
         :mod:`repro.sim.kernel_jit`) or ``None`` (default — defer to the
-        ``REPRO_SIM_BACKEND`` environment variable, then to ``"array"``).
+        ``REPRO_SIM_BACKEND`` environment variable, then to ``"auto"``:
+        the compiled tier wherever its C core builds).
         Backends are bit-identical by contract, so this is a *speed* knob:
         it deliberately does not enter scheme signatures or run-store keys.
     """

@@ -66,9 +66,9 @@ _TIME_EPS = 1e-12
 #: Kernel backends a plan / CLI flag / environment variable may name.
 #: ``"array"`` is the Python kernel tier, ``"jit"`` the compiled tier
 #: (:mod:`repro.sim.kernel_jit`), ``"auto"`` picks ``jit`` when it can run
-#: here and ``array`` otherwise.  Backends are bit-identical by contract —
-#: a speed knob only — so the choice never enters scheme signatures or
-#: run-store keys.
+#: here and ``array`` otherwise (as an unpinned run does).  Backends are
+#: bit-identical by contract — a speed knob only — so the choice never
+#: enters scheme signatures or run-store keys.
 BACKENDS: Tuple[str, ...] = ("array", "jit", "auto")
 
 #: Environment variable consulted when neither the caller nor the plan
@@ -81,7 +81,7 @@ _fallback_warned = False
 def validate_backend(backend: Optional[str]) -> None:
     """Raise ``ValueError`` unless ``backend`` names a known kernel backend.
 
-    ``None`` (defer to the environment, then to ``"array"``) is valid.
+    ``None`` (defer to the environment, then to ``"auto"``) is valid.
     Cheap by design — plan validation calls this on every run, and it must
     not probe compiler availability.
     """
@@ -96,18 +96,17 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     """Resolve a backend request to a concrete kernel tier.
 
     Precedence: explicit argument > ``REPRO_SIM_BACKEND`` environment
-    variable > ``"array"``.  ``"auto"`` (from either source) resolves to
-    ``"jit"`` when the compiled tier can run on this machine and
-    ``"array"`` otherwise; an explicit ``"jit"`` is kept as-is and falls
-    back (with a warning) at kernel-construction time so the caller can
-    tell the difference between *requested* and *running*.
+    variable > ``"auto"``.  ``"auto"`` (from any source, unpinned runs
+    included) resolves silently to ``"jit"`` when the compiled tier can
+    run on this machine and ``"array"`` otherwise; an explicit ``"jit"``
+    is kept as-is and falls back (with a warning) at kernel-construction
+    time so the caller can tell the difference between *requested* and
+    *running*.
     """
     if backend is None:
         backend = os.environ.get(_BACKEND_ENV, "").strip() or None
     validate_backend(backend)
-    if backend is None:
-        return "array"
-    if backend == "auto":
+    if backend is None or backend == "auto":
         from . import kernel_jit
 
         return "jit" if kernel_jit.available() else "array"
@@ -122,7 +121,8 @@ def make_kernel(
 ) -> ResidentSimulationKernel:
     """A fresh kernel session on the selected tier.
 
-    ``backend`` resolves through :func:`resolve_backend`.  The compiled
+    ``backend`` resolves through :func:`resolve_backend`, so an unpinned
+    kernel is compiled wherever the C core builds.  The compiled
     :class:`~repro.sim.kernel_jit.ResidentJitKernel` is returned only when
     the resolved backend is ``"jit"``, the allocator is the greedy policy
     and the C core builds on this machine; otherwise the Python
@@ -311,7 +311,9 @@ class FlowLevelSimulator:
     backend:
         Default kernel backend for :meth:`run` (``"array"``, ``"jit"`` or
         ``"auto"``); ``None`` defers to the plan, then the
-        ``REPRO_SIM_BACKEND`` environment variable, then ``"array"``.
+        ``REPRO_SIM_BACKEND`` environment variable, then ``"auto"``: the
+        compiled tier when its C core builds here and the plan's allocator
+        is greedy, the Python tier otherwise.
     """
 
     def __init__(self, network: Network, backend: Optional[str] = None) -> None:

@@ -281,13 +281,15 @@ class StreamingScheduler:
         Optional per-epoch event cap forwarded to each kernel epoch.
     backend:
         Kernel backend of the session (``"array"``, ``"jit"``, ``"auto"``
-        or ``None`` — defer to the first re-plan's plan / environment);
+        or ``None`` — defer to the first re-plan's plan / environment,
+        then resolve like ``"auto"``);
         :func:`~repro.sim.simulator.make_kernel` picks the tier once, at
         the first re-plan, from that plan's allocator.  A compiled session
-        keeps the greedy allocator of its first plan and raises
-        ``ValueError`` at a later plan naming another one; a replanner
-        that switches allocators needs ``backend="array"``, whose kernel
-        follows each plan's allocator.
+        (an unpinned one too, wherever the C core builds) keeps the greedy
+        allocator of its first plan and raises ``ValueError`` at a later
+        plan naming another one; a replanner that switches allocators
+        needs ``backend="array"``, whose kernel follows each plan's
+        allocator.
     """
 
     def __init__(

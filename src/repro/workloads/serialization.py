@@ -10,7 +10,7 @@ engine's run store can persist them (and key cached results on them).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, List, Union
 
@@ -77,7 +77,8 @@ def instance_from_dict(data: Dict[str, Any]) -> CoflowInstance:
 
 def config_to_dict(config: WorkloadConfig) -> Dict[str, Any]:
     """Convert a workload config to a JSON-serializable dictionary."""
-    return asdict(config)
+    # Every field is an immutable scalar: no deep copy (``asdict``) needed.
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def config_from_dict(data: Dict[str, Any]) -> WorkloadConfig:

@@ -22,6 +22,7 @@ from repro.cli.bench import (
     scenario_matrix_spec,
 )
 from repro.analysis.artifacts import load_spec
+from repro.sim import resolve_backend
 
 ROOT = Path(__file__).resolve().parents[2]
 SPECS_DIR = ROOT / "specs"
@@ -530,6 +531,8 @@ class TestBench:
         assert record["suite"] == "streaming-smoke"
         assert record["smoke"] is True
         assert record["throughput_ratio"] > 0
+        # The unpinned sessions' tier is recorded with every run.
+        assert record["default_backend"] == resolve_backend(None)
         # The 100k session's online rate is recorded on every run, smoke
         # included, so the perf trajectory always carries it.
         assert set(record["streaming"]) == {

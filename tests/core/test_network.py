@@ -1,11 +1,13 @@
 """Unit tests for the capacitated network substrate."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
 
 from repro.core import Network, topologies
+from repro.core import network as network_module
 from repro.core.network import path_edges
 
 
@@ -126,6 +128,25 @@ class TestPaths:
         assert len(paths) == 3
         assert len(paths[0]) <= len(paths[-1])
 
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_k_shortest_paths_follow_networkx(self, diamond, k):
+        diamond.add_edge("b", "c", capacity=1.0)
+        fat_tree = topologies.fat_tree(4)
+        cases = [(diamond, s, t) for s, t in itertools.permutations("abcd", 2)]
+        cases += [
+            (fat_tree, s, t)
+            for s, t in itertools.permutations(topologies.host_nodes(fat_tree), 2)
+        ]
+        for network, s, t in cases:
+            if not nx.has_path(network.graph, s, t):
+                with pytest.raises(ValueError, match="no path"):
+                    network.k_shortest_paths(s, t, k)
+                continue
+            expected = list(
+                itertools.islice(nx.shortest_simple_paths(network.graph, s, t), k)
+            )
+            assert network.k_shortest_paths(s, t, k) == expected, (s, t)
+
     def test_k_shortest_paths_invalid_k(self, diamond):
         with pytest.raises(ValueError):
             diamond.k_shortest_paths("a", "d", 0)
@@ -182,16 +203,91 @@ class TestPaths:
             diamond.validate_path(["a"])
 
 
-def yen_reference(graph, source, target, max_paths):
-    """The leading ``nx.shortest_simple_paths``, cut at the shortest length."""
+def yen_reference(graph, source, target, max_paths, stretch=0):
+    """The leading ``nx.shortest_simple_paths``, cut ``stretch`` hops past
+    the shortest length."""
     paths = []
     for path in nx.shortest_simple_paths(graph, source, target):
-        if paths and len(path) > len(paths[0]):
+        if paths and len(path) > len(paths[0]) + stretch:
             break
         paths.append(path)
         if len(paths) == max_paths:
             break
     return paths
+
+
+def random_digraph(seed, labels):
+    """A seeded random digraph whose nodes and edges are inserted in shuffled
+    order (so adjacency order is neither sorted nor label order), plus one
+    node no other node reaches."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 13)
+    name = {
+        "int": lambda i: (i * 37) % 101,
+        "tuple": lambda i: (i % 3, f"n{i}"),
+    }[labels]
+    probability = rng.uniform(0.15, 0.45)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and rng.random() < probability
+    ]
+    rng.shuffle(edges)
+    order = list(range(n + 1))
+    rng.shuffle(order)
+    network = Network()
+    for i in order:
+        network.add_node(name(i))
+    for u, v in edges:
+        network.add_edge(name(u), name(v))
+    network.add_edge(name(n), name(0))  # node n: a source nothing reaches
+    return network
+
+
+class TestYenPort:
+    """``candidate_set`` enumerates with an integer-id port of networkx's
+    Yen's algorithm; ``nx.shortest_simple_paths`` is its oracle and the two
+    must agree on every path and on its position (``==``), cold and warm."""
+
+    @pytest.mark.parametrize("labels", ["int", "tuple"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_digraphs_match_networkx(self, seed, labels):
+        network = random_digraph(seed, labels)
+        nodes = network.nodes()
+        combos = [(1, 0), (2, 1), (16, 0), (16, 2), (24, 3)]
+        expected = {}
+        for s, t in itertools.permutations(nodes, 2):
+            if nx.has_path(network.graph, s, t):
+                for m, stretch in combos:
+                    expected[s, t, m, stretch] = yen_reference(
+                        network.graph, s, t, m, stretch
+                    )
+            else:
+                with pytest.raises(ValueError, match="no path from .* in the network"):
+                    network.candidate_paths(s, t)
+        assert expected, "the seed drew no connected pair"
+        for memo in ("cold", "warm"):
+            for (s, t, m, stretch), paths in expected.items():
+                assert network.candidate_paths(s, t, m, stretch) == paths, memo
+        for node in nodes:
+            assert network.candidate_paths(node, node) == [[node]]
+            assert network.candidate_set(node, node).edge_ids == ((),)
+
+    def test_unknown_endpoints_raise_no_path(self, diamond):
+        for s, t in (("a", "ghost"), ("ghost", "d"), ("ghost", "ghost")):
+            with pytest.raises(ValueError, match="no path from .* in the network"):
+                diamond.candidate_paths(s, t)
+
+    def test_leaf_spine_128_sample_matches_networkx(self):
+        network = topologies.leaf_spine(num_leaves=8, num_spines=8, hosts_per_leaf=16)
+        pairs = random.Random(17).sample(
+            list(itertools.permutations(topologies.host_nodes(network), 2)), 2000
+        )
+        for s, t in pairs:
+            assert network.candidate_paths(s, t) == yen_reference(
+                network.graph, s, t, 16
+            ), (s, t)
 
 
 class TestPathMemo:
@@ -201,21 +297,26 @@ class TestPathMemo:
         "build",
         [
             lambda: topologies.fat_tree(4),
+            lambda: topologies.fat_tree(6),
             lambda: topologies.leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=2),
         ],
-        ids=["fat_tree-k4", "leaf_spine-8"],
+        ids=["fat_tree-k4", "fat_tree-k6", "leaf_spine-8"],
     )
     def test_candidate_paths_keep_yen_order_cold_and_warm(self, build):
         network = build()
         pairs = list(itertools.permutations(topologies.host_nodes(network), 2))
-        expected = {
-            (s, t, m): yen_reference(network.graph, s, t, m)
-            for s, t in pairs
-            for m in (16, 2)
-        }
+        expected = {}
+        for s, t in pairs:
+            # Yen's order never gets shorter, so each (max_paths, stretch)
+            # answer is a filtered prefix of the largest one.
+            widest = yen_reference(network.graph, s, t, 16, stretch=2)
+            for stretch in (0, 1, 2):
+                within = [p for p in widest if len(p) <= len(widest[0]) + stretch]
+                for m in (1, 2, 16):
+                    expected[s, t, m, stretch] = within[:m]
         for memo in ("cold", "warm"):
-            for (s, t, m), paths in expected.items():
-                assert network.candidate_paths(s, t, max_paths=m) == paths, memo
+            for (s, t, m, stretch), paths in expected.items():
+                assert network.candidate_paths(s, t, m, stretch) == paths, memo
 
     def test_edge_ids_and_capacity_vector_align_with_edge_index(self, diamond):
         found = diamond.candidate_set("a", "d")
@@ -241,15 +342,16 @@ class TestPathMemo:
 
     def test_construction_computes_nothing_and_queries_run_once(self, monkeypatch):
         calls = []
-        original = nx.shortest_simple_paths
+        original = network_module._yen_paths
 
         def counting(*args, **kwargs):
             calls.append(args[1:])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(nx, "shortest_simple_paths", counting)
+        monkeypatch.setattr(network_module, "_yen_paths", counting)
         network = topologies.fat_tree(4)
         assert calls == []
+        assert network._memo is None
         network.candidate_paths("host_0", "host_5")
         network.candidate_paths("host_0", "host_5")
         assert len(calls) == 1

@@ -3,8 +3,10 @@
 The kernel tier (``array`` / ``jit`` / ``auto``) is a *speed* knob — the
 backends are bit-identical by contract — so the dispatch layer must (a)
 resolve the explicit argument > plan field > ``REPRO_SIM_BACKEND``
-environment variable > ``"array"`` chain deterministically, (b) degrade
-gracefully (warn, never fail) when the compiled tier cannot run, and (c)
+environment variable > ``"auto"`` chain deterministically (an unpinned run
+gets the compiled tier wherever its C core builds), (b) degrade
+gracefully (warn on an explicit ``jit`` request, never fail; stay silent
+when unpinned) when the compiled tier cannot run, and (c)
 keep the choice *out* of scheme signatures and run-store keys: the same
 experiment simulated on either backend must hit the same cache entry.
 """
@@ -45,10 +47,13 @@ def case():
 
 
 class TestResolution:
-    def test_default_is_array(self, monkeypatch):
+    def test_default_is_the_compiled_tier_where_it_builds(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        expected = "jit" if kernel_jit.available() else "array"
+        assert resolve_backend() == expected
+        assert resolve_backend(None) == expected
+        monkeypatch.setattr(kernel_jit, "available", lambda: False)
         assert resolve_backend() == "array"
-        assert resolve_backend(None) == "array"
 
     def test_explicit_argument_wins_over_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BACKEND", "jit")
@@ -57,8 +62,10 @@ class TestResolution:
     def test_environment_applies_when_unpinned(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BACKEND", "jit")
         assert resolve_backend() == "jit"
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "")  # empty == unset
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "array")
         assert resolve_backend() == "array"
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "")  # empty == unset
+        assert resolve_backend() == ("jit" if kernel_jit.available() else "array")
 
     def test_auto_resolves_to_a_concrete_tier(self, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
@@ -97,10 +104,39 @@ class TestDispatch:
     def test_backend_selects_the_kernel_class(self, case, monkeypatch):
         monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
         network, _config, _instance, _plan = case
-        assert type(make_kernel(network)) is ResidentSimulationKernel
+        unpinned = (
+            ResidentJitKernel if kernel_jit.available() else ResidentSimulationKernel
+        )
+        assert type(make_kernel(network)) is unpinned
         assert type(make_kernel(network, backend="array")) is ResidentSimulationKernel
         if kernel_jit.available():
             assert type(make_kernel(network, backend="jit")) is ResidentJitKernel
+
+    def test_unpinned_non_greedy_run_takes_the_python_tier_silently(
+        self, case, monkeypatch
+    ):
+        """An unpinned ``max-min`` plan runs on the Python tier, which the C
+        core does not cover, and says nothing about it."""
+        import dataclasses
+
+        from repro.sim import simulator as simulator_module
+
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        network, _config, instance, plan = case
+        made = []
+        real_make_kernel = simulator_module.make_kernel
+
+        def spy(*args, **kwargs):
+            kernel = real_make_kernel(*args, **kwargs)
+            made.append(type(kernel))
+            return kernel
+
+        monkeypatch.setattr(simulator_module, "make_kernel", spy)
+        fair = dataclasses.replace(plan, allocator="max-min")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            FlowLevelSimulator(network).run(instance, fair)
+        assert made == [ResidentSimulationKernel]
 
     def test_only_the_greedy_allocator_reaches_the_compiled_tier(self, case):
         if not kernel_jit.available():

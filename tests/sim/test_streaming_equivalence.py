@@ -716,16 +716,23 @@ class TestResidentEqualsRebuild:
         assert_schedules_identical(result, rebuild, instance)
 
     @needs_jit
-    def test_compiled_session_rejects_an_allocator_switch(self):
-        """A compiled session keeps the greedy allocator of its first plan:
-        a later plan naming another allocator is refused, not run."""
+    @pytest.mark.parametrize("backend", ["jit", None], ids=["jit", "unpinned"])
+    def test_compiled_session_rejects_an_allocator_switch(
+        self, backend, monkeypatch
+    ):
+        """A compiled session, which an unpinned one is wherever the C core
+        builds, keeps the greedy allocator of its first plan: a later plan
+        naming another allocator is refused, not run, and the error names
+        the remedy."""
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
         network, instance = seeded_case("leaf-spine", "poisson")
         plan = SEBFScheme().plan(instance, network)
         session = StreamingScheduler(
-            network, self._switching_replanner(plan), backend="jit"
+            network, self._switching_replanner(plan), backend=backend
         )
-        with pytest.raises(ValueError, match="'max-min' mid-session"):
+        with pytest.raises(ValueError, match="'max-min' mid-session") as error:
             session.run(instance)
+        assert 'backend="array"' in str(error.value)
         assert isinstance(session._session_kernel, ResidentJitKernel)
 
 
