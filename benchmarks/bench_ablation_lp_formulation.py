@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.analysis import format_table
-from repro.baselines import LPBasedScheme
+from repro.baselines import scheme_from_spec
 from repro.circuit import RoutingLP
 from repro.core import topologies
 from repro.sim import FlowLevelSimulator
@@ -40,7 +40,9 @@ def run_comparison():
         relaxation = lp.relax()
         solve_seconds = time.perf_counter() - start
 
-        scheme = LPBasedScheme(formulation=formulation, seed=0)
+        scheme = scheme_from_spec(
+            f"pipeline(router=lp(formulation={formulation}), order=lp)"
+        )
         plan = scheme.plan(instance, network)
         simulated = simulator.run(instance, plan).weighted_completion_time
         objectives[formulation] = simulated

@@ -9,7 +9,7 @@ LP + ordering + simulation pipeline on the example.
 import pytest
 
 from repro.analysis import format_table
-from repro.baselines import LPGivenPathsScheme
+from repro.baselines import scheme_from_spec
 from repro.core import CircuitSchedule, Coflow, CoflowInstance, Flow, topologies
 from repro.sim import FlowLevelSimulator
 
@@ -72,7 +72,7 @@ def hand_schedules(instance, network):
 
 
 def lp_pipeline(instance, network) -> float:
-    scheme = LPGivenPathsScheme()
+    scheme = scheme_from_spec("LP-Based (given paths)")
     plan = scheme.plan(instance, network)
     result = FlowLevelSimulator(network).run(instance, plan)
     return result.total_completion_time

@@ -6,7 +6,8 @@ Python-side *model assembly* becomes a comparable cost to the solve itself.
 This benchmark isolates the three phases for the Section-2.2 routing LP:
 
 * **build (scalar)** — the legacy one-variable/one-constraint-at-a-time
-  emission (``build_scalar()``), including ``matrices()`` assembly;
+  emission, including ``matrices()`` assembly.  It is the equivalence
+  tests' oracle, ``build_scalar`` in ``tests/lp/reference_builders.py``;
 * **build (bulk)** — the vectorized block emission (``build()``), including
   the cached single-pass ``matrices()``;
 * **solve** — the HiGHS call on the assembled model.
@@ -15,8 +16,10 @@ The headline number is the build speedup column; the equivalence test suite
 (``tests/lp/test_equivalence.py``) proves both builds produce numerically
 identical matrices, so the speedup is free.
 
-Run standalone (``PYTHONPATH=src python benchmarks/bench_lp_assembly.py``,
-optionally with ``--smoke`` for the tiny CI configuration) or through pytest.
+Run standalone from the repository root
+(``PYTHONPATH=src:. python benchmarks/bench_lp_assembly.py``, optionally
+with ``--smoke`` for the tiny CI configuration; the repository root must be
+importable for the oracle) or through pytest.
 """
 
 import argparse
@@ -28,6 +31,7 @@ from repro.circuit import RoutingLP
 from repro.core import topologies
 from repro.lp import solve
 from repro.workloads import CoflowGenerator, WorkloadConfig
+from tests.lp.reference_builders import build_scalar
 
 from common import paper_scale, record
 
@@ -54,7 +58,7 @@ def measure(num_coflows, width, formulation="path", repeats=3):
     lp = None
     for _ in range(repeats):
         start = time.perf_counter()
-        lp_scalar = builder.build_scalar()
+        lp_scalar = build_scalar(builder)
         lp_scalar.matrices()
         scalar_time = min(scalar_time, time.perf_counter() - start)
 

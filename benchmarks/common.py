@@ -1,92 +1,27 @@
-"""Shared configuration for the benchmark harness.
+"""Shared configuration for the benchmark scripts.
 
-Every benchmark regenerates one table or figure of the paper.  The heavy
-lifting — sweep specs, scheme registry, engine runs, artifact export —
-lives in :mod:`repro.analysis.artifacts` and :mod:`repro.cli.bench`; this
-module only maps the benchmark environment knobs onto that layer and pins
-the on-disk locations under ``benchmarks/results/``.
-
-Because the paper's full scale (128-server fat-tree, widths up to 32, 10
-random tries per point) takes hours with an open-source LP solver, the
-benchmarks default to a scaled-down configuration that preserves the
-comparison's shape and can be re-run quickly.  Environment variables:
-
-* ``REPRO_PAPER_SCALE=1`` — use the paper's parameters (k=8 fat-tree,
-  widths {4, 8, 16, 32}, coflow counts {10, ..., 30}, width 16 for Fig. 4);
-* ``REPRO_TRIES=<n>`` — random instances averaged per sweep point
-  (the paper uses 10; the default here is 2);
-* ``REPRO_WORKERS=<n>`` — worker processes for the experiment engine
-  (default 0 = serial; ``>= 2`` fans (point x try x scheme) tasks out over
-  a process pool);
-* ``REPRO_RUNSTORE=0`` — disable the on-disk run store (default: each
-  figure benchmark persists to ``benchmarks/results/runstore/<name>.jsonl``,
-  so a re-run skips all LP solves and simulations and only re-aggregates —
-  delete the file to force a cold run).
-
-Everything here is equally reachable through the ``repro`` CLI
+Each script here measures something no ``repro bench`` suite covers: LP
+assembly and build/solve scaling, the Figure-1 example and two ablations.
+The paper-figure sweeps themselves run through the CLI
 (``repro bench fig3 --paper-scale --tries 10 --workers 4``), which writes
-its artifacts under ``--out`` instead of ``benchmarks/results/``.
+its artifacts under ``--out``; this module only pins the scripts' own
+results directory, ``benchmarks/results/``.
+
+``REPRO_PAPER_SCALE=1`` adds the paper's largest workload size to the LP
+scaling and assembly tables (slow with an open-source solver).
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional
-
-from repro.analysis import RunStore, stats_summary
-from repro.analysis.engine import EngineRunStats
 
 RESULTS_DIR = Path(__file__).parent / "results"
-RUNSTORE_DIR = RESULTS_DIR / "runstore"
-
-
-def _env_int(name: str, default: int) -> int:
-    """Integer environment knob; unset *and* empty both mean ``default``.
-
-    ``REPRO_TRIES=""`` (a cleared-but-exported variable, e.g. from a CI
-    matrix) used to raise ``ValueError: invalid literal for int()`` while
-    the boolean knobs tolerated it; every knob now treats empty/unset
-    uniformly.  A non-empty, non-integer value still raises — but naming
-    the variable instead of just the bad literal.
-    """
-    raw = os.environ.get(name, "")
-    if not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"environment variable {name}={raw!r} is not an integer"
-        ) from None
 
 
 def paper_scale() -> bool:
     """Whether to run at the paper's full scale (slow)."""
     return os.environ.get("REPRO_PAPER_SCALE", "0") not in ("", "0", "false", "False")
-
-
-def num_tries(default: int = 2) -> int:
-    """Random tries per sweep point (the paper averages 10)."""
-    return _env_int("REPRO_TRIES", default)
-
-
-def num_workers(default: int = 0) -> int:
-    """Engine worker processes (0 = serial)."""
-    return _env_int("REPRO_WORKERS", default)
-
-
-def run_store(name: str) -> Optional[RunStore]:
-    """The persistent run store for one benchmark (or ``None`` if disabled)."""
-    if os.environ.get("REPRO_RUNSTORE", "1") in ("", "0", "false", "False"):
-        return None
-    RUNSTORE_DIR.mkdir(parents=True, exist_ok=True)
-    return RunStore(RUNSTORE_DIR / f"{name}.jsonl")
-
-
-def engine_summary(stats: EngineRunStats) -> str:
-    """One-line cache/parallelism report for a finished engine run."""
-    return stats_summary(stats)
 
 
 def record(name: str, text: str) -> None:

@@ -14,7 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.baselines import LPGivenPathsScheme
+from repro.baselines import scheme_from_spec
 from repro.circuit import GivenPathsScheduler
 from repro.core import CircuitSchedule, Coflow, CoflowInstance, Flow, topologies
 from repro.sim import FlowLevelSimulator
@@ -77,7 +77,7 @@ def main() -> None:
     print(f"\nLP lower bound (Lemma 4): {relaxation.lower_bound:.2f}")
     print(f"LP flow order           : {relaxation.flow_order()}")
 
-    scheme = LPGivenPathsScheme()
+    scheme = scheme_from_spec("LP-Based (given paths)")
     plan = scheme.plan(instance, network)
     simulated = FlowLevelSimulator(network).run(instance, plan)
     print(f"LP-ordered simulation   : {simulated.total_completion_time:.0f}   (optimal is 7)")

@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.baselines import BaselineScheme, LPBasedScheme, SEBFScheme
+from repro.baselines import scheme_from_spec
 from repro.core import topologies
 from repro.sim import FlowLevelSimulator
 from repro.workloads import mapreduce_shuffle
@@ -37,7 +37,8 @@ def main() -> None:
           f"{instance.num_flows} flows ({instance.total_volume:.0f} units of data)\n")
 
     simulator = FlowLevelSimulator(network)
-    for scheme in [LPBasedScheme(seed=0), SEBFScheme(), BaselineScheme(seed=0)]:
+    for name in ("LP-Based", "SEBF", "Baseline"):
+        scheme = scheme_from_spec(name)
         plan = scheme.plan(instance, network)
         result = simulator.run(instance, plan)
         per_job = ", ".join(
@@ -47,7 +48,7 @@ def main() -> None:
         print(f"{scheme.name:<12s} total shuffle completion = "
               f"{result.total_completion_time:8.1f}   ({per_job})")
 
-    lp = LPBasedScheme(seed=0)
+    lp = scheme_from_spec("LP-Based")
     lp.plan(instance, network)
     print(f"\nLP lower bound on the optimum: {lp.last_plan.lower_bound:.1f}")
 

@@ -15,13 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.baselines import (
-    BaselineScheme,
-    LPBasedScheme,
-    RouteOnlyScheme,
-    ScheduleOnlyScheme,
-    SEBFScheme,
-)
+from repro.baselines import scheme_from_spec
 from repro.core import topologies
 from repro.sim import FlowLevelSimulator, SchemeComparison
 from repro.workloads import CoflowGenerator, WorkloadConfig
@@ -41,17 +35,22 @@ def main() -> None:
     print(f"workload: {instance.num_coflows} coflows, {instance.num_flows} flows, "
           f"total volume {instance.total_volume:.0f}")
 
-    # 3. Run every scheme through the flow-level simulator.
+    # 3. Run every scheme through the flow-level simulator.  A scheme is a
+    #    spec string: an alias ("Route-only") fixes every stage parameter,
+    #    and a pipeline spells out a seed; each keeps the paper's name.
     simulator = FlowLevelSimulator(network)
     comparison = SchemeComparison()
-    lp_scheme = LPBasedScheme(seed=1)
+    specs = {
+        "LP-Based": "pipeline(router=lp(seed=1), order=lp)",
+        "Route-only": "Route-only",
+        "Schedule-only": "pipeline(router=random(seed=1), order=mct)",
+        "Baseline": "pipeline(router=random(seed=1), order=random(seed=1))",
+        "SEBF": "SEBF",
+    }
     schemes = [
-        lp_scheme,
-        RouteOnlyScheme(),
-        ScheduleOnlyScheme(seed=1),
-        BaselineScheme(seed=1),
-        SEBFScheme(),
+        scheme_from_spec(spec).with_options(name=name) for name, spec in specs.items()
     ]
+    lp_scheme = schemes[0]
     for scheme in schemes:
         plan = scheme.plan(instance, network)
         result = simulator.run(instance, plan)

@@ -23,15 +23,14 @@ from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.analysis import ExperimentEngine, sweep_table
-from repro.baselines import BaselineScheme, RouteOnlyScheme, ScheduleOnlyScheme
+from repro.analysis import ExperimentEngine, build_schemes, sweep_table
 from repro.core import topologies
 from repro.workloads import WorkloadConfig
 
 
 def main() -> None:
     network = topologies.fat_tree(k=4)
-    schemes = [RouteOnlyScheme(), ScheduleOnlyScheme(seed=0), BaselineScheme(seed=0)]
+    schemes = build_schemes(["Route-only", "Schedule-only", "Baseline"])
     config = WorkloadConfig(
         num_coflows=4, coflow_width=4, mean_flow_size=6.0, release_rate=4.0, seed=11
     )

@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.baselines import SEBFScheme
+from repro.baselines import scheme_from_spec
 from repro.core import topologies
 from repro.sim import FlowLevelSimulator
 from repro.switch import SwitchScheduler, attach_switch_paths, switch_lower_bound
@@ -39,7 +39,7 @@ def main() -> None:
     print(f"  isolation lower bound       : {outcome.combinatorial_lower_bound:.1f}")
 
     routed = attach_switch_paths(instance, network)
-    sebf_plan = SEBFScheme().plan(routed, network)
+    sebf_plan = scheme_from_spec("SEBF").plan(routed, network)
     sebf = FlowLevelSimulator(network).run(routed, sebf_plan)
     print("\nSEBF (Varys-style heuristic)")
     print(f"  simulated weighted CCT      : {sebf.weighted_completion_time:.1f}")

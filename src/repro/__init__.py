@@ -13,8 +13,9 @@ general network topologies together with everything it depends on:
 * :mod:`repro.packet` — packet-based coflows: the job-shop algorithm of
   Section 3.1 and the time-expanded-graph algorithm of Section 3.2;
 * :mod:`repro.switch` — the non-blocking switch special case;
-* :mod:`repro.baselines` — the competing heuristics of Section 4.3
-  (Baseline, Schedule-only, Route-only) plus SEBF;
+* :mod:`repro.baselines` — every scheme as a router x orderer x allocator
+  pipeline, named by the spec grammar: LP-Based, the competing heuristics
+  of Section 4.3 (Baseline, Schedule-only, Route-only) plus SEBF;
 * :mod:`repro.sim` — the flow-level datacenter simulator of Section 4;
 * :mod:`repro.workloads` — Poisson workload generation and synthetic traces;
 * :mod:`repro.analysis` — experiment sweeps and report tables used by the
@@ -24,16 +25,18 @@ Quickstart::
 
     from repro.core import topologies
     from repro.workloads import WorkloadConfig, CoflowGenerator
-    from repro.baselines import LPBasedScheme, BaselineScheme
+    from repro.baselines import scheme_from_spec
     from repro.sim import FlowLevelSimulator
 
     network = topologies.fat_tree(k=4)
     instance = CoflowGenerator(network, WorkloadConfig(num_coflows=10,
                                                        coflow_width=8)).instance()
     simulator = FlowLevelSimulator(network)
-    lp = simulator.run(instance, LPBasedScheme().plan(instance, network))
-    base = simulator.run(instance, BaselineScheme().plan(instance, network))
-    print(lp.weighted_completion_time, base.weighted_completion_time)
+    lp = scheme_from_spec("LP-Based")
+    base = scheme_from_spec("Baseline")
+    lp_result = simulator.run(instance, lp.plan(instance, network))
+    base_result = simulator.run(instance, base.plan(instance, network))
+    print(lp_result.weighted_completion_time, base_result.weighted_completion_time)
 """
 
 __version__ = "1.0.0"

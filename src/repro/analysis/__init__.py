@@ -9,7 +9,6 @@ report helpers render the paper-style tables.
 
 from .artifacts import (
     DEFAULT_SCHEMES,
-    SCHEME_REGISTRY,
     SpecPoint,
     SpecRunResult,
     SweepSpec,
@@ -22,7 +21,7 @@ from .artifacts import (
     spec_from_dict,
     stats_summary,
 )
-from .engine import EngineRunStats, ExperimentEngine, ExperimentSweep, ExperimentTask
+from .engine import EngineRunStats, ExperimentEngine, ExperimentTask
 from .fabric import (
     MergeStats,
     ShardedRunStore,
@@ -48,7 +47,6 @@ from .sweep import SweepPoint, SweepResult
 
 __all__ = [
     "ExperimentEngine",
-    "ExperimentSweep",
     "ExperimentTask",
     "EngineRunStats",
     "RunStore",
@@ -64,7 +62,6 @@ __all__ = [
     "csv_report",
     "failure_rows",
     "render_report",
-    "SCHEME_REGISTRY",
     "DEFAULT_SCHEMES",
     "build_schemes",
     "SpecPoint",

@@ -1,10 +1,10 @@
-"""Declarative sweep specs, scheme registry and artifact export.
+"""Declarative sweep specs, scheme resolution and artifact export.
 
-This module is the data layer behind the ``repro`` CLI (and the thin
-benchmark wrappers): it turns a *sweep spec* — a YAML/JSON document naming a
-scenario grid and the schemes to compare — into engine runs, and turns the
-resulting run store into durable on-disk artifacts (run metadata with full
-provenance, plus text/Markdown/CSV table renders).
+This module is the data layer behind the ``repro`` CLI: it turns a *sweep
+spec* — a YAML/JSON document naming a scenario grid and the schemes to
+compare — into engine runs, and turns the resulting run store into durable
+on-disk artifacts (run metadata with full provenance, plus
+text/Markdown/CSV table renders).
 
 A spec has two interchangeable shapes:
 
@@ -52,7 +52,7 @@ import json
 import platform
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import __version__
 from ..baselines.base import Scheme
@@ -71,7 +71,6 @@ except ImportError:  # pragma: no cover - exercised only on yaml-less installs
     _yaml = None
 
 __all__ = [
-    "SCHEME_REGISTRY",
     "SCHEME_ALIASES",
     "DEFAULT_SCHEMES",
     "build_schemes",
@@ -93,22 +92,6 @@ __all__ = [
     "export_artifacts",
     "ARTIFACT_FORMATS",
 ]
-
-def _registry_factory(name: str) -> Callable[[], Scheme]:
-    """A zero-argument factory resolving one alias through the spec grammar."""
-    return lambda: scheme_from_spec(name)
-
-
-#: Scheme display name -> zero-argument factory (compatibility view).
-#: Every entry is a :data:`~repro.baselines.spec.SCHEME_ALIASES` alias
-#: resolved through the spec grammar — a name alone fixes all stage
-#: parameters (seeds included), which is what makes spec files
-#: reproducible.  New code should call :func:`build_schemes` /
-#: :func:`~repro.baselines.spec.scheme_from_spec` directly, which also
-#: accept raw ``pipeline(router=..., order=..., ...)`` expressions.
-SCHEME_REGISTRY: Dict[str, Callable[[], Scheme]] = {
-    name: _registry_factory(name) for name in SCHEME_ALIASES
-}
 
 #: The four schemes of Section 4.3, in the paper's table order.
 DEFAULT_SCHEMES: Tuple[str, ...] = (

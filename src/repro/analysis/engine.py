@@ -42,9 +42,6 @@ Chaos testing threads through the same machinery: pass a
 :class:`~repro.faults.FaultConfig` (CLI: ``--inject-faults``) and the
 seeded injector fires deterministic faults inside the LP solve, the
 simulator kernel and the store appends.
-
-:class:`ExperimentSweep` remains as the serial-default alias so existing
-callers keep working.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ from ..workloads.serialization import config_to_dict
 from .runstore import RunStore, run_key
 from .sweep import SweepPoint, SweepResult
 
-__all__ = ["ExperimentEngine", "ExperimentSweep", "ExperimentTask", "EngineRunStats"]
+__all__ = ["ExperimentEngine", "ExperimentTask", "EngineRunStats"]
 
 #: One sweep point: display label plus the workload configs (one per random
 #: try, each carrying its own seed) evaluated at that point.
@@ -614,8 +611,3 @@ class ExperimentEngine:
         elif isinstance(current, int):
             value = int(value)
         return replace(config, **{parameter: value})
-
-
-#: Backwards-compatible name: the engine with its serial defaults is a
-#: drop-in replacement for the original single-process sweep runner.
-ExperimentSweep = ExperimentEngine

@@ -44,8 +44,8 @@ def run_key(topology_fingerprint: str, config: WorkloadConfig, scheme_signature:
     sweep point gets its own key.  The package version is mixed in so stores
     invalidate across releases; *within* a development version the store
     cannot see code changes — delete the store file after editing scheme or
-    simulator logic (benchmark stores live under
-    ``benchmarks/results/runstore/``).
+    simulator logic (``repro bench`` stores live under
+    ``<out>/<suite>/runstore.jsonl``).
     """
     payload = json.dumps(
         {

@@ -4,20 +4,13 @@ Every scheme — the paper's LP-Based algorithm, the Section-4.3 heuristics,
 the Varys-style SEBF extension, and their arrival-driven ``Online-*``
 variants — is one :class:`PipelineScheme`: a routing stage crossed with an
 ordering stage crossed with a rate allocator, optionally re-planned at
-every coflow arrival (``online=True``).  Compositions are addressable from
-the spec grammar (:func:`scheme_from_spec`); the legacy class names remain
-as thin factories producing bit-identical plans.
+every coflow arrival (``online=True``).  Schemes are built from the spec
+grammar (:func:`scheme_from_spec`): an alias such as ``"LP-Based"`` or a
+spelled-out ``"pipeline(router=..., order=...)"`` expression.
 """
 
 from .base import Scheme, load_balanced_route, random_route, respect_given_paths
-from .heuristics import (
-    BaselineScheme,
-    RouteOnlyScheme,
-    SEBFScheme,
-    ScheduleOnlyScheme,
-)
-from .lp_based import LPBasedScheme, LPGivenPathsScheme
-from .pipeline import OnlineScheme, PipelineScheme
+from .pipeline import PipelineScheme
 from .spec import SCHEME_ALIASES, known_scheme_names, parse_pipeline_spec, scheme_from_spec
 from .stages import (
     ORDERERS,
@@ -44,7 +37,6 @@ __all__ = [
     "load_balanced_route",
     "respect_given_paths",
     "PipelineScheme",
-    "OnlineScheme",
     "PlanContext",
     "Stage",
     "Router",
@@ -65,10 +57,4 @@ __all__ = [
     "scheme_from_spec",
     "parse_pipeline_spec",
     "known_scheme_names",
-    "BaselineScheme",
-    "ScheduleOnlyScheme",
-    "RouteOnlyScheme",
-    "SEBFScheme",
-    "LPBasedScheme",
-    "LPGivenPathsScheme",
 ]

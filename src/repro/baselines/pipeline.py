@@ -4,9 +4,9 @@ One :class:`PipelineScheme` replaces the bespoke per-cell subclasses of the
 paper's evaluation grid: any routing rule crossed with any priority ordering
 crossed with any rate allocator — statically planned or re-planned at every
 coflow arrival (``online=True``) — is one object, addressable from the spec
-grammar of :mod:`repro.baselines.spec`.  All legacy scheme names
-(``LP-Based``, ``Baseline``, ``SEBF``, ``Online-*``, ...) are thin aliases
-onto pipeline compositions, proven bit-identical to the former hand-written
+grammar of :mod:`repro.baselines.spec`.  The paper's scheme names
+(``LP-Based``, ``Baseline``, ``SEBF``, ``Online-*``, ...) are aliases onto
+pipeline compositions, proven bit-identical to the former hand-written
 classes by ``tests/baselines/test_scheme_equivalence.py``.
 """
 
@@ -21,7 +21,7 @@ from ..sim.plan import SimulationPlan
 from .base import Scheme
 from .stages import Orderer, PlanContext, Router, render_value
 
-__all__ = ["PipelineScheme", "OnlineScheme"]
+__all__ = ["PipelineScheme"]
 
 
 class PipelineScheme(Scheme):
@@ -38,8 +38,8 @@ class PipelineScheme(Scheme):
         (:data:`~repro.sim.allocators.ALLOCATORS`); validated eagerly.
     online:
         ``False`` plans once and simulates the static plan; ``True``
-        re-plans the unfinished volume at every coflow arrival through the
-        :class:`~repro.sim.online.OnlineFlowSimulator`.
+        re-plans the unfinished volume at every coflow arrival in a
+        :class:`~repro.sim.streaming.StreamingScheduler` session.
     name:
         Display name used in report columns; defaults to the compact spec
         (e.g. ``pipeline(router=lp, order=sebf)``), so ad-hoc compositions
@@ -135,40 +135,22 @@ class PipelineScheme(Scheme):
         """Execute the scheme: static single plan, or arrival-driven re-plans.
 
         Static pipelines plan once and run as one kernel session (via the
-        base-class path).  Online pipelines hand a replanner to the
-        :class:`~repro.sim.online.OnlineFlowSimulator`: at every coflow
-        arrival the *same* stage composition re-plans the currently known,
-        unfinished volume (flows that already moved volume keep their
-        path), and the epochs are spliced into one result.
+        base-class path).  Online pipelines open a
+        :class:`~repro.sim.streaming.StreamingScheduler` session under its
+        default per-arrival policy: at every coflow arrival the *same*
+        stage composition re-plans the currently known, unfinished volume
+        (flows that already moved volume keep their path), and the epochs
+        are spliced into one result.
         """
         if not self.online:
             return super().simulate(instance, network, simulator)
-        from ..sim.online import OnlineFlowSimulator
+        from ..sim.streaming import StreamingScheduler
 
-        engine = OnlineFlowSimulator(
+        session = StreamingScheduler(
             network, lambda context: self.plan(context.instance, context.network)
         )
-        return engine.run(instance, plan_name=self.name)
+        return session.run(instance, plan_name=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PipelineScheme(name={self.name!r}, spec={self.spec(compact=True)!r})"
 
-
-def OnlineScheme(inner: Scheme, name: Optional[str] = None) -> PipelineScheme:
-    """Arrival-driven re-planning variant of a pipeline scheme.
-
-    Compatibility constructor for the former ``OnlineScheme`` wrapper class:
-    returns a copy of ``inner`` with ``online=True`` and an ``Online-``
-    prefixed display name.  Since every scheme is now a
-    :class:`PipelineScheme`, the wrapper hierarchy collapsed into the
-    ``online=`` flag; non-pipeline schemes should drive
-    :class:`~repro.sim.online.OnlineFlowSimulator` directly with a custom
-    replanner.
-    """
-    if not isinstance(inner, PipelineScheme):
-        raise TypeError(
-            "OnlineScheme() wraps PipelineScheme compositions; for a custom "
-            "Scheme, run repro.sim.online.OnlineFlowSimulator with your own "
-            "replanner callback instead"
-        )
-    return inner.with_options(online=True, name=name or f"Online-{inner.name}")

@@ -11,18 +11,14 @@ completion proxy ``("c", i, j)``, per coflow the dummy-flow proxy
 * **transfer** — ``c >= release + size / bottleneck`` (``>=``, sized flows),
 * **release** — ``x_ell = 0`` for intervals closing before release (``==``).
 
-This module emits that skeleton two ways on top of :mod:`repro.lp`:
-
-* :func:`add_completion_structure_bulk` — block emission through
-  :meth:`LinearProgram.add_variables` / ``add_constraints_coo`` (the hot
-  path), returning a :class:`CompletionLayout` describing where everything
-  landed so solution extraction can read contiguous slices; and
-* :func:`add_completion_structure_scalar` — the legacy one-variable /
-  one-constraint-at-a-time emission, kept as the reference implementation for
-  the LP-equivalence regression tests and the assembly benchmark.
-
-Both paths emit variables and rows in the identical order, so the matrices
-they produce are numerically identical.
+This module emits that skeleton on top of :mod:`repro.lp`:
+:func:`add_completion_structure_bulk` emits it in blocks through
+:meth:`LinearProgram.add_variables` / ``add_constraints_coo`` and returns a
+:class:`CompletionLayout` describing where everything landed, so solution
+extraction can read contiguous slices.  The one-variable /
+one-constraint-at-a-time reference of the same skeleton lives with the
+LP-equivalence tests (``tests/lp/reference_builders.py``), which hold the
+two emissions numerically identical, rows and variable order included.
 """
 
 from __future__ import annotations
@@ -39,10 +35,8 @@ from ..lp import LinearProgram, LPSolution, stacked_aranges
 __all__ = [
     "CompletionLayout",
     "add_completion_variables_bulk",
-    "add_completion_variables_scalar",
     "add_core_families_bulk",
     "add_completion_structure_bulk",
-    "add_completion_structure_scalar",
     "extract_completion",
 ]
 
@@ -128,19 +122,6 @@ def add_completion_variables_bulk(
         sizes=sizes,
         active=sizes > 0,
     )
-
-
-def add_completion_variables_scalar(
-    lp: LinearProgram, instance: CoflowInstance, grid: IntervalGrid
-) -> None:
-    """Scalar counterpart of :func:`add_completion_variables_bulk`."""
-    L = grid.num_intervals
-    for i, j, _flow in instance.iter_flows():
-        for ell in range(L):
-            lp.add_variable(("x", i, j, ell), lower=0.0, upper=1.0)
-        lp.add_variable(("c", i, j), lower=0.0)
-    for i, coflow in enumerate(instance.coflows):
-        lp.add_variable(("C", i), lower=0.0, objective=coflow.weight)
 
 
 def add_core_families_bulk(
@@ -234,56 +215,6 @@ def add_completion_structure_bulk(
             rhs=np.zeros(total),
         )
     return layout
-
-
-def add_completion_structure_scalar(
-    lp: LinearProgram,
-    instance: CoflowInstance,
-    grid: IntervalGrid,
-    transfer_rhs: np.ndarray,
-) -> None:
-    """Legacy scalar emission of the completion skeleton.
-
-    Emits exactly the same variables and rows (in the same order) as
-    :func:`add_completion_structure_bulk`, one call at a time; kept as the
-    equivalence-test reference and benchmark baseline.
-    """
-    L = grid.num_intervals
-    flows = list(instance.iter_flows())
-    add_completion_variables_scalar(lp, instance, grid)
-
-    for i, j, _flow in flows:
-        lp.add_constraint(
-            {("x", i, j, ell): 1.0 for ell in range(L)}, "==", 1.0,
-            name=f"deliver[{i},{j}]",
-        )
-    for i, j, _flow in flows:
-        lp.add_constraint(
-            {
-                **{("x", i, j, ell): grid.left(ell) for ell in range(L)},
-                ("c", i, j): -1.0,
-            },
-            "<=",
-            0.0,
-            name=f"completion[{i},{j}]",
-        )
-    for i, j, _flow in flows:
-        lp.add_constraint(
-            {("c", i, j): 1.0, ("C", i): -1.0}, "<=", 0.0,
-            name=f"coflow-last[{i},{j}]",
-        )
-    for pos, (i, j, flow) in enumerate(flows):
-        if flow.size > 0:
-            lp.add_constraint(
-                {("c", i, j): 1.0}, ">=", float(transfer_rhs[pos]),
-                name=f"transfer[{i},{j}]",
-            )
-    for i, j, flow in flows:
-        first = grid.release_interval(flow.release_time)
-        for ell in range(first):
-            lp.add_constraint(
-                {("x", i, j, ell): 1.0}, "==", 0.0, name=f"release[{i},{j},{ell}]"
-            )
 
 
 def extract_completion(

@@ -51,11 +51,7 @@ from ..core.intervals import IntervalGrid, RoundingParameters
 from ..core.network import Network, path_edges
 from ..core.schedule import CircuitSchedule, ScheduleError
 from ..lp import LinearProgram, LPSolution, solve
-from ._assembly import (
-    add_completion_structure_bulk,
-    add_completion_structure_scalar,
-    extract_completion,
-)
+from ._assembly import add_completion_structure_bulk, extract_completion
 
 __all__ = [
     "GivenPathsLP",
@@ -239,35 +235,6 @@ class GivenPathsLP:
                 senses="<=",
                 rhs=np.concatenate(rhs_parts),
             )
-        return lp
-
-    def build_scalar(self) -> LinearProgram:
-        """Assemble the same LP through the legacy scalar API.
-
-        Kept as the reference implementation: the LP-equivalence regression
-        test asserts this produces matrices identical to :meth:`build`, and
-        the assembly benchmark uses it as the baseline.
-        """
-        network, grid = self.network, self.grid
-        L = grid.num_intervals
-        lp = LinearProgram(name="circuit-given-paths")
-        add_completion_structure_scalar(
-            lp, self.instance, grid, self._transfer_rhs()
-        )
-        flow_ids = [(i, j) for i, j, _f in self.instance.iter_flows()]
-        for edge, users in self._edge_users().items():
-            cap = network.capacity(*edge)
-            for ell in range(L):
-                length = grid.length(ell)
-                lp.add_constraint(
-                    {
-                        ("x", *flow_ids[pos], ell): size / length
-                        for pos, size in users
-                    },
-                    "<=",
-                    cap,
-                    name=f"capacity[{edge},{ell}]",
-                )
         return lp
 
     # ------------------------------------------------------------------ solve

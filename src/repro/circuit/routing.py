@@ -20,9 +20,9 @@ formulations are provided:
 
 Both formulations are assembled through the bulk COO pipeline of
 :mod:`repro.lp` — whole variable blocks and constraint families are emitted
-as arrays (see DESIGN.md Section 2).  ``build_scalar()`` keeps the legacy
-one-row-at-a-time emission as the equivalence-test reference and benchmark
-baseline.
+as arrays (see DESIGN.md Section 2).  The legacy one-row-at-a-time
+emission survives only as the equivalence-test oracle and assembly-benchmark
+baseline, ``tests/lp/reference_builders.py``.
 
 Both produce a :class:`RoutingRelaxation` carrying, per flow, the interval
 fractions, the LP completion-time proxies, and an aggregate edge (or path)
@@ -45,7 +45,6 @@ from ..lp import LinearProgram, LPSolution, solve, stacked_aranges
 from ._assembly import (
     CompletionLayout,
     add_completion_structure_bulk,
-    add_completion_structure_scalar,
     extract_completion,
 )
 from .flow_decomposition import FlowDecomposition, PathFlow, decompose_flow
@@ -183,12 +182,6 @@ class RoutingLP:
         """Transfer strengthening (endpoint-memoized widest-path searches)."""
         return flow_transfer_lower_bounds(self.instance, self.network)
 
-    def _add_completion_structure(self, lp: LinearProgram) -> None:
-        """Scalar variables and constraints (15)-(17), (22): x, c, C, releases."""
-        add_completion_structure_scalar(
-            lp, self.instance, self.grid, self._transfer_rhs()
-        )
-
     # ----------------------------------------------------------- edge builder
     def _build_edge(self) -> LinearProgram:
         """Vectorized assembly of the edge formulation."""
@@ -224,7 +217,7 @@ class RoutingLP:
             "E": E,
         }
         if A == 0:
-            # Still emit the (empty) capacity rows to match the scalar path.
+            # Still emit the (empty) capacity rows to match the scalar reference.
             caps = np.asarray([network.capacity(*e) for e in edges], dtype=float)
             lp.add_constraints_coo(
                 rows=np.zeros(0, dtype=np.int64),
@@ -303,58 +296,6 @@ class RoutingLP:
         )
         return lp
 
-    def _build_edge_scalar(self) -> LinearProgram:
-        """Legacy scalar assembly of the edge formulation (reference path)."""
-        instance, network, grid = self.instance, self.network, self.grid
-        L = grid.num_intervals
-        edges = network.edges()
-        lp = LinearProgram(name="circuit-routing-edge")
-        self._add_completion_structure(lp)
-
-        # Rate variables f[(i,j), ell, e].
-        for i, j, flow in instance.iter_flows():
-            if flow.size <= 0:
-                continue
-            for ell in range(L):
-                for e in edges:
-                    lp.add_variable(("f", i, j, ell, e), lower=0.0)
-
-        # Flow conservation (18)-(20) per flow per interval.
-        for i, j, flow in instance.iter_flows():
-            if flow.size <= 0:
-                continue
-            for ell in range(L):
-                length = grid.length(ell)
-                for v in network.nodes():
-                    incoming = network.in_edges(v)
-                    outgoing = network.out_edges(v)
-                    terms: Dict[Tuple, float] = {}
-                    for e in incoming:
-                        terms[("f", i, j, ell, e)] = terms.get(("f", i, j, ell, e), 0.0) + 1.0
-                    for e in outgoing:
-                        terms[("f", i, j, ell, e)] = terms.get(("f", i, j, ell, e), 0.0) - 1.0
-                    if v == flow.destination:
-                        # net inflow at the sink equals the delivered rate
-                        terms[("x", i, j, ell)] = -flow.size / length
-                        lp.add_constraint(terms, "==", 0.0, name=f"sink[{i},{j},{ell}]")
-                    elif v == flow.source:
-                        # net outflow at the source equals the delivered rate
-                        terms[("x", i, j, ell)] = flow.size / length
-                        lp.add_constraint(terms, "==", 0.0, name=f"source[{i},{j},{ell}]")
-                    else:
-                        lp.add_constraint(terms, "==", 0.0, name=f"conserve[{i},{j},{ell},{v}]")
-
-        # Capacity (21) per edge per interval.
-        for ell in range(L):
-            for e in edges:
-                terms = {
-                    ("f", i, j, ell, e): 1.0
-                    for i, j, flow in instance.iter_flows()
-                    if flow.size > 0
-                }
-                lp.add_constraint(terms, "<=", network.capacity(*e), name=f"cap[{e},{ell}]")
-        return lp
-
     # ----------------------------------------------------------- path builder
     def candidate_paths(self) -> Dict[FlowId, List[List[Hashable]]]:
         """Candidate path set per flow (cached; the network memoizes Yen's runs)."""
@@ -420,7 +361,7 @@ class RoutingLP:
             )
 
         # Capacity per edge per interval.  Edge order matches the scalar
-        # path: first seen while walking flows, then their candidate paths.
+        # reference: first seen while walking flows, then their candidates.
         edge_users: Dict[Edge, List[Tuple[int, int]]] = {}
         for a, p in enumerate(active_pos):
             i, j, _flow = flows[p]
@@ -459,64 +400,11 @@ class RoutingLP:
             )
         return lp
 
-    def _build_path_scalar(self) -> LinearProgram:
-        """Legacy scalar assembly of the path formulation (reference path)."""
-        instance, network, grid = self.instance, self.network, self.grid
-        L = grid.num_intervals
-        lp = LinearProgram(name="circuit-routing-path")
-        self._add_completion_structure(lp)
-        candidates = self.candidate_paths()
-
-        # Rate variables y[(i,j), ell, path-index].
-        for i, j, flow in instance.iter_flows():
-            if flow.size <= 0:
-                continue
-            for ell in range(L):
-                for p in range(len(candidates[(i, j)])):
-                    lp.add_variable(("y", i, j, ell, p), lower=0.0)
-
-        # Volume delivered per interval equals the rate on candidate paths
-        # times the interval length.
-        for i, j, flow in instance.iter_flows():
-            if flow.size <= 0:
-                continue
-            for ell in range(L):
-                length = grid.length(ell)
-                terms = {
-                    ("y", i, j, ell, p): length
-                    for p in range(len(candidates[(i, j)]))
-                }
-                terms[("x", i, j, ell)] = -flow.size
-                lp.add_constraint(terms, "==", 0.0, name=f"route[{i},{j},{ell}]")
-
-        # Capacity per edge per interval.
-        edge_terms: Dict[Tuple[Edge, int], Dict[Tuple, float]] = {}
-        for i, j, flow in instance.iter_flows():
-            if flow.size <= 0:
-                continue
-            for p, path in enumerate(candidates[(i, j)]):
-                for e in path_edges(path):
-                    for ell in range(L):
-                        edge_terms.setdefault((e, ell), {})[("y", i, j, ell, p)] = 1.0
-        for (e, ell), terms in edge_terms.items():
-            lp.add_constraint(terms, "<=", network.capacity(*e), name=f"cap[{e},{ell}]")
-        return lp
-
     def build(self) -> LinearProgram:
         """Assemble the LP in the selected formulation (bulk pipeline)."""
         if self.formulation == "edge":
             return self._build_edge()
         return self._build_path()
-
-    def build_scalar(self) -> LinearProgram:
-        """Assemble the same LP through the legacy scalar API.
-
-        Kept as the reference implementation for the LP-equivalence
-        regression tests and as the baseline of the assembly benchmark.
-        """
-        if self.formulation == "edge":
-            return self._build_edge_scalar()
-        return self._build_path_scalar()
 
     # ------------------------------------------------------------------ solve
     def relax(self) -> RoutingRelaxation:

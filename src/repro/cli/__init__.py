@@ -15,7 +15,7 @@ One operator-facing entry point for the whole reproduction (installed as the
   summary of DESIGN.md §8.
 
 The CLI is a thin shell: all logic lives in
-:mod:`repro.analysis.artifacts` (specs, scheme registry, artifact export)
+:mod:`repro.analysis.artifacts` (specs, scheme resolution, artifact export)
 and :mod:`repro.analysis.report` (renderers), so everything the CLI does is
 equally reachable from Python.
 """

@@ -36,8 +36,9 @@ spec/engine/artifact pipeline as ``repro sweep``:
 The suites default to a scaled-down configuration that preserves each
 comparison's shape and runs in minutes; ``--paper-scale`` switches to the
 paper's parameters (k=8 fat-tree, widths up to 32, slow with an
-open-source solver).  The per-figure scripts under ``benchmarks/`` are
-thin pytest wrappers over the functions here.
+open-source solver).  ``repro bench <suite>`` is each suite's one entry
+point; the scripts under ``benchmarks/`` measure what no suite covers
+(LP assembly and scaling, the Figure-1 example, two ablations).
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from ..analysis.report import (
     render_report,
 )
 from ..analysis.runstore import RunStore
+from .main import bounded
 
 SUITES = (
     "fig3",
@@ -80,6 +82,11 @@ SUITES = (
     "streaming",
     "pipeline-matrix",
     "pipeline",
+)
+
+#: The suites that run an engine sweep, the only users of ``--tries``.
+_SWEEP_SUITES = (
+    "fig3", "fig4", "headline", "scenario-matrix", "online", "pipeline-matrix"
 )
 
 #: Shared workload shape of the figure sweeps (Section 4.1's Poisson regime).
@@ -756,7 +763,7 @@ def run_simulator(
     Returns ``{regime: speedup}`` plus online and 100k-tier accounting.
     """
     from ..analysis.artifacts import strict_config_from_dict
-    from ..baselines import OnlineScheme, SEBFScheme
+    from ..baselines import scheme_from_spec
     from ..sim import (
         FlowLevelSimulator,
         kernel_jit,
@@ -788,7 +795,7 @@ def run_simulator(
         config = strict_config_from_dict(payload, f"simulator bench {label!r}")
         network = config.build_network()
         instance = CoflowGenerator(network, config).instance()
-        plan = SEBFScheme().plan(instance, network)
+        plan = scheme_from_spec("SEBF").plan(instance, network)
         simulator = FlowLevelSimulator(network)
 
         kernel_result = simulator.run(instance, plan, backend="array")
@@ -835,7 +842,7 @@ def run_simulator(
                  events / jit_time, reference_time / jit_time]
             )
         if label == "arrivals":
-            online_scheme = OnlineScheme(SEBFScheme())
+            online_scheme = scheme_from_spec("Online-SEBF")
             online_result = online_scheme.simulate(instance, network)
             online_time = _best_of(
                 lambda: online_scheme.simulate(instance, network), repeats[0]
@@ -855,7 +862,7 @@ def run_simulator(
     config = strict_config_from_dict(gate_cfg, "simulator bench '100k'")
     network = config.build_network()
     instance = CoflowGenerator(network, config).instance()
-    plan = SEBFScheme().plan(instance, network).normalized(instance)
+    plan = scheme_from_spec("SEBF").plan(instance, network).normalized(instance)
     plan.validate(instance, network)
     gate_label = "100k" if not smoke else "100k (smoke-scaled)"
 
@@ -905,7 +912,7 @@ def run_simulator(
     cal_config = strict_config_from_dict(cal_cfg, "simulator bench 'ref-cal'")
     cal_network = cal_config.build_network()
     cal_instance = CoflowGenerator(cal_network, cal_config).instance()
-    cal_plan = SEBFScheme().plan(cal_instance, cal_network)
+    cal_plan = scheme_from_spec("SEBF").plan(cal_instance, cal_network)
     cal_sim = FlowLevelSimulator(cal_network)
     cal_result = cal_sim.run_reference(cal_instance, cal_plan)
     cal_time = _best_of(
@@ -1094,7 +1101,7 @@ def run_streaming(
     the ``"_gate"`` key.
     """
     from ..analysis.artifacts import strict_config_from_dict
-    from ..baselines import SEBFScheme
+    from ..baselines import scheme_from_spec
     from ..circuit.given_paths import _default_horizon
     from ..sim import (
         BatchPolicy,
@@ -1198,7 +1205,7 @@ def run_streaming(
     gate_config = strict_config_from_dict(gate_cfg, "streaming bench '100k'")
     gate_network = gate_config.build_network()
     gate_instance = CoflowGenerator(gate_network, gate_config).instance()
-    static_plan = SEBFScheme().plan(gate_instance, gate_network)
+    static_plan = scheme_from_spec("SEBF").plan(gate_instance, gate_network)
     jit_available = kernel_jit.available()
     if not smoke:
         # The 100k rate is a compiled-tier number: at full scale a missing
@@ -1455,22 +1462,34 @@ def run_suite(
     suite: str,
     out_dir: Path,
     workers: int = 0,
-    tries: int = 2,
+    tries: Optional[int] = None,
     paper_scale: bool = False,
     smoke: bool = False,
 ) -> int:
-    """Run one named suite and print its report; returns an exit code."""
+    """Run one named suite and print its report; returns an exit code.
+
+    ``tries=None`` means 2 tries per point for the sweep suites.  An explicit
+    ``tries`` is named among the ignored flags wherever no sweep uses it:
+    the single-instance suites, and every ``smoke`` pass (1 try).
+    """
     out_dir = Path(out_dir)
+    tries_ignored = tries is not None and (smoke or suite not in _SWEEP_SUITES)
+    if tries is None:
+        tries = 2
+    # The flags a suite that runs no engine sweep leaves unused.
+    unswept = {
+        "--workers": workers != 0,
+        "--tries": tries_ignored,
+        "--paper-scale": paper_scale,
+    }
     if suite == "table1":
         # Table 1 measures four fixed single instances: no engine, no sweep.
-        _warn_ignored(
-            suite,
-            {"--workers": workers != 0, "--paper-scale": paper_scale, "--smoke": smoke},
-        )
+        _warn_ignored(suite, {**unswept, "--smoke": smoke})
         run_table1(out_dir)
         print((out_dir / "table1" / "report.txt").read_text())
         return 0
     if suite == "headline":
+        _warn_ignored(suite, {"--tries": tries_ignored})
         _, width_run, count_run = run_headline(
             out_dir, workers, paper_scale, tries, smoke=smoke
         )
@@ -1483,10 +1502,7 @@ def run_suite(
         # A wall-clock microbenchmark: no engine, no sweep.  The hard >= 5x
         # gate only applies to the full pinned instance — CI smoke runs are
         # on shared, noisy machines and only require the kernel to win.
-        _warn_ignored(
-            suite,
-            {"--workers": workers != 0, "--paper-scale": paper_scale},
-        )
+        _warn_ignored(suite, unswept)
         speedups = run_simulator(
             out_dir, smoke=smoke, min_speedup=1.0 if smoke else 5.0
         )
@@ -1508,10 +1524,7 @@ def run_suite(
         # A wall-clock service benchmark: no engine, no sweep.  The hard
         # >= 3x throughput gate only applies at full scale — CI smoke runs
         # are on shared, noisy machines and only require batching to win.
-        _warn_ignored(
-            suite,
-            {"--workers": workers != 0, "--paper-scale": paper_scale},
-        )
+        _warn_ignored(suite, unswept)
         metrics = run_streaming(
             out_dir,
             smoke=smoke,
@@ -1534,16 +1547,15 @@ def run_suite(
         return 0
     if suite == "pipeline":
         # A wall-clock stage microbenchmark: no engine, no sweep.
-        _warn_ignored(
-            suite,
-            {"--workers": workers != 0, "--paper-scale": paper_scale},
-        )
+        _warn_ignored(suite, unswept)
         run_pipeline_bench(out_dir, smoke=smoke)
         name = "pipeline-smoke" if smoke else "pipeline"
         print((out_dir / name / "report.txt").read_text())
         return 0
     if suite == "scenario-matrix" and smoke:
-        _warn_ignored(suite, {"--paper-scale": paper_scale})
+        _warn_ignored(
+            suite, {"--tries": tries_ignored, "--paper-scale": paper_scale}
+        )
         smoke_scenario_matrix(workers=max(workers, 2))
         return 0
 
@@ -1554,10 +1566,12 @@ def run_suite(
         "online": lambda: online_spec(tries=tries),
         "pipeline-matrix": lambda: pipeline_matrix_spec(tries=tries),
     }
-    if suite in ("scenario-matrix", "online", "pipeline-matrix"):
-        # These suites have one fixed size; the paper-scale switch only
-        # applies to the figure sweeps.
-        _warn_ignored(suite, {"--paper-scale": paper_scale})
+    # These suites have one fixed size; the paper-scale switch only applies
+    # to the figure sweeps.
+    fixed_size = suite in ("scenario-matrix", "online", "pipeline-matrix")
+    _warn_ignored(
+        suite, {"--tries": tries_ignored, "--paper-scale": fixed_size and paper_scale}
+    )
     spec = builders[suite]()
     if smoke:
         spec = spec.smoke()
@@ -1602,10 +1616,12 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
         help="artifact directory (default: ./artifacts)",
     )
     parser.add_argument(
-        "--workers", type=int, default=0, help="engine worker processes"
+        "--workers", type=bounded(int, 0), default=0, help="engine worker processes"
     )
     parser.add_argument(
-        "--tries", type=int, default=2, help="random tries per sweep point"
+        "--tries",
+        type=bounded(int, 1),
+        help="random tries per sweep point (default: 2)",
     )
     parser.add_argument(
         "--paper-scale",

@@ -9,9 +9,33 @@ dispatches.
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..analysis.artifacts import provenance_lines
+
+
+def bounded(
+    convert: Callable[[str], float], minimum: float, inclusive: bool = True
+) -> Callable[[str], float]:
+    """An argparse ``type`` for count and limit flags.
+
+    Parses with ``convert`` (``int`` or ``float``) and accepts values
+    ``>= minimum``, or ``> minimum`` when ``inclusive`` is false (NaN is
+    never accepted).  A value out of range is a usage error naming the flag,
+    so argparse exits 2 before anything runs.
+    """
+    relation = ">=" if inclusive else ">"
+
+    def parse(text: str) -> float:
+        value = convert(text)  # a ValueError reads "invalid int value: ..."
+        if not (value >= minimum if inclusive else value > minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} {minimum}, got {text}"
+            )
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,8 +1,8 @@
 """``repro run`` — one workload instance x one scheme, JSON result.
 
 Generates a random coflow instance from a workload config (built from flags
-or loaded from a YAML/JSON file), plans it with one scheme — a registry
-name like ``LP-Based`` or a composed ``pipeline(router=..., order=...)``
+or loaded from a YAML/JSON file), plans it with one scheme — an alias
+like ``LP-Based`` or a composed ``pipeline(router=..., order=...)``
 spec — runs the flow-level simulator, and prints a self-describing JSON
 document:
 provenance, topology fingerprint, the exact config (seed included), the
@@ -65,7 +65,7 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
         "--scheme",
         default="LP-Based",
         metavar="SPEC",
-        help="scheme to plan with: a registry name "
+        help="scheme to plan with: an alias "
         f"({', '.join(known_scheme_names())}) or a pipeline composition "
         'such as "pipeline(router=lp, order=sebf, alloc=max-min, '
         'online=true)" (default: LP-Based)',

@@ -60,6 +60,7 @@ from ..analysis.fabric.store import shard_filename
 from ..analysis.report import render_report
 from ..analysis.runstore import RunStore
 from ..faults import FaultConfig
+from .main import bounded
 
 #: Exit status when the sweep completed but coverage fell below
 #: ``--min-coverage`` (distinct from argparse's 2 and generic failure's 1).
@@ -76,7 +77,7 @@ def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
         help="shrink the spec to CI size (1 try, tiny instances, same grid)",
     )
     parser.add_argument(
-        "--tries", type=int, help="override the spec's tries-per-point"
+        "--tries", type=bounded(int, 1), help="override the spec's tries-per-point"
     )
     parser.add_argument(
         "--out",
@@ -127,7 +128,7 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
     add_spec_arguments(parser)
     parser.add_argument(
         "--workers",
-        type=int,
+        type=bounded(int, 0),
         default=0,
         help="engine worker processes (0 = serial, >=2 = process pool)",
     )
@@ -138,21 +139,21 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=bounded(int, 0),
         default=2,
         metavar="N",
         help="retries per task for transient errors (default: 2)",
     )
     parser.add_argument(
         "--task-timeout",
-        type=float,
+        type=bounded(float, 0, inclusive=False),
         metavar="SECONDS",
         help="per-task wall-clock limit; an expired task is retried as "
         "transient, then recorded as a failure (default: none)",
     )
     parser.add_argument(
         "--lp-time-limit",
-        type=float,
+        type=bounded(float, 0, inclusive=False),
         metavar="SECONDS",
         help="time budget handed to the HiGHS solver for every LP solve "
         "(default: none)",
@@ -196,7 +197,7 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
     )
     parser.add_argument(
         "--steal-after",
-        type=float,
+        type=bounded(float, 0),
         default=3.0,
         metavar="SECONDS",
         help="seconds without fleet progress before a shard steals tasks "

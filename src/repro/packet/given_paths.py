@@ -28,7 +28,6 @@ import numpy as np
 
 from ..circuit._assembly import (
     add_completion_variables_bulk,
-    add_completion_variables_scalar,
     add_core_families_bulk,
     extract_completion,
 )
@@ -203,65 +202,6 @@ class PacketGivenPathsLP:
                 senses="<=",
                 rhs=np.concatenate(rhs_parts),
             )
-        return lp
-
-    def build_scalar(self) -> LinearProgram:
-        """Assemble the same LP through the legacy scalar API (reference)."""
-        instance, grid = self.instance, self.grid
-        L = grid.num_intervals
-        lp = LinearProgram(name="packet-given-paths")
-        add_completion_variables_scalar(lp, instance, grid)
-        flows = list(instance.iter_flows())
-        earliest = self._earliest_arrivals()
-
-        for i, j, _flow in flows:
-            lp.add_constraint(
-                {("x", i, j, ell): 1.0 for ell in range(L)}, "==", 1.0,
-                name=f"arrive[{i},{j}]",
-            )
-        for i, j, _flow in flows:
-            lp.add_constraint(
-                {
-                    **{("x", i, j, ell): grid.left(ell) for ell in range(L)},
-                    ("c", i, j): -1.0,
-                },
-                "<=",
-                0.0,
-                name=f"completion[{i},{j}]",
-            )
-        for i, j, _flow in flows:
-            lp.add_constraint(
-                {("c", i, j): 1.0, ("C", i): -1.0}, "<=", 0.0,
-                name=f"coflow-last[{i},{j}]",
-            )
-        # A packet cannot arrive in an interval that closes before its
-        # earliest feasible arrival (release + path length).
-        for pos, (i, j, _flow) in enumerate(flows):
-            for ell in range(L):
-                if grid.right(ell) < earliest[pos] - 1e-9:
-                    lp.add_constraint(
-                        {("x", i, j, ell): 1.0}, "==", 0.0,
-                        name=f"dilation[{i},{j},{ell}]",
-                    )
-        # The completion proxy can also never undercut the earliest arrival.
-        for pos, (i, j, _flow) in enumerate(flows):
-            lp.add_constraint(
-                {("c", i, j): 1.0}, ">=", float(earliest[pos]), name=f"lbc[{i},{j}]"
-            )
-
-        # Congestion validity (constraint (28) of the paper).
-        for e, users in self._edge_users().items():
-            for ell in range(L):
-                lp.add_constraint(
-                    {
-                        ("x", *flows[pos][:2], t): 1.0
-                        for pos in users
-                        for t in range(ell + 1)
-                    },
-                    "<=",
-                    grid.right(ell),
-                    name=f"congestion[{e},{ell}]",
-                )
         return lp
 
     def relax(self) -> PacketGivenPathsRelaxation:

@@ -346,126 +346,6 @@ class PacketRoutingLP:
         block.flush()
         return lp
 
-    def build_scalar(self) -> LinearProgram:
-        """Legacy scalar assembly (reference for the equivalence tests)."""
-        instance, network, gt = self.instance, self.network, self.expanded
-        T = gt.horizon
-        lp = LinearProgram(name="packet-routing-time-expanded")
-
-        # Completion variables.
-        for i, j, _flow in instance.iter_flows():
-            lp.add_variable(("c", i, j), lower=0.0)
-        for i, coflow in enumerate(instance.coflows):
-            lp.add_variable(("C", i), lower=0.0, objective=coflow.weight)
-
-        # Per-packet flow variables on G^T edges.  Only edges the packet can
-        # actually use are materialised: the departure node must be reachable
-        # from the source copy by the departure time, and the arrival node
-        # must still be able to reach the destination within the horizon.
-        dist_from, dist_to = self._distance_maps()
-        infinite = T + 1
-
-        for i, j, flow in instance.iter_flows():
-            release = int(round(flow.release_time))
-            from_src = dist_from(flow.source)
-            to_dst = dist_to(flow.destination)
-
-            def usable(u: Hashable, v: Hashable, t: int) -> bool:
-                # departing u at step t, arriving v at t + 1
-                if u == flow.destination:
-                    return False  # destination copies are absorbing
-                if from_src.get(u, infinite) > t - release:
-                    return False
-                if to_dst.get(v, infinite) > T - (t + 1):
-                    return False
-                return True
-
-            for t in range(release, T):
-                for u, v in network.edges():
-                    if usable(u, v, t):
-                        lp.add_variable(("f", i, j, ((u, t), (v, t + 1))), lower=0.0, upper=1.0)
-                for v in network.nodes():
-                    if usable(v, v, t):
-                        lp.add_variable(("f", i, j, ((v, t), (v, t + 1))), lower=0.0, upper=1.0)
-            for t in range(release + 1, T + 1):
-                lp.add_variable(("z", i, j, t), lower=0.0, upper=1.0)
-
-        def fvar(i: int, j: int, edge: Tuple) -> Optional[Tuple]:
-            key = ("f", i, j, edge)
-            return key if lp.has_variable(key) else None
-
-        # Flow conservation and absorption per packet.
-        for i, j, flow in instance.iter_flows():
-            release = int(round(flow.release_time))
-            src, dst = flow.source, flow.destination
-            # Unit supply at the source copy (s, release).
-            supply_terms: Dict[Tuple, float] = {}
-            for edge in gt.out_edges((src, release)):
-                key = fvar(i, j, edge)
-                if key is not None:
-                    supply_terms[key] = 1.0
-            lp.add_constraint(supply_terms, "==", 1.0, name=f"supply[{i},{j}]")
-
-            # Conservation at intermediate copies (v, t), v != dst; flow may
-            # neither appear nor disappear anywhere but the source copy and
-            # the destination copies.
-            for t in range(release, T):
-                for v in network.nodes():
-                    if v == dst or (v == src and t == release):
-                        continue
-                    terms: Dict[Tuple, float] = {}
-                    for edge in gt.in_edges((v, t)):
-                        key = fvar(i, j, edge)
-                        if key is not None:
-                            terms[key] = terms.get(key, 0.0) + 1.0
-                    for edge in gt.out_edges((v, t)):
-                        key = fvar(i, j, edge)
-                        if key is not None:
-                            terms[key] = terms.get(key, 0.0) - 1.0
-                    if terms:
-                        lp.add_constraint(terms, "==", 0.0, name=f"cons[{i},{j},{v},{t}]")
-
-            # Absorption: z[t] equals the flow entering the destination copy.
-            for t in range(release + 1, T + 1):
-                terms = {("z", i, j, t): -1.0}
-                for edge in gt.in_edges((dst, t)):
-                    key = fvar(i, j, edge)
-                    if key is not None:
-                        terms[key] = terms.get(key, 0.0) + 1.0
-                lp.add_constraint(terms, "==", 0.0, name=f"absorb[{i},{j},{t}]")
-            lp.add_constraint(
-                {("z", i, j, t): 1.0 for t in range(release + 1, T + 1)},
-                "==",
-                1.0,
-                name=f"arrive[{i},{j}]",
-            )
-            # Completion proxies.
-            lp.add_constraint(
-                {
-                    **{("z", i, j, t): float(t) for t in range(release + 1, T + 1)},
-                    ("c", i, j): -1.0,
-                },
-                "<=",
-                0.0,
-                name=f"completion[{i},{j}]",
-            )
-            lp.add_constraint(
-                {("c", i, j): 1.0, ("C", i): -1.0}, "<=", 0.0, name=f"coflow[{i},{j}]"
-            )
-
-        # Unit capacity on every movement edge of G^T.
-        for t in range(T):
-            for u, v in network.edges():
-                edge = ((u, t), (v, t + 1))
-                terms = {}
-                for i, j, _flow in instance.iter_flows():
-                    key = fvar(i, j, edge)
-                    if key is not None:
-                        terms[key] = 1.0
-                if terms:
-                    lp.add_constraint(terms, "<=", 1.0, name=f"cap[{edge}]")
-        return lp
-
     def relax(self) -> PacketRoutingRelaxation:
         lp = self.build()
         solution = solve(lp)

@@ -12,10 +12,9 @@ Three layers (see ``docs/simulator.md``):
   ``backend="array"`` / ``REPRO_SIM_BACKEND=array`` opts out);
 * :mod:`repro.sim.allocators` — pluggable per-event rate policies;
 * :mod:`repro.sim.streaming` — the long-running scheduler service:
-  batched re-planning with a staleness bound, the LP replanner,
-  replans/sec + decision-latency metrics;
-* :mod:`repro.sim.online` — arrival-driven online re-planning, now the
-  batch-size-1 special case of the streaming service.
+  re-planning at every coflow arrival (its default policy) or in batches
+  under a staleness bound, the LP replanner, replans/sec +
+  decision-latency metrics.
 
 :class:`FlowLevelSimulator` is the orchestrating entry point: a static run
 is a one-epoch kernel session, and the streaming engine keeps one session
@@ -34,11 +33,13 @@ from .allocators import (
 from .kernel import ResidentSimulationKernel
 from .kernel_jit import ResidentJitKernel, paused_gc
 from .metrics import SchemeComparison, coflow_slowdowns, improvement_percent
-from .online import OnlineFlowSimulator, ReplanContext, StaticPlanReplanner
 from .plan import SimulationPlan
 from .streaming import (
     BatchPolicy,
     LPReplanner,
+    ReplanContext,
+    Replanner,
+    StaticPlanReplanner,
     StreamingError,
     StreamingScheduler,
 )
@@ -71,8 +72,8 @@ __all__ = [
     "WeightedFairAllocator",
     "ALLOCATORS",
     "resolve_allocator",
-    "OnlineFlowSimulator",
     "ReplanContext",
+    "Replanner",
     "StaticPlanReplanner",
     "BatchPolicy",
     "StreamingScheduler",

@@ -1,10 +1,13 @@
-"""Streaming scheduler service: batched re-planning under a staleness bound.
+"""Streaming scheduler service: re-planning at coflow arrivals, optionally
+in batches under a staleness bound.
 
-:mod:`repro.sim.online` re-plans at *every* coflow arrival — the right
-semantics for paper-style comparisons, but unusable at production arrival
-rates: plan time (LP assembly + solve) dominates once the compiled kernel
-tier made simulation cheap.  This module generalises the online engine into
-a long-running **service**:
+The paper evaluates *clairvoyant offline* schedules; the systems it compares
+against (Varys-style schedulers) re-plan the unfinished volume as coflows
+arrive.  Re-planning at *every* arrival is the right semantics for
+paper-style comparisons (the ``online=true`` pipeline schemes), but
+unusable at production arrival rates: plan time (LP assembly + solve)
+dominates once the compiled kernel tier made simulation cheap.  This module
+is one engine for both, a long-running **service**:
 
 * :class:`StreamingScheduler` ingests a stream of coflow arrivals
   (:meth:`StreamingScheduler.submit`) and departures (a coflow departs when
@@ -26,12 +29,15 @@ a long-running **service**:
   patch priorities and paths in place, and departures tombstone slots
   into a free-list.
 
-With ``BatchPolicy(max_batch=1)`` the re-plan times are exactly the distinct
-coflow release times, and the engine reproduces
-:class:`repro.sim.online.OnlineFlowSimulator` **bit-identically** — the
-online simulator is now literally a batch-size-1 streaming session (see its
-``run``), and ``tests/sim/test_streaming_equivalence.py`` holds the two
-engines equal across a seeded topology × workload × allocator matrix.
+With the default ``BatchPolicy(max_batch=1)`` the re-plan times are exactly
+the distinct coflow release times: at each one the engine pauses the
+kernel, hands the replanner a :class:`ReplanContext` over the arrived
+coflows' unfinished volume, and splices the returned plan into one
+continuous simulation (flows that already moved volume keep their path).
+Under :class:`StaticPlanReplanner` a session reproduces the static
+simulation of that plan, and ``tests/sim/test_streaming_equivalence.py``
+holds the resident session bit-identical to a rebuild-per-epoch oracle
+across a seeded topology × workload × allocator matrix.
 
 Replanners decide each epoch's plan; :class:`LPReplanner` solves the
 Section-2.1 given-paths LP over the active sub-instance, built from scratch
@@ -266,8 +272,8 @@ class StreamingScheduler:
     """Long-running scheduler session over a stream of coflow arrivals.
 
     One session simulates one continuous horizon; construct a fresh session
-    per run (:class:`repro.sim.online.OnlineFlowSimulator` does exactly
-    that with ``BatchPolicy(max_batch=1)``).
+    per run (an ``online=true`` pipeline scheme does exactly that under the
+    default ``BatchPolicy(max_batch=1)``).
 
     Parameters
     ----------
@@ -473,8 +479,8 @@ class StreamingScheduler:
     ) -> SimulationResult:
         """Convenience one-shot: submit the whole instance, drain, splice.
 
-        This is the entry point :class:`repro.sim.online.OnlineFlowSimulator`
-        delegates to; it requires a pristine session.
+        This is the entry point ``online=true`` pipeline schemes use; it
+        requires a pristine session.
         """
         if self._coflows or self._result is not None:
             raise StreamingError("run() requires a fresh session")

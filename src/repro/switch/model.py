@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
-from ..baselines.lp_based import LPGivenPathsScheme
+from ..baselines.spec import scheme_from_spec
 from ..circuit.given_paths import GivenPathsResult, GivenPathsScheduler
 from ..core.flows import CoflowInstance, FlowId
 from ..core.network import Network
@@ -114,7 +114,7 @@ class SwitchScheduler:
     def schedule(self) -> SwitchScheduleOutcome:
         """Run both back-ends: the provable rounding and the simulated LP order."""
         rounded = GivenPathsScheduler(self.instance, self.network).schedule()
-        scheme = LPGivenPathsScheme()
+        scheme = scheme_from_spec("LP-Based (given paths)")
         plan = scheme.plan(self.instance, self.network)
         simulated = FlowLevelSimulator(self.network).run(self.instance, plan)
         outcome = SwitchScheduleOutcome(

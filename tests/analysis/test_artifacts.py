@@ -8,7 +8,7 @@ import pytest
 from repro.analysis import RunStore, render_report
 from repro.analysis.artifacts import (
     DEFAULT_SCHEMES,
-    SCHEME_REGISTRY,
+    SCHEME_ALIASES,
     build_schemes,
     export_artifacts,
     load_spec,
@@ -16,6 +16,7 @@ from repro.analysis.artifacts import (
     provenance_lines,
     result_from_store,
     run_spec,
+    scheme_from_spec,
     spec_from_dict,
     stats_summary,
 )
@@ -174,7 +175,7 @@ class TestSpecFiles:
 
 class TestSchemeRegistry:
     def test_registry_covers_the_paper_schemes(self):
-        assert set(DEFAULT_SCHEMES) <= set(SCHEME_REGISTRY)
+        assert set(DEFAULT_SCHEMES) <= set(SCHEME_ALIASES)
 
     def test_build_schemes_names(self):
         schemes = build_schemes(DEFAULT_SCHEMES)
@@ -182,10 +183,10 @@ class TestSchemeRegistry:
 
     def test_signatures_are_deterministic(self):
         # Spec reproducibility depends on a name alone fixing the signature.
-        for name in SCHEME_REGISTRY:
+        for name in SCHEME_ALIASES:
             assert (
-                SCHEME_REGISTRY[name]().signature()
-                == SCHEME_REGISTRY[name]().signature()
+                scheme_from_spec(name).signature()
+                == scheme_from_spec(name).signature()
             )
 
     def test_unknown_scheme(self):

@@ -20,7 +20,7 @@ from repro.analysis import (
     RunStore,
     run_key,
 )
-from repro.baselines import BaselineScheme, RouteOnlyScheme, ScheduleOnlyScheme
+from repro.baselines import scheme_from_spec
 from repro.core import topologies
 from repro.workloads import WorkloadConfig
 
@@ -32,7 +32,7 @@ def network():
 
 @pytest.fixture
 def schemes():
-    return [BaselineScheme(seed=0), RouteOnlyScheme(), ScheduleOnlyScheme(seed=0)]
+    return [scheme_from_spec(name) for name in ("Baseline", "Route-only", "Schedule-only")]
 
 
 @pytest.fixture
@@ -90,7 +90,7 @@ class TestRunStore:
         assert len(lines) == cold.last_run_stats.total_tasks
 
     def test_partial_store_executes_only_missing(self, tmp_path, network, config):
-        schemes = [BaselineScheme(seed=0), RouteOnlyScheme()]
+        schemes = [scheme_from_spec("Baseline"), scheme_from_spec("Route-only")]
         store_path = tmp_path / "runs.jsonl"
         seeded = ExperimentEngine(network, schemes, tries=2, store=str(store_path))
         seeded.run(config, "coflow_width", [2])
@@ -104,7 +104,7 @@ class TestRunStore:
         )
 
     def test_records_are_self_describing(self, tmp_path, network, config):
-        schemes = [BaselineScheme(seed=0)]
+        schemes = [scheme_from_spec("Baseline")]
         store_path = tmp_path / "runs.jsonl"
         engine = ExperimentEngine(network, schemes, tries=1, store=str(store_path))
         engine.run(config, "coflow_width", [2])
@@ -129,19 +129,25 @@ class TestRunStore:
     def test_key_distinguishes_topology_config_seed_scheme(self, network, config):
         fp = network.fingerprint()
         other_fp = topologies.fat_tree(4, oversubscription=2.0).fingerprint()
-        baseline = BaselineScheme(seed=0)
+        baseline = scheme_from_spec("Baseline")
         keys = {
             run_key(fp, config, baseline.signature()),
             run_key(other_fp, config, baseline.signature()),
             run_key(fp, config.with_seed(config.seed + 1), baseline.signature()),
             run_key(fp, config.with_width(5), baseline.signature()),
-            run_key(fp, config, BaselineScheme(seed=1).signature()),
-            run_key(fp, config, RouteOnlyScheme().signature()),
+            run_key(
+                fp,
+                config,
+                scheme_from_spec(
+                    "pipeline(router=random(seed=1), order=random(seed=1))"
+                ).signature(),
+            ),
+            run_key(fp, config, scheme_from_spec("Route-only").signature()),
         }
         assert len(keys) == 6
 
     def test_in_memory_store_caches_within_engine(self, network, config):
-        engine = ExperimentEngine(network, [BaselineScheme(seed=0)], tries=2)
+        engine = ExperimentEngine(network, [scheme_from_spec("Baseline")], tries=2)
         engine.run(config, "coflow_width", [2])
         first = engine.last_run_stats
         engine.run(config, "coflow_width", [2])
@@ -157,12 +163,12 @@ class TestEngineApi:
             seed=3,
             topology="leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)",
         )
-        engine = ExperimentEngine.for_config(config, [BaselineScheme(seed=0)], tries=1)
+        engine = ExperimentEngine.for_config(config, [scheme_from_spec("Baseline")], tries=1)
         result = engine.run(config, "coflow_width", [2])
         assert result.points[0].mean("Baseline") > 0
 
     def test_stats_fields(self, network, config):
-        engine = ExperimentEngine(network, [BaselineScheme(seed=0)], tries=1)
+        engine = ExperimentEngine(network, [scheme_from_spec("Baseline")], tries=1)
         engine.run(config, "coflow_width", [2])
         stats = engine.last_run_stats
         assert isinstance(stats, EngineRunStats)
@@ -171,13 +177,13 @@ class TestEngineApi:
 
     def test_invalid_workers_rejected(self, network):
         with pytest.raises(ValueError):
-            ExperimentEngine(network, [BaselineScheme()], workers=-1)
+            ExperimentEngine(network, [scheme_from_spec("Baseline")], workers=-1)
 
     def test_run_store_accepts_runstore_instance(self, tmp_path, network, config):
         store = RunStore(tmp_path / "shared.jsonl")
-        a = ExperimentEngine(network, [BaselineScheme(seed=0)], tries=1, store=store)
+        a = ExperimentEngine(network, [scheme_from_spec("Baseline")], tries=1, store=store)
         a.run(config, "coflow_width", [2])
-        b = ExperimentEngine(network, [BaselineScheme(seed=0)], tries=1, store=store)
+        b = ExperimentEngine(network, [scheme_from_spec("Baseline")], tries=1, store=store)
         b.run(config, "coflow_width", [2])
         assert b.last_run_stats.all_cached
 

@@ -15,7 +15,6 @@ import pytest
 from repro import faults
 from repro.analysis import ExperimentEngine, RunStore
 from repro.analysis.engine import _failure_record
-from repro.baselines import BaselineScheme
 from repro.baselines.spec import scheme_from_spec
 from repro.core import topologies
 from repro.faults import (
@@ -44,7 +43,7 @@ def network():
 @pytest.fixture
 def schemes():
     # One LP-solving scheme so "lp" faults have a site to fire at.
-    return [BaselineScheme(seed=0), scheme_from_spec("LP-Based")]
+    return [scheme_from_spec("Baseline"), scheme_from_spec("LP-Based")]
 
 
 @pytest.fixture
@@ -273,7 +272,7 @@ class TestEngineRetries:
         # transiently twice and is then recorded as permanently failed.
         engine = ExperimentEngine(
             network,
-            [BaselineScheme(seed=0)],
+            [scheme_from_spec("Baseline")],
             tries=1,
             max_retries=1,
             task_timeout=0.15,
@@ -368,7 +367,7 @@ class TestEngineFailureRecords:
                 return None
 
         engine = ExperimentEngine(
-            network, [BaselineScheme(seed=0)], tries=1, store=AmnesiacStore()
+            network, [scheme_from_spec("Baseline")], tries=1, store=AmnesiacStore()
         )
         with pytest.raises(RuntimeError, match="point '2'.*trial 0.*'Baseline'"):
             engine.run(config, "coflow_width", [2])
@@ -415,7 +414,7 @@ class TestStoreFaults:
     def test_injected_append_failures_are_retried(self, tmp_path, network, config):
         engine = ExperimentEngine(
             network,
-            [BaselineScheme(seed=0)],
+            [scheme_from_spec("Baseline")],
             tries=1,
             store=str(tmp_path / "runs.jsonl"),
             faults="rate=1.0,kinds=store",
@@ -429,7 +428,7 @@ class TestStoreFaults:
 class TestFailureRecordShape:
     def test_solver_detail_rides_along(self, network, config):
         task = ExperimentEngine(
-            network, [BaselineScheme(seed=0)], tries=1
+            network, [scheme_from_spec("Baseline")], tries=1
         ).tasks_for([("p", [config])])[0]
         error = LPInfeasibleError(
             "nope", status=2, solver_message="infeasible", rows=3, cols=4, nnz=7

@@ -3,15 +3,15 @@
 import pytest
 
 from repro.analysis import (
-    ExperimentSweep,
+    ExperimentEngine,
     SweepPoint,
     SweepResult,
+    build_schemes,
     format_table,
     improvement_summary,
     ratio_table,
     sweep_table,
 )
-from repro.baselines import BaselineScheme, RouteOnlyScheme
 from repro.core import topologies
 from repro.workloads import WorkloadConfig
 
@@ -19,9 +19,7 @@ from repro.workloads import WorkloadConfig
 @pytest.fixture
 def small_sweep():
     net = topologies.fat_tree(4)
-    sweep = ExperimentSweep(
-        net, [BaselineScheme(seed=0), RouteOnlyScheme()], tries=2
-    )
+    sweep = ExperimentEngine(net, build_schemes(["Baseline", "Route-only"]), tries=2)
     config = WorkloadConfig(num_coflows=3, coflow_width=3, seed=5)
     return sweep.run(config, "coflow_width", [3, 6], label_format="{value} flows")
 
@@ -62,7 +60,7 @@ class TestExperimentSweep:
 
     def test_invalid_parameter(self):
         net = topologies.fat_tree(4)
-        sweep = ExperimentSweep(net, [BaselineScheme()], tries=1)
+        sweep = ExperimentEngine(net, build_schemes(["Baseline"]), tries=1)
         with pytest.raises(ValueError):
             sweep.run(WorkloadConfig(), "not_a_config_field", [1, 2])
 
@@ -70,7 +68,7 @@ class TestExperimentSweep:
         # Any workload config field is sweepable now, not just the two
         # figure parameters.
         net = topologies.fat_tree(4)
-        sweep = ExperimentSweep(net, [BaselineScheme(seed=0)], tries=1)
+        sweep = ExperimentEngine(net, build_schemes(["Baseline"]), tries=1)
         result = sweep.run(
             WorkloadConfig(num_coflows=2, coflow_width=2, seed=3),
             "mean_flow_size",
@@ -82,9 +80,9 @@ class TestExperimentSweep:
     def test_requires_schemes_and_tries(self):
         net = topologies.fat_tree(4)
         with pytest.raises(ValueError):
-            ExperimentSweep(net, [], tries=1)
+            ExperimentEngine(net, [], tries=1)
         with pytest.raises(ValueError):
-            ExperimentSweep(net, [BaselineScheme()], tries=0)
+            ExperimentEngine(net, build_schemes(["Baseline"]), tries=0)
 
 
 class TestReports:

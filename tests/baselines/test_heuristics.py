@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.baselines import (
-    BaselineScheme,
-    RouteOnlyScheme,
-    SEBFScheme,
-    ScheduleOnlyScheme,
-    load_balanced_route,
-    random_route,
-)
+from repro.baselines import load_balanced_route, random_route, scheme_from_spec
 from repro.core import Coflow, CoflowInstance, Flow, topologies
 from repro.core.network import path_edges
 from repro.sim import FlowLevelSimulator
@@ -29,10 +22,7 @@ def workload(fat_tree):
 
 
 ALL_SCHEMES = [
-    BaselineScheme(seed=0),
-    ScheduleOnlyScheme(seed=0),
-    RouteOnlyScheme(),
-    SEBFScheme(),
+    scheme_from_spec(name) for name in ("Baseline", "Schedule-only", "Route-only", "SEBF")
 ]
 
 
@@ -114,7 +104,7 @@ class TestOrderings:
                 Coflow(flows=(Flow("host_2", "host_3", size=1.0),)),
             ]
         )
-        plan = ScheduleOnlyScheme(seed=0).plan(instance, fat_tree)
+        plan = scheme_from_spec("Schedule-only").plan(instance, fat_tree)
         assert plan.order[0] == (1, 0)  # the small flow first
 
     def test_schedule_only_accounts_for_release_times(self, fat_tree):
@@ -124,7 +114,7 @@ class TestOrderings:
                 Coflow(flows=(Flow("host_2", "host_3", size=2.0),)),
             ]
         )
-        plan = ScheduleOnlyScheme(seed=0).plan(instance, fat_tree)
+        plan = scheme_from_spec("Schedule-only").plan(instance, fat_tree)
         assert plan.order[0] == (1, 0)
 
     def test_sebf_orders_by_coflow_bottleneck(self, fat_tree):
@@ -134,13 +124,13 @@ class TestOrderings:
             name="heavy",
         )
         instance = CoflowInstance(coflows=[heavy, light])
-        plan = SEBFScheme().plan(instance, fat_tree)
+        plan = scheme_from_spec("SEBF").plan(instance, fat_tree)
         # all flows of the light coflow come before the heavy one
         positions = {fid: k for k, fid in enumerate(plan.order)}
         assert positions[(1, 0)] < min(positions[(0, j)] for j in range(3))
 
     def test_sebf_groups_coflows_contiguously(self, fat_tree, workload):
-        plan = SEBFScheme().plan(workload, fat_tree)
+        plan = scheme_from_spec("SEBF").plan(workload, fat_tree)
         seen = []
         for i, _ in plan.order:
             if not seen or seen[-1] != i:
@@ -148,10 +138,11 @@ class TestOrderings:
         assert len(seen) == workload.num_coflows  # each coflow appears as one block
 
     def test_baseline_orders_differ_across_seeds(self, fat_tree, workload):
-        a = BaselineScheme(seed=1).plan(workload, fat_tree).order
-        b = BaselineScheme(seed=2).plan(workload, fat_tree).order
+        seeded = "pipeline(router=random(seed={0}), order=random(seed={0}))"
+        a = scheme_from_spec(seeded.format(1)).plan(workload, fat_tree).order
+        b = scheme_from_spec(seeded.format(2)).plan(workload, fat_tree).order
         assert a != b
 
     def test_route_only_keeps_instance_order(self, fat_tree, workload):
-        plan = RouteOnlyScheme().plan(workload, fat_tree)
+        plan = scheme_from_spec("Route-only").plan(workload, fat_tree)
         assert plan.order == workload.flow_ids()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import LPBasedScheme, LPGivenPathsScheme
+from repro.baselines import scheme_from_spec
 from repro.core import Coflow, CoflowInstance, Flow, topologies
 from repro.sim import FlowLevelSimulator
 from repro.workloads import CoflowGenerator, WorkloadConfig
@@ -22,21 +22,22 @@ def workload(fat_tree):
 
 class TestLPBasedScheme:
     def test_plan_valid(self, fat_tree, workload):
-        scheme = LPBasedScheme(seed=0)
+        scheme = scheme_from_spec("LP-Based")
         plan = scheme.plan(workload, fat_tree)
         plan.validate(workload, fat_tree)
         assert scheme.last_plan is not None
         assert scheme.last_plan.lower_bound > 0.0
 
     def test_simulated_objective_above_lp_lower_bound(self, fat_tree, workload):
-        scheme = LPBasedScheme(seed=0)
+        scheme = scheme_from_spec("LP-Based")
         plan = scheme.plan(workload, fat_tree)
         result = FlowLevelSimulator(fat_tree).run(workload, plan)
         assert result.weighted_completion_time >= scheme.last_plan.lower_bound - 1e-6
 
     def test_deterministic_given_seed(self, fat_tree, workload):
-        plan_a = LPBasedScheme(seed=4).plan(workload, fat_tree)
-        plan_b = LPBasedScheme(seed=4).plan(workload, fat_tree)
+        seeded = "pipeline(router=lp(seed=4), order=lp)"
+        plan_a = scheme_from_spec(seeded).plan(workload, fat_tree)
+        plan_b = scheme_from_spec(seeded).plan(workload, fat_tree)
         assert plan_a.paths == plan_b.paths
         assert plan_a.order == plan_b.order
 
@@ -49,14 +50,14 @@ class TestLPBasedScheme:
                 for fid in workload.flow_ids()
             }
         )
-        plan = LPBasedScheme(seed=0).plan(routed, fat_tree)
+        plan = scheme_from_spec("LP-Based").plan(routed, fat_tree)
         plan.validate(routed, fat_tree)
 
 
 class TestLPGivenPathsScheme:
     def test_requires_paths(self, fat_tree, workload):
         with pytest.raises(ValueError):
-            LPGivenPathsScheme().plan(workload, fat_tree)
+            scheme_from_spec("LP-Based (given paths)").plan(workload, fat_tree)
 
     def test_plan_on_switch(self):
         net = topologies.nonblocking_switch(6)
@@ -77,7 +78,7 @@ class TestLPGivenPathsScheme:
                 ),
             ]
         )
-        scheme = LPGivenPathsScheme()
+        scheme = scheme_from_spec("LP-Based (given paths)")
         plan = scheme.plan(instance, net)
         plan.validate(instance, net)
         result = FlowLevelSimulator(net).run(instance, plan)

@@ -10,10 +10,8 @@ from repro.baselines import (
     ROUTERS,
     SCHEME_ALIASES,
     BalancedRouter,
-    BaselineScheme,
     LPOrderer,
     LPRouter,
-    OnlineScheme,
     PipelineScheme,
     PlanContext,
     RandomOrderer,
@@ -148,7 +146,9 @@ class TestStages:
     def test_shared_rng_reproduces_the_single_stream_baseline(self, case):
         # Baseline's legacy contract: one Random(seed) routes then shuffles.
         network, instance = case
-        plan = BaselineScheme(seed=9).plan(instance, network)
+        plan = scheme_from_spec(
+            "pipeline(router=random(seed=9), order=random(seed=9))"
+        ).plan(instance, network)
         rng = random.Random(9)
         from repro.baselines import random_route
 
@@ -240,17 +240,6 @@ class TestPipelineScheme:
         assert online.online and online.name == "Online-SEBF"
         assert online.router == scheme.router and online.orderer == scheme.orderer
         assert scheme.online is False  # original untouched
-
-    def test_online_factory_rejects_non_pipeline_schemes(self):
-        class Custom(Scheme):
-            """A scheme outside the pipeline world."""
-
-            def plan(self, instance, network):
-                """Unused."""
-                raise NotImplementedError
-
-        with pytest.raises(TypeError, match="OnlineFlowSimulator"):
-            OnlineScheme(Custom())
 
     def test_unknown_allocator_fails_at_construction(self):
         with pytest.raises(ValueError, match="unknown rate allocator"):

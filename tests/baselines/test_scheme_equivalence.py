@@ -10,8 +10,9 @@ families, that each legacy name produces **bit-identical**
 ``SimulationPlan``s (paths and order compared exactly) and bit-identical
 ``SimulationResult``s (completion times and metrics compared exactly, no
 tolerance) to its reference.  The online wrappers ride along: the
-``online=true`` flag must reproduce the former ``OnlineScheme`` wrapper's
-re-planning runs exactly.
+``online=true`` flag must reproduce the former ``Online*`` wrappers'
+re-planning runs exactly, replayed here on a per-arrival
+:class:`~repro.sim.StreamingScheduler` session driven directly.
 
 The legacy plans route through :mod:`.reference_routing`, the routers as
 they stood before candidate sets were memoized on the network, so the
@@ -35,7 +36,7 @@ from repro.circuit.algorithm import PathsNotGivenScheduler
 from repro.circuit.given_paths import DEFAULT_EPSILON, GivenPathsLP
 from repro.core import topologies
 from repro.core.network import path_edges
-from repro.sim import FlowLevelSimulator, OnlineFlowSimulator, SimulationPlan
+from repro.sim import FlowLevelSimulator, SimulationPlan, StreamingScheduler
 from repro.workloads import CoflowGenerator, WorkloadConfig
 
 from . import reference_routing
@@ -341,7 +342,7 @@ class TestRouterOracle:
 
 
 class TestOnlineEquivalence:
-    """`online=true` == the deleted OnlineScheme wrapper's re-planning run."""
+    """`online=true` == the deleted online wrapper's re-planning run."""
 
     @pytest.mark.parametrize("name,legacy", sorted(ONLINE_LEGACY_PLANS.items()))
     def test_online_names(self, name, legacy):
@@ -349,8 +350,9 @@ class TestOnlineEquivalence:
         scheme = build_schemes([name])[0]
         result = scheme.simulate(instance, network)
         # The deleted wrapper invoked the inner scheme's plan() at every
-        # arrival context and spliced the epochs; reproduce it verbatim.
-        reference = OnlineFlowSimulator(
+        # arrival context and spliced the epochs; reproduce it verbatim on
+        # a per-arrival session (the default batch policy).
+        reference = StreamingScheduler(
             network, lambda context: legacy(context.instance, context.network)
         ).run(instance, plan_name=name)
         assert result.flow_completion == reference.flow_completion

@@ -69,7 +69,7 @@ def test_congestion_bound_value(triangle):
 
 def test_bounds_hold_against_simulated_schedules(triangle):
     """Combinatorial bounds never exceed what any executable scheme achieves."""
-    from repro.baselines import BaselineScheme
+    from repro.baselines import scheme_from_spec
     from repro.sim import FlowLevelSimulator
 
     instance = CoflowInstance(
@@ -78,7 +78,7 @@ def test_bounds_hold_against_simulated_schedules(triangle):
             Coflow(flows=(Flow("z", "x", size=2.0),), weight=1.0),
         ]
     )
-    plan = BaselineScheme(seed=0).plan(instance, triangle)
+    plan = scheme_from_spec("Baseline").plan(instance, triangle)
     result = FlowLevelSimulator(triangle).run(instance, plan)
     assert result.weighted_completion_time >= weighted_transfer_lower_bound(
         instance, triangle

@@ -88,6 +88,37 @@ class TestTopLevel:
         for command in ("run", "sweep", "report", "bench"):
             assert command in text
 
+    @pytest.mark.parametrize(
+        "command,flag,bad,smallest",
+        [
+            ("sweep", "--workers", "-2", "0"),
+            ("sweep", "--tries", "0", "1"),
+            ("sweep", "--max-retries", "-1", "0"),
+            ("sweep", "--task-timeout", "-5", "0.5"),
+            ("sweep", "--task-timeout", "nan", "0.5"),
+            ("sweep", "--lp-time-limit", "-1", "0.5"),
+            ("sweep", "--lp-time-limit", "0", "0.5"),
+            ("sweep", "--steal-after", "-1", "0"),
+            ("report", "--tries", "0", "1"),
+            ("bench", "--workers", "-3", "0"),
+            ("bench", "--tries", "0", "1"),
+        ],
+    )
+    def test_count_and_limit_flags_reject_out_of_range_values(
+        self, command, flag, bad, smallest, tmp_path, capsys
+    ):
+        """A bad count or limit is a usage error naming the flag (exit 2)
+        before anything runs; the smallest valid value parses."""
+        target = "fig3" if command == "bench" else str(tiny_spec_path(tmp_path))
+        out = tmp_path / "artifacts"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, target, "--out", str(out), flag, bad])
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: must be" in capsys.readouterr().err
+        assert not out.exists()
+        args = build_parser().parse_args([command, target, flag, smallest])
+        assert getattr(args, flag[2:].replace("-", "_")) == float(smallest)
+
 
 class TestRun:
     def test_json_document_on_stdout(self, capsys):
@@ -505,6 +536,11 @@ class TestBench:
         out = tmp_path / "artifacts"
         assert main(["bench", "table1", "--out", str(out), "--workers", "2"]) == 0
         assert "does not use --workers" in capsys.readouterr().err
+        # --tries is named too; left at its default, it is not.
+        assert main(["bench", "table1", "--out", str(out), "--tries", "7"]) == 0
+        assert "does not use --tries (ignored)" in capsys.readouterr().err
+        assert main(["bench", "table1", "--out", str(out)]) == 0
+        assert "--tries" not in capsys.readouterr().err
 
     def test_streaming_smoke_suite(self, tmp_path, capsys, monkeypatch):
         bench_file = tmp_path / "bench.json"

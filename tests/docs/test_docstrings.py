@@ -36,7 +36,6 @@ MODULES = [
     "repro.sim.allocators",
     "repro.sim.kernel",
     "repro.sim.metrics",
-    "repro.sim.online",
     "repro.sim.plan",
     "repro.sim.simulator",
     "repro.sim.streaming",

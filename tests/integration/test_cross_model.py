@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import BaselineScheme, LPBasedScheme
+from repro.baselines import scheme_from_spec
 from repro.circuit import GivenPathsScheduler, PathsNotGivenScheduler
 from repro.core import Coflow, CoflowInstance, Flow, topologies
 from repro.packet import schedule_packet_coflows
@@ -18,7 +18,7 @@ def test_shuffle_workload_end_to_end():
     instance = mapreduce_shuffle(
         network, num_jobs=2, mappers_per_job=3, reducers_per_job=3, bytes_per_pair=2.0
     )
-    scheme = LPBasedScheme(seed=0)
+    scheme = scheme_from_spec("LP-Based")
     plan = scheme.plan(instance, network)
     result = FlowLevelSimulator(network).run(instance, plan)
     assert result.weighted_completion_time >= scheme.last_plan.lower_bound - 1e-6
@@ -52,7 +52,9 @@ def test_rounded_and_simulated_backends_rank_consistently():
     ).instance()
     scheduler = PathsNotGivenScheduler(instance, network, seed=1)
     plan, rounded = scheduler.schedule()
-    sim_plan = LPBasedScheme(seed=1).plan(instance, network)
+    sim_plan = scheme_from_spec("pipeline(router=lp(seed=1), order=lp)").plan(
+        instance, network
+    )
     simulated = FlowLevelSimulator(network).run(instance, sim_plan)
     assert simulated.weighted_completion_time <= rounded.objective + 1e-6
 
@@ -91,7 +93,10 @@ def test_simulator_never_violates_capacities(seed):
     instance = CoflowGenerator(
         network, WorkloadConfig(num_coflows=3, coflow_width=4, seed=seed)
     ).instance()
-    plan = BaselineScheme(seed=seed).plan(instance, network)
+    baseline = scheme_from_spec(
+        f"pipeline(router=random(seed={seed}), order=random(seed={seed}))"
+    )
+    plan = baseline.plan(instance, network)
     result = FlowLevelSimulator(network).run(instance, plan)
     routed = instance.with_paths({fid: list(p) for fid, p in plan.paths.items()})
     result.schedule.validate(routed, network)

@@ -15,7 +15,7 @@ total of 7 when simulated.
 
 import pytest
 
-from repro.baselines import LPGivenPathsScheme
+from repro.baselines import scheme_from_spec
 from repro.circuit import GivenPathsScheduler
 from repro.core import CircuitSchedule, Coflow, CoflowInstance, Flow, topologies
 from repro.sim import FlowLevelSimulator, SimulationPlan
@@ -98,7 +98,7 @@ def test_lp_lower_bound_is_below_the_optimum(instance, network):
 
 def test_lp_ordered_simulation_matches_the_optimum(instance, network):
     """The LP ordering fed to the work-conserving simulator achieves 7."""
-    scheme = LPGivenPathsScheme()
+    scheme = scheme_from_spec("LP-Based (given paths)")
     plan = scheme.plan(instance, network)
     result = FlowLevelSimulator(network).run(instance, plan)
     assert result.total_completion_time == pytest.approx(7.0, abs=1e-6)

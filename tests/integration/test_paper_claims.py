@@ -9,13 +9,7 @@ are not asserted — only the relationships the paper reports.
 
 import pytest
 
-from repro.analysis import ExperimentSweep
-from repro.baselines import (
-    BaselineScheme,
-    LPBasedScheme,
-    RouteOnlyScheme,
-    ScheduleOnlyScheme,
-)
+from repro.analysis import ExperimentEngine, build_schemes
 from repro.circuit.lower_bounds import weighted_transfer_lower_bound
 from repro.core import topologies
 from repro.sim import FlowLevelSimulator
@@ -29,13 +23,8 @@ def network():
 
 @pytest.fixture(scope="module")
 def sweep_result(network):
-    schemes = [
-        BaselineScheme(seed=0),
-        ScheduleOnlyScheme(seed=0),
-        RouteOnlyScheme(),
-        LPBasedScheme(seed=0),
-    ]
-    sweep = ExperimentSweep(network, schemes, tries=3)
+    schemes = build_schemes(["Baseline", "Schedule-only", "Route-only", "LP-Based"])
+    sweep = ExperimentEngine(network, schemes, tries=3)
     config = WorkloadConfig(num_coflows=6, coflow_width=6, seed=100)
     return sweep.run(config, "coflow_width", [4, 8], label_format="{value} flows")
 
@@ -68,12 +57,14 @@ def test_all_schemes_respect_combinatorial_lower_bound(network):
     ).instance()
     lower = weighted_transfer_lower_bound(instance, network)
     simulator = FlowLevelSimulator(network)
-    for scheme in [
-        BaselineScheme(seed=1),
-        ScheduleOnlyScheme(seed=1),
-        RouteOnlyScheme(),
-        LPBasedScheme(seed=1),
-    ]:
+    for scheme in build_schemes(
+        [
+            "pipeline(router=random(seed=1), order=random(seed=1))",
+            "pipeline(router=random(seed=1), order=mct)",
+            "Route-only",
+            "pipeline(router=lp(seed=1), order=lp)",
+        ]
+    ):
         result = simulator.run(instance, scheme.plan(instance, network))
         assert result.weighted_completion_time >= lower - 1e-6
 
@@ -82,7 +73,7 @@ def test_lp_based_objective_respects_its_own_lp_bound(network):
     instance = CoflowGenerator(
         network, WorkloadConfig(num_coflows=4, coflow_width=6, seed=21)
     ).instance()
-    scheme = LPBasedScheme(seed=3)
+    (scheme,) = build_schemes(["pipeline(router=lp(seed=3), order=lp)"])
     plan = scheme.plan(instance, network)
     result = FlowLevelSimulator(network).run(instance, plan)
     assert result.weighted_completion_time >= scheme.last_plan.lower_bound - 1e-6

@@ -1,12 +1,12 @@
-"""LP-equivalence regression tests: bulk pipeline vs legacy scalar API.
+"""LP-equivalence regression tests: bulk pipeline vs the scalar oracle.
 
-Every LP builder in the repository assembles its model twice — once through
-the vectorized bulk API (``build()``) and once through the legacy scalar API
-(``build_scalar()``) — and the resulting ``(A_ub, b_ub, A_eq, b_eq)``
-matrices, bounds, and objective vectors must be *numerically identical*.
-This pins the vectorized emission to the reference implementation: any
-refactor of the bulk path that changes a coefficient, a row, or the variable
-ordering fails here immediately.
+Every LP builder in the repository assembles its model through the
+vectorized bulk API (``build()``); :mod:`.reference_builders` assembles the
+same model through the legacy scalar API (:func:`build_scalar`).  The
+resulting ``(A_ub, b_ub, A_eq, b_eq)`` matrices, bounds, and objective
+vectors must be *numerically identical*.  This pins the vectorized emission
+to the reference implementation: any refactor of the bulk path that changes
+a coefficient, a row, or the variable ordering fails here immediately.
 """
 
 import numpy as np
@@ -19,6 +19,8 @@ from repro.core.flows import Coflow, CoflowInstance, Flow
 from repro.packet.given_paths import PacketGivenPathsLP
 from repro.packet.routing import PacketRoutingLP
 from repro.workloads import CoflowGenerator, WorkloadConfig
+
+from .reference_builders import build_scalar
 
 
 def assert_identical_lps(bulk, scalar):
@@ -84,27 +86,27 @@ def packet_instance(network, circuit_instance):
 
 def test_circuit_given_paths_equivalence(network, circuit_instance_with_paths):
     builder = GivenPathsLP(circuit_instance_with_paths, network)
-    assert_identical_lps(builder.build(), builder.build_scalar())
+    assert_identical_lps(builder.build(), build_scalar(builder))
 
 
 def test_circuit_routing_path_equivalence(network, circuit_instance):
     builder = RoutingLP(circuit_instance, network, formulation="path")
-    assert_identical_lps(builder.build(), builder.build_scalar())
+    assert_identical_lps(builder.build(), build_scalar(builder))
 
 
 def test_circuit_routing_edge_equivalence(network, circuit_instance):
     builder = RoutingLP(circuit_instance, network, formulation="edge")
-    assert_identical_lps(builder.build(), builder.build_scalar())
+    assert_identical_lps(builder.build(), build_scalar(builder))
 
 
 def test_packet_given_paths_equivalence(network, packet_instance):
     builder = PacketGivenPathsLP(packet_instance, network)
-    assert_identical_lps(builder.build(), builder.build_scalar())
+    assert_identical_lps(builder.build(), build_scalar(builder))
 
 
 def test_packet_time_expanded_equivalence(network, packet_instance):
     builder = PacketRoutingLP(packet_instance, network, horizon=12)
-    assert_identical_lps(builder.build(), builder.build_scalar())
+    assert_identical_lps(builder.build(), build_scalar(builder))
 
 
 def test_zero_size_flows_equivalence(network):
@@ -123,7 +125,7 @@ def test_zero_size_flows_equivalence(network):
     )
     for formulation in ("path", "edge"):
         builder = RoutingLP(instance, network, formulation=formulation)
-        assert_identical_lps(builder.build(), builder.build_scalar())
+        assert_identical_lps(builder.build(), build_scalar(builder))
 
 
 def test_bulk_solutions_match_scalar_solutions(network, circuit_instance):
@@ -132,7 +134,7 @@ def test_bulk_solutions_match_scalar_solutions(network, circuit_instance):
 
     builder = RoutingLP(circuit_instance, network, formulation="path")
     bulk_obj = solve(builder.build()).objective
-    scalar_obj = solve(builder.build_scalar()).objective
+    scalar_obj = solve(build_scalar(builder)).objective
     assert bulk_obj == pytest.approx(scalar_obj, rel=1e-9)
 
 
@@ -159,4 +161,4 @@ def test_non_simple_path_equivalence():
         ]
     )
     builder = GivenPathsLP(instance, net)
-    assert_identical_lps(builder.build(), builder.build_scalar())
+    assert_identical_lps(builder.build(), build_scalar(builder))

@@ -113,7 +113,7 @@ class TestPolicies:
 
 class TestSchemeSelection:
     def test_schemes_propagate_the_allocator_to_their_plans(self):
-        from repro.baselines import SEBFScheme
+        from repro.baselines import scheme_from_spec
 
         network = topologies.leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
         from repro.workloads import CoflowGenerator, WorkloadConfig
@@ -121,7 +121,8 @@ class TestSchemeSelection:
         instance = CoflowGenerator(
             network, WorkloadConfig(num_coflows=2, coflow_width=2, seed=1)
         ).instance()
-        plan = SEBFScheme(allocator="max-min").plan(instance, network)
+        scheme = scheme_from_spec("SEBF-MaxMin")
+        plan = scheme.plan(instance, network)
         assert plan.allocator == "max-min"
         # And the allocator is part of the scheme's cache signature.
-        assert "max-min" in SEBFScheme(allocator="max-min").signature()
+        assert "max-min" in scheme.signature()

@@ -16,7 +16,7 @@ import warnings
 import pytest
 
 from repro.analysis.runstore import run_key
-from repro.baselines import SEBFScheme
+from repro.baselines import scheme_from_spec
 from repro.core import topologies
 from repro.sim import (
     BACKENDS,
@@ -42,7 +42,7 @@ def case():
         num_coflows=2, coflow_width=3, mean_flow_size=2.0, release_rate=1.0, seed=9
     )
     instance = CoflowGenerator(network, config).instance()
-    plan = SEBFScheme().plan(instance, network).normalized(instance)
+    plan = scheme_from_spec("SEBF").plan(instance, network).normalized(instance)
     return network, config, instance, plan
 
 
@@ -249,7 +249,7 @@ class TestCacheIdentity:
         """Same topology, config and scheme -> same run-store key, whatever
         backend the environment selects: the tier must never fork the cache."""
         network, config, _instance, _plan = case
-        scheme = SEBFScheme()
+        scheme = scheme_from_spec("SEBF")
         keys = set()
         for backend in ("array", "jit"):
             monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
@@ -258,7 +258,7 @@ class TestCacheIdentity:
 
     def test_scheme_signatures_do_not_encode_the_backend(self, case, monkeypatch):
         _network, _config, _instance, _plan = case
-        scheme = SEBFScheme()
+        scheme = scheme_from_spec("SEBF")
         monkeypatch.setenv("REPRO_SIM_BACKEND", "jit")
         jit_signature = scheme.signature()
         monkeypatch.setenv("REPRO_SIM_BACKEND", "array")

@@ -23,7 +23,7 @@ import math
 
 import pytest
 
-from repro.baselines import BaselineScheme, RouteOnlyScheme, ScheduleOnlyScheme
+from repro.baselines import scheme_from_spec
 from repro.core import topologies
 from repro.core.network import path_edges
 from repro.sim import FlowLevelSimulator
@@ -49,10 +49,11 @@ CASES = [
     )
 ]
 
+#: Scheme specs, seeded per case where the composition draws randomness.
 SCHEMES = {
-    "baseline": lambda seed: BaselineScheme(seed=seed),
-    "schedule-only": lambda seed: ScheduleOnlyScheme(seed=seed),
-    "route-only": lambda seed: RouteOnlyScheme(),
+    "baseline": "pipeline(router=random(seed={seed}), order=random(seed={seed}))",
+    "schedule-only": "pipeline(router=random(seed={seed}), order=mct)",
+    "route-only": "Route-only",
 }
 
 
@@ -70,7 +71,8 @@ def simulate_case(seed, flow_sizes, endpoints, scheme_key="baseline"):
         endpoint_distribution=endpoints,
     )
     instance = CoflowGenerator(network, config).instance()
-    plan = SCHEMES[scheme_key](seed).plan(instance, network)
+    scheme = scheme_from_spec(SCHEMES[scheme_key].format(seed=seed))
+    plan = scheme.plan(instance, network)
     result = FlowLevelSimulator(network).run(instance, plan)
     return network, instance, result
 

@@ -24,13 +24,13 @@ import math
 
 import pytest
 
-from repro.baselines import BaselineScheme, RouteOnlyScheme, ScheduleOnlyScheme, SEBFScheme
+from repro.baselines import scheme_from_spec
 from repro.core import topologies
 from repro.sim import (
     ALLOCATORS,
     FlowLevelSimulator,
-    OnlineFlowSimulator,
     StaticPlanReplanner,
+    StreamingScheduler,
     kernel_jit,
     make_kernel,
 )
@@ -49,18 +49,18 @@ BACKENDS_UNDER_TEST = [
     ),
 ]
 
-#: (topology seed, size family, endpoint family, scheme) grid: every case is
-#: deterministic, so a failure reproduces from its parameter id alone.
+#: (topology seed, size family, endpoint family, scheme spec) grid: every
+#: case is deterministic, so a failure reproduces from its parameter id alone.
 CASES = [
     pytest.param(seed, fdist, edist, scheme, id=f"seed{seed}-{fdist}-{edist}-{key}")
     for seed, (fdist, edist, scheme, key) in enumerate(
         [
-            ("poisson", "uniform", BaselineScheme(seed=0), "baseline"),
-            ("poisson", "incast", ScheduleOnlyScheme(seed=1), "schedule-only"),
-            ("pareto", "uniform", RouteOnlyScheme(), "route-only"),
-            ("pareto", "skewed", SEBFScheme(), "sebf"),
-            ("facebook", "uniform", BaselineScheme(seed=2), "baseline"),
-            ("facebook", "incast", SEBFScheme(), "sebf"),
+            ("poisson", "uniform", "Baseline", "baseline"),
+            ("poisson", "incast", "pipeline(router=random(seed=1), order=mct)", "schedule-only"),
+            ("pareto", "uniform", "Route-only", "route-only"),
+            ("pareto", "skewed", "SEBF", "sebf"),
+            ("facebook", "uniform", "pipeline(router=random(seed=2), order=random(seed=2))", "baseline"),
+            ("facebook", "incast", "SEBF", "sebf"),
         ]
     )
 ]
@@ -81,7 +81,7 @@ def build_case(seed, flow_sizes, endpoints, scheme):
         endpoint_distribution=endpoints,
     )
     instance = CoflowGenerator(network, config).instance()
-    plan = scheme.plan(instance, network)
+    plan = scheme_from_spec(scheme).plan(instance, network)
     return network, instance, plan
 
 
@@ -135,7 +135,7 @@ def test_jit_segments_are_bit_identical_to_array(seed, flow_sizes, endpoints, sc
 def test_online_with_frozen_plan_equals_static(seed, flow_sizes, endpoints, scheme, backend):
     network, instance, plan = build_case(seed, flow_sizes, endpoints, scheme)
     static = FlowLevelSimulator(network).run(instance, plan)
-    online = OnlineFlowSimulator(
+    online = StreamingScheduler(
         network, StaticPlanReplanner(plan), backend=backend
     ).run(instance)
     assert set(online.flow_completion) == set(static.flow_completion)
@@ -161,7 +161,7 @@ def test_kernel_on_leaf_spine_benchmark_shape():
         seed=31,
     )
     instance = CoflowGenerator(network, config).instance()
-    plan = SEBFScheme().plan(instance, network)
+    plan = scheme_from_spec("SEBF").plan(instance, network)
     simulator = FlowLevelSimulator(network)
     assert_identical(simulator.run(instance, plan), simulator.run_reference(instance, plan))
 
@@ -172,7 +172,7 @@ def _pause_resume_case():
         num_coflows=3, coflow_width=3, mean_flow_size=2.0, release_rate=1.0, seed=5
     )
     instance = CoflowGenerator(network, config).instance()
-    plan = BaselineScheme(seed=0).plan(instance, network).normalized(instance)
+    plan = scheme_from_spec("Baseline").plan(instance, network).normalized(instance)
     return network, instance, plan
 
 

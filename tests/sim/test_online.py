@@ -1,16 +1,16 @@
-"""Behavioural tests of the online re-planning engine."""
+"""Behavioural tests of online re-planning: a per-arrival streaming session."""
 
 import math
 
 import pytest
 
-from repro.baselines import BaselineScheme, OnlineScheme, SEBFScheme
+from repro.baselines import scheme_from_spec
 from repro.core import Coflow, CoflowInstance, Flow, topologies
 from repro.core.network import Network
 from repro.sim import (
     FlowLevelSimulator,
-    OnlineFlowSimulator,
     SimulationPlan,
+    StreamingScheduler,
 )
 from repro.workloads import CoflowGenerator, WorkloadConfig
 
@@ -56,7 +56,7 @@ class TestReplanningChangesTheSchedule:
         assert static.flow_completion[(1, 0)] == pytest.approx(11.0)
 
         replanner = SRPTReplanner()
-        online = OnlineFlowSimulator(network, replanner).run(instance)
+        online = StreamingScheduler(network, replanner).run(instance)
         # At t=4 the mouse (remaining 1) preempts the elephant (remaining 6).
         assert online.flow_completion[(1, 0)] == pytest.approx(5.0)
         assert online.flow_completion[(0, 0)] == pytest.approx(11.0)
@@ -65,7 +65,7 @@ class TestReplanningChangesTheSchedule:
     def test_replanner_sees_remaining_volumes(self):
         network, instance, paths = two_coflow_contention()
         replanner = SRPTReplanner()
-        OnlineFlowSimulator(network, replanner).run(instance)
+        StreamingScheduler(network, replanner).run(instance)
         assert len(replanner.contexts) == 2
         first, second = replanner.contexts
         assert first.now == pytest.approx(0.0)
@@ -100,7 +100,7 @@ class TestReplanningChangesTheSchedule:
                 name="reroute",
             )
 
-        result = OnlineFlowSimulator(network, reroute_everything).run(instance)
+        result = StreamingScheduler(network, reroute_everything).run(instance)
         # Flow (0,0) transferred volume on s->b->t during epoch 0 (the first
         # plan routed it there), so later re-plans cannot move it; it simply
         # keeps its route and finishes undisturbed.
@@ -115,7 +115,7 @@ class TestReplanningChangesTheSchedule:
             ]
         )
         replanner = SRPTReplanner()
-        result = OnlineFlowSimulator(network, replanner).run(instance)
+        result = StreamingScheduler(network, replanner).run(instance)
         assert result.flow_completion[(0, 0)] == pytest.approx(2.0)
         assert result.flow_completion[(0, 1)] == pytest.approx(1.0)
 
@@ -132,7 +132,7 @@ class TestOnlineScheme:
             seed=17,
         )
         instance = CoflowGenerator(network, config).instance()
-        scheme = OnlineScheme(SEBFScheme())
+        scheme = scheme_from_spec("Online-SEBF")
         first = scheme.simulate(instance, network)
         second = scheme.simulate(instance, network)
         assert first.plan_name == "Online-SEBF"
@@ -144,26 +144,27 @@ class TestOnlineScheme:
         assert first.mean_slowdown >= 0.0
 
     def test_signature_includes_the_inner_stages(self):
-        scheme = OnlineScheme(BaselineScheme(seed=3))
-        assert scheme.name == "Online-Baseline"
+        seeded = "pipeline(router=random(seed={0}), order=random(seed={0}), online=true)"
+        scheme = scheme_from_spec(seeded.format(3))
+        assert scheme_from_spec("Online-Baseline").name == "Online-Baseline"
         assert scheme.online is True
         assert "router=random" in scheme.signature()
         assert "seed=3" in scheme.signature()
         assert "online=true" in scheme.signature()
-        assert scheme.signature() == OnlineScheme(BaselineScheme(seed=3)).signature()
-        assert scheme.signature() != OnlineScheme(BaselineScheme(seed=4)).signature()
+        assert scheme.signature() == scheme_from_spec(seeded.format(3)).signature()
+        assert scheme.signature() != scheme_from_spec(seeded.format(4)).signature()
         # The online flag distinguishes the signature from the static scheme.
-        assert scheme.signature() != BaselineScheme(seed=3).signature()
+        assert scheme.signature() != scheme.with_options(online=False).signature()
 
     def test_plan_returns_the_epoch_zero_decision(self):
         network = topologies.leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=2)
         config = WorkloadConfig(num_coflows=2, coflow_width=2, seed=3)
         instance = CoflowGenerator(network, config).instance()
-        scheme = OnlineScheme(SEBFScheme())
+        scheme = scheme_from_spec("Online-SEBF")
         plan = scheme.plan(instance, network)
         assert plan.name == "Online-SEBF"
         # The epoch-zero decision matches the static composition's plan.
-        static = SEBFScheme().plan(instance, network)
+        static = scheme_from_spec("SEBF").plan(instance, network)
         assert plan.paths == static.paths
         assert plan.order == static.order
         plan.normalized(instance).validate(instance, network)

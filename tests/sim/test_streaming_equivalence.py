@@ -2,10 +2,11 @@
 
 Four pillars:
 
-* **batch=1 == online** — a batch-size-1 :class:`StreamingScheduler`
-  session reproduces :class:`OnlineFlowSimulator` bit-identically across a
-  seeded topology × workload-family × allocator matrix (the online engine
-  is the streaming service's special case, and must stay that way);
+* **batch=1 == online** — an explicit ``BatchPolicy(max_batch=1)``
+  :class:`StreamingScheduler` session reproduces an ``online=true``
+  pipeline scheme's run bit-identically across a seeded topology ×
+  workload-family × allocator matrix (an online scheme is the streaming
+  service's batch-size-1 special case, and must stay that way);
 * **staleness bound** — under any :class:`BatchPolicy`, no coflow waits
   longer than the policy's declared bound between arriving and being
   planned, and the realised re-plan times equal
@@ -21,7 +22,10 @@ Four pillars:
   recycling, and :class:`LPReplanner` re-solving its LP as coflows
   leave), buffer growth past the initial capacities, zero-size ghosts
   and pause/resume splices; a single-epoch session equals the static
-  simulator.
+  simulator.  Across the seeded topology × workload-family × allocator
+  matrix, the default batch-size-1 policy (the engine behind every
+  ``online=true`` scheme) re-plans exactly once per distinct release time
+  with zero staleness.
 """
 
 import dataclasses
@@ -29,14 +33,13 @@ import gc
 
 import pytest
 
-from repro.baselines import SEBFScheme
+from repro.baselines import scheme_from_spec
 from repro.circuit.given_paths import _default_horizon
 from repro.core import Coflow, CoflowInstance, Flow, topologies
 from repro.sim import (
     BatchPolicy,
     FlowLevelSimulator,
     LPReplanner,
-    OnlineFlowSimulator,
     ResidentJitKernel,
     ResidentSimulationKernel,
     SimulationPlan,
@@ -179,7 +182,7 @@ def staircase_stream():
     return network, CoflowInstance(coflows=coflows, name="staircase")
 
 
-# ------------------------------------------------- batch=1 == online engine
+# ------------------------------------------------- batch=1 == online scheme
 
 class TestBatchOneEqualsOnline:
     @pytest.mark.parametrize("topology_key", sorted(TOPOLOGIES))
@@ -189,27 +192,19 @@ class TestBatchOneEqualsOnline:
         self, topology_key, workload_key, allocator
     ):
         network, instance = seeded_case(topology_key, workload_key)
-        base = SEBFScheme().plan(instance, network)
-        plan = SimulationPlan(
-            paths=base.paths, order=base.order, name="sebf", allocator=allocator
+        scheme = scheme_from_spec(
+            f"pipeline(router=balanced, order=sebf, alloc={allocator}, "
+            "online=true)"
         )
-        online = OnlineFlowSimulator(network, StaticPlanReplanner(plan)).run(
-            instance
-        )
+        online = scheme.simulate(instance, network)
         session = StreamingScheduler(
-            network, StaticPlanReplanner(plan), policy=BatchPolicy(max_batch=1)
+            network,
+            lambda context: scheme.plan(context.instance, context.network),
+            policy=BatchPolicy(max_batch=1),
         )
-        streamed = session.run(instance)
+        streamed = session.run(instance, plan_name=scheme.name)
         assert_results_identical(streamed, online)
-        # batch=1 re-plans exactly once per distinct release time.
-        releases = sorted({c.release_time for c in instance.coflows})
-        assert [e["now"] for e in session.decision_log] == releases
-        assert session.staleness_report() == {
-            "max_staleness": 0.0,
-            "mean_staleness": 0.0,
-            "bound": 0.0,
-            "within_bound": 1.0,
-        }
+        assert online.plan_name == streamed.plan_name == scheme.name
 
 
 # --------------------------------------------------------- staleness bound
@@ -227,7 +222,7 @@ class TestStalenessBound:
     )
     def test_no_coflow_waits_past_the_bound(self, policy):
         network, instance = seeded_case("leaf-spine", "poisson", seed=37)
-        base = SEBFScheme().plan(instance, network)
+        base = scheme_from_spec("SEBF").plan(instance, network)
         session = StreamingScheduler(
             network, StaticPlanReplanner(base), policy=policy
         )
@@ -466,7 +461,7 @@ class TestResidentEqualsRebuild:
         self, topology_key, workload_key, allocator, backend
     ):
         network, instance = seeded_case(topology_key, workload_key)
-        base = SEBFScheme().plan(instance, network)
+        base = scheme_from_spec("SEBF").plan(instance, network)
         plan = SimulationPlan(
             paths=base.paths, order=base.order, name="sebf", allocator=allocator
         )
@@ -483,6 +478,15 @@ class TestResidentEqualsRebuild:
         assert [e["now"] for e in session.decision_log] == [
             e["now"] for e in oracle.decision_log
         ]
+        # batch=1 re-plans exactly once per distinct release time.
+        releases = sorted({c.release_time for c in instance.coflows})
+        assert [e["now"] for e in session.decision_log] == releases
+        assert session.staleness_report() == {
+            "max_staleness": 0.0,
+            "mean_staleness": 0.0,
+            "bound": 0.0,
+            "within_bound": 1.0,
+        }
 
     @needs_jit
     @pytest.mark.parametrize("topology_key", sorted(TOPOLOGIES))
@@ -491,7 +495,7 @@ class TestResidentEqualsRebuild:
         self, topology_key, workload_key
     ):
         network, instance = seeded_case(topology_key, workload_key)
-        plan = SEBFScheme().plan(instance, network)
+        plan = scheme_from_spec("SEBF").plan(instance, network)
         session, oracle = self._sessions(
             network, lambda: StaticPlanReplanner(plan), backend="jit"
         )
@@ -665,7 +669,7 @@ class TestResidentEqualsRebuild:
         instance = CoflowInstance(coflows=coflows, name="t0")
         assert {c.release_time for c in instance.coflows} == {0.0}
         assert max(f.release_time for _, _, f in instance.iter_flows()) > 0.0
-        base = SEBFScheme().plan(instance, network)
+        base = scheme_from_spec("SEBF").plan(instance, network)
         plan = SimulationPlan(
             paths=base.paths, order=base.order, name="sebf", allocator=allocator
         )
@@ -701,7 +705,7 @@ class TestResidentEqualsRebuild:
         pick their tier from each plan (greedy epochs reach the compiled
         tier when the oracle runs on ``jit``)."""
         network, instance = seeded_case("leaf-spine", "poisson")
-        plan = SEBFScheme().plan(instance, network)
+        plan = scheme_from_spec("SEBF").plan(instance, network)
         session = StreamingScheduler(
             network, self._switching_replanner(plan), backend="array"
         )
@@ -726,7 +730,7 @@ class TestResidentEqualsRebuild:
         the remedy."""
         monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
         network, instance = seeded_case("leaf-spine", "poisson")
-        plan = SEBFScheme().plan(instance, network)
+        plan = scheme_from_spec("SEBF").plan(instance, network)
         session = StreamingScheduler(
             network, self._switching_replanner(plan), backend=backend
         )
