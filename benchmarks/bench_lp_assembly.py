@@ -6,10 +6,12 @@ Python-side *model assembly* becomes a comparable cost to the solve itself.
 This benchmark isolates the three phases for the Section-2.2 routing LP:
 
 * **build (scalar)** — the legacy one-variable/one-constraint-at-a-time
-  emission, including ``matrices()`` assembly.  It is the equivalence
-  tests' oracle, ``build_scalar`` in ``tests/lp/reference_builders.py``;
+  emission, including the ``columnwise()`` pass the solver reads.  It is
+  the equivalence tests' oracle, ``build_scalar`` in
+  ``tests/lp/reference_builders.py``;
 * **build (bulk)** — the vectorized block emission (``build()``), including
-  the cached single-pass ``matrices()``;
+  the same cached ``columnwise()`` pass: the CSC matrix and row bounds
+  :func:`repro.lp.solve` hands to HiGHS;
 * **solve** — the HiGHS call on the assembled model.
 
 The headline number is the build speedup column; the equivalence test suite
@@ -59,12 +61,12 @@ def measure(num_coflows, width, formulation="path", repeats=3):
     for _ in range(repeats):
         start = time.perf_counter()
         lp_scalar = build_scalar(builder)
-        lp_scalar.matrices()
+        lp_scalar.columnwise()
         scalar_time = min(scalar_time, time.perf_counter() - start)
 
         start = time.perf_counter()
         lp = builder.build()
-        lp.matrices()
+        lp.columnwise()
         bulk_time = min(bulk_time, time.perf_counter() - start)
 
     start = time.perf_counter()

@@ -7,9 +7,10 @@ builds and solves the Section-2.2 routing LP (path formulation) for growing
 workload sizes and reports variable counts and timings, which is the data
 one needs to pick a scale for the Figure-3/4 sweeps.
 
-Build (model assembly + matrix export through the bulk COO pipeline) and
-solve (the HiGHS call, plus solution extraction) are reported as separate
-columns so assembly-side regressions are visible independently of solver
+Build (model assembly through the bulk COO pipeline, plus the
+``columnwise()`` pass that turns it into the CSC matrix and row bounds the
+solver reads) and solve (the HiGHS call, plus solution extraction) are
+reported as separate columns so assembly-side regressions are visible independently of solver
 behaviour; ``bench_lp_assembly.py`` drills further into the assembly side.
 """
 
@@ -39,7 +40,7 @@ def run_scaling():
         lp = RoutingLP(instance, network, formulation="path")
         start = time.perf_counter()
         built = lp.build()
-        built.matrices()
+        built.columnwise()
         build_time = time.perf_counter() - start
         start = time.perf_counter()
         solve(built)

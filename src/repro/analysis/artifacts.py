@@ -610,13 +610,16 @@ def provenance() -> Dict[str, Any]:
     """Environment + deviation fingerprint stamped into every artifact.
 
     Records the package version, the interpreter and core dependency
-    versions, the LP solver actually in use, and the deliberate deviations
-    from the paper (DESIGN.md sections) — so a result file is interpretable
-    long after the run.
+    versions, the LP solve path actually in use (the direct HiGHS path or
+    the ``linprog`` fallback) with the HiGHS version, and the deliberate
+    deviations from the paper (DESIGN.md sections) — so a result file is
+    interpretable long after the run.
     """
     import networkx
     import numpy
     import scipy
+
+    from ..lp.solver import solver_description
 
     return {
         "package": "repro",
@@ -630,7 +633,7 @@ def provenance() -> Dict[str, Any]:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "networkx": networkx.__version__,
-        "solver": "HiGHS via scipy.optimize.linprog (paper: IBM CPLEX)",
+        "solver": f"{solver_description()} (paper: IBM CPLEX)",
         "deviations": [
             "LP solver: open-source HiGHS replaces IBM CPLEX (DESIGN.md §1)",
             "evaluation: flow-level simulator, not a packet-level testbed (DESIGN.md §6)",

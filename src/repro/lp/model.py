@@ -4,8 +4,8 @@ The paper builds several large interval-indexed linear programs (Sections 2.1,
 2.2 and 3.2) and solves them with IBM CPLEX.  This repository substitutes the
 open-source HiGHS solver that ships inside :mod:`scipy.optimize`; this module
 provides the modelling layer that lets algorithm code state LPs in terms of
-named variables and constraints while the matrices are assembled sparsely
-(COO → CSR) so instances with hundreds of thousands of variables stay
+named variables and constraints while the matrix is assembled sparsely
+(COO → CSC) so instances with hundreds of thousands of variables stay
 tractable.
 
 The layer has two tiers (see DESIGN.md Section 2):
@@ -23,8 +23,10 @@ The layer has two tiers (see DESIGN.md Section 2):
 
 Internally both tiers append into the same growable NumPy buffers; the scalar
 API is a thin wrapper over the bulk one.  The buffers are append-only: a model
-is built once, in full, and :meth:`LinearProgram.matrices` is a cached single
-pass over them, invalidated whenever the model grows.
+is built once, in full, and :meth:`LinearProgram.columnwise` is a cached single
+pass over them into the column-wise matrix and row bounds that
+:func:`~repro.lp.solve` hands to HiGHS (:meth:`LinearProgram.matrices` is a row
+split of it), both invalidated whenever the model grows.
 
 Only what the paper's LPs need is implemented: continuous variables with
 bounds, linear ``<=`` / ``>=`` / ``==`` constraints, and a minimization
@@ -41,6 +43,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -52,6 +55,7 @@ from scipy import sparse
 
 __all__ = [
     "LinearProgram",
+    "ColumnwiseLP",
     "Constraint",
     "ConstraintBlock",
     "LPError",
@@ -161,6 +165,27 @@ def _broadcast(value, n: int, what: str) -> np.ndarray:
     return arr
 
 
+class ColumnwiseLP(NamedTuple):
+    """The constraint rows as one column-wise (CSC) matrix plus row bounds.
+
+    Rows come in :func:`scipy.optimize.linprog`'s stacking order: the
+    ``<=`` and ``>=`` rows in model order, each ``>=`` row negated into
+    ``<=`` form, then the ``==`` rows in model order.  Row ``r`` reads
+    ``row_lower[r] <= A[r] @ x <= row_upper[r]``: the first ``num_ub`` rows
+    are the inequalities (``row_lower = -inf``), the rest are equalities
+    (both bounds equal the right-hand side).  ``start``/``index``/``value``
+    are the CSC arrays, row indices sorted within each column.  All arrays
+    are read-only.
+    """
+
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    num_ub: int
+
+
 class LinearProgram:
     """A minimization LP assembled incrementally.
 
@@ -183,6 +208,7 @@ class LinearProgram:
         self._row_sense = _GrowableArray(np.int8)
         self._row_rhs = _GrowableArray(np.float64)
         self._row_names: List[Optional[str]] = []
+        self._columnwise_cache: Optional[ColumnwiseLP] = None
         self._matrices_cache = None
 
     # -------------------------------------------------------------- variables
@@ -204,7 +230,7 @@ class LinearProgram:
         self._lower.append(float(lower))
         self._upper.append(float(upper))
         self._objective.append(float(objective))
-        self._matrices_cache = None
+        self._invalidate()
         return idx
 
     def add_variables(
@@ -245,7 +271,7 @@ class LinearProgram:
         self._lower.extend(lo)
         self._upper.extend(up)
         self._objective.extend(obj)
-        self._matrices_cache = None
+        self._invalidate()
         return range(start, start + n)
 
     def has_variable(self, key: VarKey) -> bool:
@@ -325,7 +351,7 @@ class LinearProgram:
         self._row_sense.append(code)
         self._row_rhs.append(float(rhs))
         self._row_names.append(name)
-        self._matrices_cache = None
+        self._invalidate()
 
     def add_constraints_coo(
         self,
@@ -344,8 +370,8 @@ class LinearProgram:
             Parallel arrays of coefficient entries.  ``rows`` holds row ids
             *local to this block* (``0 .. m-1``); ``cols`` holds global
             variable column indices (as returned by :meth:`add_variables`).
-            Duplicate ``(row, col)`` entries are summed when the matrices are
-            assembled (CSR conversion semantics).
+            Duplicate ``(row, col)`` entries are summed when the matrix is
+            assembled (:meth:`columnwise`).
         senses:
             One sense string (``"<="``, ``">="``, ``"=="``) applied to every
             row, or a length-``m`` sequence of sense strings.
@@ -394,7 +420,7 @@ class LinearProgram:
         self._row_sense.extend(codes)
         self._row_rhs.extend(rhs_arr)
         self._row_names.extend(names if names is not None else [None] * m)
-        self._matrices_cache = None
+        self._invalidate()
         return range(start, start + m)
 
     def block(self) -> "ConstraintBlock":
@@ -432,6 +458,52 @@ class LinearProgram:
         """The objective coefficients as a fresh array, in column order."""
         return np.array(self._objective.view(), dtype=float)
 
+    def columnwise(self) -> ColumnwiseLP:
+        """The constraint matrix column-wise plus row bounds, in solver order.
+
+        One vectorized pass over the COO buffers, and the form
+        :func:`~repro.lp.solve` hands to HiGHS (see :class:`ColumnwiseLP` for the row
+        order).  Duplicate ``(row, col)`` entries are summed.  The result
+        is cached until the model grows.
+        """
+        if self._columnwise_cache is not None:
+            return self._columnwise_cache
+
+        senses = self._row_sense.view()
+        rows = self._entry_rows.view()
+        m = senses.shape[0]
+        is_eq = senses == _SENSE_EQ
+        num_ub = m - int(np.count_nonzero(is_eq))
+        # Each model row's position in solver order: inequalities first.
+        position = np.empty(m, dtype=np.int64)
+        position[~is_eq] = np.arange(num_ub)
+        position[is_eq] = np.arange(num_ub, m)
+        # ">=" rows are negated into "<=" form.
+        sign = np.where(senses == _SENSE_GE, -1.0, 1.0)
+
+        matrix = sparse.csc_matrix(
+            (
+                self._entry_vals.view() * sign[rows],
+                (position[rows], self._entry_cols.view()),
+            ),
+            shape=(m, self.num_variables),
+        )
+        row_upper = np.empty(m)
+        row_upper[position] = self._row_rhs.view() * sign
+        row_lower = np.full(m, -np.inf)
+        row_lower[num_ub:] = row_upper[num_ub:]
+        for array in (matrix.indptr, matrix.indices, matrix.data, row_lower, row_upper):
+            array.flags.writeable = False
+        self._columnwise_cache = ColumnwiseLP(
+            start=matrix.indptr,
+            index=matrix.indices,
+            value=matrix.data,
+            row_lower=row_lower,
+            row_upper=row_upper,
+            num_ub=num_ub,
+        )
+        return self._columnwise_cache
+
     def matrices(
         self,
     ) -> Tuple[
@@ -442,55 +514,33 @@ class LinearProgram:
     ]:
         """Assemble ``(A_ub, b_ub, A_eq, b_eq)`` sparse matrices.
 
-        ``>=`` constraints are negated into ``<=`` form.  Empty groups are
-        returned as ``None`` (the convention :func:`scipy.optimize.linprog`
-        expects).  The result is cached and the cache is invalidated whenever
-        a variable or constraint is added, so repeated calls (solve +
-        diagnostics) assemble only once.
+        A row split of :meth:`columnwise`: ``>=`` constraints come negated
+        into ``<=`` form, and empty groups are returned as ``None`` (the
+        convention :func:`scipy.optimize.linprog` expects).  The direct
+        HiGHS path reads :meth:`columnwise`; this export serves the
+        ``linprog`` fallback, diagnostics and tests.  Cached like
+        :meth:`columnwise`.
         """
         if self._matrices_cache is not None:
             return self._matrices_cache
 
-        senses = self._row_sense.view()
-        rhs = self._row_rhs.view()
-        rows = self._entry_rows.view()
-        cols = self._entry_cols.view()
-        vals = self._entry_vals.view()
-        n = self.num_variables
-
-        is_eq_row = senses == _SENSE_EQ
-        num_eq = int(is_eq_row.sum())
-        num_ub = senses.shape[0] - num_eq
-
-        # Map each global row id onto its position within its sense group.
-        group_rowid = np.empty(senses.shape[0], dtype=np.int64)
-        group_rowid[is_eq_row] = np.arange(num_eq)
-        group_rowid[~is_eq_row] = np.arange(num_ub)
-        # ">=" rows are negated into "<=" form.
-        row_sign = np.where(senses == _SENSE_GE, -1.0, 1.0)
-
-        entry_is_eq = is_eq_row[rows] if rows.size else np.zeros(0, dtype=bool)
-
+        form = self.columnwise()
+        m, k = form.row_upper.shape[0], form.num_ub
+        by_row = sparse.csc_matrix(
+            (form.value, form.index, form.start), shape=(m, self.num_variables)
+        ).tocsr()
         a_ub = b_ub = a_eq = b_eq = None
-        if num_ub:
-            sel = ~entry_is_eq
-            a_ub = sparse.coo_matrix(
-                (
-                    vals[sel] * row_sign[rows[sel]],
-                    (group_rowid[rows[sel]], cols[sel]),
-                ),
-                shape=(num_ub, n),
-            ).tocsr()
-            b_ub = (rhs * row_sign)[~is_eq_row]
-        if num_eq:
-            sel = entry_is_eq
-            a_eq = sparse.coo_matrix(
-                (vals[sel], (group_rowid[rows[sel]], cols[sel])),
-                shape=(num_eq, n),
-            ).tocsr()
-            b_eq = rhs[is_eq_row]
+        if k:
+            a_ub, b_ub = by_row[:k], form.row_upper[:k]
+        if k < m:
+            a_eq, b_eq = by_row[k:], form.row_upper[k:]
         self._matrices_cache = (a_ub, b_ub, a_eq, b_eq)
         return self._matrices_cache
+
+    def _invalidate(self) -> None:
+        """Drop the cached exports after the model grew."""
+        self._columnwise_cache = None
+        self._matrices_cache = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -518,7 +568,7 @@ class ConstraintBlock:
 
     Unlike the scalar :meth:`LinearProgram.add_constraint`, no zero-dropping
     or duplicate-summing happens at append time; duplicates are summed by the
-    CSR conversion inside :meth:`LinearProgram.matrices`.
+    CSC conversion inside :meth:`LinearProgram.columnwise`.
     """
 
     def __init__(self, lp: LinearProgram) -> None:

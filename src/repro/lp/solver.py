@@ -1,9 +1,17 @@
 """LP solution objects and the HiGHS solve driver.
 
-This is the CPLEX substitution layer described in DESIGN.md: every LP built by
-the algorithm modules is handed to :func:`solve`, which calls
-:func:`scipy.optimize.linprog` with the HiGHS dual-simplex/IPM hybrid and wraps
-the result in :class:`LPSolution`.
+This is the CPLEX substitution layer described in DESIGN.md §1: every LP
+built by the algorithm modules is handed to :func:`solve`, which drives the
+HiGHS binding bundled with scipy (``scipy.optimize._highspy._core._Highs``)
+directly and wraps the result in :class:`LPSolution`.  :func:`solve` passes
+the model's one cached column-wise form (:meth:`LinearProgram.columnwise`)
+through the array overload of ``passModel``, with the options, input
+checks, post-solve check and status codes of
+:func:`scipy.optimize.linprog`, so both give the same solution vector.
+The binding is private to scipy: on a scipy without it, :func:`solve` falls
+back to :func:`scipy.optimize.linprog` on :meth:`LinearProgram.matrices`.
+The path is selected once, at import, from what the installed scipy
+provides; :func:`solver_description` names it.
 
 :class:`LPSolution` holds the raw solution vector plus the model's key→index
 map; values stay addressable by the variable keys the modelling layer uses,
@@ -14,15 +22,26 @@ instead of hashing one tuple key per variable.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
 
-from ..faults import maybe_inject
-from .model import LinearProgram, LPError
+try:  # scipy-private, so guarded; linprog is the fallback
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # pragma: no cover - depends on the installed scipy
+    _highs = None
 
-__all__ = ["LPSolution", "LPInfeasibleError", "solve", "DEFAULT_TIME_LIMIT"]
+from ..faults import maybe_inject
+from .model import ColumnwiseLP, LinearProgram
+
+__all__ = [
+    "LPSolution",
+    "LPInfeasibleError",
+    "solve",
+    "solver_description",
+    "DEFAULT_TIME_LIMIT",
+]
 
 #: Process-wide default wall-clock budget (seconds) handed to HiGHS when
 #: :func:`solve` is called without an explicit ``time_limit``.  ``None``
@@ -37,11 +56,26 @@ class LPInfeasibleError(RuntimeError):
 
     Beyond the message, the error carries the solver's diagnosis so a
     failure record written by the experiment engine is diagnosable from the
-    report alone: ``status`` (HiGHS status code, ``-1`` for injected
-    faults), ``solver_message`` (the solver's own words), and the LP
-    dimensions ``rows`` x ``cols`` with ``nnz`` constraint nonzeros.
-    Every field defaults to ``None`` so ``LPInfeasibleError("msg")`` keeps
-    working for callers that have no solver context.
+    report alone: ``status``, ``solver_message`` (the solver's own words),
+    and the LP dimensions ``rows`` x ``cols`` with ``nnz`` constraint
+    nonzeros.  Every field defaults to ``None`` so
+    ``LPInfeasibleError("msg")`` keeps working for callers that have no
+    solver context.
+
+    ``status`` is :func:`scipy.optimize.linprog`'s exit code, on both solve
+    paths, not HiGHS's own model status (HiGHS calls infeasible ``8``; the
+    message quotes it):
+
+    ====  ==================================================
+    0     optimal (never raised)
+    1     time or iteration limit reached
+    2     infeasible (also a model HiGHS rejects on load, and a
+          variable-free LP with a row that fails at zero)
+    3     unbounded
+    4     anything else, including a solution that fails the
+          post-solve check
+    -1    an injected fault (:mod:`repro.faults`)
+    ====  ==================================================
     """
 
     def __init__(
@@ -247,10 +281,162 @@ class LPSolution:
         )
 
 
+#: linprog's post-solve tolerance on bounds, slack and equality residuals
+#: (``sqrt(tol) * 10`` for its default ``tol=1e-9``).
+_RESIDUAL_TOL = float(np.sqrt(1e-9) * 10)
+
+#: HiGHS's default primal feasibility tolerance, which it also applies to a
+#: row without entries; :func:`solve` checks the rows of a variable-free LP
+#: against it.
+_PRIMAL_FEASIBILITY_TOL = 1e-7
+
+#: (status code, message) of a solve attempt, plus on success the solution
+#: vector, objective and iteration count.
+_Outcome = Tuple[int, str, Optional[np.ndarray], float, int]
+
+if _highs is not None:
+    _MODEL_STATUS = _highs.HighsModelStatus
+    #: linprog's status code and message per HiGHS model status
+    #: (``scipy.optimize._linprog_highs``); any other status is 4.
+    _LINPROG_STATUS = {
+        _MODEL_STATUS.kOptimal: (0, "Optimization terminated successfully. "),
+        _MODEL_STATUS.kTimeLimit: (1, "Time limit reached. "),
+        _MODEL_STATUS.kIterationLimit: (1, "Iteration limit reached. "),
+        _MODEL_STATUS.kInfeasible: (2, "The problem is infeasible. "),
+        _MODEL_STATUS.kModelError: (2, ""),
+        _MODEL_STATUS.kUnbounded: (3, "The problem is unbounded. "),
+        _MODEL_STATUS.kUnboundedOrInfeasible: (
+            4,
+            "The problem is unbounded or infeasible. ",
+        ),
+    }
+
+
+def solver_description() -> str:
+    """The LP solve path this process runs, with the HiGHS version."""
+    if _highs is None:
+        return "HiGHS via scipy.optimize.linprog (no _highspy binding in this scipy)"
+    return f"HiGHS {_highs._Highs().version()} via scipy.optimize._highspy._core._Highs"
+
+
+def _check_inputs(lp: LinearProgram, objective: np.ndarray, form: ColumnwiseLP) -> None:
+    """linprog's input check: costs, coefficients and right-hand sides must
+    all be finite."""
+    for what, values in (
+        ("objective coefficients", objective),
+        ("constraint coefficients", form.value),
+        ("right-hand sides", form.row_upper),
+    ):
+        if not np.isfinite(values).all():
+            raise ValueError(f"LP {lp.name!r} has non-finite {what}")
+
+
+def _solve_highs(
+    lp: LinearProgram, objective: np.ndarray, time_limit: Optional[float]
+) -> _Outcome:
+    """Solve through a fresh ``_Highs`` with linprog's options and checks."""
+    form = lp.columnwise()
+    n = lp.num_variables
+    lower, upper = lp.bounds_arrays()
+    # linprog reads a NaN bound as no bound; HiGHS would reject the model.
+    lower = np.where(np.isnan(lower), -np.inf, lower)
+    upper = np.where(np.isnan(upper), np.inf, upper)
+    highs = _highs._Highs()
+    highs.setOptionValue("presolve", "on")
+    highs.setOptionValue("highs_debug_level", 0)
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue(
+        "simplex_strategy",
+        int(_highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    )
+    if time_limit is not None:
+        highs.setOptionValue("time_limit", float(time_limit))
+    loaded = highs.passModel(
+        n,
+        form.row_upper.shape[0],
+        form.value.shape[0],
+        int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize),
+        0.0,
+        objective,
+        lower,
+        upper,
+        form.row_lower,
+        form.row_upper,
+        form.start,
+        form.index,
+        form.value,
+        np.zeros(n, dtype=np.int32),  # all continuous; HiGHS rejects an empty one
+    )
+    if loaded == _highs.HighsStatus.kError:
+        model_status = _MODEL_STATUS.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = int(info.simplex_iteration_count or info.ipm_iteration_count)
+    status, text = _LINPROG_STATUS.get(model_status, (4, ""))
+    words = highs.modelStatusToString(model_status)
+    if status != 0 and loaded != _highs.HighsStatus.kError:
+        words = (
+            f"model_status is {words}; primal_status is "
+            f"{highs.solutionStatusToString(info.primal_solution_status)}"
+        )
+    message = f"{text}(HiGHS Status {int(model_status)}: {words})"
+    if status != 0:
+        return status, message, None, 0.0, iterations
+
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    fun = float(info.objective_function_value)
+    residual = form.row_upper - np.array(solution.row_value)
+    slack, con = residual[: form.num_ub], residual[form.num_ub :]
+    if (
+        np.isnan(x).any()
+        or np.isnan(fun)
+        or np.isnan(residual).any()
+        or not np.all((x >= lower - _RESIDUAL_TOL) & (x <= upper + _RESIDUAL_TOL))
+        or (slack < -_RESIDUAL_TOL).any()
+        or (np.abs(con) > _RESIDUAL_TOL).any()
+    ):
+        return (
+            4,
+            "The solution does not satisfy the constraints within the required "
+            f"tolerance of {_RESIDUAL_TOL:.2E}, yet HiGHS reported it optimal.",
+            None,
+            0.0,
+            iterations,
+        )
+    return 0, message, x, fun, iterations
+
+
+def _solve_linprog(
+    lp: LinearProgram, objective: np.ndarray, time_limit: Optional[float]
+) -> _Outcome:
+    """Solve through :func:`scipy.optimize.linprog` on :meth:`LinearProgram.matrices`."""
+    a_ub, b_ub, a_eq, b_eq = lp.matrices()
+    lower, upper = lp.bounds_arrays()
+    options: Dict[str, Any] = {"presolve": True}
+    if time_limit is not None:
+        options["time_limit"] = float(time_limit)
+    result = linprog(
+        c=objective,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=np.column_stack((lower, upper)),
+        method="highs",
+        options=options,
+    )
+    x = np.asarray(result.x, dtype=float) if result.status == 0 else None
+    fun = float(result.fun) if result.status == 0 else 0.0
+    return int(result.status), str(result.message), x, fun, int(result.nit or 0)
+
+
 def solve(
     lp: LinearProgram,
-    method: str = "highs",
-    presolve: bool = True,
     clip_negative: bool = True,
     time_limit: Optional[float] = None,
 ) -> LPSolution:
@@ -260,70 +446,66 @@ def solve(
     ----------
     lp:
         The assembled linear program (minimization).
-    method:
-        ``scipy.optimize.linprog`` method; HiGHS is both the default and the
-        only one exercised by the test-suite.
-    presolve:
-        Passed through to the solver options.
     clip_negative:
         Clamp tiny negative values (solver noise on >=0 variables) to zero so
         downstream rounding code can treat values as exact fractions.
     time_limit:
         Wall-clock budget in seconds handed to HiGHS; exceeding it raises
-        :class:`LPInfeasibleError` with the solver's time-limit status.
-        ``None`` falls back to the process default
-        :data:`DEFAULT_TIME_LIMIT` (unlimited out of the box).
+        :class:`LPInfeasibleError` with status 1.  ``None`` falls back to
+        the process default :data:`DEFAULT_TIME_LIMIT` (unlimited out of
+        the box).
 
     Raises
     ------
+    ValueError
+        If a cost, coefficient or right-hand side is not finite.
     LPInfeasibleError
-        If the solver reports anything other than an optimal solution —
-        including running out of its time budget.  The error carries the
-        status code, the solver message and the LP dimensions.
+        If the LP is not solved to optimality — including running out of
+        its time budget, and a variable-free LP with a row ``0 (sense) rhs``
+        that does not hold.  The error carries the status code (see
+        :class:`LPInfeasibleError`), the solver message and the LP
+        dimensions.
     """
     maybe_inject("lp")
+    objective = lp.objective_vector()
+    form = lp.columnwise()
+    _check_inputs(lp, objective, form)
     if lp.num_variables == 0:
-        return LPSolution(objective=0.0, status=0, message="empty LP")
-
-    a_ub, b_ub, a_eq, b_eq = lp.matrices()
-    lower, upper = lp.bounds_arrays()
-    options: Dict[str, Any] = {"presolve": presolve}
-    if time_limit is None:
-        time_limit = DEFAULT_TIME_LIMIT
-    if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    result = linprog(
-        c=lp.objective_vector(),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack((lower, upper)),
-        method=method,
-        options=options,
-    )
-    if not result.success:
-        rows = sum(m.shape[0] for m in (a_ub, a_eq) if m is not None)
-        nnz = sum(int(m.nnz) for m in (a_ub, a_eq) if m is not None)
+        broken = np.count_nonzero(
+            (form.row_lower > _PRIMAL_FEASIBILITY_TOL)
+            | (form.row_upper < -_PRIMAL_FEASIBILITY_TOL)
+        )
+        if not broken:
+            return LPSolution(objective=0.0, status=0, message="empty LP")
+        status, message = 2, (
+            f"The problem is infeasible. (The LP has no variables, and "
+            f"{broken} of its {lp.num_constraints} rows do not hold at zero.)"
+        )
+    else:
+        if time_limit is None:
+            time_limit = DEFAULT_TIME_LIMIT
+        run = _solve_linprog if _highs is None else _solve_highs
+        status, message, x, fun, iterations = run(lp, objective, time_limit)
+    if status != 0:
+        rows = lp.num_constraints
+        nnz = int(form.value.shape[0])
         raise LPInfeasibleError(
             f"LP {lp.name!r} could not be solved to optimality: "
-            f"status={result.status}, message={result.message!r}, "
+            f"status={status}, message={message!r}, "
             f"shape={rows}x{lp.num_variables}, nnz={nnz}",
-            status=int(result.status),
-            solver_message=str(result.message),
+            status=status,
+            solver_message=message,
             rows=rows,
             cols=int(lp.num_variables),
             nnz=nnz,
         )
-    x = np.asarray(result.x, dtype=float)
     if clip_negative:
         x = np.where(x < 0.0, 0.0, x)
-    iterations = int(getattr(result, "nit", 0) or 0)
     keys, index = lp.solution_keys()
     return LPSolution(
-        objective=float(result.fun),
-        status=int(result.status),
-        message=str(result.message),
+        objective=fun,
+        status=status,
+        message=message,
         iterations=iterations,
         x=x,
         keys=keys,

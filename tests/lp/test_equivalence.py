@@ -6,7 +6,8 @@ same model through the legacy scalar API (:func:`build_scalar`).  The
 resulting ``(A_ub, b_ub, A_eq, b_eq)`` matrices, bounds, and objective
 vectors must be *numerically identical*.  This pins the vectorized emission
 to the reference implementation: any refactor of the bulk path that changes
-a coefficient, a row, or the variable ordering fails here immediately.
+a coefficient, a row, or the variable ordering fails here immediately.  The
+instance fixtures live in ``conftest.py``.
 """
 
 import numpy as np
@@ -14,11 +15,9 @@ import pytest
 
 from repro.circuit.given_paths import GivenPathsLP
 from repro.circuit.routing import RoutingLP
-from repro.core import topologies
 from repro.core.flows import Coflow, CoflowInstance, Flow
 from repro.packet.given_paths import PacketGivenPathsLP
 from repro.packet.routing import PacketRoutingLP
-from repro.workloads import CoflowGenerator, WorkloadConfig
 
 from .reference_builders import build_scalar
 
@@ -41,47 +40,6 @@ def assert_identical_lps(bulk, scalar):
         assert np.array_equal(m_bulk, m_scalar), (
             f"{name}: max abs diff {np.abs(m_bulk - m_scalar).max()}"
         )
-
-
-@pytest.fixture(scope="module")
-def network():
-    return topologies.fat_tree(4)
-
-
-@pytest.fixture(scope="module")
-def circuit_instance(network):
-    """Small fixed-seed circuit instance (sizes > 0, staggered releases)."""
-    return CoflowGenerator(
-        network, WorkloadConfig(num_coflows=3, coflow_width=4, seed=7)
-    ).instance()
-
-
-@pytest.fixture(scope="module")
-def circuit_instance_with_paths(network, circuit_instance):
-    paths = {
-        (i, j): tuple(network.shortest_path(f.source, f.destination))
-        for i, j, f in circuit_instance.iter_flows()
-    }
-    return circuit_instance.with_paths(paths)
-
-
-@pytest.fixture(scope="module")
-def packet_instance(network, circuit_instance):
-    """Unit-size, integer-release packet version of the circuit instance."""
-    coflows = []
-    for c in circuit_instance.coflows:
-        flows = tuple(
-            Flow(
-                source=f.source,
-                destination=f.destination,
-                size=1.0,
-                release_time=float(int(f.release_time)),
-                path=tuple(network.shortest_path(f.source, f.destination)),
-            )
-            for f in c.flows
-        )
-        coflows.append(Coflow(flows=flows, weight=c.weight))
-    return CoflowInstance(coflows=coflows)
 
 
 def test_circuit_given_paths_equivalence(network, circuit_instance_with_paths):

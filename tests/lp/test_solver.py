@@ -212,6 +212,37 @@ def test_time_limit_accepted_and_solves():
 
 
 def test_default_time_limit_is_used(monkeypatch):
+    """The process default reaches HiGHS's ``time_limit`` option; an
+    explicit limit wins over it."""
+    from repro.lp import solver as solver_module
+
+    binding = solver_module._highs
+    if binding is None:
+        pytest.skip("this scipy has no _highspy binding")
+    made = []
+
+    class RecordingBinding:
+        """The binding module, keeping every ``_Highs`` that ``solve`` makes."""
+
+        def __getattr__(self, name):
+            return getattr(binding, name)
+
+        def _Highs(self):
+            made.append(binding._Highs())
+            return made[-1]
+
+    monkeypatch.setattr(solver_module, "_highs", RecordingBinding())
+    monkeypatch.setattr(solver_module, "DEFAULT_TIME_LIMIT", 12.5)
+    lp = LinearProgram("defaulted")
+    lp.add_variable("x", upper=1.0, objective=1.0)
+    lp.add_constraint({"x": 1.0}, ">=", 0.5)
+    solve(lp)
+    assert made[-1].getOptionValue("time_limit")[1] == 12.5
+    solve(lp, time_limit=3.0)
+    assert made[-1].getOptionValue("time_limit")[1] == 3.0
+
+
+def test_default_time_limit_reaches_the_linprog_fallback(monkeypatch):
     from repro.lp import solver as solver_module
 
     seen = {}
@@ -221,6 +252,7 @@ def test_default_time_limit_is_used(monkeypatch):
         seen.update(kwargs.get("options", {}))
         return real_linprog(*args, **kwargs)
 
+    monkeypatch.setattr(solver_module, "_highs", None)
     monkeypatch.setattr(solver_module, "linprog", spy)
     monkeypatch.setattr(solver_module, "DEFAULT_TIME_LIMIT", 12.5)
     lp = LinearProgram("defaulted")
@@ -228,7 +260,29 @@ def test_default_time_limit_is_used(monkeypatch):
     lp.add_constraint({"x": 1.0}, ">=", 0.5)
     solve(lp)
     assert seen["time_limit"] == 12.5
-    # An explicit limit wins over the process default.
     seen.clear()
     solve(lp, time_limit=3.0)
     assert seen["time_limit"] == 3.0
+
+
+def test_variable_free_lp_checks_its_rows():
+    """A row without variables reads ``0 (sense) rhs``: one that fails makes
+    the LP infeasible, exactly as the same row does beside a variable."""
+    lone = LinearProgram("no-variables")
+    lone.add_constraint({}, ">=", 1.0)
+    beside = LinearProgram("one-variable")
+    beside.add_variable("x", objective=1.0)
+    beside.add_constraint({}, ">=", 1.0)
+    for lp in (lone, beside):
+        with pytest.raises(LPInfeasibleError) as excinfo:
+            solve(lp)
+        assert excinfo.value.status == 2
+
+
+def test_variable_free_lp_with_rows_that_hold():
+    lp = LinearProgram("no-variables")
+    lp.add_constraint({}, "<=", 1.0)
+    lp.add_constraint({}, ">=", -1.0)
+    lp.add_constraint({}, "==", 0.0)
+    solution = solve(lp)
+    assert (solution.status, solution.objective) == (0, 0.0)
