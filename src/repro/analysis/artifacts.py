@@ -647,13 +647,20 @@ def provenance() -> Dict[str, Any]:
 
 
 def provenance_lines() -> List[str]:
-    """The ``repro --version`` output: version plus the deviation list."""
+    """The ``repro --version`` output: version, the solve path, the compiled
+    cores (each loaded from its cache path, or unavailable with the reason,
+    built through the shared loader if need be), and the deviation list."""
+    from ..core.network import PATH_CORE
+    from ..sim.kernel_jit import CORE as KERNEL_CORE
+
     info = provenance()
     lines = [
         f"repro {info['version']} — {info['paper']}",
         f"python {info['python']}, numpy {info['numpy']}, "
         f"scipy {info['scipy']}, networkx {info['networkx']}",
         f"solver: {info['solver']}",
+        f"simulator kernel: {KERNEL_CORE.describe()}",
+        f"path core (Yen's): {PATH_CORE.describe()}",
         "deliberate deviations from the paper:",
     ]
     lines.extend(f"  - {deviation}" for deviation in info["deviations"])

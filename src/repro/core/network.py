@@ -7,8 +7,9 @@ provides :class:`Network`, a thin, validated wrapper over
 repository needs:
 
 * capacity lookups and aggregate statistics,
-* shortest paths and *candidate path* enumeration (all equal-length simple
-  shortest paths, used by the column/path LP formulation of Section 2.2),
+* shortest paths and *candidate path* enumeration (Yen's algorithm, in a
+  compiled C core with a Python fallback, used by the column/path LP
+  formulation of Section 2.2 and by the heuristic routers),
 * bottleneck ("thickest path") queries used by the flow-decomposition routine
   of Section 4.2,
 * deterministic edge indexing so LP variables can be laid out in arrays.
@@ -19,10 +20,13 @@ string names such as ``"host_3"`` and ``"edge_1_0"``).
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import heapq
 import itertools
 import operator
+import threading
+from array import array
 from typing import (
     Container,
     Dict,
@@ -35,6 +39,8 @@ from typing import (
 )
 
 import networkx as nx
+
+from ..native import CompiledCore
 
 __all__ = ["Network", "Edge", "CandidateSet", "path_edges"]
 
@@ -67,7 +73,8 @@ class _PathMemo:
 
     The network drops it on every edit and starts an empty one on the next
     query, so a fact is never served for a graph other than the one it was
-    computed on.
+    computed on.  It pickles with its network (engine workers receive one),
+    minus :attr:`native`, which holds this process's memory addresses.
     """
 
     def __init__(self) -> None:
@@ -84,8 +91,26 @@ class _PathMemo:
         self.ids: Optional[Dict[Node, int]] = None
         self.succ: Tuple[Tuple[int, ...], ...] = ()
         self.pred: Tuple[Tuple[int, ...], ...] = ()
+        #: The same adjacency in CSR form for the path core: successor
+        #: offsets and ids, the :meth:`Network.edge_index` id of each
+        #: successor entry, then predecessor offsets and ids.
+        self.csr: Tuple[array, ...] = ()
+        #: The edge index's own int objects by id, then -1 for the unused
+        #: last slot of each path the core writes.  Compiled candidate sets
+        #: take their edge ids from here, so they share these objects as
+        #: the Python port's (looked up in the edge index) do; the
+        #: interpreter caches no int above 256.
+        self.edge_ints: Tuple[int, ...] = ()
+        #: The path core's view of :attr:`csr` in this process, built on the
+        #: first compiled query: a ``_CGraph`` and its address.
+        self.native: Optional[Tuple[ctypes.Structure, int]] = None
 
-    def fill_ids(self, graph: nx.DiGraph) -> Dict[Node, int]:
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state["native"] = None
+        return state
+
+    def fill_ids(self, graph: nx.DiGraph, edge_index: Dict[Edge, int]) -> Dict[Node, int]:
         """Number ``graph``'s nodes and lay out its adjacency, once."""
         if self.ids is None:
             self.labels = tuple(graph)
@@ -96,8 +121,26 @@ class _PathMemo:
             self.pred = tuple(
                 tuple(ids[w] for w in graph.predecessors(v)) for v in self.labels
             )
+            self.csr = (
+                array("i", itertools.accumulate(map(len, self.succ), initial=0)),
+                array("i", itertools.chain.from_iterable(self.succ)),
+                array(
+                    "i",
+                    [edge_index[v, w] for v in self.labels for w in graph.successors(v)],
+                ),
+                array("i", itertools.accumulate(map(len, self.pred), initial=0)),
+                array("i", itertools.chain.from_iterable(self.pred)),
+            )
+            self.edge_ints = (*edge_index.values(), -1)
             self.ids = ids
         return self.ids
+
+    def native_graph(self) -> int:
+        """Address of the path core's view of this topology (per process)."""
+        if self.native is None:
+            graph = _CGraph(len(self.labels), *(a.buffer_info()[0] for a in self.csr))
+            self.native = (graph, ctypes.addressof(graph))
+        return self.native[1]
 
 
 def _spur_path(
@@ -232,6 +275,489 @@ def _yen_paths(
     return accepted
 
 
+_YEN_C_SOURCE = r"""
+/* Yen's k shortest loopless paths over integer node ids, lowered to C99.
+ *
+ * A statement-for-statement port of _spur_path and _yen_paths in
+ * repro/core/network.py, so its paths and their order are the Python
+ * port's (and networkx's).  No global state: scratch memory is allocated
+ * per call and freed on every return path, and output goes to buffers the
+ * caller owns.
+ */
+#include <stdlib.h>
+#include <string.h>
+
+typedef long long i64;
+typedef unsigned long long u64;
+
+/* The graph in CSR form, built once per topology by _PathMemo.fill_ids. */
+typedef struct {
+    int n;
+    const int *succ_off;   /* n + 1 offsets into succ */
+    const int *succ;       /* successor ids, in adjacency order */
+    const int *succ_edge;  /* edge_index() id of each successor entry */
+    const int *pred_off;   /* n + 1 offsets into pred */
+    const int *pred;       /* predecessor ids, in adjacency order */
+} yen_graph_t;
+
+/* The accepted paths, in caller-owned buffers of `capacity` slots each. */
+typedef struct {
+    int *nodes;    /* the paths' node ids, back to back */
+    int *edges;    /* at the slot of v_j: the id of edge v_j -> v_{j+1};
+                      -1 at each path's last slot */
+    i64 *ends;     /* ends[j]: the slot after path j */
+    i64 capacity;
+    i64 used;      /* out: slots written, or needed after YEN_NO_SPACE */
+} yen_out_t;
+
+#define YEN_NO_MEMORY (-1)
+#define YEN_NO_SPACE (-2)
+
+#define ABSENT (-1) /* not in a BFS tree: memset(0xff) */
+#define ROOT (-2)   /* a tree's root, None in the Python port */
+#define EMPTY (-1)  /* hash-table slots */
+#define TOMB (-2)
+
+typedef struct {
+    i64 cost, counter, at; /* at: the path's record in the arena */
+} entry_t;
+
+typedef struct {
+    int *forward, *reverse; /* BFS tree parents: the two dicts */
+    int *fq, *rq;           /* tree nodes in insertion order */
+    int *spur, *found;
+    unsigned char *blocked, *skip;
+    int *arena;             /* queued paths as [len, v_0, ...] records */
+    i64 arena_len, arena_cap;
+    entry_t *heap;          /* min-heap on (cost, counter) */
+    i64 heap_len, heap_cap;
+    i64 *table;             /* `queued`: arena offsets, open addressing */
+    i64 table_cap, table_live, table_tombs;
+} scratch_t;
+
+/* _spur_path: networkx's bidirectional BFS under the ignore sets (blocked
+ * nodes; edges source -> w with skip[w]), giving up after budget level
+ * expansions.  Writes the path to s->spur and returns its node count, or
+ * 0 for None.  Leaves forward and reverse all ABSENT again. */
+static int spur_path(const yen_graph_t *g, scratch_t *s, int source,
+                     int target, i64 budget) {
+    int *forward = s->forward, *reverse = s->reverse;
+    int *fq = s->fq, *rq = s->rq;
+    const unsigned char *blocked = s->blocked, *skip = s->skip;
+    int f_lo = 0, f_hi = 1, r_lo = 0, r_hi = 1, meet = -1, len = 0;
+    forward[source] = ROOT;
+    fq[0] = source;
+    reverse[target] = ROOT;
+    rq[0] = target;
+    while (meet < 0 && f_lo < f_hi && r_lo < r_hi) {
+        if (budget <= 0) break;
+        budget -= 1;
+        if (f_hi - f_lo <= r_hi - r_lo) {
+            int level_end = f_hi;
+            for (int a = f_lo; a < level_end && meet < 0; a++) {
+                int v = fq[a];
+                for (int p = g->succ_off[v]; p < g->succ_off[v + 1]; p++) {
+                    int w = g->succ[p];
+                    if (blocked[w] || (v == source && skip[w])) continue;
+                    if (forward[w] == ABSENT) {
+                        fq[f_hi++] = w;
+                        forward[w] = v;
+                    }
+                    if (reverse[w] != ABSENT) {
+                        meet = w;
+                        break;
+                    }
+                }
+            }
+            f_lo = level_end;
+        } else {
+            int level_end = r_hi;
+            for (int a = r_lo; a < level_end && meet < 0; a++) {
+                int v = rq[a];
+                for (int p = g->pred_off[v]; p < g->pred_off[v + 1]; p++) {
+                    int w = g->pred[p];
+                    if (blocked[w] || (w == source && skip[v])) continue;
+                    if (reverse[w] == ABSENT) {
+                        reverse[w] = v;
+                        rq[r_hi++] = w;
+                    }
+                    if (forward[w] != ABSENT) {
+                        meet = w;
+                        break;
+                    }
+                }
+            }
+            r_lo = level_end;
+        }
+    }
+    if (meet >= 0) { /* _join */
+        for (int v = forward[meet]; v != ROOT; v = forward[v]) s->spur[len++] = v;
+        for (int a = 0, b = len - 1; a < b; a++, b--) {
+            int t = s->spur[a];
+            s->spur[a] = s->spur[b];
+            s->spur[b] = t;
+        }
+        for (int v = meet; v != ROOT; v = reverse[v]) s->spur[len++] = v;
+    }
+    for (int a = 0; a < f_hi; a++) forward[fq[a]] = ABSENT;
+    for (int a = 0; a < r_hi; a++) reverse[rq[a]] = ABSENT;
+    return len;
+}
+
+static u64 hash_path(const int *path, int len) {
+    u64 h = 1469598103934665603ULL; /* FNV-1a */
+    for (int j = 0; j < len; j++) {
+        h ^= (u64)(unsigned int)path[j];
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/* The slot holding `path` in the table, or the EMPTY slot ending its probe
+ * sequence. */
+static i64 table_slot(const scratch_t *s, const int *path, int len) {
+    i64 mask = s->table_cap - 1;
+    for (i64 i = (i64)(hash_path(path, len) & (u64)mask);; i = (i + 1) & mask) {
+        i64 at = s->table[i];
+        if (at == EMPTY) return i;
+        if (at != TOMB && s->arena[at] == len &&
+            memcmp(s->arena + at + 1, path, (size_t)len * sizeof(int)) == 0)
+            return i;
+    }
+}
+
+/* Re-insert every live entry into a table of `cap` slots. */
+static int table_resize(scratch_t *s, i64 cap) {
+    i64 *old = s->table, old_cap = s->table_cap;
+    i64 *table = malloc((size_t)cap * sizeof(i64));
+    if (!table) return 0;
+    for (i64 i = 0; i < cap; i++) table[i] = EMPTY;
+    s->table = table;
+    s->table_cap = cap;
+    s->table_tombs = 0;
+    for (i64 i = 0; i < old_cap; i++) {
+        i64 at = old[i];
+        if (at >= 0) {
+            i64 mask = cap - 1, j = (i64)(hash_path(s->arena + at + 1, s->arena[at]) & (u64)mask);
+            while (table[j] != EMPTY) j = (j + 1) & mask;
+            table[j] = at;
+        }
+    }
+    free(old);
+    return 1;
+}
+
+static int heap_less(const entry_t *a, const entry_t *b) {
+    return a->cost < b->cost || (a->cost == b->cost && a->counter < b->counter);
+}
+
+/* heapq.heappush(heap, (cost, counter, found)) and queued.add(found). */
+static int push(scratch_t *s, i64 cost, i64 counter, const int *path, int len, i64 slot) {
+    if (s->arena_len + len + 1 > s->arena_cap) {
+        i64 cap = 2 * s->arena_cap;
+        while (cap < s->arena_len + len + 1) cap *= 2;
+        int *arena = realloc(s->arena, (size_t)cap * sizeof(int));
+        if (!arena) return 0;
+        s->arena = arena;
+        s->arena_cap = cap;
+    }
+    i64 at = s->arena_len;
+    s->arena[at] = len;
+    memcpy(s->arena + at + 1, path, (size_t)len * sizeof(int));
+    s->arena_len += len + 1;
+    s->table[slot] = at;
+    s->table_live++;
+    if (2 * (s->table_live + s->table_tombs) > s->table_cap &&
+        !table_resize(s, 4 * s->table_live > s->table_cap ? 2 * s->table_cap : s->table_cap))
+        return 0;
+    if (s->heap_len == s->heap_cap) {
+        entry_t *heap = realloc(s->heap, (size_t)(2 * s->heap_cap) * sizeof(entry_t));
+        if (!heap) return 0;
+        s->heap = heap;
+        s->heap_cap *= 2;
+    }
+    entry_t e = {cost, counter, at};
+    i64 i = s->heap_len++;
+    while (i > 0) {
+        i64 parent = (i - 1) / 2;
+        if (!heap_less(&e, &s->heap[parent])) break;
+        s->heap[i] = s->heap[parent];
+        i = parent;
+    }
+    s->heap[i] = e;
+    return 1;
+}
+
+/* heapq.heappop(heap) and queued.remove(path): the popped record's arena
+ * offset. */
+static i64 pop(scratch_t *s) {
+    i64 at = s->heap[0].at;
+    entry_t last = s->heap[--s->heap_len];
+    i64 i = 0, n = s->heap_len;
+    while (n > 0) {
+        i64 child = 2 * i + 1;
+        if (child >= n) break;
+        if (child + 1 < n && heap_less(&s->heap[child + 1], &s->heap[child])) child++;
+        if (!heap_less(&s->heap[child], &last)) break;
+        s->heap[i] = s->heap[child];
+        i = child;
+    }
+    if (n > 0) s->heap[i] = last;
+    s->table[table_slot(s, s->arena + at + 1, s->arena[at])] = TOMB;
+    s->table_live--;
+    s->table_tombs++;
+    return at;
+}
+
+/* accepted.append(path) as the output's path number `index`, with its
+ * edge ids. */
+static int accept(const yen_graph_t *g, yen_out_t *out, i64 index,
+                  const int *path, int len) {
+    i64 at = out->used;
+    if (at + len > out->capacity) {
+        out->used = at + len;
+        return 0;
+    }
+    for (int j = 0; j < len; j++) {
+        int u = path[j];
+        out->nodes[at + j] = u;
+        out->edges[at + j] = -1;
+        if (j + 1 < len) {
+            int p = g->succ_off[u];
+            while (g->succ[p] != path[j + 1]) p++;
+            out->edges[at + j] = g->succ_edge[p];
+        }
+    }
+    out->used = at + len;
+    out->ends[index] = out->used;
+    return 1;
+}
+
+/* _yen_paths after its source == target case, on initialised scratch. */
+static i64 yen(const yen_graph_t *g, scratch_t *s, int source, int target,
+               i64 max_paths, i64 stretch, yen_out_t *out) {
+    int n = g->n;
+    int first = spur_path(g, s, source, target, n - 1);
+    if (first == 0) return 0;
+    i64 max_hops = stretch < 0 ? n - 1 : (i64)(first - 1) + stretch;
+    if (!push(s, first, 0, s->spur, first, table_slot(s, s->spur, first)))
+        return YEN_NO_MEMORY;
+    i64 counter = 1, accepted = 0;
+    while (s->heap_len > 0) {
+        i64 at = pop(s);
+        int len = s->arena[at];
+        const int *path = out->nodes + out->used;
+        if (!accept(g, out, accepted, s->arena + at + 1, len)) return YEN_NO_SPACE;
+        accepted++;
+        if (accepted == max_paths) break;
+        for (int i = 1; i < len; i++) {
+            /* skip = {p[i] for p in accepted if p[:i] == root} */
+            for (i64 q = 0, start = 0; q < accepted; start = out->ends[q++]) {
+                const int *p = out->nodes + start;
+                if (out->ends[q] - start > i &&
+                    memcmp(p, path, (size_t)i * sizeof(int)) == 0)
+                    s->skip[p[i]] = 1;
+            }
+            int spur = spur_path(g, s, path[i - 1], target, max_hops - (i - 1));
+            for (i64 q = 0, start = 0; q < accepted; start = out->ends[q++])
+                if (out->ends[q] - start > i) s->skip[out->nodes[start + i]] = 0;
+            if (spur > 0) {
+                /* found = root[:-1] + spur */
+                int found = i - 1 + spur;
+                memcpy(s->found, path, (size_t)(i - 1) * sizeof(int));
+                memcpy(s->found + i - 1, s->spur, (size_t)spur * sizeof(int));
+                i64 slot = table_slot(s, s->found, found);
+                if (s->table[slot] == EMPTY) {
+                    if (!push(s, i + spur, counter, s->found, found, slot))
+                        return YEN_NO_MEMORY;
+                    counter += 1;
+                }
+            }
+            s->blocked[path[i - 1]] = 1;
+        }
+        for (int j = 0; j < len; j++) s->blocked[path[j]] = 0;
+    }
+    return accepted;
+}
+
+/* The leading max_paths paths of Yen's order within `stretch` hops of the
+ * shortest (stretch < 0: every simple path).  Returns their count (0 when
+ * target is unreachable), YEN_NO_MEMORY, or YEN_NO_SPACE when the output
+ * buffers are too small; out->used then says how many slots the next
+ * path needed, and a call with larger buffers starts over. */
+i64 repro_yen(const yen_graph_t *g, int source, int target, i64 max_paths,
+              i64 stretch, yen_out_t *out) {
+    out->used = 0;
+    if (source == target) {
+        int path[1] = {source};
+        return accept(g, out, 0, path, 1) ? 1 : YEN_NO_SPACE;
+    }
+    int n = g->n;
+    scratch_t s;
+    memset(&s, 0, sizeof s);
+    char *block = malloc((size_t)n * (6 * sizeof(int) + 2));
+    s.arena_cap = 256;
+    s.heap_cap = 64;
+    s.table_cap = 64;
+    s.arena = malloc((size_t)s.arena_cap * sizeof(int));
+    s.heap = malloc((size_t)s.heap_cap * sizeof(entry_t));
+    s.table = malloc((size_t)s.table_cap * sizeof(i64));
+    i64 status = YEN_NO_MEMORY;
+    if (block && s.arena && s.heap && s.table) {
+        s.forward = (int *)block;
+        s.reverse = s.forward + n;
+        s.fq = s.reverse + n;
+        s.rq = s.fq + n;
+        s.spur = s.rq + n;
+        s.found = s.spur + n;
+        s.blocked = (unsigned char *)(s.found + n);
+        s.skip = s.blocked + n;
+        memset(s.forward, 0xff, 2 * (size_t)n * sizeof(int));
+        memset(s.blocked, 0, 2 * (size_t)n);
+        for (i64 i = 0; i < s.table_cap; i++) s.table[i] = EMPTY;
+        status = yen(g, &s, source, target, max_paths, stretch, out);
+    }
+    free(block);
+    free(s.arena);
+    free(s.heap);
+    free(s.table);
+    return status;
+}
+"""
+
+#: Statuses of ``repro_yen`` besides a path count.
+_NO_MEMORY = -1
+_NO_SPACE = -2
+#: Output slots the first compiled query reserves (grown on demand).
+_FIRST_SLOTS = 1024
+
+
+class _CGraph(ctypes.Structure):
+    """``yen_graph_t``: a :class:`_PathMemo`'s CSR arrays by address."""
+
+    _fields_ = [
+        ("n", ctypes.c_int),
+        ("succ_off", ctypes.c_void_p),
+        ("succ", ctypes.c_void_p),
+        ("succ_edge", ctypes.c_void_p),
+        ("pred_off", ctypes.c_void_p),
+        ("pred", ctypes.c_void_p),
+    ]
+
+
+class _COut(ctypes.Structure):
+    """``yen_out_t``: the output buffers of one process."""
+
+    _fields_ = [
+        ("nodes", ctypes.c_void_p),
+        ("edges", ctypes.c_void_p),
+        ("ends", ctypes.c_void_p),
+        ("capacity", ctypes.c_longlong),
+        ("used", ctypes.c_longlong),
+    ]
+
+
+def _declare(lib: ctypes.CDLL) -> None:
+    """Argument and result types of ``repro_yen``."""
+    fn = lib.repro_yen
+    fn.restype = ctypes.c_longlong
+    fn.argtypes = [
+        ctypes.c_void_p,  # graph
+        ctypes.c_int,  # source
+        ctypes.c_int,  # target
+        ctypes.c_longlong,  # max_paths
+        ctypes.c_longlong,  # stretch (< 0: None)
+        ctypes.c_void_p,  # out
+    ]
+
+
+#: The path core, built through the package's shared loader on the first
+#: query and cached as ``repro_paths_<digest>.so``.
+PATH_CORE = CompiledCore("repro_paths", "path core", _YEN_C_SOURCE, _declare)
+#: Values clamped into the core's 64-bit arguments; no graph in memory has
+#: that many paths or hops, so the clamp changes no answer.
+_MAX_ARGUMENT = 1 << 62
+
+
+class _CompiledYen:
+    """The loaded path core with this process's output buffers."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        self._fn = lib.repro_yen
+        self._out = _COut()
+        self._out_address = ctypes.addressof(self._out)
+        # One set of buffers per process: a query holds the lock from the
+        # call until its paths are copied out.
+        self._lock = threading.Lock()
+        self.reserve(_FIRST_SLOTS)
+
+    def reserve(self, slots: int) -> None:
+        """Replace the output buffers with ``slots``-slot ones."""
+        self._nodes = array("i", [0]) * slots
+        self._edges = array("i", [0]) * slots
+        self._ends = array("q", [0]) * slots
+        self._out.nodes = self._nodes.buffer_info()[0]
+        self._out.edges = self._edges.buffer_info()[0]
+        self._out.ends = self._ends.buffer_info()[0]
+        self._out.capacity = slots
+
+    @property
+    def slots(self) -> int:
+        """Slots in each output buffer."""
+        return self._out.capacity
+
+    def __call__(
+        self,
+        memo: _PathMemo,
+        source: int,
+        target: int,
+        max_paths: int,
+        stretch: Optional[int],
+    ) -> CandidateSet:
+        """:func:`_yen_paths`, labelled, with each path's edge ids."""
+        graph = memo.native_graph()
+        max_paths = min(max_paths, _MAX_ARGUMENT)
+        stretch = -1 if stretch is None else min(stretch, _MAX_ARGUMENT)
+        out = self._out
+        with self._lock:
+            while True:
+                count = self._fn(
+                    graph, source, target, max_paths, stretch, self._out_address
+                )
+                if count != _NO_SPACE:
+                    break
+                self.reserve(max(2 * out.capacity, out.used))
+            if count == _NO_MEMORY:
+                raise MemoryError("the path core could not allocate its scratch")
+            used = out.used
+            labels, ints = memo.labels, memo.edge_ints
+            nodes = tuple([labels[v] for v in self._nodes[:used]])
+            edges = tuple([ints[e] for e in self._edges[:used]])
+            ends = self._ends[:count]
+        paths = []
+        edge_ids = []
+        start = 0
+        for end in ends:
+            paths.append(nodes[start:end])
+            edge_ids.append(edges[start : end - 1])
+            start = end
+        return CandidateSet(tuple(paths), tuple(edge_ids))
+
+
+_compiled: Optional[_CompiledYen] = None
+
+
+def _compiled_port() -> Optional[_CompiledYen]:
+    """The compiled Yen's port, loaded on first use; ``None`` without a C
+    compiler (the Python port runs instead)."""
+    global _compiled
+    if _compiled is None:
+        lib = PATH_CORE.load()
+        if lib is not None:
+            _compiled = _CompiledYen(lib)
+    return _compiled
+
+
 class Network:
     """A directed, capacitated network.
 
@@ -241,7 +767,11 @@ class Network:
     first use and dropped by :meth:`add_node` and :meth:`add_edge`.  Build
     and edit the topology through those methods only: :attr:`graph` must
     stay read-only, because mutating it directly bypasses the memo and
-    leaves stale paths behind.
+    leaves stale paths behind.  Yen's algorithm runs in a compiled C core
+    (built once per machine with the system compiler, on the first query)
+    or, without a compiler, in the Python port it was lowered from; both
+    give networkx's paths in networkx's order.  A network pickles with its
+    memo, minus the C core's addresses, which each process rebuilds.
 
     Parameters
     ----------
@@ -400,22 +930,21 @@ class Network:
         exponentially many shortest paths).
         """
         try:
+            # The generator raises only when iterated, so drain it here.
             gen = nx.all_shortest_paths(self._graph, source, target)
+            return [list(p) for p in itertools.islice(gen, limit)]
         except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
             raise ValueError(
                 f"no path from {source!r} to {target!r} in the network"
             ) from exc
-        if limit is None:
-            return [list(p) for p in gen]
-        return [list(p) for p in itertools.islice(gen, limit)]
 
     def k_shortest_paths(self, source: Node, target: Node, k: int) -> List[List[Node]]:
         """The ``k`` shortest simple paths (by hop count) in Yen's order, as
-        networkx's Yen's algorithm yields them (the port behind
+        networkx's Yen's algorithm yields them (the enumeration behind
         :meth:`candidate_set`, with no hop budget)."""
         if k <= 0:
             raise ValueError("k must be positive")
-        return [list(path) for path in self._yen(source, target, k)]
+        return [list(path) for path in self._yen(source, target, k).paths]
 
     def candidate_paths(
         self,
@@ -447,14 +976,16 @@ class Network:
         """The memoized candidate set behind :meth:`candidate_paths`.
 
         Yen's algorithm runs once per ``(source, target, max_paths,
-        stretch)`` for the life of the topology, as an integer-id port of
-        networkx's unweighted Yen's that returns networkx's paths in
-        networkx's order (:func:`_yen_paths`); its spur searches stop at
-        the ``stretch`` hop budget instead of enumerating longer paths.
-        Later calls return the same immutable :class:`CandidateSet`, with
-        each path's edge ids precomputed for load arrays indexed like
-        :meth:`capacity_vector`.  Raises ``ValueError`` for
-        ``max_paths < 1``, ``stretch < 0`` or an unreachable target.
+        stretch)`` for the life of the topology and returns networkx's
+        paths in networkx's order.  It runs in the compiled path core, a C
+        port of the integer-id Python port :func:`_yen_paths`, which runs
+        instead wherever no C compiler is available; the spur searches of
+        both stop at the ``stretch`` hop budget instead of enumerating
+        longer paths.  Later calls return the same immutable
+        :class:`CandidateSet`, with each path's edge ids precomputed for
+        load arrays indexed like :meth:`capacity_vector`.  Raises
+        ``ValueError`` for ``max_paths < 1``, ``stretch < 0`` or an
+        unreachable target.
         """
         if max_paths < 1:
             raise ValueError(f"max_paths must be at least 1, got {max_paths!r}")
@@ -464,12 +995,7 @@ class Network:
         memo = self._facts()
         found = memo.candidates.get(key)
         if found is None:
-            paths = self._yen(source, target, max_paths, stretch)
-            index = self.edge_index()
-            edge_ids = tuple(
-                tuple(index[edge] for edge in zip(path, path[1:])) for path in paths
-            )
-            found = memo.candidates[key] = CandidateSet(tuple(paths), edge_ids)
+            found = memo.candidates[key] = self._yen(source, target, max_paths, stretch)
         return found
 
     def _yen(
@@ -478,22 +1004,39 @@ class Network:
         target: Node,
         max_paths: int,
         stretch: Optional[int] = None,
-    ) -> List[Tuple[Node, ...]]:
-        """The leading ``max_paths`` paths of Yen's order, as node tuples.
+    ) -> CandidateSet:
+        """The leading ``max_paths`` paths of Yen's order with their edge ids.
 
         Only paths within ``stretch`` hops of the shortest are enumerated;
         ``None`` admits every simple path (at most ``num_nodes - 1`` hops).
+        The compiled port runs when the path core loads, the Python port
+        otherwise; both return the same paths in the same order.  Both
+        counts must be integers (``TypeError`` otherwise).
         """
+        max_paths = operator.index(max_paths)
+        stretch = None if stretch is None else operator.index(stretch)
         memo = self._facts()
-        ids = memo.fill_ids(self._graph)
+        index = self.edge_index()
+        ids = memo.fill_ids(self._graph, index)
         s, t = ids.get(source), ids.get(target)
-        paths = []
+        found = None
         if s is not None and t is not None:
-            paths = _yen_paths(memo, s, t, max_paths, stretch)
-        if not paths:
+            compiled = _compiled_port()
+            if compiled is not None:
+                found = compiled(memo, s, t, max_paths, stretch)
+            else:
+                labels = memo.labels
+                paths = tuple(
+                    tuple(labels[v] for v in path)
+                    for path in _yen_paths(memo, s, t, max_paths, stretch)
+                )
+                edge_ids = tuple(
+                    tuple(index[edge] for edge in zip(path, path[1:])) for path in paths
+                )
+                found = CandidateSet(paths, edge_ids)
+        if found is None or not found.paths:
             raise ValueError(f"no path from {source!r} to {target!r} in the network")
-        labels = memo.labels
-        return [tuple(labels[v] for v in path) for path in paths]
+        return found
 
     def bottleneck_capacity(self, path: Sequence[Node]) -> float:
         """Minimum edge capacity along a path (``c_m`` in Lemma 2)."""

@@ -17,7 +17,9 @@ loop; this build targets environments where ``numba`` (and Cython) are not
 installed, so the tier ships the equivalent *compiled C core*: ~300 lines
 of dependency-free C99 (embedded in :data:`_C_SOURCE`), built once with the
 system C toolchain (``cc -O2 -ffp-contract=off``), cached on disk keyed by
-a source digest, and loaded through :mod:`ctypes`.  ``-ffp-contract=off``
+a source digest, and loaded through :mod:`ctypes` — all by the package's
+shared loader, :mod:`repro.native`, which also builds the path core of
+:mod:`repro.core.network`.  ``-ffp-contract=off``
 matters: fused multiply-adds would change the rounding of
 ``remaining - rate * elapsed`` and break the bit-identity contract below.
 When no C compiler is present, :func:`available` reports ``False`` and the
@@ -43,26 +45,20 @@ from __future__ import annotations
 
 import ctypes
 import gc
-import hashlib
 import itertools
 import math
-import os
-import subprocess
-import tempfile
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from ..faults import maybe_inject
+from ..native import CompiledCore
 from .kernel import ResidentSimulationKernel, _TIME_EPS, _VOLUME_EPS
 
 __all__ = [
     "ResidentJitKernel",
     "available",
-    "engine",
-    "compiled_library_path",
     "paused_gc",
 ]
 
@@ -573,136 +569,73 @@ void repro_harvest_epoch(
 
 # --------------------------------------------------------------- compilation
 
-_lib: Optional[ctypes.CDLL] = None
-_lib_error: Optional[str] = None
-_lib_path: Optional[Path] = None
+
+def _declare(lib: ctypes.CDLL) -> None:
+    """Argument and result types of the core's three entry points."""
+    p = ctypes.c_void_p
+    i = ctypes.c_longlong
+    d = ctypes.c_double
+    fn = lib.repro_greedy_run
+    fn.restype = ctypes.c_longlong
+    fn.argtypes = [
+        i, i,                # n, n_edges
+        p, p, p, p, p,       # size, remaining, completion, start, started
+        p, p, p, p, p,       # rank, sid, eoff, eend, csr_idx
+        p, p,                # caps, residual
+        p, p, p, i,          # pend_release, pend_rank, pend_k, n_pending
+        p, p,                # act, act_rank
+        p, p, p, p,          # ea_off, ea_flow, ea_rank, ea_len
+        p, p,                # flow_dirty, dirty_stack
+        p, p, p,             # g_pos, g_rate, rate_prev
+        p, p, p, p, i, p, p,  # seg buffers, seg_cap, last_seg, done
+        p, p,                # istate, dstate
+        d, d, d,             # until, vol_eps, time_eps
+    ]
+    fb = lib.repro_begin_epoch
+    fb.restype = ctypes.c_longlong
+    fb.argtypes = [
+        i, i, d,             # nlive, n_edges, threshold
+        p,                   # order
+        p, p,                # release, remaining
+        p, p, p, p,          # size, started, start, rank
+        p, p, p,             # eoff, eend, csr_idx
+        p, p,                # act, act_rank
+        p, p, p,             # pend_k, pend_rank, pend_release
+        p, p, p, p,          # ea_off, ea_len, ea_flow, ea_rank
+        p, i,                # tag, epoch_no
+        p, i,                # prev_live, n_prev
+        p, i,                # ingested, n_ing
+        p,                   # flow_dirty
+        p, i,                # departed, ea_cap
+        p,                   # out [n_active, n_pending, total, n_departed]
+    ]
+    fh = lib.repro_harvest_epoch
+    fh.restype = None
+    fh.argtypes = [
+        i, p,                # nlive, live
+        p, p,                # completion, harvested
+        p, p,                # started, start_harvested
+        p, p,                # remaining, harvest_remaining
+        p, p,                # last_seg, harvest_moved
+        p, p, p, p,          # done_k, start_k, touch_k, moved_k
+        p,                   # out [n_done, n_start, n_touch, n_moved]
+    ]
 
 
-def _cache_dir() -> Path:
-    """Where compiled cores are cached (override via ``REPRO_JIT_CACHE``)."""
-    override = os.environ.get("REPRO_JIT_CACHE", "").strip()
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro" / "jit"
-
-
-def _compile(source: str, target: Path) -> None:
-    """Build ``target`` (a shared library) from the embedded C source."""
-    target.parent.mkdir(parents=True, exist_ok=True)
-    compiler = os.environ.get("CC", "cc")
-    with tempfile.TemporaryDirectory(dir=str(target.parent)) as tmp:
-        c_file = Path(tmp) / "repro_kernel.c"
-        c_file.write_text(source)
-        out = Path(tmp) / target.name
-        subprocess.run(
-            [
-                compiler,
-                "-O2",
-                "-fPIC",
-                "-shared",
-                # FMA contraction would change double rounding and break the
-                # bit-identity contract with the Python kernels.
-                "-ffp-contract=off",
-                "-o",
-                str(out),
-                str(c_file),
-                "-lm",
-            ],
-            check=True,
-            capture_output=True,
-            text=True,
-        )
-        os.replace(out, target)  # atomic against concurrent builders
-
-
-def _load() -> Optional[ctypes.CDLL]:
-    """Compile (once, disk-cached) and load the C core; ``None`` on failure."""
-    global _lib, _lib_error, _lib_path
-    if _lib is not None or _lib_error is not None:
-        return _lib
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
-    target = _cache_dir() / f"repro_kernel_{digest}.so"
-    try:
-        if not target.exists():
-            _compile(_C_SOURCE, target)
-        lib = ctypes.CDLL(str(target))
-        fn = lib.repro_greedy_run
-        p = ctypes.c_void_p
-        i = ctypes.c_longlong
-        d = ctypes.c_double
-        fn.restype = ctypes.c_longlong
-        fn.argtypes = [
-            i, i,                # n, n_edges
-            p, p, p, p, p,       # size, remaining, completion, start, started
-            p, p, p, p, p,       # rank, sid, eoff, eend, csr_idx
-            p, p,                # caps, residual
-            p, p, p, i,          # pend_release, pend_rank, pend_k, n_pending
-            p, p,                # act, act_rank
-            p, p, p, p,          # ea_off, ea_flow, ea_rank, ea_len
-            p, p,                # flow_dirty, dirty_stack
-            p, p, p,             # g_pos, g_rate, rate_prev
-            p, p, p, p, i, p, p,  # seg buffers, seg_cap, last_seg, done
-            p, p,                # istate, dstate
-            d, d, d,             # until, vol_eps, time_eps
-        ]
-        fb = lib.repro_begin_epoch
-        fb.restype = ctypes.c_longlong
-        fb.argtypes = [
-            i, i, d,             # nlive, n_edges, threshold
-            p,                   # order
-            p, p,                # release, remaining
-            p, p, p, p,          # size, started, start, rank
-            p, p, p,             # eoff, eend, csr_idx
-            p, p,                # act, act_rank
-            p, p, p,             # pend_k, pend_rank, pend_release
-            p, p, p, p,          # ea_off, ea_len, ea_flow, ea_rank
-            p, i,                # tag, epoch_no
-            p, i,                # prev_live, n_prev
-            p, i,                # ingested, n_ing
-            p,                   # flow_dirty
-            p, i,                # departed, ea_cap
-            p,                   # out [n_active, n_pending, total, n_departed]
-        ]
-        fh = lib.repro_harvest_epoch
-        fh.restype = None
-        fh.argtypes = [
-            i, p,                # nlive, live
-            p, p,                # completion, harvested
-            p, p,                # started, start_harvested
-            p, p,                # remaining, harvest_remaining
-            p, p,                # last_seg, harvest_moved
-            p, p, p, p,          # done_k, start_k, touch_k, moved_k
-            p,                   # out [n_done, n_start, n_touch, n_moved]
-        ]
-        _lib = lib
-        _lib_path = target
-    except (OSError, subprocess.CalledProcessError) as error:
-        detail = getattr(error, "stderr", "") or str(error)
-        _lib_error = f"could not build the compiled kernel core: {detail}"
-        _lib = None
-    return _lib
+#: The simulator core, built through the package's shared loader and cached
+#: as ``repro_kernel_<digest>.so``.
+CORE = CompiledCore("repro_kernel", "kernel core", _C_SOURCE, _declare)
 
 
 def available() -> bool:
     """Whether the compiled (jit) backend can run on this machine."""
-    return _load() is not None
-
-
-def engine() -> Optional[str]:
-    """Name of the compiled engine in use (``"cc"``), or ``None``."""
-    return "cc" if _load() is not None else None
+    return CORE.load() is not None
 
 
 def unavailable_reason() -> Optional[str]:
     """Why the compiled backend cannot run (``None`` when it can)."""
-    _load()
-    return _lib_error
-
-
-def compiled_library_path() -> Optional[Path]:
-    """Path of the cached shared library (``None`` until built)."""
-    _load()
-    return _lib_path
+    CORE.load()
+    return CORE.error
 
 
 def _ptr(array: np.ndarray) -> ctypes.c_void_p:
@@ -1065,7 +998,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
         # builds).  The call is idempotent; a too-small slab buffer grows
         # geometrically and retries.
         threshold = float(now) + _TIME_EPS
-        lib = _load()
+        lib = CORE.load()
         while True:
             ptrs = self._be_ptrs
             if ptrs is None:
@@ -1165,7 +1098,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
     # ------------------------------------------------------------- event loop
     def run(self, until=None) -> bool:
         maybe_inject("sim")
-        lib = _load()
+        lib = CORE.load()
         n_edges = len(self._caps)
         until_c = math.inf if until is None else float(until)
         with paused_gc():
@@ -1231,7 +1164,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
     # ---------------------------------------------------------------- harvest
     def harvest_epoch(self):
         live = self._live_rows
-        lib = _load()
+        lib = CORE.load()
         lib.repro_harvest_epoch(
             len(live), _ptr(live),
             _ptr(self.a_completion), _ptr(self.a_harvested),

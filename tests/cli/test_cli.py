@@ -78,6 +78,20 @@ class TestTopLevel:
         assert "HiGHS" in out
         assert "deviations" in out
 
+    def test_version_names_the_compiled_cores(self, capsys):
+        from repro.core.network import PATH_CORE
+        from repro.sim.kernel_jit import CORE
+
+        assert main(["--version"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for label, core in (("simulator kernel", CORE), ("path core (Yen's)", PATH_CORE)):
+            (line,) = [line for line in lines if line.startswith(f"{label}: ")]
+            if core.load() is None:
+                assert line.startswith(f"{label}: unavailable (could not build")
+            else:
+                assert line == f"{label}: compiled, loaded from {core.path}"
+                assert core.path.name.startswith(core.name + "_")
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "sweep" in capsys.readouterr().out

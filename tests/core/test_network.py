@@ -1,7 +1,10 @@
 """Unit tests for the capacitated network substrate."""
 
 import itertools
+import multiprocessing
+import pickle
 import random
+import warnings
 
 import networkx as nx
 import pytest
@@ -9,6 +12,22 @@ import pytest
 from repro.core import Network, topologies
 from repro.core import network as network_module
 from repro.core.network import path_edges
+from repro.native import CompiledCore
+
+
+def python_port(monkeypatch):
+    """Make the path core unavailable, as on a machine without a compiler."""
+    monkeypatch.setattr(network_module, "_compiled_port", lambda: None)
+
+
+@pytest.fixture(params=["compiled", "python"])
+def port(request, monkeypatch):
+    """Run the test on the compiled path core, then on the Python port."""
+    if request.param == "python":
+        python_port(monkeypatch)
+    elif network_module._compiled_port() is None:
+        pytest.skip("compiled path core unavailable")
+    return request.param
 
 
 @pytest.fixture
@@ -122,6 +141,15 @@ class TestPaths:
     def test_all_shortest_paths_limit(self, diamond):
         assert len(diamond.all_shortest_paths("a", "d", limit=1)) == 1
 
+    @pytest.mark.parametrize("target", ["c", "ghost"])
+    @pytest.mark.parametrize("limit", [None, 2])
+    def test_all_shortest_paths_without_a_path_raise_value_error(self, target, limit):
+        network = Network()
+        network.add_edge("a", "b")
+        network.add_node("c")
+        with pytest.raises(ValueError, match="no path from 'a' to .* in the network"):
+            network.all_shortest_paths("a", target, limit=limit)
+
     def test_k_shortest_paths(self, diamond):
         diamond.add_edge("b", "c", capacity=1.0)
         paths = diamond.k_shortest_paths("a", "d", 3)
@@ -129,7 +157,7 @@ class TestPaths:
         assert len(paths[0]) <= len(paths[-1])
 
     @pytest.mark.parametrize("k", [1, 3, 20])
-    def test_k_shortest_paths_follow_networkx(self, diamond, k):
+    def test_k_shortest_paths_follow_networkx(self, diamond, k, port):
         diamond.add_edge("b", "c", capacity=1.0)
         fat_tree = topologies.fat_tree(4)
         cases = [(diamond, s, t) for s, t in itertools.permutations("abcd", 2)]
@@ -146,6 +174,28 @@ class TestPaths:
                 itertools.islice(nx.shortest_simple_paths(network.graph, s, t), k)
             )
             assert network.k_shortest_paths(s, t, k) == expected, (s, t)
+
+    def test_k_shortest_paths_with_a_huge_k(self, diamond, port):
+        diamond.add_edge("b", "c", capacity=1.0)
+        expected = list(nx.shortest_simple_paths(diamond.graph, "a", "d"))
+        assert diamond.k_shortest_paths("a", "d", 10**9) == expected
+        assert len(expected) == 3
+
+    def test_k_shortest_paths_grow_the_output_buffers(self, monkeypatch):
+        if network_module._compiled_port() is None:
+            pytest.skip("compiled path core unavailable")
+        # A fresh set of buffers, so the growth does not depend on what
+        # earlier queries in this process reserved.
+        fresh = network_module._CompiledYen(network_module.PATH_CORE.lib)
+        monkeypatch.setattr(network_module, "_compiled", fresh)
+        network = Network(nx.complete_graph(7, create_using=nx.DiGraph))
+        expected = list(nx.shortest_simple_paths(network.graph, 0, 6))
+        assert sum(map(len, expected)) > network_module._FIRST_SLOTS == fresh.slots
+        assert network.k_shortest_paths(0, 6, 10**9) == expected
+        assert fresh.slots > network_module._FIRST_SLOTS
+        assert network.k_shortest_paths(1, 5, 200) == list(
+            itertools.islice(nx.shortest_simple_paths(network.graph, 1, 5), 200)
+        )
 
     def test_k_shortest_paths_invalid_k(self, diamond):
         with pytest.raises(ValueError):
@@ -216,6 +266,11 @@ def yen_reference(graph, source, target, max_paths, stretch=0):
     return paths
 
 
+def candidate_sets(network, pairs):
+    """Each pair's candidate set (run in a spawned worker below)."""
+    return [network.candidate_set(s, t) for s, t in pairs]
+
+
 def random_digraph(seed, labels):
     """A seeded random digraph whose nodes and edges are inserted in shuffled
     order (so adjacency order is neither sorted nor label order), plus one
@@ -246,13 +301,15 @@ def random_digraph(seed, labels):
 
 
 class TestYenPort:
-    """``candidate_set`` enumerates with an integer-id port of networkx's
-    Yen's algorithm; ``nx.shortest_simple_paths`` is its oracle and the two
-    must agree on every path and on its position (``==``), cold and warm."""
+    """``candidate_set`` enumerates with the compiled path core, a C port of
+    the integer-id Python port of networkx's Yen's algorithm, and falls back
+    to the Python port without a compiler.  ``nx.shortest_simple_paths`` is
+    the oracle of both: each port must agree with it on every path and on
+    its position (``==``), cold and warm, and the ports with each other."""
 
     @pytest.mark.parametrize("labels", ["int", "tuple"])
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_digraphs_match_networkx(self, seed, labels):
+    def test_random_digraphs_match_networkx(self, seed, labels, port):
         network = random_digraph(seed, labels)
         nodes = network.nodes()
         combos = [(1, 0), (2, 1), (16, 0), (16, 2), (24, 3)]
@@ -274,20 +331,93 @@ class TestYenPort:
             assert network.candidate_paths(node, node) == [[node]]
             assert network.candidate_set(node, node).edge_ids == ((),)
 
-    def test_unknown_endpoints_raise_no_path(self, diamond):
+    def test_a_shortest_path_through_every_node(self, port):
+        # The first search's budget is num_nodes - 1 expansions, exactly
+        # the hops of a path that visits every node.
+        nodes = ["a", "b", "c", "d", "e"]
+        network = Network()
+        for u, v in zip(nodes, nodes[1:]):
+            network.add_edge(u, v)
+        network.add_edge("e", "a")
+        assert network.candidate_paths("a", "e") == [nodes]
+        assert network.k_shortest_paths("a", "e", 3) == [nodes]
+
+    def test_a_network_without_edges(self, port):
+        network = Network()
+        network.add_node("solo")
+        network.add_node("other")
+        assert network.candidate_set("solo", "solo") == ((("solo",),), ((),))
+        with pytest.raises(ValueError, match="no path from .* in the network"):
+            network.candidate_paths("solo", "other")
+
+    def test_unknown_endpoints_raise_no_path(self, diamond, port):
         for s, t in (("a", "ghost"), ("ghost", "d"), ("ghost", "ghost")):
             with pytest.raises(ValueError, match="no path from .* in the network"):
                 diamond.candidate_paths(s, t)
 
-    def test_leaf_spine_128_sample_matches_networkx(self):
-        network = topologies.leaf_spine(num_leaves=8, num_spines=8, hosts_per_leaf=16)
+    def test_leaf_spine_128_sample_matches_networkx_on_both_ports(self, monkeypatch):
+        def build():
+            return topologies.leaf_spine(num_leaves=8, num_spines=8, hosts_per_leaf=16)
+
         pairs = random.Random(17).sample(
-            list(itertools.permutations(topologies.host_nodes(network), 2)), 2000
+            list(itertools.permutations(topologies.host_nodes(build()), 2)), 2000
         )
-        for s, t in pairs:
-            assert network.candidate_paths(s, t) == yen_reference(
+        if network_module._compiled_port() is None:
+            compiled = None
+        else:
+            network = build()
+            compiled = [network.candidate_set(s, t) for s, t in pairs]
+        python_port(monkeypatch)
+        network = build()
+        python = [network.candidate_set(s, t) for s, t in pairs]
+        if compiled is not None:
+            assert compiled == python
+        for (s, t), found in zip(pairs, python):
+            assert [list(p) for p in found.paths] == yen_reference(
                 network.graph, s, t, 16
             ), (s, t)
+
+    def test_the_fallback_is_silent(self, monkeypatch):
+        python_port(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            network = random_digraph(3, "tuple")
+            for s, t in itertools.permutations(network.nodes(), 2):
+                if nx.has_path(network.graph, s, t):
+                    assert network.candidate_paths(s, t, 16, 1) == yen_reference(
+                        network.graph, s, t, 16, 1
+                    )
+
+    def test_a_core_that_cannot_build_is_unavailable_with_a_reason(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("REPRO_JIT_CACHE", str(tmp_path))
+        core = CompiledCore(
+            "repro_paths", "path core", network_module._YEN_C_SOURCE, network_module._declare
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core.load() is None
+        assert core.error.startswith("could not build the compiled path core")
+        assert core.describe().startswith("unavailable (could not build")
+        assert list(tmp_path.glob("*.so")) == []
+
+    def test_pickled_networks_drop_addresses_and_answer_fresh_queries(self, port):
+        network = topologies.fat_tree(4)
+        hosts = topologies.host_nodes(network)
+        first = network.candidate_set(hosts[0], hosts[5])
+        assert (network._memo.native is not None) == (port == "compiled")
+        clone = pickle.loads(pickle.dumps(network))
+        assert clone._memo.native is None
+        assert clone.candidate_set(hosts[0], hosts[5]) == first
+        for s, t in itertools.permutations(hosts[:6], 2):
+            for m, stretch in ((1, 0), (16, 0), (16, 2)):
+                expected = yen_reference(network.graph, s, t, m, stretch)
+                assert clone.candidate_paths(s, t, m, stretch) == expected
+                assert clone.candidate_set(s, t, m, stretch) == network.candidate_set(
+                    s, t, m, stretch
+                )
 
 
 class TestPathMemo:
@@ -328,6 +458,30 @@ class TestPathMemo:
         for edge, e in index.items():
             assert capacity[e] == diamond.capacity(*edge)
 
+    def test_networks_with_filled_memos_answer_in_spawned_workers(self):
+        # A spawned worker shares no memory with this process, so a pickled
+        # address would point nowhere there.
+        network = topologies.fat_tree(4)
+        hosts = topologies.host_nodes(network)
+        warm = list(itertools.permutations(hosts[:4], 2))
+        cold = list(itertools.permutations(hosts[4:8], 2))
+        expected = candidate_sets(network, warm)
+        context = multiprocessing.get_context("spawn")
+        with context.Pool(1) as pool:
+            answer = pool.apply_async(candidate_sets, (network, warm + cold))
+            assert answer.get(timeout=120) == expected + candidate_sets(network, cold)
+
+    def test_edge_ids_are_the_edge_index_own_ints(self, port):
+        # Ids above 256 are separate int objects unless shared, and a memo
+        # holds tens of thousands of them on a large fabric.
+        network = topologies.leaf_spine(num_leaves=8, num_spines=8, hosts_per_leaf=16)
+        assert network.num_edges > 257
+        hosts = topologies.host_nodes(network)
+        found = [network.candidate_set(hosts[0], t) for t in hosts[100:110]]
+        by_id = {id(e) for e in network.edge_index().values()}
+        assert all(id(e) in by_id for f in found for ids in f.edge_ids for e in ids)
+        assert any(e > 256 for f in found for ids in f.edge_ids for e in ids)
+
     def test_widest_bottleneck_is_memoized_per_pair(self, diamond):
         expected = {("a", "d"): 3.0, ("a", "b"): 2.0, ("a", "c"): 5.0, ("b", "d"): 2.0}
         for memo in ("cold", "warm"):
@@ -342,13 +496,13 @@ class TestPathMemo:
 
     def test_construction_computes_nothing_and_queries_run_once(self, monkeypatch):
         calls = []
-        original = network_module._yen_paths
+        original = Network._yen
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:])
-            return original(*args, **kwargs)
+        def counting(network, *args):
+            calls.append(args)
+            return original(network, *args)
 
-        monkeypatch.setattr(network_module, "_yen_paths", counting)
+        monkeypatch.setattr(Network, "_yen", counting)
         network = topologies.fat_tree(4)
         assert calls == []
         assert network._memo is None

@@ -41,6 +41,7 @@ MODULES = [
     "repro.sim.streaming",
     "repro.lp.model",
     "repro.lp.solver",
+    "repro.native",
     "repro.workloads.generator",
     "repro.workloads.serialization",
 ]
