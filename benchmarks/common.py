@@ -2,13 +2,15 @@
 
 Each script here measures something no ``repro bench`` suite covers: LP
 assembly and build/solve scaling, the Figure-1 example and two ablations.
-The paper-figure sweeps themselves run through the CLI
-(``repro bench fig3 --paper-scale --tries 10 --workers 4``), which writes
-its artifacts under ``--out``; this module only pins the scripts' own
-results directory, ``benchmarks/results/``.
+The paper-figure sweeps themselves are the checked-in specs under
+``specs/``, run through the CLI: ``repro bench fig3 --paper-scale --tries 10
+--workers 4`` sweeps ``specs/paper/fig3.yaml`` and writes its artifacts
+under ``--out``.  This module only pins the scripts' own results
+directory, ``benchmarks/results/``.
 
 ``REPRO_PAPER_SCALE=1`` adds the paper's largest workload size to the LP
-scaling and assembly tables (slow with an open-source solver).
+scaling and assembly tables (slow with an open-source solver); it does not
+reach ``repro bench``, whose paper scale is ``--paper-scale``.
 """
 
 from __future__ import annotations

@@ -387,15 +387,15 @@ def load_document(path: Union[str, Path]) -> Dict[str, Any]:
     """Load a YAML or JSON mapping from disk (extension decides the parser).
 
     YAML needs PyYAML; when it is absent, ``.json`` documents keep working
-    and ``.yaml``/``.yml`` raise with a pointer to the JSON fallback.
+    and ``.yaml``/``.yml`` raise ``RuntimeError`` with a pointer to the JSON
+    fallback (``repro.cli.sweep.read_spec`` turns it into a one-line exit).
     """
     path = Path(path)
     text = path.read_text()
     if path.suffix in (".yaml", ".yml"):
         if _yaml is None:
             raise RuntimeError(
-                f"cannot load {path}: PyYAML is not installed "
-                "(use a .json document instead)"
+                "PyYAML is not installed (use a .json document instead)"
             )
         data = _yaml.safe_load(text)
     else:

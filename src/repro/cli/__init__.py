@@ -9,8 +9,8 @@ One operator-facing entry point for the whole reproduction (installed as the
   artifact export);
 * ``repro report`` — re-render an existing run store into the paper's
   tables (text/Markdown/CSV) without running anything;
-* ``repro bench``  — the paper-figure suites (fig3, fig4, table1, headline,
-  scenario-matrix);
+* ``repro bench``  — the paper-figure suites (fig3, fig4, headline, table1,
+  scenario-matrix, online, simulator, streaming, pipeline-matrix, pipeline);
 * ``repro --version`` — package version plus the provenance/deviation
   summary of DESIGN.md §8.
 

@@ -1,7 +1,9 @@
 """``repro bench`` — the paper-figure suites as CLI-driven sweeps.
 
-Each suite regenerates one table or figure of the paper through the same
-spec/engine/artifact pipeline as ``repro sweep``:
+Each suite regenerates one table or figure of the paper; a sweep suite
+runs its ``specs/<suite>.yaml`` through the same spec/engine/artifact
+pipeline as ``repro sweep`` (``headline`` pools ``headline-width.yaml`` and
+``headline-count.yaml``):
 
 * ``fig3``            — coflow-width sweep (Figure 3, both panels);
 * ``fig4``            — number-of-coflows sweep (Figure 4, both panels);
@@ -11,11 +13,11 @@ spec/engine/artifact pipeline as ``repro sweep``:
 * ``scenario-matrix`` — every scheme crossed with four scenario families
   (heavy-tailed, incast, skewed hotspots) on four topologies;
 * ``online``          — static vs arrival-driven re-planning schemes with
-  per-coflow slowdown columns (the checked-in ``specs/online.yaml``);
+  per-coflow slowdown columns;
 * ``simulator``       — events/sec of the kernel tiers (array and jit)
   vs the reference event loop, static vs online, on a pinned leaf-spine
-  instance plus a 100k-flow gate instance; appends every run to
-  ``BENCH_simulator.json`` at the repo root;
+  instance plus a 100k-flow gate instance (``specs/simulator-100k.yaml``);
+  appends every run to ``BENCH_simulator.json`` at the repo root;
 * ``streaming``       — the streaming scheduler service: the LP replanner
   batched vs re-planning per arrival on a pinned arrival stream
   (``specs/streaming.yaml``), reporting replans/sec, arrivals per
@@ -27,18 +29,18 @@ spec/engine/artifact pipeline as ``repro sweep``:
   completion and the staleness bound asserted; appends to
   ``BENCH_simulator.json``;
 * ``pipeline-matrix`` — a router x orderer x allocator cross-product swept
-  as composed ``pipeline(...)`` specs (the checked-in
-  ``specs/pipeline-matrix.yaml``), one report column per composition;
+  as composed ``pipeline(...)`` specs, one report column per composition;
 * ``pipeline``        — per-stage plan-time breakdown (route vs order vs
   LP solve) of representative compositions on a pinned leaf-spine
   instance.
 
-The suites default to a scaled-down configuration that preserves each
-comparison's shape and runs in minutes; ``--paper-scale`` switches to the
-paper's parameters (k=8 fat-tree, widths up to 32, slow with an
-open-source solver).  ``repro bench <suite>`` is each suite's one entry
-point; the scripts under ``benchmarks/`` measure what no suite covers
-(LP assembly and scaling, the Figure-1 example, two ablations).
+``specs/`` (read with PyYAML) defines what the suites run, the sweeps
+scaled down to keep each comparison's shape in minutes; ``--paper-scale``
+reads ``specs/paper/`` instead (k=8 fat-tree, widths up to 32, slow with an
+open-source solver), ignored by a suite with no file there.  ``repro bench
+<suite>`` is each suite's one entry point; the scripts under
+``benchmarks/`` measure what no suite covers (LP assembly and scaling, the
+Figure-1 example, two ablations).
 """
 
 from __future__ import annotations
@@ -48,17 +50,17 @@ import json
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.artifacts import (
-    DEFAULT_SCHEMES,
     SpecRunResult,
     SweepSpec,
     export_artifacts,
+    load_document,
     provenance,
     run_spec,
-    spec_from_dict,
     stats_summary,
 )
 from ..analysis.report import (
@@ -70,6 +72,7 @@ from ..analysis.report import (
 )
 from ..analysis.runstore import RunStore
 from .main import bounded
+from .sweep import read_spec
 
 SUITES = (
     "fig3",
@@ -84,277 +87,33 @@ SUITES = (
     "pipeline",
 )
 
-#: The suites that run an engine sweep, the only users of ``--tries``.
-_SWEEP_SUITES = (
-    "fig3", "fig4", "headline", "scenario-matrix", "online", "pipeline-matrix"
-)
+#: The checked-in specs (``--paper-scale``: the ``paper/`` subdirectory).
+SPECS_DIR = Path(__file__).resolve().parents[3] / "specs"
 
-#: Shared workload shape of the figure sweeps (Section 4.1's Poisson regime).
-_FIGURE_BASE = {"mean_flow_size": 8.0, "release_rate": 4.0}
-
-
-# ------------------------------------------------------------ spec builders
-
-def fig3_spec(paper_scale: bool = False, tries: int = 2) -> SweepSpec:
-    """Figure 3: sweep the coflow width at a fixed number of coflows."""
-    return spec_from_dict(
-        {
-            "name": "fig3",
-            "title": "Figure 3 — coflow width sweep",
-            "schemes": list(DEFAULT_SCHEMES),
-            "tries": tries,
-            "reference": "Baseline",
-            "base": {
-                **_FIGURE_BASE,
-                "topology": "fat_tree(k=8)" if paper_scale else "fat_tree(k=4)",
-                "num_coflows": 10 if paper_scale else 6,
-                "seed": 3000,
-            },
-            "sweep": {
-                "parameter": "coflow_width",
-                "values": [4, 8, 16, 32] if paper_scale else [4, 8, 16],
-                "label": "{value} flows",
-            },
-        }
-    )
+#: The sweep suites, the only users of ``--tries``, and their spec files.
+_SUITE_SPECS = {
+    "fig3": ("fig3",),
+    "fig4": ("fig4",),
+    "headline": ("headline-width", "headline-count"),
+    "scenario-matrix": ("scenario-matrix",),
+    "online": ("online",),
+    "pipeline-matrix": ("pipeline-matrix",),
+}
 
 
-def fig4_spec(paper_scale: bool = False, tries: int = 2) -> SweepSpec:
-    """Figure 4: sweep the number of coflows at a fixed width."""
-    return spec_from_dict(
-        {
-            "name": "fig4",
-            "title": "Figure 4 — number-of-coflows sweep",
-            "schemes": list(DEFAULT_SCHEMES),
-            "tries": tries,
-            "reference": "Baseline",
-            "base": {
-                **_FIGURE_BASE,
-                "topology": "fat_tree(k=8)" if paper_scale else "fat_tree(k=4)",
-                "coflow_width": 16 if paper_scale else 6,
-                "seed": 4000,
-            },
-            "sweep": {
-                "parameter": "num_coflows",
-                "values": [10, 15, 20, 25, 30] if paper_scale else [4, 6, 8, 10],
-                "label": "{value} coflows",
-            },
-        }
-    )
-
-
-def headline_specs(
-    paper_scale: bool = False, tries: int = 2
-) -> Tuple[SweepSpec, SweepSpec]:
-    """The two sweeps pooled by the headline-improvement summary.
-
-    A width sweep and a coflow-count point mixing the Figure-3 and
-    Figure-4 regimes; both run against one shared store, so instances
-    appearing in both pools are solved once.
-    """
-    topology = "fat_tree(k=8)" if paper_scale else "fat_tree(k=4)"
-    num_coflows = 10 if paper_scale else 6
-    width = 16 if paper_scale else 6
-    common = {
-        "schemes": list(DEFAULT_SCHEMES),
-        "tries": tries,
-        "reference": "Baseline",
-    }
-    width_spec = spec_from_dict(
-        {
-            "name": "headline-width",
-            "title": "Headline pool — width regime",
-            **common,
-            "base": {
-                **_FIGURE_BASE,
-                "topology": topology,
-                "num_coflows": num_coflows,
-                "seed": 5000,
-            },
-            "sweep": {
-                "parameter": "coflow_width",
-                "values": [4, width],
-                "label": "width {value}",
-            },
-        }
-    )
-    count_spec = spec_from_dict(
-        {
-            "name": "headline-count",
-            "title": "Headline pool — coflow-count regime",
-            **common,
-            "base": {
-                **_FIGURE_BASE,
-                "topology": topology,
-                "coflow_width": width,
-                "seed": 6000,
-            },
-            "sweep": {
-                "parameter": "num_coflows",
-                "values": [num_coflows],
-                "label": "{value} coflows",
-            },
-        }
-    )
-    return width_spec, count_spec
-
-
-def scenario_matrix_spec(
-    num_coflows: int = 4, coflow_width: int = 4, tries: int = 2
-) -> SweepSpec:
-    """Every scheme crossed with four qualitatively different scenarios.
-
-    The paper evaluates one scenario — Poisson flow sizes, uniform
-    endpoints, a full-bisection fat-tree.  This spec adds heavy-tailed
-    elephants through an oversubscribed core, partition-aggregate incast on
-    a leaf-spine fabric, and a trace-style mice/elephants mixture with
-    Zipf-popular hosts on a jellyfish fabric.  Seeds are disjoint so
-    scenarios never share instances.  The checked-in
-    ``specs/scenario-matrix.yaml`` is pinned to this function by
-    ``tests/cli/test_cli.py``.
-    """
-    return spec_from_dict(
-        {
-            "name": "scenario-matrix",
-            "title": "Scenario matrix — schemes x workload families",
-            "schemes": list(DEFAULT_SCHEMES),
-            "tries": tries,
-            "reference": "Baseline",
-            "base": {
-                "num_coflows": num_coflows,
-                "coflow_width": coflow_width,
-                "mean_flow_size": 6.0,
-                "release_rate": 4.0,
-            },
-            "points": [
-                {
-                    "label": "poisson/fat-tree",
-                    "config": {"seed": 7000, "topology": "fat_tree(k=4)"},
-                },
-                {
-                    "label": "pareto/oversub-fat-tree",
-                    "config": {
-                        "seed": 7100,
-                        "flow_size_distribution": "pareto",
-                        "pareto_shape": 1.3,
-                        "topology": "fat_tree(k=4, oversubscription=4.0)",
-                    },
-                },
-                {
-                    "label": "incast/leaf-spine",
-                    "config": {
-                        "seed": 7200,
-                        "endpoint_distribution": "incast",
-                        "topology": "leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=4)",
-                    },
-                },
-                {
-                    "label": "facebook-skew/jellyfish",
-                    "config": {
-                        "seed": 7300,
-                        "flow_size_distribution": "facebook",
-                        "endpoint_distribution": "skewed",
-                        "zipf_exponent": 1.5,
-                        "topology": "random_regular(num_switches=8, degree=3, hosts_per_switch=2, seed=1)",
-                    },
-                },
-            ],
-        }
-    )
-
-
-def online_spec(tries: int = 2) -> SweepSpec:
-    """Static vs online re-planning schemes, with per-coflow slowdowns.
-
-    Coflows arrive over time (``coflow_arrival_rate``), which is the regime
-    the online schemes exist for: an ``Online-*`` scheme re-plans the
-    unfinished volume at every arrival while its static counterpart commits
-    to one clairvoyant plan.  The report carries the per-coflow slowdown
-    summaries as extra metric columns.  The checked-in ``specs/online.yaml``
-    is pinned to this function by ``tests/cli/test_cli.py``.
-    """
-    return spec_from_dict(
-        {
-            "name": "online",
-            "title": "Online re-planning vs static plans",
-            "schemes": [
-                "SEBF",
-                "Online-SEBF",
-                "Schedule-only",
-                "Online-Schedule-only",
-                "Baseline",
-            ],
-            "tries": tries,
-            "reference": "Baseline",
-            "extra_metrics": ["mean_slowdown", "max_slowdown"],
-            "base": {
-                "topology": "leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=4)",
-                "num_coflows": 6,
-                "coflow_width": 4,
-                "mean_flow_size": 6.0,
-                "release_rate": 2.0,
-                "coflow_arrival_rate": 0.25,
-                "seed": 9000,
-            },
-            "points": [
-                {"label": "staggered-arrivals", "config": {}},
-                {
-                    "label": "bursty-arrivals",
-                    "config": {"coflow_arrival_rate": 1.0, "seed": 9100},
-                },
-                {
-                    "label": "incast-arrivals",
-                    "config": {"endpoint_distribution": "incast", "seed": 9200},
-                },
-            ],
-        }
-    )
-
-
-def pipeline_matrix_spec(tries: int = 2) -> SweepSpec:
-    """A router x orderer x allocator cross-product as composed specs.
-
-    The point of the pipeline API: the grid below — three routing rules
-    crossed with two orderings, plus a fair-sharing allocator variant and an
-    arrival-driven online variant — is nine schemes expressed purely as
-    spec strings, no Python classes.  ``Baseline`` (itself the alias of
-    ``pipeline(router=random, order=random)``) anchors the ratios.  The
-    checked-in ``specs/pipeline-matrix.yaml`` is pinned to this function by
-    ``tests/cli/test_cli.py``.
-    """
-    composed = [
-        f"pipeline(router={router}, order={order})"
-        for router in ("random", "balanced", "lp")
-        for order in ("mct", "sebf")
-    ] + [
-        "pipeline(router=balanced, order=sebf, alloc=max-min)",
-        "pipeline(router=balanced, order=sebf, online=true)",
-    ]
-    return spec_from_dict(
-        {
-            "name": "pipeline-matrix",
-            "title": "Pipeline matrix — router x orderer x allocator cross-product",
-            "schemes": ["Baseline"] + composed,
-            "tries": tries,
-            "reference": "Baseline",
-            "base": {
-                "topology": "leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=4)",
-                "num_coflows": 4,
-                "coflow_width": 4,
-                "mean_flow_size": 6.0,
-                "release_rate": 2.0,
-                "coflow_arrival_rate": 0.25,
-                "seed": 11000,
-            },
-            "points": [
-                {"label": "staggered/leaf-spine", "config": {}},
-                {
-                    "label": "incast/leaf-spine",
-                    "config": {"endpoint_distribution": "incast", "seed": 11100},
-                },
-            ],
-        }
-    )
+def suite_specs(
+    suite: str, paper_scale: bool = False, tries: Optional[int] = None, smoke: bool = False
+) -> List[SweepSpec]:
+    """The sweep specs a suite runs, read from ``specs/`` (``specs/paper/``
+    when ``paper_scale``), with ``tries`` and then ``smoke`` applied."""
+    directory = SPECS_DIR / "paper" if paper_scale else SPECS_DIR
+    specs = []
+    for name in _SUITE_SPECS[suite]:
+        spec = read_spec(directory / f"{name}.yaml")
+        if tries is not None:
+            spec = replace(spec, tries=tries)
+        specs.append(spec.smoke() if smoke else spec)
+    return specs
 
 
 def _write_static_report(
@@ -417,13 +176,12 @@ def run_headline(
     out_dir: Path,
     workers: int = 0,
     paper_scale: bool = False,
-    tries: int = 2,
+    tries: Optional[int] = None,
     smoke: bool = False,
 ) -> Tuple[Dict[str, float], SpecRunResult, SpecRunResult]:
-    """Run the headline pool (shared store) and export its summary table."""
-    width_spec, count_spec = headline_specs(paper_scale, tries)
-    if smoke:
-        width_spec, count_spec = width_spec.smoke(), count_spec.smoke()
+    """Run the headline pool (two sweeps mixing the Figure-3 and Figure-4
+    regimes in one shared store) and export its summary table."""
+    width_spec, count_spec = suite_specs("headline", paper_scale, tries, smoke)
     name = "headline-smoke" if smoke else "headline"
     target = Path(out_dir) / name
     store = RunStore(target / "runstore.jsonl")
@@ -588,19 +346,8 @@ _SIMULATOR_BENCH_SMOKE = {
     "seed": 123,
 }
 
-#: The compiled-tier gate instance: 100k flows (1000 coflows x 100) arriving
-#: over time on a 128-host leaf-spine fabric — two orders of magnitude above
-#: the classic pinned instance, the scale the jit backend exists for.  Also
-#: pinned as ``specs/simulator-100k.yaml``.
-_SIMULATOR_BENCH_100K = {
-    "topology": "leaf_spine(num_leaves=8, num_spines=8, hosts_per_leaf=16)",
-    "num_coflows": 1000,
-    "coflow_width": 100,
-    "mean_flow_size": 6.0,
-    "release_rate": 1.0,
-    "coflow_arrival_rate": 0.02,
-    "seed": 123,
-}
+#: The compiled-tier gate instance is ``specs/simulator-100k.yaml``, the
+#: scale the jit backend exists for; ``--smoke`` runs this one instead.
 _SIMULATOR_BENCH_100K_SMOKE = {
     "topology": "leaf_spine(num_leaves=4, num_spines=4, hosts_per_leaf=8)",
     "num_coflows": 50,
@@ -743,7 +490,7 @@ def run_simulator(
       regimes (backlogged / arrivals), timing the reference loop, the array
       kernel, the jit (compiled) kernel when available, and the online
       re-planning engine — with a bit-identity assert across all of them;
-    * the 100k-flow gate instance (``_SIMULATOR_BENCH_100K``): array vs
+    * the 100k-flow gate instance (``specs/simulator-100k.yaml``): array vs
       jit wall time of a one-epoch session's ``kernel.run()`` plus its
       segment drain, with loading the plan untimed and the collector
       paused (as in ``FlowLevelSimulator.run``), asserting identical
@@ -776,6 +523,10 @@ def run_simulator(
 
     jit_available = kernel_jit.available()
     base = dict(_SIMULATOR_BENCH_SMOKE if smoke else _SIMULATOR_BENCH)
+    gate_cfg = (
+        dict(_SIMULATOR_BENCH_100K_SMOKE) if smoke
+        else read_spec(SPECS_DIR / "simulator-100k.yaml", load_document)
+    )
     repeats = (3, 1) if smoke else (7, 3)  # (kernel, reference) timing runs
     regimes = [
         ("backlogged", base),
@@ -855,7 +606,6 @@ def run_simulator(
             )
 
     # ------------------------------------------------- 100k-flow gate tier
-    gate_cfg = dict(_SIMULATOR_BENCH_100K_SMOKE if smoke else _SIMULATOR_BENCH_100K)
     cal_cfg = dict(
         _SIMULATOR_BENCH_REF_CAL_SMOKE if smoke else _SIMULATOR_BENCH_REF_CAL
     )
@@ -994,19 +744,8 @@ def run_simulator(
 
 # ---------------------------------------------------------- streaming suite
 
-#: The pinned streaming-service gate instance: 16 coflows x 6 flows arriving
-#: as a Poisson stream on a 24-host leaf-spine fabric — dense enough that
-#: the batched policy routinely closes batches by count.  Also pinned as
-#: ``specs/streaming.yaml`` (``--smoke`` shrinks it for CI).
-_STREAMING_BENCH = {
-    "topology": "leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=4)",
-    "num_coflows": 16,
-    "coflow_width": 6,
-    "mean_flow_size": 6.0,
-    "release_rate": 1.0,
-    "coflow_arrival_rate": 1.0,
-    "seed": 777,
-}
+#: The pinned streaming-service gate instance is ``specs/streaming.yaml``;
+#: ``--smoke`` runs this one instead.
 _STREAMING_BENCH_SMOKE = {
     "topology": "leaf_spine(num_leaves=2, num_spines=2, hosts_per_leaf=4)",
     "num_coflows": 5,
@@ -1021,20 +760,8 @@ _STREAMING_BENCH_SMOKE = {
 #: at its 6th pending arrival or 6 time units after it opened.
 _STREAMING_POLICY = {"max_batch": 6, "max_delay": 6.0}
 
-#: The 100k session stream: 100k flows (4000 coflows x 25) arriving as a
-#: dense Poisson stream on a 128-host leaf-spine fabric, re-planned at every
-#: arrival — thousands of epoch splices over a deep live set, the regime the
-#: resident kernel session exists for.  Also pinned as
-#: ``specs/streaming-100k.yaml``.
-_STREAMING_BENCH_100K = {
-    "topology": "leaf_spine(num_leaves=8, num_spines=8, hosts_per_leaf=16)",
-    "num_coflows": 4000,
-    "coflow_width": 25,
-    "mean_flow_size": 6.0,
-    "release_rate": 1.0,
-    "coflow_arrival_rate": 0.5,
-    "seed": 123,
-}
+#: The 100k session stream is ``specs/streaming-100k.yaml``, the regime the
+#: resident kernel session exists for; ``--smoke`` runs this one instead.
 _STREAMING_BENCH_100K_SMOKE = {
     "topology": "leaf_spine(num_leaves=4, num_spines=4, hosts_per_leaf=8)",
     "num_coflows": 40,
@@ -1073,13 +800,13 @@ def run_streaming(
 
     Two sections:
 
-    * the classic pinned stream (:data:`_STREAMING_BENCH`) through the LP
+    * the classic pinned stream (``specs/streaming.yaml``) through the LP
       replanner in two configurations — re-plan per arrival, and batched
       per :data:`_STREAMING_POLICY` — reporting each session's replans/sec,
       arrivals per planning second, p99 decision latency, observed
       staleness, mean epoch-setup cost and online events/sec (events over
       the streamed phase's wall time minus planning time);
-    * the 100k-flow session stream (:data:`_STREAMING_BENCH_100K`): one
+    * the 100k-flow session stream (``specs/streaming-100k.yaml``): one
       resident kernel session re-planning at every arrival on the jit
       backend, reporting its online events/sec.
 
@@ -1113,7 +840,12 @@ def run_streaming(
     )
     from ..workloads import CoflowGenerator
 
-    base = dict(_STREAMING_BENCH_SMOKE if smoke else _STREAMING_BENCH)
+    if smoke:
+        base = dict(_STREAMING_BENCH_SMOKE)
+        gate_cfg = dict(_STREAMING_BENCH_100K_SMOKE)
+    else:
+        base = read_spec(SPECS_DIR / "streaming.yaml", load_document)
+        gate_cfg = read_spec(SPECS_DIR / "streaming-100k.yaml", load_document)
     config = strict_config_from_dict(base, "streaming bench")
     network = config.build_network()
     instance = CoflowGenerator(network, config).instance()
@@ -1201,7 +933,6 @@ def run_streaming(
     )
 
     # ------------------------------------------------- 100k session stream
-    gate_cfg = dict(_STREAMING_BENCH_100K_SMOKE if smoke else _STREAMING_BENCH_100K)
     gate_config = strict_config_from_dict(gate_cfg, "streaming bench '100k'")
     gate_network = gate_config.build_network()
     gate_instance = CoflowGenerator(gate_network, gate_config).instance()
@@ -1420,15 +1151,14 @@ def run_pipeline_bench(out_dir: Path, smoke: bool = False) -> Dict[str, Dict[str
 
 # ------------------------------------------------------------- smoke passes
 
-def smoke_scenario_matrix(workers: int = 2) -> None:
+def smoke_scenario_matrix(spec: SweepSpec, workers: int = 2) -> None:
     """Tiny end-to-end pass: build -> solve -> simulate -> store -> resume.
 
-    Runs the smoke-sized scenario matrix twice against one temporary store
-    with a worker pool and asserts the second pass re-simulates nothing and
-    reproduces identical values — the CI guarantee for the engine's
-    parallel + resume path.
+    Runs ``spec`` (the smoke-sized scenario matrix) twice against one
+    temporary store with a worker pool and asserts the second pass
+    re-simulates nothing and reproduces identical values — the CI guarantee
+    for the engine's parallel + resume path.
     """
-    spec = scenario_matrix_spec().smoke()
     with tempfile.TemporaryDirectory() as tmp:
         store = RunStore(Path(tmp) / "runstore.jsonl")
         print(f"scenario smoke: cold pass ({workers} workers)")
@@ -1468,14 +1198,12 @@ def run_suite(
 ) -> int:
     """Run one named suite and print its report; returns an exit code.
 
-    ``tries=None`` means 2 tries per point for the sweep suites.  An explicit
+    ``tries=None`` keeps each spec's own tries-per-point.  An explicit
     ``tries`` is named among the ignored flags wherever no sweep uses it:
     the single-instance suites, and every ``smoke`` pass (1 try).
     """
     out_dir = Path(out_dir)
-    tries_ignored = tries is not None and (smoke or suite not in _SWEEP_SUITES)
-    if tries is None:
-        tries = 2
+    tries_ignored = tries is not None and (smoke or suite not in _SUITE_SPECS)
     # The flags a suite that runs no engine sweep leaves unused.
     unswept = {
         "--workers": workers != 0,
@@ -1487,16 +1215,6 @@ def run_suite(
         _warn_ignored(suite, {**unswept, "--smoke": smoke})
         run_table1(out_dir)
         print((out_dir / "table1" / "report.txt").read_text())
-        return 0
-    if suite == "headline":
-        _warn_ignored(suite, {"--tries": tries_ignored})
-        _, width_run, count_run = run_headline(
-            out_dir, workers, paper_scale, tries, smoke=smoke
-        )
-        name = "headline-smoke" if smoke else "headline"
-        print((out_dir / name / "report.txt").read_text())
-        print(stats_summary(width_run.stats), " [width pool]")
-        print(stats_summary(count_run.stats), " [count pool]")
         return 0
     if suite == "simulator":
         # A wall-clock microbenchmark: no engine, no sweep.  The hard >= 5x
@@ -1552,29 +1270,28 @@ def run_suite(
         name = "pipeline-smoke" if smoke else "pipeline"
         print((out_dir / name / "report.txt").read_text())
         return 0
-    if suite == "scenario-matrix" and smoke:
-        _warn_ignored(
-            suite, {"--tries": tries_ignored, "--paper-scale": paper_scale}
-        )
-        smoke_scenario_matrix(workers=max(workers, 2))
-        return 0
 
-    builders = {
-        "fig3": lambda: fig3_spec(paper_scale, tries),
-        "fig4": lambda: fig4_spec(paper_scale, tries),
-        "scenario-matrix": lambda: scenario_matrix_spec(tries=tries),
-        "online": lambda: online_spec(tries=tries),
-        "pipeline-matrix": lambda: pipeline_matrix_spec(tries=tries),
-    }
-    # These suites have one fixed size; the paper-scale switch only applies
-    # to the figure sweeps.
-    fixed_size = suite in ("scenario-matrix", "online", "pipeline-matrix")
+    # The sweep suites; --paper-scale needs their files under specs/paper/.
+    paper = [SPECS_DIR / "paper" / f"{name}.yaml" for name in _SUITE_SPECS[suite]]
+    paper_scale_ignored = paper_scale and not all(path.exists() for path in paper)
     _warn_ignored(
-        suite, {"--tries": tries_ignored, "--paper-scale": fixed_size and paper_scale}
+        suite, {"--tries": tries_ignored, "--paper-scale": paper_scale_ignored}
     )
-    spec = builders[suite]()
-    if smoke:
-        spec = spec.smoke()
+    paper_scale = paper_scale and not paper_scale_ignored
+    if suite == "headline":
+        _, width_run, count_run = run_headline(
+            out_dir, workers, paper_scale, tries, smoke=smoke
+        )
+        name = "headline-smoke" if smoke else "headline"
+        print((out_dir / name / "report.txt").read_text())
+        print(stats_summary(width_run.stats), " [width pool]")
+        print(stats_summary(count_run.stats), " [count pool]")
+        return 0
+    if suite == "scenario-matrix" and smoke:
+        (spec,) = suite_specs(suite, smoke=True)
+        smoke_scenario_matrix(spec, workers=max(workers, 2))
+        return 0
+    (spec,) = suite_specs(suite, paper_scale, tries, smoke)
     run, paths = run_sweep_suite(spec, out_dir, workers)
     print(
         render_report(
@@ -1600,11 +1317,7 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
     """Register the ``bench`` subparser."""
     parser = subparsers.add_parser(
         "bench",
-        help=(
-            "run a benchmark suite (fig3, fig4, table1, headline, "
-            "scenario-matrix, online, simulator, streaming, "
-            "pipeline-matrix, pipeline)"
-        ),
+        help=f"run a benchmark suite ({', '.join(SUITES)})",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
@@ -1626,7 +1339,7 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="use the paper's parameters (k=8 fat-tree; slow)",
+        help="read specs/paper/: the paper's parameters (k=8 fat-tree; slow)",
     )
     parser.add_argument(
         "--smoke",

@@ -43,7 +43,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..analysis.artifacts import (
     SweepSpec,
@@ -92,17 +92,24 @@ def add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def resolve_spec(args: argparse.Namespace) -> SweepSpec:
-    """Load the spec and apply the shared ``--smoke`` / ``--tries`` transforms.
-
-    Invalid spec documents — unknown keys, malformed scheme specs, bad
-    configs — exit cleanly with the validation message (which names the bad
-    stage/scheme and lists the valid choices) instead of a traceback.
-    """
+def read_spec(path: Path, load: Callable[[Path], Any] = load_spec) -> Any:
+    """Load a spec file through ``load``, or exit with one line naming why
+    not: the file cannot be read (missing, or YAML without PyYAML), or the
+    document is invalid (the validation message names the bad stage/scheme
+    and lists the valid choices).  ``sweep``, ``report`` and the bench
+    suites all read their specs through here."""
     try:
-        spec = load_spec(args.spec)
+        return load(path)
+    except (OSError, RuntimeError) as error:
+        reason = getattr(error, "strerror", None) or error
+        raise SystemExit(f"repro: cannot read sweep spec {path}: {reason}")
     except ValueError as error:
-        raise SystemExit(f"repro: invalid sweep spec {args.spec}: {error}")
+        raise SystemExit(f"repro: invalid sweep spec {path}: {error}")
+
+
+def resolve_spec(args: argparse.Namespace) -> SweepSpec:
+    """Load the spec and apply the shared ``--smoke`` / ``--tries`` transforms."""
+    spec = read_spec(args.spec)
     if args.smoke:
         spec = spec.smoke()
     if args.tries is not None:

@@ -14,14 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.cli.bench import (
-    fig3_spec,
-    fig4_spec,
-    online_spec,
-    pipeline_matrix_spec,
-    scenario_matrix_spec,
-)
-from repro.analysis.artifacts import load_spec
+from repro.analysis.artifacts import load_document, load_spec, strict_config_from_dict
 from repro.sim import resolve_backend
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -378,37 +371,51 @@ class TestSweepAndReport:
         assert run_metadata(out, "tiny")["engine"] == engine_stats
 
 
+#: The bench instances under ``specs/``; every other file there is a sweep spec.
+INSTANCE_FILES = ("simulator-100k.yaml", "streaming.yaml", "streaming-100k.yaml")
+
+
+class TestSpecFiles:
+    """``specs/`` is the one definition of every bench suite's experiment."""
+
+    @needs_yaml
+    @pytest.mark.parametrize(
+        "path",
+        sorted(path for path in SPECS_DIR.rglob("*") if path.is_file()),
+        ids=lambda path: str(path.relative_to(SPECS_DIR)),
+    )
+    def test_every_checked_in_spec_parses(self, path):
+        if str(path.relative_to(SPECS_DIR)) in INSTANCE_FILES:
+            strict_config_from_dict(load_document(path), str(path))
+        else:
+            load_spec(path)
+
+    @pytest.mark.parametrize("command", ["sweep", "report", "bench"])
+    @pytest.mark.parametrize("problem", ["missing file", "no PyYAML"])
+    def test_unreadable_spec_exits_with_a_named_reason(
+        self, command, problem, tmp_path, monkeypatch
+    ):
+        """One line naming the file and the reason, exit status 1, no
+        traceback; ``bench fig3`` reads the file the others are given."""
+        if problem == "missing file":
+            specs_dir, reason = tmp_path, "No such file or directory"
+        else:
+            specs_dir, reason = SPECS_DIR, "PyYAML is not installed"
+            monkeypatch.setattr("repro.analysis.artifacts._yaml", None)
+        spec = specs_dir / "fig3.yaml"
+        if command == "bench":
+            monkeypatch.setattr("repro.cli.bench.SPECS_DIR", specs_dir)
+        target = "fig3" if command == "bench" else str(spec)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, target, "--out", str(tmp_path / "artifacts")])
+        message = excinfo.value.code
+        assert message.startswith(f"repro: cannot read sweep spec {spec}: {reason}")
+        assert "\n" not in message
+
+
 @needs_yaml
 class TestScenarioMatrixAcceptance:
     """The PR's acceptance criterion, against the checked-in spec."""
-
-    def test_checked_in_specs_pin_the_bench_suites(self):
-        assert load_spec(SPECS_DIR / "scenario-matrix.yaml") == scenario_matrix_spec()
-        assert load_spec(SPECS_DIR / "fig3.yaml") == fig3_spec()
-        assert load_spec(SPECS_DIR / "fig4.yaml") == fig4_spec()
-        assert load_spec(SPECS_DIR / "online.yaml") == online_spec()
-        assert load_spec(SPECS_DIR / "pipeline-matrix.yaml") == pipeline_matrix_spec()
-
-    def test_checked_in_spec_pins_the_100k_bench_gate(self):
-        from repro.analysis.artifacts import load_document
-        from repro.cli.bench import _SIMULATOR_BENCH_100K
-
-        assert load_document(SPECS_DIR / "simulator-100k.yaml") == _SIMULATOR_BENCH_100K
-
-    def test_checked_in_spec_pins_the_streaming_gate(self):
-        from repro.analysis.artifacts import load_document
-        from repro.cli.bench import _STREAMING_BENCH
-
-        assert load_document(SPECS_DIR / "streaming.yaml") == _STREAMING_BENCH
-
-    def test_checked_in_spec_pins_the_streaming_resident_gate(self):
-        from repro.analysis.artifacts import load_document
-        from repro.cli.bench import _STREAMING_BENCH_100K
-
-        assert (
-            load_document(SPECS_DIR / "streaming-100k.yaml")
-            == _STREAMING_BENCH_100K
-        )
 
     def test_smoke_sweep_two_workers_resume_and_report(self, tmp_path, capsys):
         spec = str(SPECS_DIR / "scenario-matrix.yaml")
@@ -530,6 +537,7 @@ class TestBench:
                 "route_cold_ms", "route_ms", "order_ms", "plan_ms",
             }
 
+    @needs_yaml
     def test_fig3_smoke_suite(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert main(["bench", "fig3", "--smoke", "--out", str(out)]) == 0
@@ -538,6 +546,25 @@ class TestBench:
         assert "Average improvement of LP-Based" in stdout
         metadata = run_metadata(out, "fig3-smoke")
         assert metadata["engine"]["executed"] == 12  # 3 widths x 1 try x 4 schemes
+
+        # The suite runs specs/fig3.yaml: sweeping it writes identical reports.
+        swept = tmp_path / "swept"
+        spec = str(SPECS_DIR / "fig3.yaml")
+        assert main(["sweep", spec, "--smoke", "--out", str(swept)]) == 0
+        for name in ("report.txt", "report.md", "report.csv"):
+            expected = (out / "fig3-smoke" / name).read_bytes()
+            assert (swept / "fig3-smoke" / name).read_bytes() == expected, name
+
+    @needs_yaml
+    def test_paper_scale_reads_specs_paper_or_is_ignored(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        assert main(["bench", "fig3", "--smoke", "--paper-scale", "--out", str(out)]) == 0
+        assert "ignored" not in capsys.readouterr().err
+        points = run_metadata(out, "fig3-smoke")["spec"]["points"]
+        assert {p["config"]["topology"] for p in points} == {"fat_tree(k=8)"}
+        # online has no specs/paper/ file, so the flag is named as ignored.
+        assert main(["bench", "online", "--smoke", "--paper-scale", "--out", str(out)]) == 0
+        assert "does not use --paper-scale (ignored)" in capsys.readouterr().err
 
     def test_table1_suite(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
@@ -621,6 +648,7 @@ class TestBench:
         assert "streaming" in record
         assert "throughput_ratio" in record
 
+    @needs_yaml
     def test_headline_smoke_suite(self, tmp_path, capsys):
         out = tmp_path / "artifacts"
         assert main(["bench", "headline", "--smoke", "--out", str(out)]) == 0
