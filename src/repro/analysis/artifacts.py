@@ -388,7 +388,10 @@ def load_document(path: Union[str, Path]) -> Dict[str, Any]:
 
     YAML needs PyYAML; when it is absent, ``.json`` documents keep working
     and ``.yaml``/``.yml`` raise ``RuntimeError`` with a pointer to the JSON
-    fallback (``repro.cli.sweep.read_spec`` turns it into a one-line exit).
+    fallback.  A document that does not parse, or is not a mapping, raises
+    ``ValueError`` with a one-line reason (for YAML, the first line of the
+    parser's message).  The CLI turns each into a one-line exit
+    (``repro.cli.sweep.read_spec``, ``repro.cli.run.build_config``).
     """
     path = Path(path)
     text = path.read_text()
@@ -397,7 +400,11 @@ def load_document(path: Union[str, Path]) -> Dict[str, Any]:
             raise RuntimeError(
                 "PyYAML is not installed (use a .json document instead)"
             )
-        data = _yaml.safe_load(text)
+        try:
+            data = _yaml.safe_load(text)
+        except _yaml.YAMLError as error:
+            reason = str(error).partition("\n")[0]
+            raise ValueError(f"malformed YAML: {reason}") from error
     else:
         data = json.loads(text)
     if not isinstance(data, Mapping):

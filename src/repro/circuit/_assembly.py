@@ -1,30 +1,42 @@
 """Vectorized emission of the shared completion-time LP block.
 
-The circuit LPs of Sections 2.1 and 2.2 share the "reformulation" skeleton:
-per flow ``(i, j)`` the interval fractions ``("x", i, j, ell)`` and the
-completion proxy ``("c", i, j)``, per coflow the dummy-flow proxy
-``("C", i)`` carrying the weight, and the constraint families
+The interval LPs share the "reformulation" skeleton: per flow ``(i, j)`` the
+interval fractions ``("x", i, j, ell)`` and the completion proxy
+``("c", i, j)``, per coflow the dummy-flow proxy ``("C", i)`` carrying the
+weight, and the constraint families
 
 * **deliver** — ``sum_ell x = 1`` (``==``),
 * **completion** — ``sum_ell tau_ell * x <= c`` (``<=``),
 * **coflow-last** — ``c <= C`` (``<=``),
-* **transfer** — ``c >= release + size / bottleneck`` (``>=``, sized flows),
-* **release** — ``x_ell = 0`` for intervals closing before release (``==``).
+* **transfer** — ``c >= release + size / bottleneck`` (sized flows),
+* **release** — ``x_ell = 0`` for intervals closing before release.
 
-This module emits that skeleton on top of :mod:`repro.lp`:
-:func:`add_completion_structure_bulk` emits it in blocks through
-:meth:`LinearProgram.add_variables` / ``add_constraints_coo`` and returns a
+This module emits that skeleton on top of :mod:`repro.lp` in blocks, through
+:meth:`LinearProgram.add_variables` / ``add_constraints_coo``, and returns a
 :class:`CompletionLayout` describing where everything landed, so solution
-extraction can read contiguous slices.  The one-variable /
-one-constraint-at-a-time reference of the same skeleton lives with the
-LP-equivalence tests (``tests/lp/reference_builders.py``), which hold the
-two emissions numerically identical, rows and variable order included.
+extraction can read contiguous slices.  Builders compose the variables
+(:func:`add_completion_variables_bulk`) and the first three families
+(:func:`add_core_families_bulk`).  The last two are one-variable rows:
+
+* the Section-2.1 given-paths builder passes them to
+  :func:`add_completion_variables_bulk` as bounds (``x <= 0``,
+  ``c >= release + size / bottleneck``), as HiGHS presolve would
+  (DESIGN.md §3);
+* the Section-2.2 routing builder emits them as rows, through
+  :func:`add_completion_structure_bulk`; folding them there moved the
+  vertex HiGHS returns.
+
+The one-variable / one-constraint-at-a-time reference of the skeleton lives
+with the LP-equivalence tests (``tests/lp/reference_builders.py``), which
+hold the routing LP's emission numerically identical to it, rows and
+variable order included, and the given-paths LP to it with those rows
+folded into bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,12 +92,19 @@ def _grid_arrays(grid: IntervalGrid) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def add_completion_variables_bulk(
-    lp: LinearProgram, instance: CoflowInstance, grid: IntervalGrid
+    lp: LinearProgram,
+    instance: CoflowInstance,
+    grid: IntervalGrid,
+    lower: Optional[np.ndarray] = None,
+    upper: Optional[np.ndarray] = None,
 ) -> CompletionLayout:
     """Register the ``x``/``c``/``C`` variable blocks and return the layout.
 
     Shared by the circuit builders and the packet given-paths builder, whose
     constraint families differ but whose variable skeleton is identical.
+    ``lower`` / ``upper`` bound each flow's ``[x_0 .. x_{L-1}, c]`` block, as
+    ``(F, L + 1)`` arrays in flow order; they default to ``0 <= x <= 1`` and
+    ``c >= 0``.
     """
     L = grid.num_intervals
     B = L + 1
@@ -98,8 +117,13 @@ def add_completion_variables_bulk(
     for i, j, _flow in flows:
         keys.extend(("x", i, j, ell) for ell in range(L))
         keys.append(("c", i, j))
-    upper = np.tile(np.concatenate((np.ones(L), [np.inf])), F) if F else np.zeros(0)
-    xc_range = lp.add_variables(keys, lower=0.0, upper=upper)
+    if lower is None:
+        lower = np.zeros((F, B))
+    if upper is None:
+        upper = np.tile(np.concatenate((np.ones(L), [np.inf])), (F, 1))
+    xc_range = lp.add_variables(
+        keys, lower=np.ravel(lower), upper=np.ravel(upper)
+    )
     weights = np.asarray([c.weight for c in instance.coflows], dtype=float)
     C_range = lp.add_variables(
         [("C", i) for i in range(len(instance.coflows))],
@@ -173,8 +197,9 @@ def add_completion_structure_bulk(
     grid: IntervalGrid,
     transfer_rhs: np.ndarray,
 ) -> CompletionLayout:
-    """Emit the completion skeleton in vectorized blocks.
+    """Emit the completion skeleton with its transfer and release rows.
 
+    The Section-2.2 routing LP's skeleton: all five families as rows.
     ``transfer_rhs[f]`` is the right-hand side of the transfer strengthening
     for flow position ``f`` (only read where the flow has positive size).
     """
@@ -200,10 +225,7 @@ def add_completion_structure_bulk(
             rhs=np.asarray(transfer_rhs, dtype=float)[active],
         )
     # ---- release: x[f, ell] == 0 for ell < release_interval(f).
-    first = np.asarray(
-        [grid.release_interval(f.release_time) for _i, _j, f in flows],
-        dtype=np.int64,
-    )
+    first = grid.release_intervals([f.release_time for _i, _j, f in flows])
     total = int(first.sum())
     if total:
         cols = np.repeat(xc_base, first) + stacked_aranges(first)

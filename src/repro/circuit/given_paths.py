@@ -21,6 +21,13 @@ The algorithm has the paper's three-part structure:
    ``b[i,j,ell] = sigma * x[i,j,ell] / len_ell`` and the capacity constraint
    (8) reads ``sum_{flows through e} b[i,j,ell] <= c(e)``.
 
+   :class:`GivenPathsLP` builds the LP in the form HiGHS presolve would
+   reduce it to: the one-variable release rows (9) and transfer rows are
+   variable bounds, and capacity rows (8) that cannot bind, or terms of
+   them that a release bound fixes at 0, are left out (DESIGN.md Section
+   3).  The feasible region is unchanged, and the LP-equivalence tests hold
+   the model and its solutions to the LP as written.
+
 3. **Rounding** — each flow is assigned to the ``D``-th interval after its
    alpha-interval and runs there at the constant rate ``sigma / len_k``.
    Feasibility of the construction requires
@@ -40,18 +47,21 @@ the flow-level simulator.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..core.flows import CoflowInstance, FlowId
 from ..core.intervals import IntervalGrid, RoundingParameters
-from ..core.network import Network, path_edges
+from ..core.network import Network
 from ..core.schedule import CircuitSchedule, ScheduleError
 from ..lp import LinearProgram, LPSolution, solve
-from ._assembly import add_completion_structure_bulk, extract_completion
+from ._assembly import (
+    add_completion_variables_bulk,
+    add_core_families_bulk,
+    extract_completion,
+)
 
 __all__ = [
     "GivenPathsLP",
@@ -144,7 +154,25 @@ class GivenPathsRelaxation:
 
 
 class GivenPathsLP:
-    """Builder for the interval-indexed LP (4)-(10)."""
+    """Builder for the interval-indexed LP (4)-(10).
+
+    :meth:`build` emits the LP HiGHS presolve would leave of (4)-(10) as
+    written (Andersen & Andersen's singleton-row and redundant-row
+    reductions, done while building; DESIGN.md §3):
+
+    * the release rows (9), ``x[f, ell] = 0`` for intervals closing before
+      the flow's release, are the upper bounds ``x[f, ell] <= 0``;
+    * the transfer rows ``c[f] >= r + sigma / bottleneck`` are lower bounds
+      on ``c[f]``;
+    * a capacity row (8) for edge ``e`` and interval ``ell`` is emitted only
+      if it can bind: if the ``sigma / len_ell`` of its users released by
+      ``ell`` sum to more than ``c(e)``, and it carries only those users'
+      terms (presolve drops the ones a release bound fixes at 0).
+
+    The feasible region is that of (4)-(10); ``tests/lp`` checks the
+    emission row for row against the LP as written, and the solutions
+    against its solutions.
+    """
 
     def __init__(
         self,
@@ -158,82 +186,114 @@ class GivenPathsLP:
                 "GivenPathsLP requires every flow to carry a fixed path; "
                 "use repro.circuit.routing for the paths-not-given variant"
             )
-        for _, _, flow in instance.iter_flows():
-            network.validate_path(flow.path)
         self.instance = instance
         self.network = network
+        self._map_paths()
         self.grid = IntervalGrid(
             epsilon=epsilon, horizon=horizon or _default_horizon(instance, network)
         )
         self._layout = None
 
-    # ------------------------------------------------------------------ build
-    def _transfer_rhs(self) -> np.ndarray:
-        """Per-flow transfer strengthening: release + size / path bottleneck."""
-        rhs = []
-        for _i, _j, flow in self.instance.iter_flows():
-            if flow.size > 0:
-                rhs.append(
-                    flow.release_time
-                    + flow.size / self.network.bottleneck_capacity(flow.path)
-                )
-            else:
-                rhs.append(flow.release_time)
-        return np.asarray(rhs, dtype=float)
+    def _map_paths(self) -> None:
+        """Map every path to edge ids once, validating it on the way.
 
-    def _edge_users(self) -> Dict[Tuple[object, object], List[Tuple[int, float]]]:
-        """Edges in first-seen order → list of (flow position, size) users.
-
-        A flow whose (non-simple) path traverses the same edge twice is
-        listed once for that edge — matching the scalar dict semantics, where
-        repeated terms for the same variable key overwrite rather than sum.
+        Sets the incidence arrays ``_inc_flow`` / ``_inc_edge`` (one entry
+        per distinct edge of each path, flows in ``iter_flows()`` order: a
+        non-simple path crossing an edge twice loads it once), the
+        ``_capacity`` of every edge id and the per-flow ``_bottleneck``
+        capacity.  A path that is too short or uses a missing edge raises
+        the ``ValueError`` of :meth:`Network.validate_path`.
         """
-        edge_users: Dict[Tuple[object, object], List[Tuple[int, float]]] = {}
+        index = self.network.edge_index()
+        inc_flow: List[int] = []
+        inc_edge: List[int] = []
+        starts: List[int] = []
         for pos, (_i, _j, flow) in enumerate(self.instance.iter_flows()):
-            for edge in dict.fromkeys(path_edges(flow.path)):
-                edge_users.setdefault(edge, []).append((pos, flow.size))
-        return edge_users
+            path = flow.path
+            if len(path) < 2:
+                raise ValueError("path must contain at least two nodes")
+            ids: Dict[int, None] = {}
+            for edge in zip(path[:-1], path[1:]):
+                k = index.get(edge)
+                if k is None:
+                    raise ValueError(f"path uses missing edge {edge!r}")
+                ids[k] = None
+            starts.append(len(inc_edge))
+            inc_edge.extend(ids)
+            inc_flow.extend([pos] * len(ids))
+        self._inc_flow = np.asarray(inc_flow, dtype=np.int64)
+        self._inc_edge = np.asarray(inc_edge, dtype=np.int64)
+        self._capacity = np.asarray(self.network.capacity_vector(), dtype=float)
+        self._bottleneck = (
+            np.minimum.reduceat(self._capacity[self._inc_edge], starts)
+            if starts
+            else np.zeros(0)
+        )
 
+    # ------------------------------------------------------------------ build
     def build(self) -> LinearProgram:
         """Assemble the LP through the bulk (vectorized) pipeline."""
-        network, grid = self.network, self.grid
+        instance, grid = self.instance, self.grid
         L = grid.num_intervals
+        flows = list(instance.iter_flows())
+        F = len(flows)
+        sizes = np.asarray([f.size for _i, _j, f in flows], dtype=float)
+        releases = [f.release_time for _i, _j, f in flows]
+        first = grid.release_intervals(releases)
+        ells = np.arange(L, dtype=np.int64)
+        runnable = ells >= first[:, None]  # (F, L): x[f, ell] may be > 0
+
+        # Release rows (9) as x <= 0, transfer rows as c >= r + sigma / c_m.
+        upper = np.ones((F, L + 1))
+        upper[:, :L][~runnable] = 0.0
+        upper[:, L] = np.inf
+        lower = np.zeros((F, L + 1))
+        sized = sizes > 0
+        lower[sized, L] = (
+            np.asarray(releases, dtype=float)[sized]
+            + sizes[sized] / self._bottleneck[sized]
+        )
         lp = LinearProgram(name="circuit-given-paths")
-        layout = add_completion_structure_bulk(
-            lp, self.instance, grid, self._transfer_rhs()
+        layout = add_completion_variables_bulk(
+            lp, instance, grid, lower=lower, upper=upper
         )
         self._layout = layout
+        add_core_families_bulk(lp, instance, layout)
 
         # (7)+(8) capacity per edge per interval, with bandwidths expressed
         # directly in terms of x: sum_f sigma_f * x_f_ell / len_ell <= c(e).
-        # One COO sub-block of L rows per edge, concatenated and committed in
-        # a single call.
-        ell_offsets = np.arange(L, dtype=np.int64)
-        rows_parts: List[np.ndarray] = []
-        cols_parts: List[np.ndarray] = []
-        vals_parts: List[np.ndarray] = []
-        rhs_parts: List[np.ndarray] = []
-        row_offset = 0
-        for edge, users in self._edge_users().items():
-            positions = np.asarray([p for p, _s in users], dtype=np.int64)
-            sizes = np.asarray([s for _p, s in users], dtype=float)
-            # row per interval, one entry per user: x[user, ell].
-            rows_parts.append(
-                np.repeat(row_offset + ell_offsets, positions.shape[0])
-            )
-            cols_parts.append(
-                (layout.xc_base[positions][None, :] + ell_offsets[:, None]).ravel()
-            )
-            vals_parts.append((sizes[None, :] / layout.lengths[:, None]).ravel())
-            rhs_parts.append(np.full(L, network.capacity(*edge)))
-            row_offset += L
-        if rhs_parts:
+        # Edges own L rows each, in first-seen order; a row is emitted only
+        # if its users released by ell, all at x = 1, would exceed c(e).
+        edges, first_seen, inc_slot = np.unique(
+            self._inc_edge, return_index=True, return_inverse=True
+        )
+        E = edges.shape[0]
+        seen = np.argsort(first_seen)
+        rank = np.empty(E, dtype=np.int64)
+        rank[seen] = np.arange(E)
+        cell_cap = np.repeat(self._capacity[edges[seen]], L)
+        inc = np.flatnonzero(sized[self._inc_flow])  # zero sizes add no term
+        flow = self._inc_flow[inc]
+        cell = (rank[inc_slot[inc]][:, None] * L + ells).ravel()
+        coef = (sizes[flow][:, None] / layout.lengths).ravel()
+        released = runnable[flow].ravel()
+        # bincount sums each cell's terms in entry order: users in flow order.
+        load = np.bincount(
+            cell, weights=np.where(released, coef, 0.0), minlength=E * L
+        )
+        live = load > cell_cap
+        if live.any():
+            row_of = np.cumsum(live) - 1
+            # Terms of x fixed at 0 by a release bound are left out too, as
+            # presolve drops them; keeping them led HiGHS to other vertices.
+            keep = live[cell] & released
+            cols = (layout.xc_base[flow][:, None] + ells).ravel()
             lp.add_constraints_coo(
-                rows=np.concatenate(rows_parts),
-                cols=np.concatenate(cols_parts),
-                vals=np.concatenate(vals_parts),
+                rows=row_of[cell[keep]],
+                cols=cols[keep],
+                vals=coef[keep],
                 senses="<=",
-                rhs=np.concatenate(rhs_parts),
+                rhs=cell_cap[live],
             )
         return lp
 

@@ -132,7 +132,13 @@ def build_config(args: argparse.Namespace) -> WorkloadConfig:
     """Resolve the workload config: file values first, flags on top."""
     data: Dict[str, Any] = {}
     if args.config is not None:
-        data.update(load_document(args.config))
+        try:
+            data.update(load_document(args.config))
+        except (OSError, RuntimeError) as error:
+            reason = getattr(error, "strerror", None) or error
+            raise SystemExit(f"repro run: cannot read config {args.config}: {reason}")
+        except ValueError as error:
+            raise SystemExit(f"repro run: invalid config {args.config}: {error}")
     for name in _CONFIG_FLAGS:
         value = getattr(args, name, None)
         if value is not None:

@@ -179,9 +179,24 @@ class IntervalGrid:
         in (constraint (9): ``r > tau_{ell+1}  =>  x_ell = 0``), so a flow may
         run in interval ``ell`` iff ``r <= tau_{ell+1}``.
         """
-        if release_time <= 0:
-            return 0
-        return self.interval_of(release_time)
+        return int(self.release_intervals([release_time])[0])
+
+    def release_intervals(self, release_times: Sequence[float]) -> np.ndarray:
+        """:meth:`release_interval` of every time in ``release_times`` at once.
+
+        Times at or below 0 map to interval 0; a time past ``tau_L`` raises
+        the ``ValueError`` of :meth:`interval_of`, naming the first such time.
+        """
+        times = np.asarray(release_times, dtype=float)
+        late = times > self._boundaries[-1] + 1e-9
+        if late.any():
+            t = release_times[int(np.argmax(late))]
+            raise ValueError(
+                f"time {t} exceeds the grid horizon tau_L = {self._boundaries[-1]}"
+            )
+        # The first boundary >= t closes the interval t falls in.
+        first = np.searchsorted(self._boundaries, times, side="left") - 1
+        return np.maximum(first, 0)
 
     def alpha_interval(self, fractions: Sequence[float], alpha: float) -> int:
         """The alpha-interval of a flow given its per-interval LP fractions.

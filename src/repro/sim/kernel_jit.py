@@ -734,9 +734,10 @@ class ResidentJitKernel(ResidentSimulationKernel):
         self._pend_release = np.empty(1, dtype=np.float64)
         self._pend_rank = np.empty(1, dtype=np.int64)
         self._pend_k = np.empty(1, dtype=np.int64)
-        #: Cached c_void_p groups for the run() and begin_epoch() calls;
-        #: every buffer reallocation resets both to None.
-        self._run_ptrs = self._be_ptrs = None
+        #: Cached c_void_p groups for the run(), begin_epoch() and
+        #: harvest_epoch() calls; every buffer reallocation resets all three
+        #: to None.
+        self._run_ptrs = self._be_ptrs = self._hv_ptrs = None
         # Persistent per-epoch scratch (grown geometrically by begin_epoch;
         # the C core never reads beyond the live lengths it is handed).
         self._scratch_cap = 1
@@ -780,7 +781,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
             new[: self._cap] = old
             setattr(self, name, new)
         self._cap = new_cap
-        self._run_ptrs = self._be_ptrs = None
+        self._run_ptrs = self._be_ptrs = self._hv_ptrs = None
 
     def _grow_segments(self) -> None:
         # The C core returns before recording anything once the buffer is
@@ -794,7 +795,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
             new[:seg_len] = old[:seg_len]
             setattr(self, name, new)
         self._seg_cap = new_cap
-        self._run_ptrs = self._be_ptrs = None
+        self._run_ptrs = self._be_ptrs = self._hv_ptrs = None
 
     def _set_edges(self, k: int, edges: List[int]) -> None:
         m = len(edges)
@@ -802,7 +803,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
             new = np.zeros(len(self._pool) * 2, dtype=np.int64)
             new[: self._pool_len] = self._pool[: self._pool_len]
             self._pool = new
-            self._run_ptrs = self._be_ptrs = None
+            self._run_ptrs = self._be_ptrs = self._hv_ptrs = None
         self._pool[self._pool_len : self._pool_len + m] = edges
         self.a_eoff[k] = self._pool_len
         self.a_eend[k] = self._pool_len + m
@@ -915,7 +916,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
             new = np.zeros(len(self._pool) * 2, dtype=np.int64)
             new[: self._pool_len] = self._pool[: self._pool_len]
             self._pool = new
-            self._run_ptrs = self._be_ptrs = None
+            self._run_ptrs = self._be_ptrs = self._hv_ptrs = None
         # The rows land back to back in ingest order, exactly as a run of
         # single ingests would lay them out.
         off = self._pool_len
@@ -977,7 +978,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
             self._hv_start = np.empty(new_cap, dtype=np.int64)
             self._hv_touch = np.empty(new_cap, dtype=np.int64)
             self._hv_moved = np.empty(new_cap, dtype=np.int64)
-            self._run_ptrs = self._be_ptrs = None
+            self._run_ptrs = self._be_ptrs = self._hv_ptrs = None
         prev = self._live_rows
         if self._ingested_since:
             ing = np.asarray(self._ingested_since, dtype=np.int64)
@@ -1036,7 +1037,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
                 slab_cap = max(int(self._be_out[2]), 2 * len(self._ea_flow))
                 self._ea_flow = np.empty(slab_cap, dtype=np.int64)
                 self._ea_rank = np.empty(slab_cap, dtype=np.int64)
-                self._run_ptrs = self._be_ptrs = None
+                self._run_ptrs = self._be_ptrs = self._hv_ptrs = None
                 continue
             break
         self._ingested_since.clear()
@@ -1163,18 +1164,20 @@ class ResidentJitKernel(ResidentSimulationKernel):
 
     # ---------------------------------------------------------------- harvest
     def harvest_epoch(self):
-        live = self._live_rows
+        live = self._live_rows  # replaced every epoch, so never cached
         lib = CORE.load()
-        lib.repro_harvest_epoch(
-            len(live), _ptr(live),
-            _ptr(self.a_completion), _ptr(self.a_harvested),
-            _ptr(self.a_started), _ptr(self.a_start_harvested),
-            _ptr(self.a_remaining), _ptr(self.a_harvest_remaining),
-            _ptr(self.a_last_seg), _ptr(self.a_harvest_moved),
-            _ptr(self._hv_done), _ptr(self._hv_start),
-            _ptr(self._hv_touch), _ptr(self._hv_moved),
-            _ptr(self._hv_out),
-        )
+        ptrs = self._hv_ptrs
+        if ptrs is None:
+            ptrs = self._hv_ptrs = (
+                _ptr(self.a_completion), _ptr(self.a_harvested),
+                _ptr(self.a_started), _ptr(self.a_start_harvested),
+                _ptr(self.a_remaining), _ptr(self.a_harvest_remaining),
+                _ptr(self.a_last_seg), _ptr(self.a_harvest_moved),
+                _ptr(self._hv_done), _ptr(self._hv_start),
+                _ptr(self._hv_touch), _ptr(self._hv_moved),
+                _ptr(self._hv_out),
+            )
+        lib.repro_harvest_epoch(len(live), _ptr(live), *ptrs)
         n_done, n_start, n_touch, n_moved = self._hv_out.tolist()
         done_rows = self._hv_done[:n_done]
         completions = list(

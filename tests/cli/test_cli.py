@@ -274,6 +274,33 @@ class TestRun:
         assert document["config"]["seed"] == 3  # flag wins
         assert document["config"]["num_coflows"] == 2  # file survives
 
+    @pytest.mark.parametrize("problem", ["missing file", "malformed", "no PyYAML"])
+    def test_unusable_config_exits_with_a_named_reason(
+        self, problem, tmp_path, monkeypatch
+    ):
+        """One line naming the file and the reason, exit status 1, no
+        traceback."""
+        config = tmp_path / "config.yaml"
+        if problem == "missing file":
+            expected = f"cannot read config {config}: No such file or directory"
+        elif problem == "malformed":
+            if not HAVE_YAML:
+                pytest.skip("PyYAML not installed")
+            config.write_text("num_coflows: [unclosed\n")
+            expected = (
+                f"invalid config {config}: "
+                "malformed YAML: while parsing a flow sequence"
+            )
+        else:
+            config.write_text("num_coflows: 2\n")
+            monkeypatch.setattr("repro.analysis.artifacts._yaml", None)
+            expected = f"cannot read config {config}: PyYAML is not installed"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--scheme", "Baseline", "--config", str(config)])
+        message = excinfo.value.code
+        assert message.startswith(f"repro run: {expected}")
+        assert "\n" not in message
+
 
 class TestSweepAndReport:
     def test_sweep_writes_artifacts_and_resumes(self, tmp_path, capsys):
@@ -411,6 +438,26 @@ class TestSpecFiles:
         message = excinfo.value.code
         assert message.startswith(f"repro: cannot read sweep spec {spec}: {reason}")
         assert "\n" not in message
+
+    @needs_yaml
+    @pytest.mark.parametrize("command", ["sweep", "report", "bench"])
+    def test_malformed_yaml_spec_exits_with_one_line(
+        self, command, tmp_path, monkeypatch
+    ):
+        """A spec PyYAML cannot parse names the file and the first line of
+        the parser's message; ``bench fig3`` reads the file the others are
+        given."""
+        spec = tmp_path / "fig3.yaml"
+        spec.write_text("name: [unclosed\n")
+        if command == "bench":
+            monkeypatch.setattr("repro.cli.bench.SPECS_DIR", tmp_path)
+        target = "fig3" if command == "bench" else str(spec)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, target, "--out", str(tmp_path / "artifacts")])
+        assert excinfo.value.code == (
+            f"repro: invalid sweep spec {spec}: "
+            "malformed YAML: while parsing a flow sequence"
+        )
 
 
 @needs_yaml

@@ -127,6 +127,24 @@ class TestIntervalQueries:
         assert grid.release_interval(0.7) == 0
         assert grid.release_interval(3.0) == 2
 
+    def test_release_intervals_follow_interval_of(self):
+        """The vectorized lookup: 0 at or below time 0, else the interval
+        the release closes, boundaries included; past tau_L it raises
+        interval_of's error for the first such time."""
+        grid = IntervalGrid(epsilon=0.5436, horizon=50.0)
+        tau = grid.boundaries
+        mids = (tau[:-1] + tau[1:]) / 2
+        times = [0.0, 1e-12, 1.0, *tau[1:], *mids]
+        expected = [0 if t <= 0 else grid.interval_of(t) for t in times]
+        assert grid.release_intervals(times).tolist() == expected
+        assert [grid.release_interval(t) for t in times] == expected
+        late = tau[-1] * 2
+        with pytest.raises(ValueError) as reference:
+            grid.interval_of(late)
+        with pytest.raises(ValueError) as vectorized:
+            grid.release_intervals([1.0, late, late * 2])
+        assert str(vectorized.value) == str(reference.value)
+
     def test_alpha_interval(self):
         grid = IntervalGrid(epsilon=1.0, horizon=8.0)
         fractions = [0.2, 0.2, 0.3, 0.3]

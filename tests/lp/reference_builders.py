@@ -1,18 +1,21 @@
 """Scalar reference builders: the oracle of ``test_equivalence.py``.
 
 Every LP builder in ``repro`` assembles its model one way, through the bulk
-COO pipeline (``build()``).  The functions here assemble the same model the
+COO pipeline (``build()``).  The functions here assemble the paper's LP the
 legacy way, one ``add_variable`` / ``add_constraint`` call at a time
-straight from the paper's constraint families, and
-``test_equivalence.py`` asserts that the two are numerically identical.
-They read only builder helpers that the bulk path uses too
-(``_transfer_rhs``, ``_edge_users``, ``candidate_paths``, ...), so neither
-side has a private helper a shared bug could hide in.
-``benchmarks/bench_lp_assembly.py`` times :func:`build_scalar` as the
-baseline of its assembly speedup.
+straight from its constraint families.  ``test_equivalence.py`` asserts
+that the two are numerically identical, except for the Section-2.1 LP:
+its builder folds rows into bounds while building, and
+:func:`fold_given_paths_rows` applies the same reductions to the LP as
+written here.  The routing and packet references read only builder
+helpers that the bulk path uses too (``_transfer_rhs``, ``_edge_users``,
+``candidate_paths``, ...), so neither side has a private helper a shared
+bug could hide in; the Section-2.1 reference reads only the builder's
+instance, network and grid.  ``benchmarks/bench_lp_assembly.py`` times
+:func:`build_scalar` as the baseline of its assembly speedup.
 """
 
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -91,28 +94,86 @@ def add_completion_structure_scalar(
 
 
 def circuit_given_paths_scalar(builder: GivenPathsLP) -> LinearProgram:
-    """Section-2.1 LP (4)-(10): completion skeleton plus per-edge capacity rows."""
-    network, grid = builder.network, builder.grid
+    """Section-2.1 LP (4)-(10) as written: the completion skeleton with its
+    transfer and release rows, plus a capacity row per edge per interval.
+
+    Edges take rows in first-seen order over the flows' paths; a path that
+    crosses an edge twice loads it once (dict semantics).
+    """
+    instance, network, grid = builder.instance, builder.network, builder.grid
     L = grid.num_intervals
     lp = LinearProgram(name="circuit-given-paths")
-    add_completion_structure_scalar(
-        lp, builder.instance, grid, builder._transfer_rhs()
-    )
-    flow_ids = [(i, j) for i, j, _f in builder.instance.iter_flows()]
-    for edge, users in builder._edge_users().items():
+    transfer_rhs = [
+        flow.release_time + flow.size / network.bottleneck_capacity(flow.path)
+        for _i, _j, flow in instance.iter_flows()
+    ]
+    add_completion_structure_scalar(lp, instance, grid, np.asarray(transfer_rhs))
+    edge_users: Dict[Edge, List[Tuple[int, int, float]]] = {}
+    for i, j, flow in instance.iter_flows():
+        for edge in dict.fromkeys(path_edges(flow.path)):
+            edge_users.setdefault(edge, []).append((i, j, flow.size))
+    for edge, users in edge_users.items():
         cap = network.capacity(*edge)
         for ell in range(L):
             length = grid.length(ell)
             lp.add_constraint(
-                {
-                    ("x", *flow_ids[pos], ell): size / length
-                    for pos, size in users
-                },
+                {("x", i, j, ell): size / length for i, j, size in users},
                 "<=",
                 cap,
                 name=f"capacity[{edge},{ell}]",
             )
     return lp
+
+
+def fold_given_paths_rows(full: LinearProgram) -> LinearProgram:
+    """The LP ``GivenPathsLP.build`` emits, derived from the LP as written
+    (:func:`circuit_given_paths_scalar`) by presolve reductions (Andersen &
+    Andersen, Math. Programming 71, 1995), row family by name:
+
+    * the singleton ``release[...]`` rows (``x == 0``) and ``transfer[...]``
+      rows (``c >= rhs``) become bounds of their variable;
+    * a ``capacity[...]`` row whose largest activity under those bounds,
+      summed term by term in row order, is at most its right-hand side
+      cannot bind and is dropped;
+    * the capacity rows kept lose the terms of variables those bounds fix
+      at 0.
+
+    Every other row is kept as it is, in order.
+    """
+    keys = full.variable_keys
+    lower, upper = (np.array(bound) for bound in full.bounds_arrays())
+    kept = []
+    for row in full.iter_constraints():
+        family = row.name.split("[", 1)[0]
+        if family not in ("release", "transfer"):
+            kept.append(row)
+            continue
+        ((col,), (coef,)) = row.indices, row.coefficients
+        assert coef > 0, row
+        if row.sense in (">=", "=="):
+            lower[col] = max(lower[col], row.rhs / coef)
+        if row.sense in ("<=", "=="):
+            upper[col] = min(upper[col], row.rhs / coef)
+    folded = LinearProgram(name=full.name)
+    folded.add_variables(
+        keys, lower=lower, upper=upper, objective=full.objective_vector()
+    )
+    for row in kept:
+        terms = list(zip(row.indices, row.coefficients))
+        if row.name.startswith("capacity["):
+            peak = 0.0
+            for col, coef in terms:
+                peak += coef * (upper[col] if coef > 0 else lower[col])
+            if peak <= row.rhs:
+                continue
+            terms = [(col, coef) for col, coef in terms if not lower[col] == upper[col] == 0]
+        folded.add_constraint(
+            [(keys[col], coef) for col, coef in terms],
+            row.sense,
+            row.rhs,
+            name=row.name,
+        )
+    return folded
 
 
 def routing_edge_scalar(builder: RoutingLP) -> LinearProgram:
@@ -394,7 +455,11 @@ def packet_time_expanded_scalar(builder: PacketRoutingLP) -> LinearProgram:
 
 
 def build_scalar(builder) -> LinearProgram:
-    """The scalar reference of ``builder.build()``, for any of the four builders."""
+    """The scalar reference of ``builder.build()``, for any of the four builders.
+
+    For a :class:`GivenPathsLP` it is the LP as written;
+    :func:`fold_given_paths_rows` of it equals what ``build()`` emits.
+    """
     if isinstance(builder, RoutingLP):
         if builder.formulation == "edge":
             return routing_edge_scalar(builder)

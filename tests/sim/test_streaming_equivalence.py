@@ -850,6 +850,62 @@ class TestResidentBufferGrowth:
             assert kernel.run() is True
         assert batch.harvest_epoch()[:2] == seq.harvest_epoch()[:2]
 
+    def test_harvest_buffers_regrow_mid_session(self):
+        """The harvest call's pointer group is cached after its first use;
+        a later epoch with more live flows than the scratch holds regrows
+        the ``_hv_*`` buffers, and every harvest after that must write into
+        the new ones.  Epochs pause mid-flight, so completions, starts,
+        volume updates and first moves all cross harvests; every one must
+        equal the Python tier's."""
+        network = topologies.triangle()
+        one_hop, two_hop = ("x", "y"), ("x", "y", "z")
+        # (epoch start, new flows, size, path).  Epoch 0's two-hop flows
+        # grow the per-edge slab past epoch 1's need, so epoch 1's six
+        # flows regrow the scratch and nothing else.
+        arrivals = [
+            (0.0, 4, 0.2, two_hop),
+            (1.0, 6, 1.0, one_hop),
+            (2.5, 40, 0.5, one_hop),
+            (6.0, 0, 0.0, one_hop),
+        ]
+
+        def drive(kernel):
+            live, log, starts, caps = [], [], {}, []
+            for epoch, (now, count, size, path) in enumerate(arrivals):
+                for n in range(count):
+                    fid = (epoch, n)
+                    kernel.ingest(fid, size + 0.125 * n, now + 0.0625 * n, path)
+                    live.append(fid)
+                kernel.begin_epoch(now, [kernel.slot_of(fid) for fid in live])
+                last = epoch + 1 == len(arrivals)
+                kernel.run(until=None if last else arrivals[epoch + 1][0])
+                done, started, touched, moved = kernel.harvest_epoch()
+                fid_of = kernel.fids
+                log.append((
+                    dict((fid_of[k], t) for k, t in done),
+                    dict((fid_of[k], v) for k, v in touched),
+                    sorted(fid_of[k] for k in moved),
+                ))
+                for k, t in started:
+                    starts.setdefault(fid_of[k], t)
+                if isinstance(kernel, ResidentJitKernel):
+                    # The cached group points at the live buffers.
+                    assert kernel._hv_ptrs[8].value == kernel._hv_done.ctypes.data
+                    caps.append((kernel._scratch_cap, len(kernel._ea_flow)))
+                live = [fid for fid in live if fid not in log[-1][0]]
+            return log, starts, caps
+
+        # Roomy slot and segment buffers: they never regrow.
+        jit_log, jit_starts, caps = drive(
+            ResidentJitKernel(network, initial_capacity=256)
+        )
+        twin_log, twin_starts, _ = drive(ResidentSimulationKernel(network))
+        assert jit_log == twin_log
+        assert jit_starts == twin_starts
+        (scratch0, slab0), (scratch1, slab1) = caps[:2]
+        assert scratch0 < scratch1 and slab0 == slab1
+        assert all(entry[0] and entry[1] for entry in jit_log)
+
     def test_zero_volume_flow_is_rejected_by_both_tiers(self):
         network = topologies.triangle()
         path = network.shortest_path("x", "y")
