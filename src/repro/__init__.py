@@ -21,6 +21,12 @@ general network topologies together with everything it depends on:
 * :mod:`repro.analysis` — experiment sweeps and report tables used by the
   benchmark harness that regenerates the paper's figures.
 
+Only :mod:`repro.core` is imported with the package; every other subpackage
+loads on first access (a PEP 562 module ``__getattr__``), so ``repro.lp``
+and ``import repro.lp`` both work.  A process that runs no LP scheme never
+loads :mod:`repro.lp`, and with it scipy's optimizer and sparse matrices
+(DESIGN.md §8, "What a process imports").
+
 Quickstart::
 
     from repro.core import topologies
@@ -41,8 +47,15 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-from . import analysis, baselines, circuit, core, lp, packet, sim, switch, workloads
+from importlib import import_module
+
+from . import core
 from .core import Coflow, CoflowInstance, Flow, Network, topologies
+
+#: Subpackages loaded on first access, by the module ``__getattr__`` below.
+_SUBPACKAGES = (
+    "lp", "circuit", "packet", "switch", "baselines", "sim", "workloads", "analysis",
+)
 
 __all__ = [
     "__version__",
@@ -61,3 +74,13 @@ __all__ = [
     "Network",
     "topologies",
 ]
+
+
+def __getattr__(name):
+    if name not in _SUBPACKAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return import_module(f"{__name__}.{name}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

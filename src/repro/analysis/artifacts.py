@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import json
 import platform
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -57,7 +58,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .. import __version__
 from ..baselines.base import Scheme
 from ..baselines.spec import SCHEME_ALIASES, known_scheme_names, scheme_from_spec
-from ..core.topologies import from_spec
+from ..core.topologies import from_spec, parse_spec
 from ..faults import FaultConfig
 from ..workloads.generator import WorkloadConfig
 from .engine import EngineRunStats, ExperimentEngine, PointSpec
@@ -161,7 +162,8 @@ class SweepSpec:
     ``tries`` random instances are drawn per point by offsetting each
     config's seed, exactly like :meth:`ExperimentEngine.run`.  ``schemes``
     entries are scheme specs — alias names or ``pipeline(...)``
-    compositions — validated eagerly at construction.
+    compositions — validated eagerly at construction, as are the points'
+    topology specs (:func:`~repro.core.topologies.parse_spec`).
     """
 
     name: str
@@ -211,6 +213,12 @@ class SweepSpec:
                     "topology; specs must be self-contained (set `topology` "
                     "in `base` or in the point's config)"
                 )
+            try:
+                parse_spec(point.config.topology)
+            except ValueError as error:
+                raise ValueError(
+                    f"point {point.label!r} of spec {self.name!r}: {error}"
+                ) from None
 
     # ------------------------------------------------------------- expansion
     def point_specs(self) -> List[PointSpec]:
@@ -620,14 +628,20 @@ def provenance() -> Dict[str, Any]:
     versions, the LP solve path actually in use (the direct HiGHS path or
     the ``linprog`` fallback) with the HiGHS version, and the deliberate
     deviations from the paper (DESIGN.md sections) — so a result file is
-    interpretable long after the run.
+    interpretable long after the run.  A process that built no LP scheme
+    has not loaded :mod:`repro.lp.solver`; its record names HiGHS without
+    loading the solver for it (DESIGN.md §8).
     """
     import networkx
     import numpy
     import scipy
 
-    from ..lp.solver import solver_description
-
+    solver = sys.modules.get("repro.lp.solver")
+    solve_path = (
+        solver.solver_description()
+        if solver is not None
+        else "HiGHS via scipy, not loaded (no LP scheme in this process)"
+    )
     return {
         "package": "repro",
         "version": __version__,
@@ -640,7 +654,7 @@ def provenance() -> Dict[str, Any]:
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
         "networkx": networkx.__version__,
-        "solver": f"{solver_description()} (paper: IBM CPLEX)",
+        "solver": f"{solve_path} (paper: IBM CPLEX)",
         "deviations": [
             "LP solver: open-source HiGHS replaces IBM CPLEX (DESIGN.md §1)",
             "evaluation: flow-level simulator, not a packet-level testbed (DESIGN.md §6)",
@@ -656,8 +670,11 @@ def provenance() -> Dict[str, Any]:
 def provenance_lines() -> List[str]:
     """The ``repro --version`` output: version, the solve path, the compiled
     cores (each loaded from its cache path, or unavailable with the reason,
-    built through the shared loader if need be), and the deviation list."""
+    built through the shared loader if need be), and the deviation list.
+    It loads the LP solver, so the solve path is named with its HiGHS
+    version."""
     from ..core.network import PATH_CORE
+    from ..lp import solver  # noqa: F401  (names the HiGHS version)
     from ..sim.kernel_jit import CORE as KERNEL_CORE
 
     info = provenance()

@@ -49,6 +49,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -58,7 +59,6 @@ from .. import faults as _faults_module  # the engine's ``faults=`` parameter
 from ..baselines.base import Scheme
 from ..core.flows import CoflowInstance
 from ..core.network import Network
-from ..lp import solver as lp_solver
 from ..sim import FlowLevelSimulator, SchemeComparison
 from ..workloads.generator import CoflowGenerator, WorkloadConfig
 from ..workloads.serialization import config_to_dict
@@ -205,7 +205,30 @@ def _worker_init(
     faults.install(
         faults.FaultInjector(fault_config) if fault_config is not None else None
     )
-    lp_solver.DEFAULT_TIME_LIMIT = lp_time_limit
+    if lp_time_limit is not None:
+        from ..lp import solver
+
+        solver.DEFAULT_TIME_LIMIT = lp_time_limit
+
+
+@contextmanager
+def _lp_time_limit(limit: Optional[float]):
+    """Hand ``limit`` to every HiGHS solve inside the block.
+
+    ``None`` leaves the solver alone, so an engine whose schemes solve no
+    LP never loads :mod:`repro.lp`.
+    """
+    if limit is None:
+        yield
+        return
+    from ..lp import solver
+
+    previous = solver.DEFAULT_TIME_LIMIT
+    solver.DEFAULT_TIME_LIMIT = limit
+    try:
+        yield
+    finally:
+        solver.DEFAULT_TIME_LIMIT = previous
 
 
 def _worker_run(task: ExperimentTask, attempt: int = 0) -> Tuple[str, Dict[str, Any]]:
@@ -425,17 +448,14 @@ class ExperimentEngine:
         )
         previous_injector = _faults_module.active_injector()
         _faults_module.install(injector)
-        previous_limit = lp_solver.DEFAULT_TIME_LIMIT
-        if self.lp_time_limit is not None:
-            lp_solver.DEFAULT_TIME_LIMIT = self.lp_time_limit
         try:
-            if (self.workers or 1) >= 2:
-                self._run_pool(pending, self.workers)
-            else:
-                self._run_serial(pending)
+            with _lp_time_limit(self.lp_time_limit):
+                if (self.workers or 1) >= 2:
+                    self._run_pool(pending, self.workers)
+                else:
+                    self._run_serial(pending)
         finally:
             _faults_module.install(previous_injector)
-            lp_solver.DEFAULT_TIME_LIMIT = previous_limit
 
     def _store_put(self, task: ExperimentTask, record: Dict[str, Any]) -> None:
         """Persist a record, retrying transient (injected) append failures."""

@@ -37,9 +37,8 @@ import random
 from dataclasses import dataclass, fields
 from typing import Any, Callable, ClassVar, Dict, Hashable, List, Mapping, Optional, Tuple, Type
 
-from ..circuit.given_paths import DEFAULT_EPSILON
-from ..circuit.routing import DEFAULT_ROUTING_EPSILON
 from ..core.flows import CoflowInstance, FlowId
+from ..core.intervals import DEFAULT_EPSILON, DEFAULT_ROUTING_EPSILON
 from ..core.network import Network, path_edges
 from .base import load_balanced_route, random_route, respect_given_paths
 
@@ -237,6 +236,10 @@ class LPRouter(Router):
     hint (consumed by :class:`LPOrderer` without a second solve — exactly
     the legacy LP-Based scheme) and the full routing plan, lower bound
     included, as the ``last_plan`` diagnostic.
+
+    Building the stage loads the LP stack (scipy's optimizer and sparse
+    matrices), so a scheme pays that import when it is built, not at its
+    first plan.
     """
 
     key: ClassVar[str] = "lp"
@@ -249,6 +252,7 @@ class LPRouter(Router):
 
     def __post_init__(self) -> None:
         _require_path_count("max_candidate_paths", self.max_candidate_paths)
+        from ..circuit import algorithm  # noqa: F401  (loads the LP stack)
 
     def route(self, context: PlanContext) -> Dict[FlowId, Tuple[Hashable, ...]]:
         """Solve the routing LP and round to one path per flow."""
@@ -393,11 +397,15 @@ class LPOrderer(Orderer):
     An *explicit* non-default ``epsilon`` always forces its own relaxation
     solve, hint or not — the parameter selects a specific interval
     structure, so it must never be a silent no-op under an ``lp`` router.
+    Like :class:`LPRouter`, building the stage loads the LP stack.
     """
 
     key: ClassVar[str] = "lp"
 
     epsilon: float = DEFAULT_EPSILON
+
+    def __post_init__(self) -> None:
+        from ..circuit import given_paths  # noqa: F401  (loads the LP stack)
 
     def order(self, context: PlanContext) -> List[FlowId]:
         """Use the router's LP order hint, or solve the given-paths LP."""

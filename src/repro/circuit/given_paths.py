@@ -53,7 +53,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.flows import CoflowInstance, FlowId
-from ..core.intervals import IntervalGrid, RoundingParameters
+from ..core.intervals import DEFAULT_EPSILON, IntervalGrid, RoundingParameters
 from ..core.network import Network
 from ..core.schedule import CircuitSchedule, ScheduleError
 from ..lp import LinearProgram, LPSolution, solve
@@ -71,10 +71,6 @@ __all__ = [
     "feasible_rounding_parameters",
     "DEFAULT_EPSILON",
 ]
-
-#: Default epsilon for the LP grid when only a lower bound / ordering is
-#: needed (the paper's optimized value).
-DEFAULT_EPSILON = 0.5436
 
 
 def feasible_rounding_parameters() -> RoundingParameters:

@@ -39,7 +39,7 @@ from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.flows import CoflowInstance, FlowId
-from ..core.intervals import IntervalGrid
+from ..core.intervals import DEFAULT_ROUTING_EPSILON, IntervalGrid
 from ..core.network import Network, path_edges
 from ..lp import LinearProgram, LPSolution, solve, stacked_aranges
 from ._assembly import (
@@ -53,9 +53,6 @@ from .lower_bounds import flow_transfer_lower_bounds
 __all__ = ["RoutingLP", "RoutingRelaxation", "DEFAULT_ROUTING_EPSILON"]
 
 Edge = Tuple[Hashable, Hashable]
-
-#: Section 2.2 sets epsilon = 1 (powers-of-two intervals).
-DEFAULT_ROUTING_EPSILON = 1.0
 
 
 def _default_horizon(instance: CoflowInstance, network: Network) -> float:

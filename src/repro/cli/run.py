@@ -26,7 +26,6 @@ from ..analysis.artifacts import (
     provenance,
     strict_config_from_dict,
 )
-from ..lp.solver import LPInfeasibleError
 from ..sim.simulator import BACKENDS, resolve_backend
 from ..workloads.generator import (
     ENDPOINT_DISTRIBUTIONS,
@@ -158,7 +157,10 @@ def execute(args: argparse.Namespace) -> int:
         # the environment default every kernel constructor consults.
         os.environ["REPRO_SIM_BACKEND"] = args.backend
     config = build_config(args)
-    network = config.build_network()
+    try:
+        network = config.build_network()
+    except ValueError as error:
+        raise SystemExit(f"repro run: topology {config.topology!r}: {error}")
     try:
         scheme = build_schemes([args.scheme])[0]
     except ValueError as error:
@@ -174,10 +176,15 @@ def execute(args: argparse.Namespace) -> int:
         # Plan-time contract violations (e.g. router 'given' on an
         # unrouted instance) exit cleanly instead of a traceback.
         raise SystemExit(f"repro run: scheme {args.scheme!r}: {error}")
-    except LPInfeasibleError as error:
+    except RuntimeError as error:
         # Solver failures exit cleanly with the enriched diagnostic (the
         # message carries solver status, HiGHS message and LP shape)
-        # instead of a traceback.
+        # instead of a traceback.  The class is resolved here, not at
+        # import, so a scheme that solves no LP never loads the LP stack.
+        from ..lp.solver import LPInfeasibleError
+
+        if not isinstance(error, LPInfeasibleError):
+            raise
         raise SystemExit(f"repro run: scheme {args.scheme!r}: {error}")
     document = {
         "provenance": provenance(),

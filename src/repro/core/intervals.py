@@ -34,6 +34,8 @@ __all__ = [
     "PAPER_ALPHA",
     "PAPER_DISPLACEMENT",
     "PAPER_EPSILON",
+    "DEFAULT_EPSILON",
+    "DEFAULT_ROUTING_EPSILON",
     "paper_rounding_parameters",
 ]
 
@@ -41,6 +43,14 @@ __all__ = [
 PAPER_ALPHA = 0.5
 PAPER_DISPLACEMENT = 3
 PAPER_EPSILON = 0.5436
+
+#: Default grid ratio of the Section-2.1 given-paths LP when only a lower
+#: bound / ordering is needed (the paper's optimized value).
+DEFAULT_EPSILON = 0.5436
+
+#: Default grid ratio of the Section-2.2 routing LP: epsilon = 1, so the
+#: intervals are powers of two.
+DEFAULT_ROUTING_EPSILON = 1.0
 
 
 @dataclass(frozen=True)
@@ -158,7 +168,9 @@ class IntervalGrid:
         """Index of the interval containing time ``t`` (``t`` <= tau_L).
 
         Time 0 belongs to interval 0; boundary points belong to the interval
-        they close (intervals are left-open, right-closed).
+        they close (intervals are left-open, right-closed).  A time past
+        ``tau_L`` by no more than the ``1e-9`` tolerance belongs to the last
+        interval, ``L - 1``.
         """
         if t < 0:
             raise ValueError(f"time must be non-negative, got {t}")
@@ -170,7 +182,7 @@ class IntervalGrid:
             return 0
         # searchsorted with side='left' on boundaries: first boundary >= t.
         idx = int(np.searchsorted(self._boundaries, t, side="left"))
-        return idx - 1
+        return min(idx, self.num_intervals) - 1
 
     def release_interval(self, release_time: float) -> int:
         """First interval in which a flow released at ``release_time`` may run.
@@ -184,8 +196,10 @@ class IntervalGrid:
     def release_intervals(self, release_times: Sequence[float]) -> np.ndarray:
         """:meth:`release_interval` of every time in ``release_times`` at once.
 
-        Times at or below 0 map to interval 0; a time past ``tau_L`` raises
-        the ``ValueError`` of :meth:`interval_of`, naming the first such time.
+        Times at or below 0 map to interval 0; a time within the ``1e-9``
+        tolerance past ``tau_L`` maps to the last interval, ``L - 1``; a time
+        further out raises the ``ValueError`` of :meth:`interval_of`, naming
+        the first such time.
         """
         times = np.asarray(release_times, dtype=float)
         late = times > self._boundaries[-1] + 1e-9
@@ -196,7 +210,7 @@ class IntervalGrid:
             )
         # The first boundary >= t closes the interval t falls in.
         first = np.searchsorted(self._boundaries, times, side="left") - 1
-        return np.maximum(first, 0)
+        return np.clip(first, 0, self.num_intervals - 1)
 
     def alpha_interval(self, fractions: Sequence[float], alpha: float) -> int:
         """The alpha-interval of a flow given its per-interval LP fractions.

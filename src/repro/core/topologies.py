@@ -23,11 +23,13 @@ full-duplex datacenter links.
 Every named builder is also reachable by a compact *spec string* through
 :func:`from_spec` (e.g. ``"fat_tree(k=4, oversubscription=2)"``), which is
 how :class:`repro.workloads.generator.WorkloadConfig` and the experiment
-engine's run store refer to topologies declaratively.
+engine's run store refer to topologies declaratively; :func:`parse_spec`
+checks one without building it.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import re
@@ -50,6 +52,7 @@ __all__ = [
     "tree",
     "random_graph",
     "host_nodes",
+    "parse_spec",
     "from_spec",
     "TOPOLOGY_BUILDERS",
 ]
@@ -386,23 +389,19 @@ def _parse_spec_value(text: str) -> object:
         return text
 
 
-def from_spec(spec: str) -> Network:
-    """Build a topology from a compact spec string.
+def parse_spec(spec: str) -> Tuple[str, Dict[str, object]]:
+    """Check a topology spec string without building the network.
 
-    A spec is ``"name"`` or ``"name(key=value, ...)"`` where ``name`` is one
-    of :data:`TOPOLOGY_BUILDERS` and values are int/float/bool/``none``
-    literals (anything else is passed through as a string).  Examples::
+    Returns the builder name and its keyword arguments.  Raises
+    ``ValueError`` for a malformed spec, an unknown builder, an argument the
+    builder does not take or a required one left out (both name the
+    builder's parameters).  A value the builder itself rejects (an odd
+    fat-tree arity, say) only shows when :func:`from_spec` builds it.
 
-        from_spec("fat_tree(k=4)")
-        from_spec("fat_tree(k=8, oversubscription=4)")
-        from_spec("leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=4)")
-        from_spec("random_regular(num_switches=10, degree=3, seed=7)")
-
-    Spec strings are how workload configs and the experiment engine's run
-    store name topologies declaratively (they are hashable and JSON-safe,
-    unlike :class:`Network` objects).
+        >>> parse_spec("fat_tree(k=8, oversubscription=4)")
+        ('fat_tree', {'k': 8, 'oversubscription': 4})
     """
-    match = _SPEC_RE.match(spec)
+    match = _SPEC_RE.match(spec) if isinstance(spec, str) else None
     if not match:
         raise ValueError(f"malformed topology spec {spec!r}")
     name = match.group("name")
@@ -418,4 +417,43 @@ def from_spec(spec: str) -> Network:
             )
         key, _, value = part.partition("=")
         kwargs[key.strip()] = _parse_spec_value(value.strip())
-    return TOPOLOGY_BUILDERS[name](**kwargs)
+    parameters = inspect.signature(TOPOLOGY_BUILDERS[name]).parameters
+    known = ", ".join(parameters)
+    unknown = sorted(set(kwargs) - set(parameters))
+    if unknown:
+        raise ValueError(
+            f"topology {name!r} got unknown argument(s) {unknown} (parameters: {known})"
+        )
+    missing = [
+        key for key, parameter in parameters.items()
+        if parameter.default is parameter.empty and key not in kwargs
+    ]
+    if missing:
+        raise ValueError(
+            f"topology {name!r} needs argument(s) {missing} (parameters: {known})"
+        )
+    return name, kwargs
+
+
+def from_spec(spec: str) -> Network:
+    """Build a topology from a compact spec string.
+
+    A spec is ``"name"`` or ``"name(key=value, ...)"`` where ``name`` is one
+    of :data:`TOPOLOGY_BUILDERS` and values are int/float/bool/``none``
+    literals (anything else is passed through as a string).  Examples::
+
+        from_spec("fat_tree(k=4)")
+        from_spec("fat_tree(k=8, oversubscription=4)")
+        from_spec("leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=4)")
+        from_spec("random_regular(num_switches=10, degree=3, seed=7)")
+
+    Spec strings are how workload configs and the experiment engine's run
+    store name topologies declaratively (they are hashable and JSON-safe,
+    unlike :class:`Network` objects).  Every bad spec raises ``ValueError``:
+    the checks of :func:`parse_spec`, then whatever the builder rejects.
+    """
+    name, kwargs = parse_spec(spec)
+    try:
+        return TOPOLOGY_BUILDERS[name](**kwargs)
+    except TypeError as error:  # a value of the wrong type, e.g. ``k=four``
+        raise ValueError(f"invalid topology spec {spec!r}: {error}") from None

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it with this module)
 
 from ..core.flows import Coflow, CoflowInstance, Flow
 from ..core.network import Network

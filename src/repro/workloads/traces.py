@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; load it with this module)
 
 from ..core.flows import Coflow, CoflowInstance, Flow
 from ..core.network import Network

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.circuit import GivenPathsLP, GivenPathsScheduler, feasible_rounding_parameters
-from repro.circuit.given_paths import lower_bound
-from repro.core import Coflow, CoflowInstance, Flow, RoundingParameters, topologies
+from repro.circuit.given_paths import DEFAULT_EPSILON, lower_bound
+from repro.core import Coflow, CoflowInstance, Flow, IntervalGrid, RoundingParameters, topologies
 from repro.core.schedule import ScheduleError
 
 
@@ -126,6 +126,22 @@ class TestLPRelaxation:
         obj1 = GivenPathsLP(build(1.0), triangle).relax().objective
         obj3 = GivenPathsLP(build(3.0), triangle).relax().objective
         assert obj3 == pytest.approx(3.0 * obj1, rel=1e-6)
+
+    def test_release_within_tolerance_past_the_horizon_solves(self, triangle):
+        """A flow released past tau_L by less than the grid's 1e-9
+        tolerance runs in the last interval instead of making the LP
+        infeasible."""
+        grid = IntervalGrid(DEFAULT_EPSILON, horizon=10.0)
+        release = grid.boundaries[-1] + 5e-10
+        instance = CoflowInstance(
+            coflows=[
+                Coflow(flows=(Flow("x", "y", size=0.5, release_time=release, path=["x", "y"]),))
+            ]
+        )
+        relaxation = GivenPathsLP(instance, triangle, horizon=10.0).relax()
+        fractions = relaxation.fractions[(0, 0)]
+        assert fractions[-1] == pytest.approx(1.0, abs=1e-6)
+        assert relaxation.objective >= release
 
 
 class TestRounding:

@@ -301,6 +301,36 @@ class TestRun:
         assert message.startswith(f"repro run: {expected}")
         assert "\n" not in message
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "topology, reason",
+        [
+            ("bogus", "unknown topology 'bogus' (known: fat_tree, "),
+            (
+                "fat_tree(q=4)",
+                "topology 'fat_tree' got unknown argument(s) ['q'] "
+                "(parameters: k, link_capacity, oversubscription)",
+            ),
+        ],
+    )
+    def test_bad_topology_exits_with_a_named_reason(
+        self, topology, reason, source, tmp_path
+    ):
+        """One line naming the topology and the reason, exit status 1, no
+        traceback, whether the spec comes from ``--topology`` or a config
+        file."""
+        if source == "flag":
+            argv = ["run", "--topology", topology]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"topology": topology}))
+            argv = ["run", "--config", str(config)]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--scheme", "SEBF"])
+        message = excinfo.value.code
+        assert message.startswith(f"repro run: topology {topology!r}: {reason}")
+        assert "\n" not in message
+
 
 class TestSweepAndReport:
     def test_sweep_writes_artifacts_and_resumes(self, tmp_path, capsys):
@@ -438,6 +468,26 @@ class TestSpecFiles:
         message = excinfo.value.code
         assert message.startswith(f"repro: cannot read sweep spec {spec}: {reason}")
         assert "\n" not in message
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_bad_topology_in_spec_exits_with_a_named_reason(self, command, tmp_path):
+        """A point whose topology spec names no builder makes the spec
+        invalid: one line naming the file, the point and the reason, before
+        the engine starts."""
+        document = json.loads(tiny_spec_path(tmp_path).read_text())
+        document["base"]["topology"] = "bogus(k=4)"
+        spec = tmp_path / "bogus.json"
+        spec.write_text(json.dumps(document))
+        out = tmp_path / "artifacts"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(spec), "--out", str(out)])
+        message = excinfo.value.code
+        assert message.startswith(
+            f"repro: invalid sweep spec {spec}: point '2f' of spec 'tiny': "
+            "unknown topology 'bogus' (known: fat_tree, "
+        )
+        assert "\n" not in message
+        assert not out.exists()
 
     @needs_yaml
     @pytest.mark.parametrize("command", ["sweep", "report", "bench"])

@@ -145,6 +145,21 @@ class TestIntervalQueries:
             grid.release_intervals([1.0, late, late * 2])
         assert str(vectorized.value) == str(reference.value)
 
+    def test_time_within_tolerance_past_tau_l_is_in_the_last_interval(self):
+        """tau_L closes interval L - 1, and so does a time past it by less
+        than the 1e-9 tolerance; both lookups agree, and a time past the
+        tolerance still raises."""
+        grid = IntervalGrid(0.5436, horizon=10.0)
+        last = grid.num_intervals - 1
+        tau_l = grid.boundaries[-1]
+        assert grid.interval_of(tau_l + 5e-10) == last
+        assert grid.release_intervals([tau_l + 5e-10]).tolist() == [last]
+        assert grid.release_interval(tau_l + 5e-10) == last
+        with pytest.raises(ValueError, match="exceeds the grid horizon"):
+            grid.interval_of(tau_l + 2e-9)
+        with pytest.raises(ValueError, match="exceeds the grid horizon"):
+            grid.release_intervals([tau_l + 2e-9])
+
     def test_alpha_interval(self):
         grid = IntervalGrid(epsilon=1.0, horizon=8.0)
         fractions = [0.2, 0.2, 0.3, 0.3]

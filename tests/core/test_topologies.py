@@ -281,6 +281,42 @@ class TestFromSpec:
         with pytest.raises(ValueError):
             topologies.from_spec("fat_tree(4)")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                "fat_tree(q=4)",
+                r"topology 'fat_tree' got unknown argument\(s\) \['q'\] "
+                r"\(parameters: k, link_capacity, oversubscription\)",
+            ),
+            ("line", r"topology 'line' needs argument\(s\) \['num_nodes'\]"),
+            ("fat_tree(k=four)", r"invalid topology spec 'fat_tree\(k=four\)'"),
+            ("fat_tree(k=3)", "even integer"),
+            (None, "malformed topology spec None"),
+        ],
+    )
+    def test_every_bad_spec_raises_value_error(self, spec, message):
+        """Unknown or missing arguments name the builder's parameters; a
+        value of the wrong type or one the builder rejects is a
+        ``ValueError`` too, never a ``TypeError``."""
+        with pytest.raises(ValueError, match=message):
+            topologies.from_spec(spec)
+
+    def test_parse_spec_checks_without_building(self, monkeypatch):
+        built = []
+
+        def fat_tree(k=4, oversubscription=1.0):
+            built.append(k)
+
+        monkeypatch.setitem(topologies.TOPOLOGY_BUILDERS, "fat_tree", fat_tree)
+        assert topologies.parse_spec("fat_tree(k=8, oversubscription=2.5)") == (
+            "fat_tree",
+            {"k": 8, "oversubscription": 2.5},
+        )
+        with pytest.raises(ValueError, match=r"parameters: k, oversubscription"):
+            topologies.parse_spec("fat_tree(link_capacity=2)")
+        assert built == []
+
     def test_registry_covers_all_builders(self):
         assert set(topologies.TOPOLOGY_BUILDERS) >= {
             "fat_tree",
