@@ -58,6 +58,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .. import __version__
 from ..baselines.base import Scheme
 from ..baselines.spec import SCHEME_ALIASES, known_scheme_names, scheme_from_spec
+from ..core.network import Network
 from ..core.topologies import from_spec, parse_spec
 from ..faults import FaultConfig
 from ..workloads.generator import WorkloadConfig
@@ -84,6 +85,7 @@ __all__ = [
     "strict_config_from_dict",
     "load_document",
     "load_spec",
+    "spec_networks",
     "run_spec",
     "result_from_store",
     "results_from_store",
@@ -427,12 +429,38 @@ def load_spec(path: Union[str, Path]) -> SweepSpec:
 
 # --------------------------------------------------------------------- runs
 
-def _topology_groups(spec: SweepSpec) -> List[Tuple[str, List[int]]]:
-    """Point indices grouped by topology spec string, first-seen order."""
+def spec_networks(spec: SweepSpec) -> Dict[str, Network]:
+    """Each distinct topology of ``spec`` built once, by spec string, in
+    the order the points first name them.
+
+    A spec checks its topology strings when it is built
+    (:func:`~repro.core.topologies.parse_spec`), but only a builder knows
+    which values it takes: ``fat_tree(k=3)`` parses and fails here, with a
+    ``ValueError`` that names the first point using it.  :func:`run_spec`,
+    :func:`results_from_store` and the fabric's workers build every
+    topology here before their first engine starts.
+    """
+    networks: Dict[str, Network] = {}
+    for point in spec.points:
+        topology = point.config.topology
+        if topology not in networks:
+            try:
+                networks[topology] = from_spec(topology)
+            except ValueError as error:
+                raise ValueError(
+                    f"point {point.label!r} of spec {spec.name!r}: {error}"
+                ) from None
+    return networks
+
+
+def _topology_groups(spec: SweepSpec) -> List[Tuple[str, Network, List[int]]]:
+    """``(topology spec, network, point indices)`` per distinct topology,
+    first-seen order, every network built before the first is returned."""
+    networks = spec_networks(spec)
     groups: Dict[str, List[int]] = {}
     for index, point in enumerate(spec.points):
         groups.setdefault(point.config.topology, []).append(index)
-    return list(groups.items())
+    return [(topology, networks[topology], indices) for topology, indices in groups.items()]
 
 
 @dataclass
@@ -482,9 +510,9 @@ def run_spec(
     merged.points = [SweepPoint(label=label) for label, _ in point_specs]
     stats = EngineRunStats(workers=workers or 1)
     fingerprints: Dict[str, str] = {}
-    for topology, indices in _topology_groups(spec):
+    for topology, network, indices in _topology_groups(spec):
         engine = ExperimentEngine(
-            from_spec(topology),
+            network,
             build_schemes(spec.schemes),
             tries=spec.tries,
             metric=spec.metric,
@@ -544,8 +572,8 @@ def results_from_store(
     schemes = build_schemes(spec.schemes)
     signatures = [scheme.signature() for scheme in schemes]
     fingerprints = {
-        topology: from_spec(topology).fingerprint()
-        for topology, _ in _topology_groups(spec)
+        topology: network.fingerprint()
+        for topology, network in spec_networks(spec).items()
     }
     keep_columns = bool(store.missing_shards())
     results = {metric: SweepResult(metric=metric) for metric in metrics}

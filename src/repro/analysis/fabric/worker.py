@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from ...core.topologies import from_spec
 from ...faults import FaultConfig
 from ..artifacts import SweepSpec, _topology_groups, build_schemes
 from ..engine import ExperimentEngine, ExperimentTask
@@ -181,9 +180,9 @@ class Worker:
         stats = WorkerStats(shard_id=self.store.shard_id or 0, shards=shards)
         self.last_stats = stats
         point_specs = self.spec.point_specs()
-        for topology, indices in _topology_groups(self.spec):
+        for _, network, indices in _topology_groups(self.spec):
             engine = ExperimentEngine(
-                from_spec(topology),
+                network,
                 build_schemes(self.spec.schemes),
                 tries=self.spec.tries,
                 metric=self.spec.metric,

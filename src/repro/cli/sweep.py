@@ -52,6 +52,7 @@ from ..analysis.artifacts import (
     result_from_store,
     results_from_store,
     run_spec,
+    spec_networks,
     stats_summary,
 )
 from ..analysis.engine import EngineRunStats
@@ -108,12 +109,21 @@ def read_spec(path: Path, load: Callable[[Path], Any] = load_spec) -> Any:
 
 
 def resolve_spec(args: argparse.Namespace) -> SweepSpec:
-    """Load the spec and apply the shared ``--smoke`` / ``--tries`` transforms."""
+    """Load the spec and apply the shared ``--smoke`` / ``--tries`` transforms.
+
+    Every topology is built once here, so a value its builder rejects
+    (``fat_tree(k=3)``) exits with one line naming the point, like any
+    other invalid spec, before the engine starts.
+    """
     spec = read_spec(args.spec)
     if args.smoke:
         spec = spec.smoke()
     if args.tries is not None:
         spec = replace(spec, tries=args.tries)
+    try:
+        spec_networks(spec)
+    except ValueError as error:
+        raise SystemExit(f"repro: invalid sweep spec {args.spec}: {error}")
     return spec
 
 

@@ -26,7 +26,11 @@ API is a thin wrapper over the bulk one.  The buffers are append-only: a model
 is built once, in full, and :meth:`LinearProgram.columnwise` is a cached single
 pass over them into the column-wise matrix and row bounds that
 :func:`~repro.lp.solve` hands to HiGHS (:meth:`LinearProgram.matrices` is a row
-split of it), both invalidated whenever the model grows.
+split of it), both invalidated whenever the model grows.  The column-wise
+arrays are built in numpy, by a 16-bit radix sort, and equal the ones
+:class:`scipy.sparse.csc_matrix` would build; only
+:meth:`LinearProgram.matrices` imports :mod:`scipy.sparse`, so a process that
+just solves LPs never loads it (DESIGN.md §2).
 
 Only what the paper's LPs need is implemented: continuous variables with
 bounds, linear ``<=`` / ``>=`` / ``==`` constraints, and a minimization
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Hashable,
     Iterable,
@@ -51,7 +56,9 @@ from typing import (
 )
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:  # matrices() imports it when called
+    from scipy import sparse
 
 __all__ = [
     "LinearProgram",
@@ -481,23 +488,22 @@ class LinearProgram:
         # ">=" rows are negated into "<=" form.
         sign = np.where(senses == _SENSE_GE, -1.0, 1.0)
 
-        matrix = sparse.csc_matrix(
-            (
-                self._entry_vals.view() * sign[rows],
-                (position[rows], self._entry_cols.view()),
-            ),
-            shape=(m, self.num_variables),
+        start, index, value = _csc_arrays(
+            position[rows],
+            self._entry_cols.view(),
+            self._entry_vals.view() * sign[rows],
+            self.num_variables,
         )
         row_upper = np.empty(m)
         row_upper[position] = self._row_rhs.view() * sign
         row_lower = np.full(m, -np.inf)
         row_lower[num_ub:] = row_upper[num_ub:]
-        for array in (matrix.indptr, matrix.indices, matrix.data, row_lower, row_upper):
+        for array in (start, index, value, row_lower, row_upper):
             array.flags.writeable = False
         self._columnwise_cache = ColumnwiseLP(
-            start=matrix.indptr,
-            index=matrix.indices,
-            value=matrix.data,
+            start=start,
+            index=index,
+            value=value,
             row_lower=row_lower,
             row_upper=row_upper,
             num_ub=num_ub,
@@ -518,11 +524,14 @@ class LinearProgram:
         into ``<=`` form, and empty groups are returned as ``None`` (the
         convention :func:`scipy.optimize.linprog` expects).  The direct
         HiGHS path reads :meth:`columnwise`; this export serves the
-        ``linprog`` fallback, diagnostics and tests.  Cached like
-        :meth:`columnwise`.
+        ``linprog`` fallback, diagnostics and tests, and is the only
+        caller of :mod:`scipy.sparse`, which it imports when first called.
+        Cached like :meth:`columnwise`.
         """
         if self._matrices_cache is not None:
             return self._matrices_cache
+
+        from scipy import sparse
 
         form = self.columnwise()
         m, k = form.row_upper.shape[0], form.num_ub
@@ -547,6 +556,52 @@ class LinearProgram:
             f"LinearProgram(name={self.name!r}, variables={self.num_variables}, "
             f"constraints={self.num_constraints})"
         )
+
+
+def _radix_order(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """The stable order that sorts entries by ``keys``, the last key most
+    significant (:func:`numpy.lexsort`'s convention); keys are non-negative
+    integers.
+
+    An LSD radix sort with 16-bit digits: numpy sorts ``uint16`` keys
+    stably by counting, in linear time, so one ``argsort`` per digit,
+    least significant first, takes about a quarter of the time of
+    :func:`numpy.lexsort` on the LPs here.
+    """
+    order = np.arange(keys[0].shape[0])
+    for key in keys:
+        top = int(key.max()) if key.shape[0] else 0
+        for shift in range(0, max(top.bit_length(), 1), 16):
+            digit = (key[order] >> shift).astype(np.uint16)  # the low 16 bits
+            order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
+def _csc_arrays(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, num_cols: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, index, value)`` of the column-wise matrix of COO entries.
+
+    The arrays ``scipy.sparse.csc_matrix((vals, (rows, cols)))`` holds, in
+    values and dtypes: entries in column order, rows ascending within a
+    column, ``int32`` positions.  A duplicate ``(row, col)`` cell is summed
+    left to right in entry order, as scipy's ``csr_sum_duplicates`` does.
+    """
+    order = _radix_order([rows, cols])
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    new_cell = np.ones(rows.shape[0], dtype=bool)
+    new_cell[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    first = np.flatnonzero(new_cell)
+    if first.shape[0] < rows.shape[0]:
+        count = np.diff(first, append=rows.shape[0])
+        summed = vals[first]
+        for depth in range(1, int(count.max())):
+            more = np.flatnonzero(count > depth)
+            summed[more] += vals[first[more] + depth]
+        rows, cols, vals = rows[first], cols[first], summed
+    start = np.zeros(num_cols + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=num_cols), out=start[1:])
+    return start, rows.astype(np.int32), vals
 
 
 def _sense_code(sense: str) -> int:

@@ -8,10 +8,19 @@ the model's one cached column-wise form (:meth:`LinearProgram.columnwise`)
 through the array overload of ``passModel``, with the options, input
 checks, post-solve check and status codes of
 :func:`scipy.optimize.linprog`, so both give the same solution vector.
-The binding is private to scipy: on a scipy without it, :func:`solve` falls
-back to :func:`scipy.optimize.linprog` on :meth:`LinearProgram.matrices`.
-The path is selected once, at import, from what the installed scipy
-provides; :func:`solver_description` names it.
+
+The binding is one compiled extension inside :mod:`scipy.optimize`.  It is
+loaded from its file, under its own dotted name, without running
+:mod:`scipy.optimize`'s package ``__init__``, which would load most of
+scipy (about 0.4 s).  A later ``import scipy.optimize`` in the same process
+gets the same extension from CPython's extension cache.  The binding is
+private to scipy: where its file is missing or does not load, :func:`solve`
+falls back to :func:`scipy.optimize.linprog` on
+:meth:`LinearProgram.matrices`, imported here at once so the first solve
+does not pay for it.  With the binding loaded, ``linprog`` is still an
+attribute of this module, resolved on first access.  The path is selected
+once, at import, from what the installed scipy provides;
+:func:`solver_description` names it.
 
 :class:`LPSolution` holds the raw solution vector plus the model's key→index
 map; values stay addressable by the variable keys the modelling layer uses,
@@ -22,15 +31,15 @@ instead of hashing one tuple key per variable.
 
 from __future__ import annotations
 
+import os
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from types import ModuleType
 from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-
-try:  # scipy-private, so guarded; linprog is the fallback
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # pragma: no cover - depends on the installed scipy
-    _highs = None
+import scipy
 
 from ..faults import maybe_inject
 from .model import ColumnwiseLP, LinearProgram
@@ -42,6 +51,51 @@ __all__ = [
     "solver_description",
     "DEFAULT_TIME_LIMIT",
 ]
+
+
+def _load_highs(folders: Sequence[str]) -> Optional[ModuleType]:
+    """scipy's HiGHS extension, loaded from its file in ``folders``, or
+    ``None`` where no folder holds one that loads.
+
+    The module keeps its dotted name, so CPython's extension cache hands
+    the same module to a later ``import scipy.optimize``: one pybind11
+    registration, one ``_Highs`` type.  It is not entered in
+    :data:`sys.modules`, whose entry would have no parent packages.
+    """
+    spec = PathFinder.find_spec("scipy.optimize._highspy._core", list(folders))
+    if spec is None:
+        return None
+    try:
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:  # pragma: no cover - a binding built for another ABI
+        return None
+    return module
+
+
+_highs = _load_highs(
+    [os.path.join(root, "optimize", "_highspy") for root in scipy.__path__]
+)
+if _highs is None:
+    # The fallback path: load linprog with the module, so set-up pays for
+    # scipy.optimize and the first solve does not.
+    from scipy.optimize import linprog
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve ``linprog`` on first access (PEP 562).
+
+    With the binding loaded, :mod:`scipy.optimize` is imported only by
+    something that asks for ``linprog``: the fallback when a test hides the
+    binding, or a test that patches it.
+    """
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+
+    globals()["linprog"] = linprog
+    return linprog
+
 
 #: Process-wide default wall-clock budget (seconds) handed to HiGHS when
 #: :func:`solve` is called without an explicit ``time_limit``.  ``None``
@@ -420,6 +474,8 @@ def _solve_linprog(
     options: Dict[str, Any] = {"presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
+    # A module attribute read: __getattr__ loads it, or a test patched it.
+    linprog = sys.modules[__name__].linprog
     result = linprog(
         c=objective,
         A_ub=a_ub,

@@ -18,6 +18,7 @@ from repro.analysis.artifacts import (
     run_spec,
     scheme_from_spec,
     spec_from_dict,
+    spec_networks,
     stats_summary,
 )
 
@@ -235,6 +236,25 @@ class TestRunSpec:
         for a, b in zip(run.result.points, rebuilt.points):
             assert a.label == b.label
             assert a.values == b.values
+
+    def test_a_topology_the_builder_rejects_stops_the_run_before_any_engine(self):
+        """The second point's ``fat_tree(k=3)`` parses but cannot be built:
+        :func:`run_spec` builds every topology first, so it raises naming
+        the point before the first point's engine runs a task."""
+        data = tiny_spec_dict()
+        data["points"][1]["config"]["topology"] = "fat_tree(k=3)"
+        spec = spec_from_dict(data)
+        store = RunStore()
+        with pytest.raises(ValueError) as excinfo:
+            run_spec(spec, store, workers=0)
+        assert str(excinfo.value) == (
+            "point 'leaf-spine' of spec 'tiny': "
+            "fat-tree arity k must be an even integer >= 2, got 3"
+        )
+        assert len(store) == 0
+        assert spec_networks(spec_from_dict(tiny_spec_dict())).keys() == {
+            point["config"]["topology"] for point in tiny_spec_dict()["points"]
+        }
 
     def test_result_from_partial_store_counts_missing(self, executed):
         spec, store, _ = executed

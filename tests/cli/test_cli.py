@@ -489,6 +489,38 @@ class TestSpecFiles:
         assert "\n" not in message
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize("where", ["base", "second point"])
+    def test_topology_the_builder_rejects_exits_with_a_named_reason(
+        self, command, where, tmp_path
+    ):
+        """``fat_tree(k=3)`` parses, but the builder rejects it: the same one
+        line as any invalid spec, naming the point, before the engine
+        starts, so no point runs, not even one with a good topology."""
+        document = json.loads(tiny_spec_path(tmp_path).read_text())
+        del document["sweep"]
+        good = {"coflow_width": 2, "topology": "fat_tree(k=4)"}
+        bad = {"coflow_width": 3, "topology": "fat_tree(k=3)"}
+        if where == "base":
+            document["base"]["topology"] = "fat_tree(k=3)"
+            document["points"] = [{"label": "2f", "config": {"coflow_width": 2}}]
+        else:
+            document["points"] = [
+                {"label": "2f", "config": good},
+                {"label": "3f", "config": bad},
+            ]
+        spec = tmp_path / "k3.json"
+        spec.write_text(json.dumps(document))
+        out = tmp_path / "artifacts"
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(spec), "--out", str(out)])
+        label = "2f" if where == "base" else "3f"
+        assert excinfo.value.code == (
+            f"repro: invalid sweep spec {spec}: point {label!r} of spec 'tiny': "
+            "fat-tree arity k must be an even integer >= 2, got 3"
+        )
+        assert not out.exists()
+
     @needs_yaml
     @pytest.mark.parametrize("command", ["sweep", "report", "bench"])
     def test_malformed_yaml_spec_exits_with_one_line(

@@ -1,13 +1,16 @@
-"""What a process imports: a run with no LP scheme never loads the LP stack.
+"""What a process imports: a run with no LP scheme never loads the LP stack,
+and a run with one loads scipy's HiGHS extension and nothing else of the
+LP side of scipy.
 
 Every case runs in a fresh interpreter, because a module an earlier test
-imported would hide a load.  The heuristic cases install a ``sys.meta_path``
-finder that refuses ``scipy.optimize`` and ``scipy.sparse`` (what
-:mod:`repro.lp` loads from scipy) and records every attempt, so a load
-anywhere on the path fails the case even where something catches the
-``ImportError``.  The LP cases check the other side of the boundary:
-building a scheme that solves an LP loads the stack then, before any plan
-(DESIGN.md §8, "What a process imports").
+imported would hide a load.  Most cases install a ``sys.meta_path`` finder
+that refuses ``scipy.optimize`` and ``scipy.sparse`` and records every
+attempt, so a load anywhere on the path fails the case even where something
+catches the ``ImportError``.  A heuristic run loads nothing from
+:mod:`repro.lp`; an LP run loads :mod:`repro.lp` when its scheme is built,
+before any plan, and :mod:`repro.lp.solver` loads the HiGHS extension from
+its file without importing either package (DESIGN.md §1 and §8, "What a
+process imports").
 """
 
 import os
@@ -17,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.lp import solver
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 
-#: Run first in every heuristic case: refuse the LP stack's scipy modules.
+#: Run first in every refusing case: refuse the LP stack's scipy modules.
 REFUSE_LP_STACK = """
 import sys
 
@@ -64,6 +69,37 @@ paths = analysis.export_artifacts(
 )
 assert "HiGHS" in paths["run"].read_text()
 """
+
+
+#: Run last in every LP case under the refusing finder: nothing refused,
+#: the solver loaded on the direct binding, neither scipy package loaded.
+DIRECT_BINDING_ONLY = """
+from repro.lp import solver
+
+absent = {"scipy.optimize", "scipy.sparse"} & set(sys.modules)
+assert not refused and not absent, (refused, absent)
+assert solver._highs is not None
+"""
+
+TINY_LP_SWEEP = TINY_SWEEP.replace('["SEBF", "Baseline"]', '["LP-Based", "Baseline"]')
+
+#: A small LP whose solve takes a few simplex iterations.
+SMALL_LP = """
+from repro.lp import LinearProgram, solve
+
+lp = LinearProgram("small")
+lp.add_variables(["a", "b", "c"], upper=4.0, objective=[1.0, 2.0, 3.0])
+lp.add_constraint({"a": 1.0, "b": 1.0}, ">=", 2.0)
+lp.add_constraint({"b": 1.0, "c": 2.0}, ">=", 3.0)
+lp.add_constraint({"a": 1.0, "c": -1.0}, "<=", 1.0)
+lp.add_constraint({"a": 1.0, "b": 1.0, "c": 1.0}, "==", 3.5)
+"""
+
+#: The binding-dependent cases skip where this scipy has none (the
+#: ``linprog`` fallback is the only solve path there).
+needs_binding = pytest.mark.skipif(
+    solver._highs is None, reason="this scipy has no loadable _highspy binding"
+)
 
 
 def run_python(code: str, cwd: Path) -> str:
@@ -114,6 +150,7 @@ def test_building_a_scheme_without_an_lp_stage_loads_no_lp(tmp_path):
     )
 
 
+@needs_binding
 @pytest.mark.parametrize(
     "build",
     [
@@ -127,14 +164,83 @@ def test_building_a_scheme_without_an_lp_stage_loads_no_lp(tmp_path):
 )
 def test_building_an_lp_scheme_loads_the_lp_stack(build, tmp_path):
     """The LP stack loads when the scheme is built (set-up), so neither a
-    sweep's timed work nor a streaming session's first re-plan pays it."""
+    sweep's timed work nor a streaming session's first re-plan pays it.
+    It loads the HiGHS extension alone: neither ``scipy.optimize`` nor
+    ``scipy.sparse``."""
     run_python(
         "import sys\n"
         "from repro.analysis import spec_from_dict\n"
         "from repro.baselines import scheme_from_spec\n"
         "assert 'repro.lp.solver' not in sys.modules\n"
         f"{build}\n"
-        "assert {'repro.lp.solver', 'scipy.optimize'} <= set(sys.modules)\n",
+        "solver = sys.modules['repro.lp.solver']\n"
+        "assert solver._highs is not None\n"
+        "absent = {'scipy.optimize', 'scipy.sparse'} & set(sys.modules)\n"
+        "assert not absent, absent\n",
+        tmp_path,
+    )
+
+
+@needs_binding
+@pytest.mark.parametrize(
+    "code",
+    [
+        TINY_LP_SWEEP,
+        cli_run("pipeline(router=balanced, order=lp)"),
+        "import repro.lp\n"
+        "from repro.analysis import provenance\n"
+        "assert repro.lp.solver.solver_description() in provenance()['solver']\n",
+    ],
+    ids=["sweep-and-export", "run-balanced-router-lp-order", "provenance"],
+)
+def test_lp_paths_load_neither_scipy_package(code, tmp_path):
+    """An ``LP-Based`` sweep with its artifacts, a ``repro run`` that solves
+    the Section-2.1 LP, and the provenance record all run on the binding
+    alone: the refusing finder records no attempt."""
+    run_python(REFUSE_LP_STACK + code + DIRECT_BINDING_ONLY, tmp_path)
+
+
+@needs_binding
+def test_scipy_optimize_still_imports_after_a_solve(tmp_path):
+    """A later ``import scipy.optimize`` gets the extension the solver
+    loaded, from CPython's extension cache: one ``_Highs`` type, and
+    ``linprog`` still solves."""
+    run_python(
+        "import sys\n"
+        + SMALL_LP
+        + "from repro.lp import solver\n"
+        "before = solve(lp).x\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        "import scipy.optimize\n"
+        "assert scipy.optimize._highspy._core._Highs is solver._highs._Highs\n"
+        "result = scipy.optimize.linprog(\n"
+        "    [1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method='highs'\n"
+        ")\n"
+        "assert result.status == 0 and result.x.tolist() == [1.0, 0.0], result\n"
+        "assert solve(lp).x.tolist() == before.tolist()\n",
+        tmp_path,
+    )
+
+
+@needs_binding
+def test_a_hidden_binding_falls_back_to_linprog(tmp_path):
+    """With no binding in the folder searched, the solver takes the
+    ``linprog`` path, which imports ``scipy.optimize`` on first use, and
+    returns the direct path's solution."""
+    empty = tmp_path / "no-binding"
+    empty.mkdir()
+    run_python(
+        "import sys\n"
+        + SMALL_LP
+        + "from repro.lp import solver\n"
+        "direct = solve(lp)\n"
+        f"solver._highs = solver._load_highs([{str(empty)!r}])\n"
+        "assert solver._highs is None and 'scipy.optimize' not in sys.modules\n"
+        "fallback = solve(lp)\n"
+        "assert 'scipy.optimize' in sys.modules and 'linprog' in vars(solver)\n"
+        "assert fallback.x.tolist() == direct.x.tolist()\n"
+        "assert fallback.objective == direct.objective\n"
+        "assert fallback.iterations == direct.iterations\n",
         tmp_path,
     )
 
@@ -159,7 +265,5 @@ def test_lazy_namespaces_resolve_every_public_name(tmp_path):
 
 
 def test_version_loads_the_solver_and_names_its_highs_version(tmp_path):
-    from repro.lp.solver import solver_description
-
     out = run_python("from repro.cli import main\nmain(['--version'])\n", tmp_path)
-    assert f"solver: {solver_description()} (paper: IBM CPLEX)" in out.splitlines()
+    assert f"solver: {solver.solver_description()} (paper: IBM CPLEX)" in out.splitlines()
