@@ -26,10 +26,12 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "scipy"],
     extras_require={
         "yaml": ["pyyaml"],
-        "tests": ["pytest", "pytest-benchmark", "pyyaml"],
+        # networkx is the tests' oracle for the graph algorithms that
+        # repro.core.network and its callers port; the package never imports it.
+        "tests": ["pytest", "pytest-benchmark", "pyyaml", "networkx"],
     },
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

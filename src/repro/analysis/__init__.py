@@ -5,7 +5,14 @@ paper's figures: :class:`ExperimentEngine` executes the (point x try x
 scheme) task grid — serially or over a process pool, cached in a resumable
 :class:`RunStore` — :class:`SweepResult` aggregates the metrics, and the
 report helpers render the paper-style tables.
+
+The sweep fabric (:mod:`repro.analysis.fabric`: sharded run stores, shard
+workers and the merge) loads on first access to one of its names, through
+a PEP 562 module ``__getattr__``, so a process that runs a sweep in one
+process never imports it (DESIGN.md §8, "What a process imports").
 """
+
+from importlib import import_module
 
 from .artifacts import (
     DEFAULT_SCHEMES,
@@ -22,15 +29,6 @@ from .artifacts import (
     stats_summary,
 )
 from .engine import EngineRunStats, ExperimentEngine, ExperimentTask
-from .fabric import (
-    MergeStats,
-    ShardedRunStore,
-    Worker,
-    WorkerStats,
-    expand_sources,
-    merge_stores,
-    write_merged,
-)
 from .report import (
     csv_report,
     failure_rows,
@@ -44,6 +42,17 @@ from .report import (
 )
 from .runstore import RunStore, run_key
 from .sweep import SweepPoint, SweepResult
+
+#: The fabric's public names, resolved on first access by ``__getattr__``.
+_FABRIC = (
+    "ShardedRunStore",
+    "Worker",
+    "WorkerStats",
+    "MergeStats",
+    "expand_sources",
+    "merge_stores",
+    "write_merged",
+)
 
 __all__ = [
     "ExperimentEngine",
@@ -74,11 +83,19 @@ __all__ = [
     "stats_summary",
     "provenance",
     "export_artifacts",
-    "ShardedRunStore",
-    "Worker",
-    "WorkerStats",
-    "MergeStats",
-    "expand_sources",
-    "merge_stores",
-    "write_merged",
+    *_FABRIC,
 ]
+
+
+def __getattr__(name):
+    if name == "fabric":
+        return import_module(f"{__name__}.fabric")
+    if name not in _FABRIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.fabric"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "fabric"})

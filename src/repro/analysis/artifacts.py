@@ -67,10 +67,11 @@ from .report import REPORT_FORMATS, render_report
 from .runstore import RunStore, run_key
 from .sweep import SweepPoint, SweepResult
 
-try:  # PyYAML is optional: JSON specs always work, YAML when it is present.
-    import yaml as _yaml
-except ImportError:  # pragma: no cover - exercised only on yaml-less installs
-    _yaml = None
+_NOT_LOADED = object()
+#: PyYAML, imported at the first YAML document (:func:`load_document`);
+#: ``None`` where it is not installed.  It is optional: JSON specs always
+#: work, YAML when it is present.
+_yaml: Any = _NOT_LOADED
 
 __all__ = [
     "SCHEME_ALIASES",
@@ -403,9 +404,15 @@ def load_document(path: Union[str, Path]) -> Dict[str, Any]:
     parser's message).  The CLI turns each into a one-line exit
     (``repro.cli.sweep.read_spec``, ``repro.cli.run.build_config``).
     """
+    global _yaml
     path = Path(path)
     text = path.read_text()
     if path.suffix in (".yaml", ".yml"):
+        if _yaml is _NOT_LOADED:
+            try:
+                import yaml as _yaml
+            except ImportError:  # pragma: no cover - yaml-less installs only
+                _yaml = None
         if _yaml is None:
             raise RuntimeError(
                 "PyYAML is not installed (use a .json document instead)"
@@ -658,9 +665,9 @@ def provenance() -> Dict[str, Any]:
     deviations from the paper (DESIGN.md sections) — so a result file is
     interpretable long after the run.  A process that built no LP scheme
     has not loaded :mod:`repro.lp.solver`; its record names HiGHS without
-    loading the solver for it (DESIGN.md §8).
+    loading the solver for it, and it imports nothing the run has not
+    (DESIGN.md §8).
     """
-    import networkx
     import numpy
     import scipy
 
@@ -681,7 +688,6 @@ def provenance() -> Dict[str, Any]:
         "platform": platform.platform(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
-        "networkx": networkx.__version__,
         "solver": f"{solve_path} (paper: IBM CPLEX)",
         "deviations": [
             "LP solver: open-source HiGHS replaces IBM CPLEX (DESIGN.md §1)",
@@ -708,8 +714,7 @@ def provenance_lines() -> List[str]:
     info = provenance()
     lines = [
         f"repro {info['version']} — {info['paper']}",
-        f"python {info['python']}, numpy {info['numpy']}, "
-        f"scipy {info['scipy']}, networkx {info['networkx']}",
+        f"python {info['python']}, numpy {info['numpy']}, scipy {info['scipy']}",
         f"solver: {info['solver']}",
         f"simulator kernel: {KERNEL_CORE.describe()}",
         f"path core (Yen's): {PATH_CORE.describe()}",

@@ -47,8 +47,6 @@ simulator kernel and the store appends.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -526,7 +524,13 @@ class ExperimentEngine:
         the tasks without a stored record, bumping their attempt counters so
         first-attempt-only injected faults cannot wedge the sweep.  Past the
         restart budget it degrades to serial execution for the remainder.
+        The pool's modules (``concurrent.futures.process`` and with it
+        :mod:`multiprocessing`) load here, so a serial run never imports
+        them.
         """
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         attempts: Dict[str, int] = {task.key: 0 for task in pending}
         first_submit: Dict[str, float] = {}
         unfinished: Dict[str, ExperimentTask] = {task.key: task for task in pending}

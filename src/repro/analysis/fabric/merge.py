@@ -148,16 +148,21 @@ def write_merged(
     Keys are emitted in sorted order (the map is content-addressed, so any
     order is valid — sorting makes equal fleets produce byte-identical
     files).  Written to a temp sibling and atomically renamed, so a merge
-    can never leave a half-written store behind.
+    can never leave a half-written store behind; the temp file goes when
+    the write or the rename fails.
     """
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = out.with_name(out.name + ".tmp")
-    with tmp.open("w") as handle:
-        for key in sorted(records):
-            handle.write(
-                json.dumps({"key": key, "record": records[key]}, default=repr)
-                + "\n"
-            )
-    tmp.replace(out)
+    try:
+        with tmp.open("w") as handle:
+            for key in sorted(records):
+                handle.write(
+                    json.dumps({"key": key, "record": records[key]}, default=repr)
+                    + "\n"
+                )
+        tmp.replace(out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return out

@@ -55,6 +55,10 @@ class PipelineScheme(Scheme):
         name: Optional[str] = None,
     ) -> None:
         resolve_allocator(alloc)  # fail fast on unknown allocator names
+        if online:
+            # Loaded when the scheme is built, as the LP stages load the LP
+            # stack, so no task imports it for the first time.
+            from ..sim import streaming  # noqa: F401
         self.router = router
         self.orderer = orderer
         self.alloc = alloc

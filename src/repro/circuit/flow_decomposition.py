@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = ["PathFlow", "FlowDecomposition", "decompose_flow", "flow_value"]
 
@@ -133,6 +133,76 @@ def _widest_path(
     return path
 
 
+def _find_cycle(flow: Mapping[Edge, float]) -> Optional[List[Edge]]:
+    """A cycle of the positive-flow support, or ``None`` if it has none.
+
+    A port of ``networkx.find_cycle(support, orientation="original")`` on
+    the support as a ``DiGraph`` built edge by edge in ``flow``'s order:
+    an edge depth-first search from each node in insertion order, which
+    returns the first cycle that search closes.  Which cycle that is
+    decides what :func:`_cancel_cycles` cancels first.
+    """
+    succ: Dict[Node, List[Node]] = {}
+    for (u, v), value in flow.items():
+        if value > FLOW_TOLERANCE:
+            succ.setdefault(u, []).append(v)
+            succ.setdefault(v, [])
+    explored: Set[Node] = set()
+    for start in succ:
+        if start in explored:
+            continue
+        edges: List[Edge] = []
+        seen = {start}
+        active = {start}
+        previous_head = None
+        for tail, head in _edge_dfs(succ, start):
+            if head in explored:
+                continue
+            if previous_head is not None and tail != previous_head:
+                # Backtracked: pop the path back to the edge ending at tail.
+                while True:
+                    try:
+                        popped = edges.pop()
+                    except IndexError:
+                        edges = []
+                        active = {tail}
+                        break
+                    active.remove(popped[1])
+                    if edges and tail == edges[-1][1]:
+                        break
+            edges.append((tail, head))
+            if head in active:
+                for i, (u, _) in enumerate(edges):
+                    if u == head:
+                        return edges[i:]
+            seen.add(head)
+            active.add(head)
+            previous_head = head
+        explored.update(seen)
+    return None
+
+
+def _edge_dfs(succ: Mapping[Node, Sequence[Node]], start: Node) -> Iterator[Edge]:
+    """networkx's ``edge_dfs`` from ``start`` over a digraph's successor
+    lists: every edge reachable from ``start``, depth first, each once."""
+    pending: Dict[Node, Iterator[Node]] = {}
+    stack = [start]
+    while stack:
+        node = stack[-1]
+        if node not in pending:
+            pending[node] = iter(succ[node])
+        head = next(pending[node], _DONE)
+        if head is _DONE:
+            stack.pop()
+        else:
+            stack.append(head)
+            yield node, head
+
+
+#: End of a node's successors in :func:`_edge_dfs` (nodes may be ``None``).
+_DONE = object()
+
+
 def _cancel_cycles(flow: Dict[Edge, float]) -> None:
     """Remove flow circulating on cycles (it never reaches the sink).
 
@@ -140,18 +210,10 @@ def _cancel_cycles(flow: Dict[Edge, float]) -> None:
     bottleneck value.  LP optima for completion-time objectives rarely contain
     cycles, but randomized tests do construct them.
     """
-    import networkx as nx
-
     while True:
-        support = nx.DiGraph()
-        for (u, v), value in flow.items():
-            if value > FLOW_TOLERANCE:
-                support.add_edge(u, v)
-        try:
-            cycle_edges = nx.find_cycle(support, orientation="original")
-        except nx.NetworkXNoCycle:
+        edges = _find_cycle(flow)
+        if edges is None:
             return
-        edges = [(u, v) for u, v, _ in cycle_edges]
         bottleneck = min(flow[e] for e in edges)
         for e in edges:
             flow[e] -= bottleneck

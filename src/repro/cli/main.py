@@ -9,6 +9,7 @@ dispatches.
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 from typing import Callable, List, Optional
 
 from ..analysis.artifacts import provenance_lines
@@ -36,6 +37,18 @@ def bounded(
 
     parse.__name__ = convert.__name__
     return parse
+
+
+def cannot_write(command: str, path: Path, error: OSError) -> SystemExit:
+    """The one-line exit of ``repro <command>`` for an output ``path`` it
+    cannot write: ``error``'s reason, with the path the system refused when
+    that is not ``path`` itself (a parent directory that is a file, say).
+    Raise it ``from None``; it exits with status 1."""
+    reason = error.strerror or str(error)
+    refused = [Path(name) for name in (error.filename, error.filename2) if name]
+    if refused and Path(path) not in refused:
+        reason = f"{reason} ({refused[0]})"
+    return SystemExit(f"repro {command}: cannot write {path}: {reason}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from ..analysis.fabric import merge_stores, write_merged
+from .main import cannot_write
 
 
 def configure(subparsers: argparse._SubParsersAction) -> None:
@@ -48,6 +48,8 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
 
 def execute(args: argparse.Namespace) -> int:
     """Merge the stores; exit 1 when an input is missing or empty."""
+    from ..analysis.fabric import merge_stores, write_merged
+
     try:
         records, stats = merge_stores(args.stores)
     except FileNotFoundError as error:
@@ -60,7 +62,10 @@ def execute(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    out = write_merged(records, args.output)
+    try:
+        out = write_merged(records, args.output)
+    except OSError as error:
+        raise cannot_write("merge", args.output, error) from None
     print(stats.summary())
     print(f"  merged   -> {out}")
     return 0

@@ -29,9 +29,9 @@ from typing import Optional
 
 from ..analysis.artifacts import export_artifacts, results_from_store
 from ..analysis.engine import EngineRunStats
-from ..analysis.fabric import ShardedRunStore
 from ..analysis.report import REPORT_FORMATS, render_report
 from ..analysis.runstore import RunStore
+from .main import cannot_write
 from .sweep import (
     add_spec_arguments,
     resolve_shard_root,
@@ -83,6 +83,14 @@ def _recorded_stats(args: argparse.Namespace, spec) -> Optional[EngineRunStats]:
     return EngineRunStats(**{k: v for k, v in recorded.items() if k in known})
 
 
+def _sharded_store(root: Path) -> RunStore:
+    """The sharded store under ``root``; the sweep fabric loads here, so
+    rendering a single-file store never imports it."""
+    from ..analysis.fabric import ShardedRunStore
+
+    return ShardedRunStore(root)
+
+
 def _open_store(args: argparse.Namespace, spec) -> Optional[RunStore]:
     """Open the spec's store: single-file, sharded directory, or neither.
 
@@ -93,12 +101,12 @@ def _open_store(args: argparse.Namespace, spec) -> Optional[RunStore]:
     """
     store_path = resolve_store_path(args, spec)
     if store_path.is_dir():
-        return ShardedRunStore(store_path)
+        return _sharded_store(store_path)
     if store_path.exists():
         return RunStore(store_path)
     shard_root = resolve_shard_root(args, spec)
     if args.store is None and shard_root.is_dir():
-        return ShardedRunStore(shard_root)
+        return _sharded_store(shard_root)
     print(f"repro report: no run store at {store_path}", file=sys.stderr)
     print("run `repro sweep` first, or pass --store", file=sys.stderr)
     return None
@@ -155,15 +163,18 @@ def execute(args: argparse.Namespace) -> int:
         )
     )
     if args.export:
-        paths = export_artifacts(
-            args.out,
-            spec,
-            result,
-            stats=_recorded_stats(args, spec),
-            fingerprints=fingerprints,
-            store=store,
-            extras=extras,
-        )
+        try:
+            paths = export_artifacts(
+                args.out,
+                spec,
+                result,
+                stats=_recorded_stats(args, spec),
+                fingerprints=fingerprints,
+                store=store,
+                extras=extras,
+            )
+        except OSError as error:
+            raise cannot_write("report", args.out, error) from None
         for kind in ("run", "text", "markdown", "csv"):
             print(f"  {kind:<8} -> {paths[kind]}", file=sys.stderr)
     return 0

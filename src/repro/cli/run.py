@@ -34,6 +34,7 @@ from ..workloads.generator import (
     WorkloadConfig,
 )
 from ..workloads.serialization import config_to_dict
+from .main import cannot_write
 
 #: CLI flag name (dest) -> WorkloadConfig field it overrides.
 _CONFIG_FLAGS = (
@@ -199,8 +200,11 @@ def execute(args: argparse.Namespace) -> int:
     }
     rendered = json.dumps(document, indent=2, sort_keys=True)
     if args.output is not None:
-        args.output.parent.mkdir(parents=True, exist_ok=True)
-        args.output.write_text(rendered + "\n")
+        try:
+            args.output.parent.mkdir(parents=True, exist_ok=True)
+            args.output.write_text(rendered + "\n")
+        except OSError as error:
+            raise cannot_write("run", args.output, error) from None
         print(f"wrote {args.output}")
     else:
         print(rendered)

@@ -56,12 +56,10 @@ from ..analysis.artifacts import (
     stats_summary,
 )
 from ..analysis.engine import EngineRunStats
-from ..analysis.fabric import ShardedRunStore, Worker
-from ..analysis.fabric.store import shard_filename
 from ..analysis.report import render_report
 from ..analysis.runstore import RunStore
 from ..faults import FaultConfig
-from .main import bounded
+from .main import bounded, cannot_write
 
 #: Exit status when the sweep completed but coverage fell below
 #: ``--min-coverage`` (distinct from argparse's 2 and generic failure's 1).
@@ -239,12 +237,18 @@ def execute(args: argparse.Namespace) -> int:
             raise SystemExit(f"repro sweep: invalid --inject-faults: {error}")
     if args.shards < 1:
         raise SystemExit("repro sweep: --shards must be at least 1")
+    # The store's and the artifacts' directories are made before any task
+    # runs, so an output that cannot be written ends the sweep at once.
     if args.shard_id is not None or args.shards > 1:
         root = resolve_shard_root(args, spec)
+        _make_directory(root, root)
         if args.shard_id is not None:
             return _execute_shard(args, spec, faults, root)
+        _make_directory(args.out, args.out / spec.name)
         return _execute_fleet(args, spec, root)
     store_path = resolve_store_path(args, spec)
+    _make_directory(store_path, store_path.parent)
+    _make_directory(args.out, args.out / spec.name)
     if args.fresh and store_path.exists():
         store_path.unlink()
     store = RunStore(store_path)
@@ -262,10 +266,13 @@ def execute(args: argparse.Namespace) -> int:
         retry_failed=args.retry_failed,
         lp_time_limit=args.lp_time_limit,
     )
-    paths = export_artifacts(
-        args.out, spec, run.result, run.stats, run.fingerprints, store,
-        extras=run.extras,
-    )
+    try:
+        paths = export_artifacts(
+            args.out, spec, run.result, run.stats, run.fingerprints, store,
+            extras=run.extras,
+        )
+    except OSError as error:
+        raise cannot_write("sweep", args.out, error) from None
 
     print(
         render_report(
@@ -300,6 +307,15 @@ def execute(args: argparse.Namespace) -> int:
     return 0
 
 
+def _make_directory(path: Path, directory: Path) -> None:
+    """Make ``directory``, where the sweep writes ``path``, or exit with
+    ``repro sweep: cannot write <path>: <reason>``."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise cannot_write("sweep", path, error) from None
+
+
 # ------------------------------------------------------------------- fabric
 
 def resolve_shard_root(args: argparse.Namespace, spec: SweepSpec) -> Path:
@@ -327,6 +343,9 @@ def _execute_shard(
     args: argparse.Namespace, spec: SweepSpec, faults, root: Path
 ) -> int:
     """Run as one shard worker of the fleet (``--shard-id K``)."""
+    from ..analysis.fabric import ShardedRunStore, Worker
+    from ..analysis.fabric.store import shard_filename
+
     if not 0 <= args.shard_id < args.shards:
         raise SystemExit(
             f"repro sweep: --shard-id {args.shard_id} out of range for "
@@ -431,6 +450,9 @@ def _fleet_environment() -> Dict[str, str]:
 
 def _execute_fleet(args: argparse.Namespace, spec: SweepSpec, root: Path) -> int:
     """Coordinate a ``--shards N`` fleet: spawn, wait, merge, report."""
+    from ..analysis.fabric import ShardedRunStore
+    from ..analysis.fabric.store import shard_filename
+
     started = time.perf_counter()
     if args.fresh and root.exists():
         shutil.rmtree(root)

@@ -2,14 +2,16 @@
 
 The paper models the datacenter fabric as a directed graph ``G = (V, E)``
 with an edge capacity ``c(e)`` for every edge (Section 1.1).  This module
-provides :class:`Network`, a thin, validated wrapper over
-:class:`networkx.DiGraph` with the operations every algorithm in the
-repository needs:
+provides :class:`Network`, a validated directed graph over plain
+insertion-ordered dicts (the adjacency order of :class:`networkx.DiGraph`,
+without networkx) with the operations every algorithm in the repository
+needs:
 
 * capacity lookups and aggregate statistics,
-* shortest paths and *candidate path* enumeration (Yen's algorithm, in a
-  compiled C core with a Python fallback, used by the column/path LP
-  formulation of Section 2.2 and by the heuristic routers),
+* hop-count searches: shortest paths, breadth-first distances and
+  *candidate path* enumeration (Yen's algorithm, in a compiled C core with a
+  Python fallback, used by the column/path LP formulation of Section 2.2
+  and by the heuristic routers),
 * bottleneck ("thickest path") queries used by the flow-decomposition routine
   of Section 4.2,
 * deterministic edge indexing so LP variables can be laid out in arrays.
@@ -28,17 +30,18 @@ import operator
 import threading
 from array import array
 from typing import (
+    Any,
     Container,
     Dict,
     Hashable,
+    Iterator,
     List,
+    Mapping,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
 )
-
-import networkx as nx
 
 from ..native import CompiledCore
 
@@ -110,24 +113,23 @@ class _PathMemo:
         state["native"] = None
         return state
 
-    def fill_ids(self, graph: nx.DiGraph, edge_index: Dict[Edge, int]) -> Dict[Node, int]:
-        """Number ``graph``'s nodes and lay out its adjacency, once."""
+    def fill_ids(
+        self,
+        succ: Mapping[Node, Mapping[Node, float]],
+        pred: Mapping[Node, Mapping[Node, float]],
+        edge_index: Dict[Edge, int],
+    ) -> Dict[Node, int]:
+        """Number the nodes of the graph with adjacency ``succ``/``pred``
+        (:class:`Network`'s dicts) and lay out that adjacency, once."""
         if self.ids is None:
-            self.labels = tuple(graph)
+            self.labels = tuple(succ)
             ids = {node: i for i, node in enumerate(self.labels)}
-            self.succ = tuple(
-                tuple(ids[w] for w in graph.successors(v)) for v in self.labels
-            )
-            self.pred = tuple(
-                tuple(ids[w] for w in graph.predecessors(v)) for v in self.labels
-            )
+            self.succ = tuple(tuple(ids[w] for w in succ[v]) for v in self.labels)
+            self.pred = tuple(tuple(ids[w] for w in pred[v]) for v in self.labels)
             self.csr = (
                 array("i", itertools.accumulate(map(len, self.succ), initial=0)),
                 array("i", itertools.chain.from_iterable(self.succ)),
-                array(
-                    "i",
-                    [edge_index[v, w] for v in self.labels for w in graph.successors(v)],
-                ),
+                array("i", [edge_index[v, w] for v in self.labels for w in succ[v]]),
                 array("i", itertools.accumulate(map(len, self.pred), initial=0)),
                 array("i", itertools.chain.from_iterable(self.pred)),
             )
@@ -141,6 +143,68 @@ class _PathMemo:
             graph = _CGraph(len(self.labels), *(a.buffer_info()[0] for a in self.csr))
             self.native = (graph, ctypes.addressof(graph))
         return self.native[1]
+
+
+def _bfs(
+    adjacency: Mapping[Node, Mapping[Node, float]], source: Node
+) -> Tuple[Dict[Node, List[Node]], Dict[Node, int]]:
+    """Breadth-first search from ``source`` along ``adjacency``.
+
+    A port of ``networkx.predecessor(G, source, return_seen=True)``: for
+    every node reached, its neighbours one level closer to ``source`` in
+    the order the search met them, and its hop distance.  ``adjacency`` is
+    a network's successor dicts, or its predecessor dicts for distances
+    *to* ``source``.
+    """
+    level = 0
+    next_level = [source]
+    seen = {source: level}
+    pred: Dict[Node, List[Node]] = {source: []}
+    while next_level:
+        level += 1
+        this_level, next_level = next_level, []
+        for v in this_level:
+            for w in adjacency[v]:
+                if w not in seen:
+                    pred[w] = [v]
+                    seen[w] = level
+                    next_level.append(w)
+                elif seen[w] == level:
+                    pred[w].append(v)
+    return pred, seen
+
+
+def _paths_from_predecessors(
+    source: Node, target: Node, pred: Dict[Node, List[Node]]
+) -> Iterator[List[Node]]:
+    """Every ``source -> target`` path through the BFS predecessor lists of
+    :func:`_bfs`, in the order of networkx's
+    ``_build_paths_from_predecessors`` (a depth-first walk back from
+    ``target``).  Raises ``ValueError`` when first advanced if ``target``
+    was not reached."""
+    if target not in pred:
+        raise ValueError(f"no path from {source!r} to {target!r} in the network")
+    seen = {target}
+    stack = [[target, 0]]
+    top = 0
+    while top >= 0:
+        node, i = stack[top]
+        if node == source:
+            yield [p for p, _ in reversed(stack[: top + 1])]
+        if len(pred[node]) > i:
+            stack[top][1] = i + 1
+            parent = pred[node][i]
+            if parent in seen:
+                continue
+            seen.add(parent)
+            top += 1
+            if top == len(stack):
+                stack.append([parent, 0])
+            else:
+                stack[top][:] = [parent, 0]
+        else:
+            seen.discard(node)
+            top -= 1
 
 
 def _spur_path(
@@ -761,41 +825,53 @@ def _compiled_port() -> Optional[_CompiledYen]:
 class Network:
     """A directed, capacitated network.
 
+    The graph lives in three plain dicts, in the orders
+    :class:`networkx.DiGraph` gives the same sequence of :meth:`add_node`
+    and :meth:`add_edge` calls: nodes in first-seen order (``add_node``, or
+    ``u`` then ``v`` in ``add_edge``), each node's successors and
+    predecessors in the order their edges were first added, and re-adding
+    an edge updates its capacity in place.  :meth:`edges` and
+    :meth:`capacities` walk the nodes, then each node's successors.  Yen's
+    tie-breaking, and with it every route, follows these orders (DESIGN.md
+    §5), and :meth:`copy` and :meth:`scaled_capacities` replay the edges in
+    insertion order so that a copy routes as the original does.
+
     A topology is fixed for a whole sweep or stream, so its path facts
     (edge index, capacity vector, the integer-id adjacency behind Yen's
     algorithm, candidate sets, widest-path bottlenecks) are memoized on
-    first use and dropped by :meth:`add_node` and :meth:`add_edge`.  Build
-    and edit the topology through those methods only: :attr:`graph` must
-    stay read-only, because mutating it directly bypasses the memo and
-    leaves stale paths behind.  Yen's algorithm runs in a compiled C core
-    (built once per machine with the system compiler, on the first query)
-    or, without a compiler, in the Python port it was lowered from; both
-    give networkx's paths in networkx's order.  A network pickles with its
-    memo, minus the C core's addresses, which each process rebuilds.
+    first use and dropped by :meth:`add_node` and :meth:`add_edge`; build
+    and edit the topology through those methods only.  Yen's algorithm
+    runs in a compiled C core (built once per machine with the system
+    compiler, on the first query) or, without a compiler, in the Python
+    port it was lowered from; both give networkx's paths in networkx's
+    order.  A network pickles with its memo, minus the C core's addresses,
+    which each process rebuilds.
 
     Parameters
     ----------
     graph:
-        Optional prebuilt :class:`networkx.DiGraph`.  Edge capacities are read
-        from the ``"capacity"`` edge attribute (missing attributes default to
-        ``default_capacity``).
+        Optional graph to copy: any object with ``.nodes`` and
+        ``.edges(data=True)``, such as a :class:`networkx.DiGraph`.  Nodes
+        are added in ``.nodes`` order, then edges in ``.edges`` order, with
+        capacities read from the ``"capacity"`` edge attribute (missing
+        attributes default to ``default_capacity``).
     default_capacity:
         Capacity assigned to edges added without an explicit capacity.
     """
 
-    def __init__(
-        self,
-        graph: Optional[nx.DiGraph] = None,
-        default_capacity: float = 1.0,
-    ) -> None:
+    def __init__(self, graph: Optional[Any] = None, default_capacity: float = 1.0) -> None:
         if default_capacity <= 0:
             raise ValueError("default capacity must be positive")
         self.default_capacity = float(default_capacity)
-        self._graph = nx.DiGraph()
+        #: ``_succ[u][v]`` and ``_pred[v][u]``: the capacity of ``u -> v``.
+        self._succ: Dict[Node, Dict[Node, float]] = {}
+        self._pred: Dict[Node, Dict[Node, float]] = {}
+        #: Every edge's capacity, in edge insertion order.
+        self._capacity: Dict[Edge, float] = {}
         self._memo: Optional[_PathMemo] = None
         if graph is not None:
             for node in graph.nodes:
-                self._graph.add_node(node)
+                self.add_node(node)
             for u, v, data in graph.edges(data=True):
                 cap = float(data.get("capacity", default_capacity))
                 self.add_edge(u, v, capacity=cap)
@@ -803,17 +879,24 @@ class Network:
     # ------------------------------------------------------------------ build
     def add_node(self, node: Node) -> None:
         """Add an isolated node."""
-        self._graph.add_node(node)
+        if node not in self._succ:
+            self._succ[node] = {}
+            self._pred[node] = {}
         self._memo = None
 
     def add_edge(self, u: Node, v: Node, capacity: Optional[float] = None) -> None:
-        """Add the directed edge ``u -> v`` with the given capacity."""
+        """Add the directed edge ``u -> v`` with the given capacity (a
+        second call for the same edge replaces its capacity)."""
         if u == v:
             raise ValueError(f"self-loop edges are not allowed: {u!r}")
         cap = self.default_capacity if capacity is None else float(capacity)
         if cap <= 0:
             raise ValueError(f"edge capacity must be positive, got {cap}")
-        self._graph.add_edge(u, v, capacity=cap)
+        self.add_node(u)
+        self.add_node(v)
+        self._succ[u][v] = cap
+        self._pred[v][u] = cap
+        self._capacity[u, v] = cap
         self._memo = None
 
     def add_bidirectional_edge(
@@ -831,56 +914,49 @@ class Network:
 
     # -------------------------------------------------------------- accessors
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (read-only: edits bypass the memo)."""
-        return self._graph
-
-    @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._succ)
 
     @property
     def num_edges(self) -> int:
-        return self._graph.number_of_edges()
+        return len(self._capacity)
 
     def nodes(self) -> List[Node]:
-        return list(self._graph.nodes)
+        return list(self._succ)
 
     def edges(self) -> List[Edge]:
-        return list(self._graph.edges)
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
 
     def has_node(self, node: Node) -> bool:
-        return self._graph.has_node(node)
+        return node in self._succ
 
     def has_edge(self, u: Node, v: Node) -> bool:
-        return self._graph.has_edge(u, v)
+        return (u, v) in self._capacity
 
     def capacity(self, u: Node, v: Node) -> float:
         """Capacity of the directed edge ``u -> v``."""
         try:
-            return float(self._graph[u][v]["capacity"])
+            return self._capacity[u, v]
         except KeyError as exc:
             raise KeyError(f"edge {(u, v)!r} is not in the network") from exc
 
     def capacities(self) -> Dict[Edge, float]:
         """Map every edge to its capacity."""
         return {
-            (u, v): float(data["capacity"])
-            for u, v, data in self._graph.edges(data=True)
+            (u, v): cap for u, succ in self._succ.items() for v, cap in succ.items()
         }
 
     def min_capacity(self) -> float:
         """Smallest edge capacity in the network."""
-        caps = [float(d["capacity"]) for _, _, d in self._graph.edges(data=True)]
-        if not caps:
+        if not self._capacity:
             raise ValueError("network has no edges")
-        return min(caps)
+        return min(self._capacity.values())
 
     def out_edges(self, node: Node) -> List[Edge]:
-        return list(self._graph.out_edges(node))
+        return [(node, v) for v in self._succ.get(node, ())]
 
     def in_edges(self, node: Node) -> List[Edge]:
-        return list(self._graph.in_edges(node))
+        return [(u, node) for u in self._pred.get(node, ())]
 
     def incident_edges(self, node: Node) -> List[Edge]:
         """All edges touching ``node`` (in either direction)."""
@@ -891,7 +967,7 @@ class Network:
         memo = self._facts()
         if memo.edge_index is None:
             memo.edge_index = {
-                e: i for i, e in enumerate(sorted(self._graph.edges, key=repr))
+                e: i for i, e in enumerate(sorted(self.edges(), key=repr))
             }
         return memo.edge_index
 
@@ -899,44 +975,47 @@ class Network:
         """Edge capacities indexed by the ids of :meth:`edge_index`."""
         memo = self._facts()
         if memo.capacity_vector is None:
-            graph = self._graph
-            memo.capacity_vector = tuple(
-                float(graph[u][v]["capacity"]) for u, v in self.edge_index()
-            )
+            capacity = self._capacity
+            memo.capacity_vector = tuple(capacity[e] for e in self.edge_index())
         return memo.capacity_vector
 
     # ------------------------------------------------------------------ paths
     def shortest_path(self, source: Node, target: Node) -> List[Node]:
-        """An unweighted (hop-count) shortest path from source to target."""
-        try:
-            return nx.shortest_path(self._graph, source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise ValueError(
-                f"no path from {source!r} to {target!r} in the network"
-            ) from exc
+        """An unweighted (hop-count) shortest path from source to target.
+
+        networkx's ``shortest_path`` is a bidirectional BFS, the same
+        search that gives Yen's first path, so this is the memoized
+        one-path candidate set: the path ``nx.shortest_path`` returns.
+        """
+        return list(self.candidate_set(source, target, 1, 0).paths[0])
 
     def shortest_path_length(self, source: Node, target: Node) -> int:
         """Number of hops on a shortest path from source to target."""
         return len(self.shortest_path(source, target)) - 1
 
+    def hop_distances(self, node: Node, reverse: bool = False) -> Dict[Node, int]:
+        """Hop count from ``node`` to every node it reaches, or with
+        ``reverse`` from every node that reaches it to ``node`` (a BFS
+        along the edges, or against them)."""
+        if node not in self._succ:
+            raise ValueError(f"node {node!r} is not in the network")
+        return _bfs(self._pred if reverse else self._succ, node)[1]
+
     def all_shortest_paths(
         self, source: Node, target: Node, limit: Optional[int] = None
     ) -> List[List[Node]]:
-        """All hop-count shortest paths between two nodes.
+        """All hop-count shortest paths between two nodes, in the order of
+        ``nx.all_shortest_paths``.
 
         ``limit`` truncates the enumeration (the fat-tree has at most
         ``(k/2)^2`` equal-cost paths, so the default unlimited enumeration is
         safe for the topologies shipped here, but arbitrary graphs may have
         exponentially many shortest paths).
         """
-        try:
-            # The generator raises only when iterated, so drain it here.
-            gen = nx.all_shortest_paths(self._graph, source, target)
-            return [list(p) for p in itertools.islice(gen, limit)]
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise ValueError(
-                f"no path from {source!r} to {target!r} in the network"
-            ) from exc
+        if source not in self._succ:
+            raise ValueError(f"no path from {source!r} to {target!r} in the network")
+        pred, _ = _bfs(self._succ, source)
+        return list(itertools.islice(_paths_from_predecessors(source, target, pred), limit))
 
     def k_shortest_paths(self, source: Node, target: Node, k: int) -> List[List[Node]]:
         """The ``k`` shortest simple paths (by hop count) in Yen's order, as
@@ -1017,7 +1096,7 @@ class Network:
         stretch = None if stretch is None else operator.index(stretch)
         memo = self._facts()
         index = self.edge_index()
-        ids = memo.fill_ids(self._graph, index)
+        ids = memo.fill_ids(self._succ, self._pred, index)
         s, t = ids.get(source), ids.get(target)
         found = None
         if s is not None and t is not None:
@@ -1052,8 +1131,6 @@ class Network:
         it maximises the minimum residual capacity along the path and is the
         path-selection rule inside the flow-decomposition routine.
         """
-        import heapq
-
         if not self.has_node(source) or not self.has_node(target):
             raise ValueError("source or target not in network")
         # Max-bottleneck Dijkstra: negate widths so heapq's min-heap pops the
@@ -1071,10 +1148,10 @@ class Network:
             if node == target:
                 break
             width = -neg_width
-            for _, nxt in self._graph.out_edges(node):
+            for nxt, cap in self._succ[node].items():
                 if nxt in visited:
                     continue
-                cand = min(width, self.capacity(node, nxt))
+                cand = min(width, cap)
                 if cand > best_width.get(nxt, 0.0):
                     best_width[nxt] = cand
                     parent[nxt] = node
@@ -1121,14 +1198,14 @@ class Network:
         insertion order.  The experiment engine's run store uses this to key
         cached results by topology.
         """
-        names = {node: repr(node) for node in self._graph}
+        names = {node: repr(node) for node in self._succ}
         edges: List[Tuple[str, str]] = []
-        for u, neighbours in self._graph.adjacency():
+        for u, neighbours in self._succ.items():
             ru = names[u]
-            for v, data in neighbours.items():
+            for v, cap in neighbours.items():
                 rv = names[v]
                 # Keyed by ``repr((u, v))``, spelled from the node reprs.
-                line = f"{ru}->{rv}:{float(data['capacity'])!r}"
+                line = f"{ru}->{rv}:{cap!r}"
                 edges.append((f"({ru}, {rv})", line))
         edges.sort(key=operator.itemgetter(0))
         lines = sorted(names.values()) + [line for _key, line in edges]
@@ -1136,17 +1213,22 @@ class Network:
         return digest.hexdigest()[:16]
 
     def copy(self) -> "Network":
-        """Deep copy of the network."""
-        return Network(self._graph.copy(), default_capacity=self.default_capacity)
+        """Deep copy of the network (it routes as this one does)."""
+        return self.scaled_capacities(1.0)
 
     def scaled_capacities(self, factor: float) -> "Network":
-        """Return a copy with every capacity multiplied by ``factor``."""
+        """Return a copy with every capacity multiplied by ``factor``.
+
+        The copy adds the nodes, then the edges, in this network's
+        insertion order, so every node's successors and predecessors keep
+        their order, and with them Yen's tie-breaking.
+        """
         if factor <= 0:
             raise ValueError("capacity scale factor must be positive")
         net = Network(default_capacity=self.default_capacity * factor)
-        for node in self.nodes():
+        for node in self._succ:
             net.add_node(node)
-        for (u, v), cap in self.capacities().items():
+        for (u, v), cap in self._capacity.items():
             net.add_edge(u, v, capacity=cap * factor)
         return net
 

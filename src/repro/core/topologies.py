@@ -33,9 +33,7 @@ import inspect
 import math
 import random
 import re
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .network import Network
 
@@ -208,16 +206,71 @@ def random_regular(
     if link_capacity <= 0:
         raise ValueError("link capacity must be positive")
 
-    fabric = nx.random_regular_graph(degree, num_switches, seed=seed)
+    fabric = _random_regular_edges(degree, num_switches, seed)
     net = Network(default_capacity=link_capacity)
     host_id = 0
     for sw in range(num_switches):
         for _ in range(hosts_per_switch):
             net.add_bidirectional_edge(f"host_{host_id}", f"sw_{sw}", capacity=link_capacity)
             host_id += 1
-    for u, v in sorted(fabric.edges()):
+    for u, v in sorted(fabric):
         net.add_bidirectional_edge(f"sw_{u}", f"sw_{v}", capacity=link_capacity)
     return net
+
+
+def _random_regular_edges(degree: int, n: int, seed: Optional[int]) -> Set[Tuple[int, int]]:
+    """The edge set of ``networkx.random_regular_graph(degree, n, seed=seed)``
+    as ``(u, v)`` pairs with ``u < v``.
+
+    A port of networkx's Steger-Wormald pairing: shuffle the ``degree``
+    stubs of every node with ``random.Random(seed)`` (the global ``random``
+    state for ``seed=None``), pair neighbours, keep every new non-loop edge,
+    and re-pair the stubs left over until none are left; an attempt whose
+    leftover stubs can form no new edge starts again.  It makes the same
+    draws from the same generator in the same order, so it gives the same
+    graph for every seed.  Expects ``0 < degree < n`` with ``degree * n``
+    even.
+    """
+    rng = random if seed is None else random.Random(seed)
+
+    def suitable(edges: Set[Tuple[int, int]], potential: Dict[int, int]) -> bool:
+        # Whether two leftover stubs could still form a new edge.
+        if not potential:
+            return True
+        for s1 in potential:
+            for s2 in potential:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def attempt() -> Optional[Set[Tuple[int, int]]]:
+        edges: Set[Tuple[int, int]] = set()
+        stubs = list(range(n)) * degree
+        while stubs:
+            potential: Dict[int, int] = {}
+            rng.shuffle(stubs)
+            pairs = iter(stubs)
+            for s1, s2 in zip(pairs, pairs):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and (s1, s2) not in edges:
+                    edges.add((s1, s2))
+                else:
+                    potential[s1] = potential.get(s1, 0) + 1
+                    potential[s2] = potential.get(s2, 0) + 1
+            if not suitable(edges, potential):
+                return None
+            stubs = [node for node, count in potential.items() for _ in range(count)]
+        return edges
+
+    edges = attempt()
+    while edges is None:
+        edges = attempt()
+    return edges
 
 
 def triangle(capacity: float = 1.0) -> Network:

@@ -147,27 +147,19 @@ class PacketRoutingLP:
 
     # -------------------------------------------------------- reachability
     def _distance_maps(self):
-        import networkx as nx
-
         network = self.network
         distance_cache: Dict[Tuple[Hashable, str], Dict[Hashable, int]] = {}
 
         def dist_from(node: Hashable) -> Dict[Hashable, int]:
             key = (node, "from")
             if key not in distance_cache:
-                distance_cache[key] = dict(
-                    nx.single_source_shortest_path_length(network.graph, node)
-                )
+                distance_cache[key] = network.hop_distances(node)
             return distance_cache[key]
 
         def dist_to(node: Hashable) -> Dict[Hashable, int]:
             key = (node, "to")
             if key not in distance_cache:
-                distance_cache[key] = dict(
-                    nx.single_source_shortest_path_length(
-                        network.graph.reverse(copy=False), node
-                    )
-                )
+                distance_cache[key] = network.hop_distances(node, reverse=True)
             return distance_cache[key]
 
         return dist_from, dist_to

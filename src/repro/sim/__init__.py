@@ -20,7 +20,13 @@ Three layers (see ``docs/simulator.md``):
 is a one-epoch kernel session, and the streaming engine keeps one session
 across every re-plan.  :func:`make_kernel` is the single tier selector, and
 the original dict-based event loop stays available as ``run_reference``.
+
+The streaming names load :mod:`repro.sim.streaming` on first access (a PEP
+562 module ``__getattr__``), so a static run never imports it; an
+``online=true`` pipeline loads it when it is built (DESIGN.md §8).
 """
+
+from importlib import import_module
 
 from .allocators import (
     ALLOCATORS,
@@ -34,15 +40,6 @@ from .kernel import ResidentSimulationKernel
 from .kernel_jit import ResidentJitKernel, paused_gc
 from .metrics import SchemeComparison, coflow_slowdowns, improvement_percent
 from .plan import SimulationPlan
-from .streaming import (
-    BatchPolicy,
-    LPReplanner,
-    ReplanContext,
-    Replanner,
-    StaticPlanReplanner,
-    StreamingError,
-    StreamingScheduler,
-)
 from .simulator import (
     BACKENDS,
     FlowLevelSimulator,
@@ -50,6 +47,17 @@ from .simulator import (
     make_kernel,
     resolve_backend,
     validate_backend,
+)
+
+#: :mod:`repro.sim.streaming`'s public names, resolved by ``__getattr__``.
+_STREAMING = (
+    "ReplanContext",
+    "Replanner",
+    "StaticPlanReplanner",
+    "BatchPolicy",
+    "StreamingScheduler",
+    "StreamingError",
+    "LPReplanner",
 )
 
 __all__ = [
@@ -72,11 +80,19 @@ __all__ = [
     "WeightedFairAllocator",
     "ALLOCATORS",
     "resolve_allocator",
-    "ReplanContext",
-    "Replanner",
-    "StaticPlanReplanner",
-    "BatchPolicy",
-    "StreamingScheduler",
-    "StreamingError",
-    "LPReplanner",
+    *_STREAMING,
 ]
+
+
+def __getattr__(name):
+    if name == "streaming":
+        return import_module(f"{__name__}.streaming")
+    if name not in _STREAMING:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.streaming"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "streaming"})

@@ -7,6 +7,7 @@ re-simulating completed tasks, and ``repro report`` renders identical
 Markdown/CSV tables from the store alone.
 """
 
+import errno
 import json
 import os
 from pathlib import Path
@@ -426,6 +427,87 @@ class TestSweepAndReport:
         assert (out / "tiny" / "report.md").read_text() == markdown
         # The rewritten run.json keeps the sweep's execution accounting.
         assert run_metadata(out, "tiny")["engine"] == engine_stats
+
+
+class TestUnwritableOutputs:
+    """An output path the CLI cannot write ends the command with status 1
+    and one line, ``repro <command>: cannot write <path>: <reason>``, not a
+    traceback.  ``blocker`` is a regular file standing where a directory
+    would have to be."""
+
+    @pytest.fixture
+    def blocker(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("")
+        return path
+
+    @pytest.fixture
+    def store(self, tmp_path, capsys):
+        """A tiny sweep's run store (and its spec) to report and merge."""
+        spec = tiny_spec_path(tmp_path)
+        assert main(["sweep", str(spec), "--out", str(tmp_path / "artifacts")]) == 0
+        capsys.readouterr()
+        return spec, tmp_path / "artifacts" / "tiny" / "runstore.jsonl"
+
+    @staticmethod
+    def exit_line(argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        return excinfo.value.code
+
+    RUN = ["run", "--scheme", "SEBF", "--num-coflows", "2", "--output"]
+
+    def test_run_output_under_a_file(self, blocker):
+        out = blocker / "x.json"
+        assert self.exit_line([*self.RUN, str(out)]) == (
+            f"repro run: cannot write {out}: {os.strerror(errno.EEXIST)} ({blocker})"
+        )
+
+    def test_run_output_that_is_a_directory(self, tmp_path):
+        assert self.exit_line([*self.RUN, str(tmp_path)]) == (
+            f"repro run: cannot write {tmp_path}: {os.strerror(errno.EISDIR)}"
+        )
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--shards", "2"], ["--shards", "2", "--shard-id", "0"]],
+        ids=["serial", "fleet", "shard"],
+    )
+    def test_sweep_out_under_a_file(self, tmp_path, blocker, flags):
+        spec = tiny_spec_path(tmp_path)
+        line = self.exit_line(["sweep", str(spec), "--out", str(blocker), *flags])
+        if flags:
+            written = blocker / "tiny" / "shards"
+            assert line == f"repro sweep: cannot write {written}: {os.strerror(errno.ENOTDIR)}"
+        else:
+            written = blocker / "tiny" / "runstore.jsonl"
+            assert line == (
+                f"repro sweep: cannot write {written}: "
+                f"{os.strerror(errno.ENOTDIR)} ({blocker / 'tiny'})"
+            )
+
+    def test_report_export_under_a_file(self, store, blocker):
+        spec, runstore = store
+        argv = ["report", str(spec), "--store", str(runstore), "--export", "--out", str(blocker)]
+        assert self.exit_line(argv) == (
+            f"repro report: cannot write {blocker}: "
+            f"{os.strerror(errno.ENOTDIR)} ({blocker / 'tiny'})"
+        )
+
+    def test_merge_output_under_a_file(self, store, blocker):
+        _, runstore = store
+        out = blocker / "m.jsonl"
+        assert self.exit_line(["merge", str(runstore), "--output", str(out)]) == (
+            f"repro merge: cannot write {out}: {os.strerror(errno.EEXIST)} ({blocker})"
+        )
+
+    def test_merge_output_that_is_a_directory_leaves_no_temp_file(self, store, tmp_path):
+        _, runstore = store
+        out = tmp_path / "merged"
+        out.mkdir()
+        assert self.exit_line(["merge", str(runstore), "--output", str(out)]) == (
+            f"repro merge: cannot write {out}: {os.strerror(errno.EISDIR)}"
+        )
+        assert not (tmp_path / "merged.tmp").exists()
 
 
 #: The bench instances under ``specs/``; every other file there is a sweep spec.

@@ -14,20 +14,12 @@ from repro.core import network as network_module
 from repro.core.network import path_edges
 from repro.native import CompiledCore
 
+from .graph_oracle import as_digraph
+
 
 def python_port(monkeypatch):
     """Make the path core unavailable, as on a machine without a compiler."""
     monkeypatch.setattr(network_module, "_compiled_port", lambda: None)
-
-
-@pytest.fixture(params=["compiled", "python"])
-def port(request, monkeypatch):
-    """Run the test on the compiled path core, then on the Python port."""
-    if request.param == "python":
-        python_port(monkeypatch)
-    elif network_module._compiled_port() is None:
-        pytest.skip("compiled path core unavailable")
-    return request.param
 
 
 @pytest.fixture
@@ -165,19 +157,19 @@ class TestPaths:
             (fat_tree, s, t)
             for s, t in itertools.permutations(topologies.host_nodes(fat_tree), 2)
         ]
+        graphs = {id(net): as_digraph(net) for net in (diamond, fat_tree)}
         for network, s, t in cases:
-            if not nx.has_path(network.graph, s, t):
+            graph = graphs[id(network)]
+            if not nx.has_path(graph, s, t):
                 with pytest.raises(ValueError, match="no path"):
                     network.k_shortest_paths(s, t, k)
                 continue
-            expected = list(
-                itertools.islice(nx.shortest_simple_paths(network.graph, s, t), k)
-            )
+            expected = list(itertools.islice(nx.shortest_simple_paths(graph, s, t), k))
             assert network.k_shortest_paths(s, t, k) == expected, (s, t)
 
     def test_k_shortest_paths_with_a_huge_k(self, diamond, port):
         diamond.add_edge("b", "c", capacity=1.0)
-        expected = list(nx.shortest_simple_paths(diamond.graph, "a", "d"))
+        expected = list(nx.shortest_simple_paths(as_digraph(diamond), "a", "d"))
         assert diamond.k_shortest_paths("a", "d", 10**9) == expected
         assert len(expected) == 3
 
@@ -189,12 +181,13 @@ class TestPaths:
         fresh = network_module._CompiledYen(network_module.PATH_CORE.lib)
         monkeypatch.setattr(network_module, "_compiled", fresh)
         network = Network(nx.complete_graph(7, create_using=nx.DiGraph))
-        expected = list(nx.shortest_simple_paths(network.graph, 0, 6))
+        graph = as_digraph(network)
+        expected = list(nx.shortest_simple_paths(graph, 0, 6))
         assert sum(map(len, expected)) > network_module._FIRST_SLOTS == fresh.slots
         assert network.k_shortest_paths(0, 6, 10**9) == expected
         assert fresh.slots > network_module._FIRST_SLOTS
         assert network.k_shortest_paths(1, 5, 200) == list(
-            itertools.islice(nx.shortest_simple_paths(network.graph, 1, 5), 200)
+            itertools.islice(nx.shortest_simple_paths(graph, 1, 5), 200)
         )
 
     def test_k_shortest_paths_invalid_k(self, diamond):
@@ -311,15 +304,14 @@ class TestYenPort:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_digraphs_match_networkx(self, seed, labels, port):
         network = random_digraph(seed, labels)
+        graph = as_digraph(network)
         nodes = network.nodes()
         combos = [(1, 0), (2, 1), (16, 0), (16, 2), (24, 3)]
         expected = {}
         for s, t in itertools.permutations(nodes, 2):
-            if nx.has_path(network.graph, s, t):
+            if nx.has_path(graph, s, t):
                 for m, stretch in combos:
-                    expected[s, t, m, stretch] = yen_reference(
-                        network.graph, s, t, m, stretch
-                    )
+                    expected[s, t, m, stretch] = yen_reference(graph, s, t, m, stretch)
             else:
                 with pytest.raises(ValueError, match="no path from .* in the network"):
                     network.candidate_paths(s, t)
@@ -372,9 +364,10 @@ class TestYenPort:
         python = [network.candidate_set(s, t) for s, t in pairs]
         if compiled is not None:
             assert compiled == python
+        graph = as_digraph(network)
         for (s, t), found in zip(pairs, python):
             assert [list(p) for p in found.paths] == yen_reference(
-                network.graph, s, t, 16
+                graph, s, t, 16
             ), (s, t)
 
     def test_the_fallback_is_silent(self, monkeypatch):
@@ -382,10 +375,11 @@ class TestYenPort:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             network = random_digraph(3, "tuple")
+            graph = as_digraph(network)
             for s, t in itertools.permutations(network.nodes(), 2):
-                if nx.has_path(network.graph, s, t):
+                if nx.has_path(graph, s, t):
                     assert network.candidate_paths(s, t, 16, 1) == yen_reference(
-                        network.graph, s, t, 16, 1
+                        graph, s, t, 16, 1
                     )
 
     def test_a_core_that_cannot_build_is_unavailable_with_a_reason(
@@ -411,9 +405,10 @@ class TestYenPort:
         clone = pickle.loads(pickle.dumps(network))
         assert clone._memo.native is None
         assert clone.candidate_set(hosts[0], hosts[5]) == first
+        graph = as_digraph(network)
         for s, t in itertools.permutations(hosts[:6], 2):
             for m, stretch in ((1, 0), (16, 0), (16, 2)):
-                expected = yen_reference(network.graph, s, t, m, stretch)
+                expected = yen_reference(graph, s, t, m, stretch)
                 assert clone.candidate_paths(s, t, m, stretch) == expected
                 assert clone.candidate_set(s, t, m, stretch) == network.candidate_set(
                     s, t, m, stretch
@@ -434,12 +429,13 @@ class TestPathMemo:
     )
     def test_candidate_paths_keep_yen_order_cold_and_warm(self, build):
         network = build()
+        graph = as_digraph(network)
         pairs = list(itertools.permutations(topologies.host_nodes(network), 2))
         expected = {}
         for s, t in pairs:
             # Yen's order never gets shorter, so each (max_paths, stretch)
             # answer is a filtered prefix of the largest one.
-            widest = yen_reference(network.graph, s, t, 16, stretch=2)
+            widest = yen_reference(graph, s, t, 16, stretch=2)
             for stretch in (0, 1, 2):
                 within = [p for p in widest if len(p) <= len(widest[0]) + stretch]
                 for m in (1, 2, 16):
@@ -548,6 +544,29 @@ class TestPathMemo:
 
 
 class TestUtilities:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: topologies.fat_tree(4)]
+        + [lambda seed=seed: random_digraph(seed, "int") for seed in range(8)],
+        ids=["fat_tree-k4"] + [f"digraph-{seed}" for seed in range(8)],
+    )
+    def test_copies_route_as_the_original(self, build, port):
+        # Yen's reverse search walks each node's predecessors, so a copy
+        # must keep their order, not only the successors'.
+        network = build()
+        copies = (network.copy(), network.scaled_capacities(2.0))
+        for s, t in itertools.permutations(network.nodes(), 2):
+            try:
+                expected = network.candidate_set(s, t, 16, 0)
+            except ValueError:
+                continue
+            for clone in copies:
+                assert clone.candidate_set(s, t, 16, 0) == expected, (s, t)
+        for clone in copies:
+            for node in network.nodes():
+                assert clone.in_edges(node) == network.in_edges(node)
+                assert clone.out_edges(node) == network.out_edges(node)
+
     def test_copy_is_independent(self, diamond):
         clone = diamond.copy()
         clone.add_edge("d", "a", capacity=1.0)

@@ -1,6 +1,8 @@
 """What a process imports: a run with no LP scheme never loads the LP stack,
-and a run with one loads scipy's HiGHS extension and nothing else of the
-LP side of scipy.
+a run with one loads scipy's HiGHS extension and nothing else of the LP
+side of scipy, no run loads networkx (the tests' oracle only), and PyYAML,
+the sweep fabric, the process pool and the streaming engine load only when
+a run uses them.
 
 Every case runs in a fresh interpreter, because a module an earlier test
 imported would hide a load.  Most cases install a ``sys.meta_path`` finder
@@ -22,7 +24,14 @@ import pytest
 
 from repro.lp import solver
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
+
+try:
+    import yaml  # noqa: F401 - availability probe for the YAML case
+    HAVE_YAML = True
+except ImportError:  # pragma: no cover
+    HAVE_YAML = False
 
 #: Run first in every refusing case: refuse the LP stack's scipy modules.
 REFUSE_LP_STACK = """
@@ -246,9 +255,10 @@ def test_a_hidden_binding_falls_back_to_linprog(tmp_path):
 
 
 def test_lazy_namespaces_resolve_every_public_name(tmp_path):
-    """``repro`` and ``repro.circuit`` load their parts on first access:
-    subpackages, submodules reached as attributes, re-exported names and
-    ``import *`` all still resolve."""
+    """``repro``, ``repro.circuit``, ``repro.analysis`` (the fabric's names)
+    and ``repro.sim`` (the streaming names) load their parts on first
+    access: subpackages, submodules reached as attributes, re-exported
+    names and ``import *`` all still resolve."""
     run_python(
         "import sys\n"
         "import repro\n"
@@ -256,7 +266,14 @@ def test_lazy_namespaces_resolve_every_public_name(tmp_path):
         "assert repro.circuit.routing.__name__ == 'repro.circuit.routing'\n"
         "assert repro.circuit.GivenPathsLP.__module__ == 'repro.circuit.given_paths'\n"
         "assert repro.lp.solve is sys.modules['repro.lp.solver'].solve\n"
-        "for package in (repro, repro.circuit):\n"
+        "import repro.analysis, repro.sim\n"
+        "lazy = ('repro.analysis.fabric', 'repro.sim.streaming')\n"
+        "assert not set(lazy) & set(sys.modules), lazy\n"
+        "assert repro.analysis.Worker.__module__ == 'repro.analysis.fabric.worker'\n"
+        "assert repro.analysis.fabric.__name__ == 'repro.analysis.fabric'\n"
+        "assert repro.sim.StreamingScheduler.__module__ == 'repro.sim.streaming'\n"
+        "assert repro.sim.streaming.__name__ == 'repro.sim.streaming'\n"
+        "for package in (repro, repro.circuit, repro.analysis, repro.sim):\n"
         "    names = {}\n"
         "    exec(f'from {package.__name__} import *', names)\n"
         "    assert set(package.__all__) <= set(names) <= set(dir(package)) | {'__builtins__'}\n",
@@ -267,3 +284,116 @@ def test_lazy_namespaces_resolve_every_public_name(tmp_path):
 def test_version_loads_the_solver_and_names_its_highs_version(tmp_path):
     out = run_python("from repro.cli import main\nmain(['--version'])\n", tmp_path)
     assert f"solver: {solver.solver_description()} (paper: IBM CPLEX)" in out.splitlines()
+
+
+#: Run first in the cases below: refuse networkx and PyYAML.
+REFUSE_NETWORKX_AND_YAML = """
+import sys
+
+refused = []
+
+
+class RefuseNetworkxAndYaml:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("networkx", "yaml"):
+            refused.append(name)
+            raise ImportError(f"{name} is refused in this process")
+        return None
+
+
+sys.meta_path.insert(0, RefuseNetworkxAndYaml())
+"""
+
+
+def absent(*modules: str) -> str:
+    """Code asserting that nothing was refused and none of ``modules``
+    (nor networkx or yaml) is loaded."""
+    return (
+        f"loaded = [name for name in sys.modules if name in {modules!r}\n"
+        "          or name.split('.')[0] in ('networkx', 'yaml')]\n"
+        "assert not refused and not loaded, (refused, loaded)\n"
+    )
+
+
+#: A session re-planning at every arrival, on the Section-2.1 LP.
+STREAMING_SESSION = """
+from repro.baselines import scheme_from_spec
+from repro.core import topologies
+from repro.sim import StreamingScheduler
+from repro.workloads import CoflowGenerator, WorkloadConfig
+
+network = topologies.fat_tree(4)
+config = WorkloadConfig(num_coflows=3, coflow_width=2)
+instance = CoflowGenerator(network, config).instance()
+scheme = scheme_from_spec("pipeline(router=balanced, order=lp)")
+session = StreamingScheduler(
+    network, lambda context: scheme.plan(context.instance, context.network)
+)
+assert session.run(instance).weighted_completion_time > 0
+"""
+
+SERIAL_ONLY = ("concurrent.futures.process", "repro.analysis.fabric")
+STATIC_ONLY = ("repro.sim.streaming",)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        TINY_SWEEP + absent(*SERIAL_ONLY, *STATIC_ONLY),
+        pytest.param(TINY_LP_SWEEP + absent(*SERIAL_ONLY), marks=needs_binding),
+        cli_run("SEBF") + absent(*SERIAL_ONLY, *STATIC_ONLY),
+        pytest.param(cli_run("LP-Based") + absent(*SERIAL_ONLY), marks=needs_binding),
+        pytest.param(STREAMING_SESSION + absent(*SERIAL_ONLY), marks=needs_binding),
+        "from repro.analysis import provenance\n"
+        "assert 'networkx' not in provenance()\n" + absent(),
+        "from repro.cli import main\nassert main(['--version']) == 0\n" + absent(),
+    ],
+    ids=[
+        "sweep-and-export", "lp-sweep-and-export", "run-SEBF", "run-LP-Based",
+        "streaming-session", "provenance", "version",
+    ],
+)
+def test_no_run_loads_networkx_or_yaml(code, tmp_path):
+    """networkx is the tests' oracle and PyYAML serves YAML documents only:
+    sweeps with their artifacts, ``repro run``, a streaming session, the
+    provenance record and ``repro --version`` run under a finder refusing
+    both.  A serial sweep loads neither the process pool nor the sweep
+    fabric, and a static scheme does not load the streaming engine."""
+    run_python(REFUSE_NETWORKX_AND_YAML + code, tmp_path)
+
+
+@pytest.mark.skipif(not HAVE_YAML, reason="PyYAML not installed")
+def test_a_yaml_spec_loads_pyyaml_when_read(tmp_path):
+    run_python(
+        "import sys\n"
+        "from repro.analysis import load_spec\n"
+        "assert 'yaml' not in sys.modules\n"
+        f"spec = load_spec({str(ROOT / 'specs' / 'fig3.yaml')!r})\n"
+        "assert spec.name == 'fig3' and 'yaml' in sys.modules\n",
+        tmp_path,
+    )
+
+
+def test_a_two_worker_sweep_loads_the_process_pool(tmp_path):
+    run_python(
+        "import sys\n"
+        + TINY_SWEEP.replace("run_spec(spec)", "run_spec(spec, workers=2)")
+        + "assert ran.stats.workers == 2\n"
+        "assert 'concurrent.futures.process' in sys.modules\n"
+        "assert 'repro.analysis.fabric' not in sys.modules\n",
+        tmp_path,
+    )
+
+
+def test_an_online_scheme_loads_streaming_when_built(tmp_path):
+    """Built, not run: the first re-plan of a session must not pay the
+    import (DESIGN.md §8)."""
+    run_python(
+        "import sys\n"
+        "from repro.baselines import scheme_from_spec\n"
+        "scheme_from_spec('SEBF')\n"
+        "assert 'repro.sim.streaming' not in sys.modules\n"
+        "scheme_from_spec('Online-SEBF')\n"
+        "assert 'repro.sim.streaming' in sys.modules\n",
+        tmp_path,
+    )
