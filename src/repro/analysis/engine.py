@@ -6,7 +6,9 @@ flow-level simulator.  The engine decomposes such a sweep into independent
 *(sweep point x random try x scheme)* tasks and executes them either serially
 in-process or fanned out over a :class:`concurrent.futures.ProcessPoolExecutor`
 (one task = generate the instance from its seed, compute the scheme's plan —
-LP solve included — and simulate it).
+LP solve included — and simulate it).  Tasks ship seeds, never instances;
+a process generates each config's instance once and its scheme tasks,
+which run back to back, share it.
 
 Results stream into a :class:`~repro.analysis.runstore.RunStore` keyed by
 ``(topology fingerprint, workload config incl. seed, scheme signature)``,
@@ -118,20 +120,45 @@ class EngineRunStats:
 
 # ----------------------------------------------------------------- task body
 
+class _LastInstance:
+    """The instance generated last in this process, for the next task.
+
+    Tasks come config by config, one per scheme, so each config's instance
+    is generated once and every scheme task of the config reuses it: one
+    entry, keyed by the network object and the :class:`WorkloadConfig`.
+    Sharing is safe because no scheme changes the instance it is given
+    (``tests/analysis/test_engine.py`` holds every scheme to that).
+    """
+
+    def __init__(self) -> None:
+        self._key: Optional[Tuple[Network, WorkloadConfig]] = None
+        self._instance: Optional[CoflowInstance] = None
+
+    def get(self, network: Network, config: WorkloadConfig) -> CoflowInstance:
+        """The instance of ``config`` on ``network``, generated if new."""
+        key = self._key
+        if key is None or key[0] is not network or key[1] != config:
+            self._instance = CoflowGenerator(network, config).instance()
+            self._key = (network, config)
+        return self._instance
+
+
 def _execute_task(
     network: Network,
     simulator: FlowLevelSimulator,
     scheme: Scheme,
     task: ExperimentTask,
     topology_fingerprint: str,
+    instances: _LastInstance,
 ) -> Dict[str, Any]:
-    """Generate the instance, plan, simulate; return the run-store record.
+    """Generate (or reuse) the instance, plan, simulate; return the
+    run-store record.
 
     Dispatches through :meth:`~repro.baselines.base.Scheme.simulate`, so
     online schemes run their arrival-driven re-planning loop while static
     schemes plan once and execute as one kernel session.
     """
-    instance = CoflowGenerator(network, task.config).instance()
+    instance = instances.get(network, task.config)
     result = scheme.simulate(instance, network, simulator)
     return {
         "scheme": scheme.name,
@@ -180,7 +207,8 @@ def _failure_record(
 
 
 #: Per-worker state installed by the pool initializer (network and schemes
-#: are pickled once per worker instead of once per task).
+#: are pickled once per worker instead of once per task; each worker keeps
+#: its own last instance).
 _WORKER_STATE: Dict[str, Any] = {}
 
 
@@ -196,6 +224,7 @@ def _worker_init(
     _WORKER_STATE["network"] = network
     _WORKER_STATE["schemes"] = list(schemes)
     _WORKER_STATE["simulator"] = FlowLevelSimulator(network)
+    _WORKER_STATE["instances"] = _LastInstance()
     _WORKER_STATE["fingerprint"] = fingerprint
     _WORKER_STATE["task_timeout"] = task_timeout
     _WORKER_STATE["retry_backoff"] = retry_backoff
@@ -241,6 +270,7 @@ def _worker_run(task: ExperimentTask, attempt: int = 0) -> Tuple[str, Dict[str, 
                 _WORKER_STATE["schemes"][task.scheme_index],
                 task,
                 _WORKER_STATE["fingerprint"],
+                _WORKER_STATE["instances"],
             )
     return task.key, record
 
@@ -325,6 +355,7 @@ class ExperimentEngine:
         self.metric = metric
         self.workers = workers
         self.simulator = FlowLevelSimulator(network)
+        self._instances = _LastInstance()
         self.store = store if isinstance(store, RunStore) else RunStore(store)
         self.topology_fingerprint = network.fingerprint()
         self.max_retries = max_retries
@@ -480,6 +511,7 @@ class ExperimentEngine:
                     self.schemes[task.scheme_index],
                     task,
                     self.topology_fingerprint,
+                    self._instances,
                 )
 
     def _run_serial(

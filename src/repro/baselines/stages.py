@@ -39,7 +39,7 @@ from typing import Any, Callable, ClassVar, Dict, Hashable, List, Mapping, Optio
 
 from ..core.flows import CoflowInstance, FlowId
 from ..core.intervals import DEFAULT_EPSILON, DEFAULT_ROUTING_EPSILON
-from ..core.network import Network, path_edges
+from ..core.network import Network
 from .base import load_balanced_route, random_route, respect_given_paths
 
 __all__ = [
@@ -336,10 +336,13 @@ class MCTOrderer(Orderer):
         """Sort flows by their isolated completion time on their path."""
         instance, network = context.instance, context.network
         paths = context.paths
+        capacity = network.capacity_vector()
 
         def min_completion(fid: FlowId) -> float:
             flow = instance.flow(fid)
-            bandwidth = network.bottleneck_capacity(list(paths[fid]))
+            bandwidth = min(
+                [capacity[e] for e in network.path_edge_ids(paths[fid])]
+            )
             return flow.release_time + flow.size / bandwidth
 
         return sorted(instance.flow_ids(), key=lambda fid: (min_completion(fid), fid))
@@ -361,12 +364,13 @@ class SEBFOrderer(Orderer):
         """Order coflows by isolated bottleneck makespan, flows within by size."""
         instance, network = context.instance, context.network
         paths = context.paths
+        capacity = network.capacity_vector()
 
         def coflow_bottleneck(index: int) -> float:
-            loads: Dict[Tuple[Hashable, Hashable], float] = {}
+            loads: Dict[int, float] = {}
             for j, flow in enumerate(instance[index].flows):
-                for e in path_edges(list(paths[(index, j)])):
-                    loads[e] = loads.get(e, 0.0) + flow.size / network.capacity(*e)
+                for e in network.path_edge_ids(paths[index, j]):
+                    loads[e] = loads.get(e, 0.0) + flow.size / capacity[e]
             bottleneck = max(loads.values()) if loads else 0.0
             return instance[index].release_time + bottleneck
 

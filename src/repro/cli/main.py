@@ -51,6 +51,19 @@ def cannot_write(command: str, path: Path, error: OSError) -> SystemExit:
     return SystemExit(f"repro {command}: cannot write {path}: {reason}")
 
 
+def make_directory(command: str, path: Path, directory: Path) -> None:
+    """Make ``directory``, where ``repro <command>`` writes ``path``, or
+    exit with ``repro <command>: cannot write <path>: <reason>``.
+
+    Commands call it before their work, so an output that cannot be
+    written ends the command before anything runs or prints.
+    """
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise cannot_write(command, path, error) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the complete ``repro`` argument parser (all subcommands)."""
     from . import bench, merge, report, run, sweep

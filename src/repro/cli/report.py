@@ -31,7 +31,7 @@ from ..analysis.artifacts import export_artifacts, results_from_store
 from ..analysis.engine import EngineRunStats
 from ..analysis.report import REPORT_FORMATS, render_report
 from ..analysis.runstore import RunStore
-from .main import cannot_write
+from .main import cannot_write, make_directory
 from .sweep import (
     add_spec_arguments,
     resolve_shard_root,
@@ -156,6 +156,10 @@ def execute(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     extras = {metric: results[metric] for metric in spec.extra_metrics}
+    if args.export:
+        # Made before the report prints, so an --out that cannot be
+        # written ends the command with its error line alone.
+        make_directory("report", args.out, args.out / spec.name)
 
     print(
         render_report(

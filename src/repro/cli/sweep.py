@@ -59,7 +59,7 @@ from ..analysis.engine import EngineRunStats
 from ..analysis.report import render_report
 from ..analysis.runstore import RunStore
 from ..faults import FaultConfig
-from .main import bounded, cannot_write
+from .main import bounded, cannot_write, make_directory
 
 #: Exit status when the sweep completed but coverage fell below
 #: ``--min-coverage`` (distinct from argparse's 2 and generic failure's 1).
@@ -241,14 +241,14 @@ def execute(args: argparse.Namespace) -> int:
     # runs, so an output that cannot be written ends the sweep at once.
     if args.shard_id is not None or args.shards > 1:
         root = resolve_shard_root(args, spec)
-        _make_directory(root, root)
+        make_directory("sweep", root, root)
         if args.shard_id is not None:
             return _execute_shard(args, spec, faults, root)
-        _make_directory(args.out, args.out / spec.name)
+        make_directory("sweep", args.out, args.out / spec.name)
         return _execute_fleet(args, spec, root)
     store_path = resolve_store_path(args, spec)
-    _make_directory(store_path, store_path.parent)
-    _make_directory(args.out, args.out / spec.name)
+    make_directory("sweep", store_path, store_path.parent)
+    make_directory("sweep", args.out, args.out / spec.name)
     if args.fresh and store_path.exists():
         store_path.unlink()
     store = RunStore(store_path)
@@ -305,15 +305,6 @@ def execute(args: argparse.Namespace) -> int:
         )
         return EXIT_COVERAGE
     return 0
-
-
-def _make_directory(path: Path, directory: Path) -> None:
-    """Make ``directory``, where the sweep writes ``path``, or exit with
-    ``repro sweep: cannot write <path>: <reason>``."""
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-    except OSError as error:
-        raise cannot_write("sweep", path, error) from None
 
 
 # ------------------------------------------------------------------- fabric

@@ -85,6 +85,9 @@ class _PathMemo:
         self.capacity_vector: Optional[Tuple[float, ...]] = None
         #: ``(source, target, max_paths, stretch)`` -> candidate set.
         self.candidates: Dict[Tuple[Node, Node, int, int], CandidateSet] = {}
+        #: Every candidate path's node tuple -> its edge ids, the tuples its
+        #: candidate set holds (filled by :meth:`Network.candidate_set`).
+        self.path_ids: Dict[Tuple[Node, ...], Tuple[int, ...]] = {}
         #: ``(source, target)`` -> widest-path bottleneck capacity.
         self.widest: Dict[Tuple[Node, Node], float] = {}
         #: The graph over integer node ids (ids follow node insertion
@@ -838,13 +841,13 @@ class Network:
 
     A topology is fixed for a whole sweep or stream, so its path facts
     (edge index, capacity vector, the integer-id adjacency behind Yen's
-    algorithm, candidate sets, widest-path bottlenecks) are memoized on
-    first use and dropped by :meth:`add_node` and :meth:`add_edge`; build
-    and edit the topology through those methods only.  Yen's algorithm
-    runs in a compiled C core (built once per machine with the system
-    compiler, on the first query) or, without a compiler, in the Python
-    port it was lowered from; both give networkx's paths in networkx's
-    order.  A network pickles with its memo, minus the C core's addresses,
+    algorithm, candidate sets and the edge ids of their paths, widest-path
+    bottlenecks) are memoized on first use and dropped by :meth:`add_node`
+    and :meth:`add_edge`; build and edit the topology through those
+    methods only.  Yen's algorithm runs in a compiled C core (built once
+    per machine with the system compiler, on the first query) or, without
+    a compiler, in the Python port it was lowered from; both give
+    networkx's paths in networkx's order.  A network pickles with its memo, minus the C core's addresses,
     which each process rebuilds.
 
     Parameters
@@ -1075,7 +1078,26 @@ class Network:
         found = memo.candidates.get(key)
         if found is None:
             found = memo.candidates[key] = self._yen(source, target, max_paths, stretch)
+            memo.path_ids.update(zip(found.paths, found.edge_ids))
         return found
+
+    def path_edge_ids(self, path: Sequence[Node]) -> Tuple[int, ...]:
+        """The :meth:`edge_index` ids of ``path``'s edges, in path order.
+
+        A candidate path (of any :meth:`candidate_set` asked for so far) is
+        answered with the edge ids its candidate set holds.  Any other path
+        is checked edge by edge first, raising :meth:`validate_path`'s
+        ``ValueError`` for a path of fewer than two nodes or one that uses
+        a missing edge, so a lookup is also a validation.
+        """
+        nodes = path if type(path) is tuple else tuple(path)
+        memo = self._facts()
+        ids = memo.path_ids.get(nodes)
+        if ids is None:
+            self.validate_path(nodes)
+            index = self.edge_index()
+            ids = tuple([index[edge] for edge in zip(nodes, nodes[1:])])
+        return ids
 
     def _yen(
         self,

@@ -9,9 +9,10 @@ release, and records every bandwidth segment through a per-segment
 semantics over flat, slot-addressed state that survives re-plans:
 
 * flows live in *slots* with ``remaining`` / ``release`` / ``rate`` state
-  lists; the flow -> edge-id incidence of each slot is built once from its
-  path over the network's deterministic edge indexing, and the allocation
-  pass walks those rows against the edge-residual array;
+  lists; the flow -> edge-id incidence of each slot is looked up once from
+  its path (:meth:`~repro.core.network.Network.path_edge_ids`, which holds
+  the edge ids of every candidate path), and the allocation pass walks
+  those rows against the edge-residual array;
 * the *active* set (released, unfinished) is maintained incrementally in
   priority order — releases arrive through a sorted pointer, completions
   delete in place — so per-event work scales with the number of active
@@ -33,10 +34,12 @@ admits flows, :meth:`~ResidentSimulationKernel.begin_epoch` opens an epoch
 in a plan's priority order, :meth:`~ResidentSimulationKernel.run` advances
 it (optionally pausing at a deadline), and
 :meth:`~ResidentSimulationKernel.harvest_epoch` /
-:meth:`~ResidentSimulationKernel.drain_all_segments` report the outcome.  A
-static run (:meth:`repro.sim.simulator.FlowLevelSimulator.run`) is a
-one-epoch session; the streaming engine (:mod:`repro.sim.streaming`) keeps
-one session across every re-plan.  The kernel is numerically *identical* to
+:meth:`~ResidentSimulationKernel.drain_all_segments` report the outcome
+(:meth:`~ResidentSimulationKernel.segment_log` keeps the segments for a
+result to drain later, once the kernel is gone).  A static run
+(:meth:`repro.sim.simulator.FlowLevelSimulator.run`) is a one-epoch
+session; the streaming engine (:mod:`repro.sim.streaming`) keeps one
+session across every re-plan.  The kernel is numerically *identical* to
 the reference loop — same arithmetic on the same values in the same order
 (covered by ``tests/sim/test_kernel_equivalence.py``).  The compiled tier
 (:mod:`repro.sim.kernel_jit`) lowers the greedy loop of this class to C.
@@ -46,10 +49,20 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core.flows import FlowId
-from ..core.network import Network, path_edges
+from ..core.network import Network
 from ..faults import maybe_inject
 from .allocators import GreedyPriorityAllocator, RateAllocator, resolve_allocator
 
@@ -160,10 +173,10 @@ class ResidentSimulationKernel:
         self._rank: List[int] = []
         self._flow_dirty: List[bool] = []
         self._weight: List[float] = []
-        self._edges_of: List[List[int]] = []
+        self._edges_of: List[Sequence[int]] = []
         # Allocator entries: (slot, edge ids, coflow weight), prebuilt so a
         # generic allocator pass only gathers references.
-        self._entries: List[Tuple[int, List[int], float]] = []
+        self._entries: List[Tuple[int, Sequence[int], float]] = []
         self._segments: List[List[List[float]]] = []
 
         # Harvest bookkeeping (what has already been reported upstream).
@@ -174,7 +187,6 @@ class ResidentSimulationKernel:
 
         # Edge indexing shared with the LP layer (fixed for the session).
         edge_index = network.edge_index()
-        self._edge_index = edge_index
         self.edge_list: List[Tuple[Hashable, Hashable]] = [None] * len(edge_index)
         for edge, idx in edge_index.items():
             self.edge_list[idx] = edge
@@ -204,10 +216,6 @@ class ResidentSimulationKernel:
         self.max_events = 16
 
     # ------------------------------------------------------------ slot deltas
-    def _path_edge_ids(self, path) -> List[int]:
-        edge_index = self._edge_index
-        return [edge_index[e] for e in path_edges(list(path))]
-
     def ingest(self, fid: FlowId, size: float, release: float, path,
                weight: float = 1.0) -> int:
         """Admit one flow into a (new or recycled) slot; returns the slot.
@@ -223,7 +231,7 @@ class ResidentSimulationKernel:
                 f"flow {fid!r} has no volume ({size:g}); zero-size flows "
                 "complete at their release and are never ingested"
             )
-        edges = self._path_edge_ids(path)
+        edges = self.network.path_edge_ids(path)
         sid = self._next_sid
         self._next_sid += 1
         if self._free:
@@ -304,7 +312,7 @@ class ResidentSimulationKernel:
         """Re-route slot ``k`` (only legal between epochs, and only for
         flows that have not moved volume yet — the engine pins the path of
         every flow with recorded segments)."""
-        edges = self._path_edge_ids(path)
+        edges = self.network.path_edge_ids(path)
         self._edges_of[k] = edges
         self._entries[k] = (k, edges, self._weight[k])
 
@@ -720,3 +728,13 @@ class ResidentSimulationKernel:
         for k in range(len(self.fids)):
             if self._live[k] and self._segments[k]:
                 yield self._sid[k], self._segments[k]
+
+    def segment_log(self) -> Iterable[Tuple[int, List[List[float]]]]:
+        """The session's segments, kept to be drained after the kernel.
+
+        Iterating the returned log yields what :meth:`drain_all_segments`
+        yields now.  A result takes it once its session has finished and
+        drops the kernel; the work of draining is left to the first
+        reader.  Here it is the list of the session's own segment lists.
+        """
+        return list(self.drain_all_segments())

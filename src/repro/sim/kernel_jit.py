@@ -58,6 +58,7 @@ from .kernel import ResidentSimulationKernel, _TIME_EPS, _VOLUME_EPS
 
 __all__ = [
     "ResidentJitKernel",
+    "SegmentLog",
     "available",
     "paused_gc",
 ]
@@ -645,6 +646,45 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
 # -------------------------------------------------------------------- kernel
 
 
+class SegmentLog:
+    """A compiled session's segment log: one ``(ingest id, start, end,
+    rate)`` record per coalesced segment, in recording order.
+
+    Iterating it yields ``(ingest id, segments)`` per flow, ids ascending,
+    each flow's ``[start, end, rate]`` segments in time order: the drain of
+    :meth:`ResidentJitKernel.drain_all_segments`.  A result keeps one made
+    of copies (:meth:`ResidentJitKernel.segment_log`) and drains it only if
+    its schedule is read.
+    """
+
+    __slots__ = ("sids", "starts", "ends", "rates")
+
+    def __init__(
+        self, sids: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+        rates: np.ndarray,
+    ) -> None:
+        self.sids = sids
+        self.starts = starts
+        self.ends = ends
+        self.rates = rates
+
+    def __iter__(self) -> Iterator[Tuple[int, List[List[float]]]]:
+        count = len(self.sids)
+        if count == 0:
+            return
+        order = np.argsort(self.sids, kind="stable")  # per-sid, in time order
+        triples = np.column_stack(
+            (self.starts[order], self.ends[order], self.rates[order])
+        ).tolist()
+        sids_sorted = self.sids[order]
+        bounds = np.flatnonzero(sids_sorted[1:] != sids_sorted[:-1]) + 1
+        chunk_starts = np.concatenate(([0], bounds))
+        chunk_ends = np.concatenate((bounds, [count]))
+        for a, b, sid in zip(chunk_starts.tolist(), chunk_ends.tolist(),
+                             sids_sorted[chunk_starts].tolist()):
+            yield sid, triples[a:b]
+
+
 class ResidentJitKernel(ResidentSimulationKernel):
     """The compiled kernel tier: a :class:`ResidentSimulationKernel` whose
     state lives in ctypes-owned arrays the C core runs on directly.
@@ -819,7 +859,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
                 f"flow {fid!r} has no volume ({size:g}); zero-size flows "
                 "complete at their release and are never ingested"
             )
-        edges = self._path_edge_ids(path)
+        edges = self.network.path_edge_ids(path)
         sid = self._next_sid
         self._next_sid += 1
         if self._free:
@@ -874,7 +914,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
                     f"flow {fid!r} has no volume ({size:g}); zero-size "
                     "flows complete at their release and are never ingested"
                 )
-        edge_lists = [self._path_edge_ids(path) for path in paths]
+        edge_lists = [self.network.path_edge_ids(path) for path in paths]
         # Sequential ingests pop free slots first, then append fresh rows.
         free = self._free
         reused = min(len(free), n)
@@ -934,7 +974,7 @@ class ResidentJitKernel(ResidentSimulationKernel):
         return int(self.a_sid[self.slot_of(fid)])
 
     def update_path(self, k: int, path) -> None:
-        self._set_edges(k, self._path_edge_ids(path))
+        self._set_edges(k, self.network.path_edge_ids(path))
 
     # ------------------------------------------------------------- epoch turn
     def begin_epoch(self, now, order, max_events=None, allocator=None):
@@ -1195,21 +1235,20 @@ class ResidentJitKernel(ResidentSimulationKernel):
 
     def drain_all_segments(self) -> Iterator[Tuple[int, List[List[float]]]]:
         count = int(self._istate[_SEG_LEN])
-        if count == 0:
-            return
-        sids = self._seg_flow[:count]
-        order = np.argsort(sids, kind="stable")  # per-sid, in time order
-        triples = np.column_stack(
-            (self._seg_start[:count][order], self._seg_end[:count][order],
-             self._seg_rate[:count][order])
-        ).tolist()
-        sids_sorted = sids[order]
-        bounds = np.flatnonzero(sids_sorted[1:] != sids_sorted[:-1]) + 1
-        chunk_starts = np.concatenate(([0], bounds))
-        chunk_ends = np.concatenate((bounds, [count]))
-        for a, b, sid in zip(chunk_starts.tolist(), chunk_ends.tolist(),
-                             sids_sorted[chunk_starts].tolist()):
-            yield sid, triples[a:b]
+        return iter(
+            SegmentLog(
+                self._seg_flow[:count], self._seg_start[:count],
+                self._seg_end[:count], self._seg_rate[:count],
+            )
+        )
+
+    def segment_log(self) -> "SegmentLog":
+        """Copies of the segment buffers' filled part, drained on iteration."""
+        count = int(self._istate[_SEG_LEN])
+        return SegmentLog(
+            self._seg_flow[:count].copy(), self._seg_start[:count].copy(),
+            self._seg_end[:count].copy(), self._seg_rate[:count].copy(),
+        )
 
     # ------------------------------------------------------------ diagnostics
     def _edge_ids_of(self, k: int) -> List[int]:

@@ -44,9 +44,8 @@ def coflow_slowdowns(
     flows are released long after the coflow's first release time — the
     denominator charges the whole volume from the first release.
     """
-    from ..core.network import path_edges
-
-    capacities = network.capacities()
+    capacity = network.capacity_vector()
+    edge_ids = network.path_edge_ids
     slowdowns: Dict[int, float] = {}
     for i, coflow in enumerate(instance.coflows):
         isolation = 0.0
@@ -55,9 +54,7 @@ def coflow_slowdowns(
             fid = (i, j)
             completed = max(completed, float(flow_completions[fid]))
             if flow.size > 0:
-                bottleneck = min(
-                    capacities[e] for e in path_edges(list(paths[fid]))
-                )
+                bottleneck = min([capacity[e] for e in edge_ids(paths[fid])])
                 isolation = max(isolation, flow.size / bottleneck)
         duration = completed - coflow.release_time
         if isolation <= _ISO_EPS:

@@ -86,7 +86,12 @@ class SimulationPlan:
 
     def validate(self, instance: CoflowInstance, network: Network) -> None:
         """Check paths exist in the network, match flow endpoints, and that
-        the plan names a known rate allocator and kernel backend."""
+        the plan names a known rate allocator and kernel backend.
+
+        A path is checked through :meth:`Network.path_edge_ids`: candidate
+        paths are known edge by edge already, and any other path is
+        validated as :meth:`Network.validate_path` does.
+        """
         from .allocators import resolve_allocator
         from .simulator import validate_backend
 
@@ -101,4 +106,4 @@ class SimulationPlan:
                 raise ValueError(
                     f"plan {self.name!r}: path endpoints for {fid} do not match flow"
                 )
-            network.validate_path(path)
+            network.path_edge_ids(path)

@@ -26,7 +26,10 @@ a one-epoch kernel session (:func:`make_kernel` picks the tier,
 :func:`load_plan` opens the epoch); :meth:`FlowLevelSimulator.run_reference`
 preserves the original dict-based event loop, kept as the executable
 specification both kernel tiers are equivalence-tested against
-(``tests/sim/test_kernel_equivalence.py``).
+(``tests/sim/test_kernel_equivalence.py``).  Every run's
+:class:`SimulationResult` is assembled in one place, and builds its
+schedule and start times only when they are read: a sweep's record holds
+its metrics and event count alone.
 """
 
 from __future__ import annotations
@@ -34,8 +37,19 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..core.flows import CoflowInstance, FlowId
 from ..core.network import Network, path_edges
@@ -212,19 +226,77 @@ def load_plan(
     return ingested
 
 
-@dataclass
-class SimulationResult:
-    """Completion times and derived metrics of one simulation run."""
+class _RunLog(NamedTuple):
+    """What a finished run leaves for its result to build the schedule and
+    the start times from, on first access.
 
-    plan_name: str
-    flow_completion: Dict[FlowId, float]
-    flow_start: Dict[FlowId, float]
-    breakdown: ObjectiveBreakdown
-    schedule: CircuitSchedule
-    events: int
-    #: Per-coflow slowdown: realised coflow duration over its isolation time
-    #: (see :func:`repro.sim.metrics.coflow_slowdowns`).
-    coflow_slowdowns: Dict[int, float] = field(default_factory=dict)
+    ``segments`` and ``starts`` may be one-shot iterators: each is read
+    once, by the first access to the piece it builds.
+    """
+
+    instance: CoflowInstance
+    #: Every flow's path (a normalized plan's ``paths``).
+    paths: Mapping[FlowId, Tuple[Hashable, ...]]
+    #: ``(flow id, [[start, end, rate], ...])`` per flow that moved volume,
+    #: each flow's segments in time order.
+    segments: Iterable[Tuple[FlowId, List[List[float]]]]
+    #: ``(flow id, start)`` per flow that moved volume.
+    starts: Iterable[Tuple[FlowId, float]]
+
+    def schedule(self) -> CircuitSchedule:
+        """Every flow's path, in instance order, and its segments."""
+        schedule = CircuitSchedule()
+        paths = self.paths
+        for fid in self.instance.flow_ids():
+            schedule.set_path(fid, paths[fid])
+        for fid, segments in self.segments:
+            schedule.extend_segments(fid, segments)
+        return schedule
+
+
+class SimulationResult:
+    """Completion times and derived metrics of one simulation run.
+
+    A sweep task's record holds only :meth:`metrics` and :attr:`events`, so
+    a run keeps the kernel's segment log and harvested start times, drops
+    the kernel, and builds :attr:`schedule` and :attr:`flow_start` from
+    them on first access.
+    """
+
+    def __init__(
+        self,
+        plan_name: str,
+        flow_completion: Dict[FlowId, float],
+        breakdown: ObjectiveBreakdown,
+        events: int,
+        coflow_slowdowns: Dict[int, float],
+        log: _RunLog,
+    ) -> None:
+        self.plan_name = plan_name
+        self.flow_completion = flow_completion
+        self.breakdown = breakdown
+        self.events = events
+        #: Per-coflow slowdown: realised coflow duration over its isolation
+        #: time (see :func:`repro.sim.metrics.coflow_slowdowns`).
+        self.coflow_slowdowns = coflow_slowdowns
+        self._log = log
+        self._schedule: Optional[CircuitSchedule] = None
+        self._flow_start: Optional[Dict[FlowId, float]] = None
+
+    @property
+    def schedule(self) -> CircuitSchedule:
+        """Every flow's path and bandwidth segments (built on first access)."""
+        if self._schedule is None:
+            self._schedule = self._log.schedule()
+        return self._schedule
+
+    @property
+    def flow_start(self) -> Dict[FlowId, float]:
+        """When each flow that moved volume first did so (built on first
+        access); zero-size flows have no entry."""
+        if self._flow_start is None:
+            self._flow_start = dict(self._log.starts)
+        return self._flow_start
 
     @property
     def weighted_completion_time(self) -> float:
@@ -282,23 +354,39 @@ def _build_result(
     network: Network,
     plan: SimulationPlan,
     completion: Dict[FlowId, float],
-    start: Dict[FlowId, float],
-    schedule: CircuitSchedule,
     events: int,
+    segments: Iterable[Tuple[FlowId, List[List[float]]]],
+    starts: Iterable[Tuple[FlowId, float]],
 ) -> SimulationResult:
-    """Assemble a :class:`SimulationResult` (shared by both event loops)."""
+    """Assemble a :class:`SimulationResult`: the one place every run's
+    result is made (static, reference and streaming).
+
+    ``plan`` is normalized (a path for every flow); ``segments`` and
+    ``starts`` are the run's, keyed by flow id (see :class:`_RunLog`), and
+    are read only when the result's schedule or starts are.
+    """
     from .metrics import coflow_slowdowns
 
-    breakdown = objective_breakdown(instance, completion)
     return SimulationResult(
         plan_name=plan.name,
         flow_completion=completion,
-        flow_start=start,
-        breakdown=breakdown,
-        schedule=schedule,
+        breakdown=objective_breakdown(instance, completion),
         events=events,
         coflow_slowdowns=coflow_slowdowns(instance, network, plan.paths, completion),
+        log=_RunLog(instance, plan.paths, segments, starts),
     )
+
+
+def _ingest_order_starts(
+    ingested: Sequence[FlowId], started: Iterable[Tuple[int, float]]
+) -> Iterator[Tuple[FlowId, float]]:
+    """A one-epoch session's harvested ``(slot, start)`` pairs as ``(flow
+    id, start)``, in ingest order (a fresh session's slot is its ingest
+    id)."""
+    by_slot = dict(started)
+    for k, fid in enumerate(ingested):
+        if k in by_slot:
+            yield fid, by_slot[k]
 
 
 class FlowLevelSimulator:
@@ -337,7 +425,9 @@ class FlowLevelSimulator:
         ``backend`` overrides the simulator's and the plan's kernel tier
         for this one run; backends are bit-identical, so the result does
         not depend on the choice.  Zero-size flows complete at their
-        release.
+        release.  The result keeps a copy of the kernel's segment log and
+        its harvested starts, and builds its ``schedule`` and ``flow_start``
+        from them on first access.
         """
         plan = plan.normalized(instance)
         plan.validate(instance, self.network)
@@ -351,30 +441,24 @@ class FlowLevelSimulator:
             kernel.run()
             done, started = kernel.harvest_epoch()[:2]
             completion: Dict[FlowId, float] = {}
-            schedule = CircuitSchedule()
             for i, coflow in enumerate(instance.coflows):
                 for j, flow in enumerate(coflow.flows):
-                    fid = (i, j)
-                    schedule.set_path(fid, plan.paths[fid])
                     # Zero-size flows were never ingested and are done at
                     # release; the harvest overwrites every other entry.
-                    completion[fid] = float(flow.release_time)
+                    completion[i, j] = float(flow.release_time)
             for k, t in done:
                 completion[ingested[k]] = t
-            started = dict(started)
-            start = {
-                fid: started[k] for k, fid in enumerate(ingested) if k in started
-            }
-            for sid, segments in kernel.drain_all_segments():
-                schedule.extend_segments(ingested[sid], segments)
             return _build_result(
                 instance,
                 self.network,
                 plan,
                 completion,
-                start,
-                schedule,
                 kernel.events,
+                segments=(
+                    (ingested[sid], segments)
+                    for sid, segments in kernel.segment_log()
+                ),
+                starts=_ingest_order_starts(ingested, started),
             )
 
     # -------------------------------------------------------------- reference
@@ -419,9 +503,8 @@ class FlowLevelSimulator:
 
         completion: Dict[FlowId, float] = {}
         start: Dict[FlowId, float] = {}
-        schedule = CircuitSchedule()
+        segments: Dict[FlowId, List[List[float]]] = {}
         for fid in flows:
-            schedule.set_path(fid, plan.paths[fid])
             if flows[fid].size <= _VOLUME_EPS:
                 completion[fid] = release[fid]
 
@@ -499,7 +582,7 @@ class FlowLevelSimulator:
                 if rate <= 0.0:
                     continue
                 transferred = min(rate * elapsed, remaining[fid])
-                schedule.add_segment(fid, now, next_time, rate)
+                segments.setdefault(fid, []).append([now, next_time, rate])
                 remaining[fid] -= transferred
                 if remaining[fid] <= _VOLUME_EPS:
                     remaining[fid] = 0.0
@@ -511,5 +594,6 @@ class FlowLevelSimulator:
             now = next_time
 
         return _build_result(
-            instance, self.network, plan, completion, start, schedule, events
+            instance, self.network, plan, completion, events,
+            segments=segments.items(), starts=start.items(),
         )

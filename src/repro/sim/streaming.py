@@ -67,13 +67,12 @@ import bisect
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.flows import Coflow, CoflowInstance, Flow, FlowId
 from ..core.network import Network
-from ..core.schedule import CircuitSchedule
 from .allocators import resolve_allocator
 from .kernel import ResidentSimulationKernel
 from .kernel_jit import paused_gc
@@ -324,8 +323,8 @@ class StreamingScheduler:
         self._remaining: Dict[FlowId, float] = {}
         self._completion: Dict[FlowId, float] = {}
         self._start: Dict[FlowId, float] = {}
-        #: Realised segments per flow, drained from the session kernel when
-        #: the final result is assembled.
+        #: Realised segments per flow of epochs run without the session
+        #: kernel (whose own segments are drained into the final result).
         self._segments: Dict[FlowId, List[List[float]]] = {}
         self._current_path: Dict[FlowId, Tuple[Hashable, ...]] = {}
         self._pinned: Dict[FlowId, Tuple[Hashable, ...]] = {}
@@ -907,31 +906,29 @@ class StreamingScheduler:
 
     def _build_final(self) -> SimulationResult:
         instance = self._full_instance()
-        segments = self._segments
-        if self._session_kernel is not None:
-            # The session accumulates segments inside the kernel
-            # (attributed by ingest-unique slot ids so the free-list can
-            # recycle slots); drain them into the per-flow map once.
-            sid_to_fid = self._sid_to_fid
-            for sid, segs in self._session_kernel.drain_all_segments():
-                segments[sid_to_fid[sid]] = segs
-        schedule = CircuitSchedule()
+        current_path = self._current_path
         for fid in instance.flow_ids():
-            path = self._current_path.get(fid)
-            if path is None:
+            if fid not in current_path:
                 # Never planned (zero-size flow in a coflow that produced no
                 # sub-instance): fall back to a shortest path for bookkeeping.
                 flow = instance.flow(fid)
-                path = tuple(
+                current_path[fid] = tuple(
                     self.network.shortest_path(flow.source, flow.destination)
                 )
-                self._current_path[fid] = path
-            schedule.set_path(fid, path)
-            if fid in segments:
-                schedule.extend_segments(fid, segments[fid])
+        segments: Iterable[Tuple[FlowId, List[List[float]]]]
+        if self._session_kernel is None:
+            segments = self._segments.items()
+        else:
+            # The session accumulates segments inside the kernel, attributed
+            # by ingest-unique slot ids so the free-list can recycle slots.
+            sid_to_fid = self._sid_to_fid
+            segments = (
+                (sid_to_fid[sid], segs)
+                for sid, segs in self._session_kernel.segment_log()
+            )
         previous_plan = self._previous_plan
         final_plan = SimulationPlan(
-            paths=dict(self._current_path),
+            paths=dict(current_path),
             order=list(previous_plan.order) if previous_plan else [],
             name=self.name
             or (previous_plan.name if previous_plan else "online"),
@@ -942,9 +939,9 @@ class StreamingScheduler:
             self.network,
             final_plan.normalized(instance),
             self._completion,
-            self._start,
-            schedule,
             self._events,
+            segments=segments,
+            starts=self._start.items(),
         )
 
 

@@ -8,6 +8,11 @@ The two engine guarantees the benchmarks lean on:
 * **resumability** — re-running against a warm run store reuses every cached
   entry without re-simulating (asserted through the store's hit/miss
   accounting), and a partially-filled store only executes the missing tasks.
+
+A task computes only what its record holds: each config's instance is
+generated once per process and shared by the config's scheme tasks (which
+is sound only because no scheme changes the instance it is given), and no
+task builds a schedule.
 """
 
 import json
@@ -20,9 +25,10 @@ from repro.analysis import (
     RunStore,
     run_key,
 )
-from repro.baselines import scheme_from_spec
+from repro.baselines import SCHEME_ALIASES, scheme_from_spec
 from repro.core import topologies
-from repro.workloads import WorkloadConfig
+from repro.core.schedule import CircuitSchedule
+from repro.workloads import CoflowGenerator, WorkloadConfig
 
 
 @pytest.fixture
@@ -254,3 +260,112 @@ class TestShardClaimRaces:
         # across shard files, nothing re-executes.
         assert engine.last_run_stats.all_cached
         assert second.hits == engine.last_run_stats.total_tasks
+
+
+class TestInstanceReuse:
+    """Each config's instance is generated once per process, and its scheme
+    tasks (static and online) build no schedule."""
+
+    SCHEMES = ("Baseline", "SEBF", "Online-SEBF")
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        """The configs ``CoflowGenerator.instance`` ran for, in call order."""
+        calls = []
+        original = CoflowGenerator.instance
+
+        def spy(generator, *args, **kwargs):
+            calls.append(generator.config)
+            return original(generator, *args, **kwargs)
+
+        monkeypatch.setattr(CoflowGenerator, "instance", spy)
+        return calls
+
+    @staticmethod
+    def engine(network, **kwargs):
+        schemes = [scheme_from_spec(name) for name in TestInstanceReuse.SCHEMES]
+        return ExperimentEngine(network, schemes, tries=2, **kwargs)
+
+    def test_serial_run_generates_each_config_once(self, network, config, generated):
+        engine = self.engine(network)
+        engine.run(config, "coflow_width", [2, 3, 4])
+        configs = 3 * 2
+        assert engine.last_run_stats.executed == configs * len(self.SCHEMES)
+        assert len(generated) == configs
+        assert len(set(generated)) == configs
+
+    def test_no_task_builds_a_schedule(self, network, config, monkeypatch):
+        built = []
+        original = CircuitSchedule.__init__
+
+        def spy(schedule):
+            built.append(schedule)
+            original(schedule)
+
+        monkeypatch.setattr(CircuitSchedule, "__init__", spy)
+        engine = self.engine(network)
+        engine.run(config, "coflow_width", [2, 3])
+        assert engine.last_run_stats.executed == 2 * 2 * len(self.SCHEMES)
+        assert built == []
+
+    def test_serial_and_pooled_runs_write_the_same_store_lines(
+        self, tmp_path, network, config
+    ):
+        # Pool records land in completion order, so the lines are compared
+        # as sorted bytes.
+        lines = {}
+        for workers in (None, 2):
+            path = tmp_path / f"workers-{workers}.jsonl"
+            self.engine(network, workers=workers, store=str(path)).run(
+                config, "coflow_width", [2, 3]
+            )
+            lines[workers] = sorted(path.read_bytes().splitlines())
+        assert len(lines[None]) == 2 * 2 * len(self.SCHEMES)
+        assert lines[None] == lines[2]
+
+    def test_a_retry_after_a_transient_fault_records_the_clean_result(
+        self, tmp_path, network, config, generated
+    ):
+        # The timeout fires inside each task's first simulation; the retry
+        # reuses the instance generated for that attempt.
+        clean = self.engine(network, store=str(tmp_path / "clean.jsonl"))
+        clean.run(config, "coflow_width", [2, 3])
+        generated.clear()
+        chaotic = self.engine(
+            network,
+            store=str(tmp_path / "chaotic.jsonl"),
+            faults="rate=1.0,kinds=timeout",
+            retry_backoff=0.0,
+        )
+        chaotic.run(config, "coflow_width", [2, 3])
+        stats = chaotic.last_run_stats
+        assert stats.retried == stats.total_tasks
+        assert stats.failed == 0
+        assert len(generated) == 2 * 2
+        assert (tmp_path / "chaotic.jsonl").read_bytes() == (
+            tmp_path / "clean.jsonl"
+        ).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SCHEME_ALIASES))
+def test_schemes_leave_the_instance_they_simulate_unchanged(name):
+    """The engine hands one instance to every scheme task of a config, so
+    simulating must leave it equal to a freshly generated copy."""
+    network = topologies.fat_tree(4)
+    config = WorkloadConfig(
+        num_coflows=3, coflow_width=3, seed=23, release_rate=2.0,
+        coflow_arrival_rate=1.0,
+    )
+
+    def fresh():
+        instance = CoflowGenerator(network, config).instance()
+        if "router=given" in SCHEME_ALIASES[name]:
+            instance = instance.with_paths({
+                (i, j): network.shortest_path(flow.source, flow.destination)
+                for i, j, flow in instance.iter_flows()
+            })
+        return instance
+
+    instance = fresh()
+    scheme_from_spec(name).simulate(instance, network)
+    assert instance == fresh()

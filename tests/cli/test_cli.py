@@ -485,13 +485,15 @@ class TestUnwritableOutputs:
                 f"{os.strerror(errno.ENOTDIR)} ({blocker / 'tiny'})"
             )
 
-    def test_report_export_under_a_file(self, store, blocker):
+    def test_report_export_under_a_file(self, store, blocker, capsys):
         spec, runstore = store
         argv = ["report", str(spec), "--store", str(runstore), "--export", "--out", str(blocker)]
         assert self.exit_line(argv) == (
             f"repro report: cannot write {blocker}: "
             f"{os.strerror(errno.ENOTDIR)} ({blocker / 'tiny'})"
         )
+        # The directory is made before rendering: no report on stdout.
+        assert capsys.readouterr().out == ""
 
     def test_merge_output_under_a_file(self, store, blocker):
         _, runstore = store

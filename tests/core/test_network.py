@@ -543,6 +543,70 @@ class TestPathMemo:
         assert sorted(scaled.capacity_vector()) == [20.0, 20.0, 30.0, 50.0]
 
 
+class TestPathEdgeIds:
+    """``path_edge_ids`` answers candidate paths from the memo, which holds
+    each candidate set's own edge-id tuples, and validates any other path
+    edge by edge, as ``validate_path`` does."""
+
+    @staticmethod
+    def expected(network, path):
+        index = network.edge_index()
+        return [index[e] for e in path_edges(list(path))]
+
+    def test_candidate_paths_answer_with_their_candidate_set_tuples(self, port):
+        network = topologies.leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=2)
+        hosts = topologies.host_nodes(network)
+        for s, t in itertools.permutations(hosts, 2):
+            found = network.candidate_set(s, t, 16, 1)
+            for path, edge_ids in zip(found.paths, found.edge_ids):
+                assert network.path_edge_ids(path) is edge_ids
+                assert list(edge_ids) == self.expected(network, path)
+
+    def test_hand_built_lists_and_tuples(self, diamond, port):
+        diamond.candidate_set("a", "d")
+        for path in (["a", "b", "d"], ("a", "c", "d"), ["a", "b"], ("c", "d")):
+            ids = diamond.path_edge_ids(path)
+            assert isinstance(ids, tuple)
+            assert list(ids) == self.expected(diamond, path)
+
+    def test_a_path_outside_the_memo_is_not_memoized(self, diamond, port):
+        diamond.add_edge("b", "c", capacity=1.0)
+        diamond.candidate_set("a", "d", 16, 0)
+        detour = ("a", "b", "c", "d")
+        assert list(diamond.path_edge_ids(detour)) == self.expected(diamond, detour)
+        assert detour not in diamond._memo.path_ids
+
+    @pytest.mark.parametrize(
+        "path", [["a", "d"], ("a", "b", "c"), ["a", "b", "d", "a"]],
+        ids=["missing-edge", "missing-middle-edge", "missing-last-edge"],
+    )
+    def test_a_missing_edge_raises_validate_paths_error(self, diamond, path, port):
+        diamond.candidate_set("a", "d")
+        with pytest.raises(ValueError) as expected:
+            diamond.validate_path(path)
+        with pytest.raises(ValueError) as raised:
+            diamond.path_edge_ids(path)
+        assert str(raised.value) == str(expected.value)
+        assert "missing edge" in str(raised.value)
+
+    @pytest.mark.parametrize("path", [["a"], ("d",), []], ids=["list", "tuple", "empty"])
+    def test_a_path_of_fewer_than_two_nodes_raises(self, diamond, path, port):
+        with pytest.raises(ValueError, match="at least two nodes"):
+            diamond.path_edge_ids(path)
+
+    def test_add_edge_drops_the_memo(self, diamond, port):
+        found = diamond.candidate_set("a", "d")
+        assert diamond.path_edge_ids(("a", "b", "d")) is found.edge_ids[0]
+        diamond.add_edge("a", "d", capacity=1.0)
+        assert diamond._memo is None
+        # The edge index is re-laid out for the new edge set.
+        assert list(diamond.path_edge_ids(("a", "b", "d"))) == self.expected(
+            diamond, ("a", "b", "d")
+        )
+        assert diamond.path_edge_ids(("a", "d")) == (diamond.edge_index()["a", "d"],)
+        assert ("a", "b", "d") not in diamond._memo.path_ids
+
+
 class TestUtilities:
     @pytest.mark.parametrize(
         "build",

@@ -9,7 +9,9 @@ allocator.  These
 property tests replay seeded scenarios through all paths (a 3-way check
 when the jit tier is available) and compare completion times bit-for-bit,
 plus the realised schedule volumes (where segment coalescing legitimately
-reorders float additions, so a tight tolerance applies).
+reorders float additions, so a tight tolerance applies).  A kernel run's
+result builds its schedule and start times only when they are read, and
+what it builds is held to the reference loop's too.
 
 The online engine's anchor property rides along: online simulation under a
 scheduler that never changes the plan (``StaticPlanReplanner``) reproduces
@@ -26,6 +28,7 @@ import pytest
 
 from repro.baselines import scheme_from_spec
 from repro.core import topologies
+from repro.core.schedule import CircuitSchedule
 from repro.sim import (
     ALLOCATORS,
     FlowLevelSimulator,
@@ -112,6 +115,46 @@ def test_kernel_matches_reference(seed, flow_sizes, endpoints, scheme, allocator
     reference = simulator.run_reference(instance, plan)
     assert_identical(kernel, reference)
     kernel.schedule.validate(instance, network)
+
+
+@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
+@pytest.mark.parametrize("seed,flow_sizes,endpoints,scheme", CASES)
+def test_schedule_and_starts_are_built_on_first_access(
+    seed, flow_sizes, endpoints, scheme, backend, monkeypatch
+):
+    """A run builds no schedule until one is read, then builds it once;
+    the schedule and the starts it builds are the reference loop's."""
+    network, instance, plan = build_case(seed, flow_sizes, endpoints, scheme)
+    simulator = FlowLevelSimulator(network)
+    reference = simulator.run_reference(instance, plan)
+    built = []
+    original = CircuitSchedule.__init__
+
+    def spy(schedule):
+        built.append(schedule)
+        original(schedule)
+
+    monkeypatch.setattr(CircuitSchedule, "__init__", spy)
+    result = simulator.run(instance, plan, backend=backend)
+    assert result.metrics() and result.events == reference.events
+    assert built == []
+    assert result.flow_start == reference.flow_start
+    assert list(result.flow_start) == [
+        fid for fid in instance.flow_ids() if fid in reference.flow_start
+    ]
+    assert built == []
+    schedule = result.schedule
+    assert result.schedule is schedule
+    assert built == [schedule]
+    assert schedule.flow_ids() == reference.schedule.flow_ids()
+    for fid in instance.flow_ids():
+        assert schedule.path(fid) == reference.schedule.path(fid), fid
+        assert schedule.delivered_volume(fid) == pytest.approx(
+            reference.schedule.delivered_volume(fid), rel=1e-9, abs=1e-9
+        ), fid
+        if fid in reference.flow_start:
+            assert schedule.start_time(fid) == reference.schedule.start_time(fid)
+    schedule.validate(instance, network)
 
 
 @pytest.mark.parametrize("seed,flow_sizes,endpoints,scheme", CASES)
