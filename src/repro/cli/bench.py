@@ -514,9 +514,9 @@ def run_simulator(
     from ..sim import (
         FlowLevelSimulator,
         kernel_jit,
+        kernel_tier,
         make_kernel,
         paused_gc,
-        resolve_backend,
     )
     from ..sim.simulator import load_plan
     from ..workloads import CoflowGenerator
@@ -711,7 +711,7 @@ def run_simulator(
             },
             "jit_available": jit_available,
             # The tier unpinned rows (the online row) ran on.
-            "default_backend": resolve_backend(None),
+            "default_backend": kernel_tier(),
             "events_per_sec": events_per_sec,
             "speedups": speedups,
         }
@@ -836,7 +836,7 @@ def run_streaming(
         StaticPlanReplanner,
         StreamingScheduler,
         kernel_jit,
-        resolve_backend,
+        kernel_tier,
     )
     from ..workloads import CoflowGenerator
 
@@ -945,13 +945,11 @@ def run_streaming(
             "the jit backend is unavailable at full bench scale: "
             f"{kernel_jit.unavailable_reason()}"
         )
-    gate_backend = "jit" if jit_available else "array"
     gate_suffix = "100k" if not smoke else "100k (smoke-scaled)"
     session = StreamingScheduler(
         gate_network,
         StaticPlanReplanner(static_plan),
         policy=BatchPolicy(max_batch=1),
-        backend=gate_backend,
     )
     result, wall = _timed_streaming(
         session, gate_instance, f"resident / {gate_suffix}"
@@ -1005,9 +1003,9 @@ def run_streaming(
                 "flows": gate_cfg["num_coflows"] * gate_cfg["coflow_width"],
                 "events": res_report["events"],
             },
-            "gate_backend": gate_backend,
+            "gate_backend": kernel_tier(static_plan.allocator),
             # The tier the unpinned per-arrival and batched sessions ran on.
-            "default_backend": resolve_backend(None),
+            "default_backend": kernel_tier(),
             "policy": dict(_STREAMING_POLICY),
             "streaming": {
                 label: report

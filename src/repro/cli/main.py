@@ -2,17 +2,19 @@
 
 Each subcommand lives in its own module exposing ``configure(subparsers)``
 (which registers the subparser and sets ``func``); this module only builds
-the top-level parser, handles ``--version`` provenance output, and
-dispatches.
+the top-level parser, handles ``--version`` provenance output, checks
+``REPRO_SIM_BACKEND``, and dispatches.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 from pathlib import Path
 from typing import Callable, List, Optional
 
 from ..analysis.artifacts import provenance_lines
+from ..sim.simulator import BACKENDS, validate_backend
 
 
 def bounded(
@@ -97,4 +99,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_help()
         return 2
+    # A bad tier name ends every command before it does any work; only the
+    # name is checked, so the compiled core is not loaded here.
+    backend = os.environ.get("REPRO_SIM_BACKEND", "").strip()
+    try:
+        validate_backend(backend or None)
+    except ValueError:
+        raise SystemExit(
+            f"repro: REPRO_SIM_BACKEND={backend!r} names no simulator backend "
+            f"(expected one of: {', '.join(BACKENDS)})"
+        ) from None
     return int(args.func(args) or 0)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 from pathlib import Path
 from typing import Any, Dict
 
@@ -26,7 +25,7 @@ from ..analysis.artifacts import (
     provenance,
     strict_config_from_dict,
 )
-from ..sim.simulator import BACKENDS, resolve_backend
+from ..sim.simulator import kernel_tier
 from ..workloads.generator import (
     ENDPOINT_DISTRIBUTIONS,
     FLOW_SIZE_DISTRIBUTIONS,
@@ -114,15 +113,6 @@ def configure(subparsers: argparse._SubParsersAction) -> None:
         "--zipf-exponent", type=float, help="skew strength of the skewed family"
     )
     parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        help="simulation kernel tier: 'array' (Python array kernel), 'jit' "
-        "(compiled tier, falls back to array when no C toolchain is "
-        "available) or 'auto'; backends are bit-identical, so this only "
-        "affects speed (default: the REPRO_SIM_BACKEND environment "
-        "variable, then 'auto')",
-    )
-    parser.add_argument(
         "--output", type=Path, metavar="FILE", help="write the JSON here instead of stdout"
     )
     parser.set_defaults(func=execute)
@@ -152,11 +142,6 @@ def build_config(args: argparse.Namespace) -> WorkloadConfig:
 
 def execute(args: argparse.Namespace) -> int:
     """Run the instance and emit the JSON document."""
-    if getattr(args, "backend", None):
-        # Scheme pipelines build their own simulators (the online engine
-        # constructs per-epoch kernels), so the backend choice travels as
-        # the environment default every kernel constructor consults.
-        os.environ["REPRO_SIM_BACKEND"] = args.backend
     config = build_config(args)
     try:
         network = config.build_network()
@@ -193,9 +178,9 @@ def execute(args: argparse.Namespace) -> int:
         "config": config_to_dict(config),
         "scheme": {"name": scheme.name, "signature": scheme.signature()},
         "instance": instance.name,
-        # Provenance only: backends are bit-identical, so the resolved tier
-        # deliberately stays out of the scheme signature and run-store keys.
-        "simulator": {"backend": resolve_backend(getattr(args, "backend", None))},
+        # Provenance only: the tiers are bit-identical, so the tier that ran
+        # for the scheme's allocator stays out of the signature and keys.
+        "simulator": {"backend": kernel_tier(scheme.alloc)},
         "metrics": result.metrics(),
     }
     rendered = json.dumps(document, indent=2, sort_keys=True)

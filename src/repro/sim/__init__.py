@@ -9,7 +9,7 @@ Three layers (see ``docs/simulator.md``):
 * :mod:`repro.sim.kernel_jit` — the compiled tier of the same session
   (:class:`ResidentJitKernel`, bit-identical, greedy allocator only; an
   unpinned run gets it wherever its C core builds, and
-  ``backend="array"`` / ``REPRO_SIM_BACKEND=array`` opts out);
+  ``REPRO_SIM_BACKEND=array`` opts out);
 * :mod:`repro.sim.allocators` — pluggable per-event rate policies;
 * :mod:`repro.sim.streaming` — the long-running scheduler service:
   re-planning at every coflow arrival (its default policy) or in batches
@@ -18,8 +18,10 @@ Three layers (see ``docs/simulator.md``):
 
 :class:`FlowLevelSimulator` is the orchestrating entry point: a static run
 is a one-epoch kernel session, and the streaming engine keeps one session
-across every re-plan.  :func:`make_kernel` is the single tier selector, and
-the original dict-based event loop stays available as ``run_reference``.
+across every re-plan.  :func:`make_kernel` builds every kernel on the tier
+:func:`kernel_tier` decides (from its ``backend`` argument, else
+``REPRO_SIM_BACKEND``, else ``"auto"``), and the original dict-based event
+loop stays available as ``run_reference``.
 
 The streaming names load :mod:`repro.sim.streaming` on first access (a PEP
 562 module ``__getattr__``), so a static run never imports it; an
@@ -44,6 +46,7 @@ from .simulator import (
     BACKENDS,
     FlowLevelSimulator,
     SimulationResult,
+    kernel_tier,
     make_kernel,
     resolve_backend,
     validate_backend,
@@ -68,6 +71,7 @@ __all__ = [
     "ResidentJitKernel",
     "paused_gc",
     "BACKENDS",
+    "kernel_tier",
     "make_kernel",
     "resolve_backend",
     "validate_backend",

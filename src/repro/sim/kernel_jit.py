@@ -982,8 +982,8 @@ class ResidentJitKernel(ResidentSimulationKernel):
             raise ValueError(
                 f"the compiled kernel tier only lowers the greedy "
                 f"allocator; the plan switched to {allocator!r} mid-session "
-                f'(pin backend="array" for a replanner that switches '
-                f"allocators)"
+                f"(run a replanner that switches allocators with "
+                f"REPRO_SIM_BACKEND=array)"
             )
         if now + _TIME_EPS < self.now:
             raise ValueError(

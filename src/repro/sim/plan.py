@@ -41,14 +41,6 @@ class SimulationPlan:
         Optional canonical scheme-spec string of the pipeline that produced
         this plan (``pipeline(router=..., order=..., ...)``) — provenance
         for artifacts and debugging; ``None`` for hand-built plans.
-    backend:
-        Kernel backend this plan requests: ``"array"`` (the Python array
-        kernel), ``"jit"`` (the compiled kernel tier,
-        :mod:`repro.sim.kernel_jit`) or ``None`` (default — defer to the
-        ``REPRO_SIM_BACKEND`` environment variable, then to ``"auto"``:
-        the compiled tier wherever its C core builds).
-        Backends are bit-identical by contract, so this is a *speed* knob:
-        it deliberately does not enter scheme signatures or run-store keys.
     """
 
     paths: Dict[FlowId, Tuple[Hashable, ...]]
@@ -56,7 +48,6 @@ class SimulationPlan:
     name: str = "unnamed"
     allocator: str = "greedy"
     spec: Optional[str] = None
-    backend: Optional[str] = None
 
     def priority_rank(self) -> Dict[FlowId, int]:
         """Map each flow id to its priority rank (0 = highest)."""
@@ -81,22 +72,19 @@ class SimulationPlan:
             name=self.name,
             allocator=self.allocator,
             spec=self.spec,
-            backend=self.backend,
         )
 
     def validate(self, instance: CoflowInstance, network: Network) -> None:
         """Check paths exist in the network, match flow endpoints, and that
-        the plan names a known rate allocator and kernel backend.
+        the plan names a known rate allocator.
 
         A path is checked through :meth:`Network.path_edge_ids`: candidate
         paths are known edge by edge already, and any other path is
         validated as :meth:`Network.validate_path` does.
         """
         from .allocators import resolve_allocator
-        from .simulator import validate_backend
 
         resolve_allocator(self.allocator)  # raises on unknown names
-        validate_backend(self.backend)  # raises on unknown backend names
         for i, j, flow in instance.iter_flows():
             fid = (i, j)
             if fid not in self.paths:

@@ -56,6 +56,7 @@ from ..core.network import Network, path_edges
 from ..core.objective import ObjectiveBreakdown, objective_breakdown
 from ..core.schedule import CircuitSchedule
 from .allocators import GreedyPriorityAllocator, RateAllocator, resolve_allocator
+from . import kernel_jit
 from .kernel import ResidentSimulationKernel, format_stuck_report
 from .kernel_jit import paused_gc
 from .plan import SimulationPlan
@@ -64,6 +65,7 @@ __all__ = [
     "BACKENDS",
     "FlowLevelSimulator",
     "SimulationResult",
+    "kernel_tier",
     "load_plan",
     "make_kernel",
     "resolve_backend",
@@ -77,16 +79,15 @@ _VOLUME_EPS = 1e-9
 #: Minimum simulated time step (guards against event-time rounding stalls).
 _TIME_EPS = 1e-12
 
-#: Kernel backends a plan / CLI flag / environment variable may name.
-#: ``"array"`` is the Python kernel tier, ``"jit"`` the compiled tier
+#: Kernel backends a ``backend`` argument or ``REPRO_SIM_BACKEND`` may
+#: name.  ``"array"`` is the Python kernel tier, ``"jit"`` the compiled tier
 #: (:mod:`repro.sim.kernel_jit`), ``"auto"`` picks ``jit`` when it can run
 #: here and ``array`` otherwise (as an unpinned run does).  Backends are
 #: bit-identical by contract — a speed knob only — so the choice never
 #: enters scheme signatures or run-store keys.
 BACKENDS: Tuple[str, ...] = ("array", "jit", "auto")
 
-#: Environment variable consulted when neither the caller nor the plan
-#: pins a backend (``repro run --backend`` sets it for scheme pipelines).
+#: Environment variable consulted when the caller names no backend.
 _BACKEND_ENV = "REPRO_SIM_BACKEND"
 
 _fallback_warned = False
@@ -96,8 +97,8 @@ def validate_backend(backend: Optional[str]) -> None:
     """Raise ``ValueError`` unless ``backend`` names a known kernel backend.
 
     ``None`` (defer to the environment, then to ``"auto"``) is valid.
-    Cheap by design — plan validation calls this on every run, and it must
-    not probe compiler availability.
+    It looks at the name alone and never probes compiler availability, so
+    ``repro`` checks ``REPRO_SIM_BACKEND`` with it before any command runs.
     """
     if backend is not None and backend not in BACKENDS:
         raise ValueError(
@@ -113,18 +114,49 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     variable > ``"auto"``.  ``"auto"`` (from any source, unpinned runs
     included) resolves silently to ``"jit"`` when the compiled tier can
     run on this machine and ``"array"`` otherwise; an explicit ``"jit"``
-    is kept as-is and falls back (with a warning) at kernel-construction
-    time so the caller can tell the difference between *requested* and
-    *running*.
+    is kept as-is, so this is the tier *requested*, and
+    :func:`kernel_tier` the tier that *runs*.
     """
     if backend is None:
         backend = os.environ.get(_BACKEND_ENV, "").strip() or None
     validate_backend(backend)
     if backend is None or backend == "auto":
-        from . import kernel_jit
-
         return "jit" if kernel_jit.available() else "array"
     return backend
+
+
+def kernel_tier(
+    allocator: Union[str, RateAllocator] = "greedy",
+    backend: Optional[str] = None,
+) -> str:
+    """The tier :func:`make_kernel` builds for ``allocator``: the one place
+    the simulator tier is decided.
+
+    ``"jit"`` when ``backend`` resolves to it (:func:`resolve_backend`:
+    the argument, else ``REPRO_SIM_BACKEND``, else ``"auto"``), the C core
+    builds on this machine and the allocator is the greedy policy;
+    ``"array"`` otherwise.  A ``"jit"`` request on a machine without a C
+    toolchain degrades to ``"array"`` with a one-time ``RuntimeWarning`` —
+    never an error, since tiers are bit-identical and availability is a
+    property of the machine, not of the experiment.
+    """
+    if resolve_backend(backend) != "jit":
+        return "array"
+    if not kernel_jit.available():
+        global _fallback_warned
+        if not _fallback_warned:
+            _fallback_warned = True
+            warnings.warn(
+                "the 'jit' simulator backend is unavailable "
+                f"({kernel_jit.unavailable_reason()}); "
+                "falling back to the 'array' kernel (results are identical)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return "array"
+    if not isinstance(allocator, RateAllocator):
+        allocator = resolve_allocator(allocator)
+    return "jit" if type(allocator) is GreedyPriorityAllocator else "array"
 
 
 def make_kernel(
@@ -133,48 +165,20 @@ def make_kernel(
     backend: Optional[str] = None,
     start_time: float = 0.0,
 ) -> ResidentSimulationKernel:
-    """A fresh kernel session on the selected tier.
+    """A fresh kernel session on the tier :func:`kernel_tier` picks.
 
-    ``backend`` resolves through :func:`resolve_backend`, so an unpinned
-    kernel is compiled wherever the C core builds.  The compiled
-    :class:`~repro.sim.kernel_jit.ResidentJitKernel` is returned only when
-    the resolved backend is ``"jit"``, the allocator is the greedy policy
-    and the C core builds on this machine; otherwise the Python
-    :class:`~repro.sim.kernel.ResidentSimulationKernel` runs the session.
-    Requesting ``"jit"`` on a machine without a C toolchain degrades to
-    the Python tier with a one-time ``RuntimeWarning`` — never an error,
-    since tiers are bit-identical and availability is a property of the
-    machine, not of the experiment.  The tier is fixed for the kernel's
-    lifetime: the Python tier re-resolves the allocator at every epoch,
-    while a compiled kernel rejects an epoch naming any allocator but
-    the greedy one.
+    An unpinned kernel is compiled wherever the C core builds: the
+    compiled :class:`~repro.sim.kernel_jit.ResidentJitKernel` for the
+    greedy allocator, the Python
+    :class:`~repro.sim.kernel.ResidentSimulationKernel` for any other.
+    The tier is fixed for the kernel's lifetime: the Python tier
+    re-resolves the allocator at every epoch, while a compiled kernel
+    rejects an epoch naming any allocator but the greedy one.
     """
-    policy = (
-        allocator
-        if isinstance(allocator, RateAllocator)
-        else resolve_allocator(allocator)
-    )
-    if resolve_backend(backend) == "jit":
-        from . import kernel_jit
-
-        if kernel_jit.available():
-            if type(policy) is GreedyPriorityAllocator:
-                return kernel_jit.ResidentJitKernel(
-                    network, start_time=start_time
-                )
-        else:
-            global _fallback_warned
-            if not _fallback_warned:
-                _fallback_warned = True
-                warnings.warn(
-                    "the 'jit' simulator backend is unavailable "
-                    f"({kernel_jit.unavailable_reason()}); "
-                    "falling back to the 'array' kernel (results are identical)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+    if kernel_tier(allocator, backend) == "jit":
+        return kernel_jit.ResidentJitKernel(network, start_time=start_time)
     return ResidentSimulationKernel(
-        network, allocator=policy, start_time=start_time
+        network, allocator=allocator, start_time=start_time
     )
 
 
@@ -390,24 +394,16 @@ def _ingest_order_starts(
 
 
 class FlowLevelSimulator:
-    """Simulate a :class:`SimulationPlan` on a network.
+    """Simulate a :class:`SimulationPlan` on ``network``, the capacitated
+    topology.
 
-    Parameters
-    ----------
-    network:
-        The capacitated topology.
-    backend:
-        Default kernel backend for :meth:`run` (``"array"``, ``"jit"`` or
-        ``"auto"``); ``None`` defers to the plan, then the
-        ``REPRO_SIM_BACKEND`` environment variable, then ``"auto"``: the
-        compiled tier when its C core builds here and the plan's allocator
-        is greedy, the Python tier otherwise.
+    :meth:`run` takes its kernel tier from :func:`make_kernel`: the
+    compiled tier when its C core builds here and the plan's allocator is
+    greedy, the Python tier otherwise (``REPRO_SIM_BACKEND`` pins one).
     """
 
-    def __init__(self, network: Network, backend: Optional[str] = None) -> None:
-        validate_backend(backend)
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.backend = backend
 
     # ------------------------------------------------------------------- run
     def run(
@@ -422,17 +418,15 @@ class FlowLevelSimulator:
 
         ``allocator`` overrides the rate policy named by the plan (mainly
         for tests; schemes select allocators through their plans).
-        ``backend`` overrides the simulator's and the plan's kernel tier
-        for this one run; backends are bit-identical, so the result does
-        not depend on the choice.  Zero-size flows complete at their
-        release.  The result keeps a copy of the kernel's segment log and
-        its harvested starts, and builds its ``schedule`` and ``flow_start``
-        from them on first access.
+        ``backend`` overrides ``REPRO_SIM_BACKEND`` for this one run;
+        backends are bit-identical, so the result does not depend on the
+        choice.  Zero-size flows complete at their release.  The result
+        keeps a copy of the kernel's segment log and its harvested starts,
+        and builds its ``schedule`` and ``flow_start`` from them on first
+        access.
         """
         plan = plan.normalized(instance)
         plan.validate(instance, self.network)
-        if backend is None:
-            backend = self.backend if self.backend is not None else plan.backend
         kernel = make_kernel(
             self.network, allocator or plan.allocator, backend=backend
         )

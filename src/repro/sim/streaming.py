@@ -77,7 +77,7 @@ from .allocators import resolve_allocator
 from .kernel import ResidentSimulationKernel
 from .kernel_jit import paused_gc
 from .plan import SimulationPlan
-from .simulator import SimulationResult, _build_result, make_kernel, validate_backend
+from .simulator import SimulationResult, _build_result, make_kernel
 
 __all__ = [
     "BatchPolicy",
@@ -284,17 +284,14 @@ class StreamingScheduler:
         Batching policy; the default re-plans at every arrival.
     max_events:
         Optional per-epoch event cap forwarded to each kernel epoch.
-    backend:
-        Kernel backend of the session (``"array"``, ``"jit"``, ``"auto"``
-        or ``None`` — defer to the first re-plan's plan / environment,
-        then resolve like ``"auto"``);
-        :func:`~repro.sim.simulator.make_kernel` picks the tier once, at
-        the first re-plan, from that plan's allocator.  A compiled session
-        (an unpinned one too, wherever the C core builds) keeps the greedy
-        allocator of its first plan and raises ``ValueError`` at a later
-        plan naming another one; a replanner that switches allocators
-        needs ``backend="array"``, whose kernel follows each plan's
-        allocator.
+
+    :func:`~repro.sim.simulator.make_kernel` picks the session's kernel
+    tier once, at the first re-plan, from that plan's allocator.  A
+    compiled session (an unpinned one, wherever the C core builds) keeps
+    the greedy allocator of its first plan and raises ``ValueError`` at a
+    later plan naming another one; a replanner that switches allocators
+    needs ``REPRO_SIM_BACKEND=array``, whose Python tier follows each
+    plan's allocator.
     """
 
     def __init__(
@@ -303,15 +300,12 @@ class StreamingScheduler:
         replanner: Replanner,
         policy: BatchPolicy = BatchPolicy(),
         max_events: Optional[int] = None,
-        backend: Optional[str] = None,
         name: Optional[str] = None,
     ) -> None:
-        validate_backend(backend)
         self.network = network
         self.replanner = replanner
         self.policy = policy
         self.max_events = max_events
-        self.backend = backend
         self.name = name
         # ---- arrival stream state
         self._coflows: List[Coflow] = []
@@ -323,9 +317,6 @@ class StreamingScheduler:
         self._remaining: Dict[FlowId, float] = {}
         self._completion: Dict[FlowId, float] = {}
         self._start: Dict[FlowId, float] = {}
-        #: Realised segments per flow of epochs run without the session
-        #: kernel (whose own segments are drained into the final result).
-        self._segments: Dict[FlowId, List[List[float]]] = {}
         self._current_path: Dict[FlowId, Tuple[Hashable, ...]] = {}
         self._pinned: Dict[FlowId, Tuple[Hashable, ...]] = {}
         self._previous_plan: Optional[SimulationPlan] = None
@@ -349,7 +340,7 @@ class StreamingScheduler:
         #: and path tuples are canonicalised to one object per flow so the
         #: resident patch can compare paths by identity.
         self._validated_paths: Dict[FlowId, Tuple[Hashable, ...]] = {}
-        self._validated_specs: set = set()
+        self._validated_allocators: set = set()
         #: Re-routes observed by the last _finalize_plan pass: (orig fid,
         #: new canonical path) for resident flows whose planned path moved
         #: away from the session's current one.  Lets the per-epoch patch
@@ -618,11 +609,9 @@ class StreamingScheduler:
             raise ValueError(
                 f"plan {sub_plan.name!r} missing paths for {missing}"
             )
-        spec_key = (sub_plan.allocator, sub_plan.backend)
-        if spec_key not in self._validated_specs:
+        if sub_plan.allocator not in self._validated_allocators:
             resolve_allocator(sub_plan.allocator)  # raises on unknown names
-            validate_backend(sub_plan.backend)
-            self._validated_specs.add(spec_key)
+            self._validated_allocators.add(sub_plan.allocator)
         pinned = self._pinned
         validated = self._validated_paths
         network = self.network
@@ -666,7 +655,6 @@ class StreamingScheduler:
             name=sub_plan.name,
             allocator=sub_plan.allocator,
             spec=sub_plan.spec,
-            backend=sub_plan.backend,
         )
 
     def _close_open_epoch(self, until: Optional[float]) -> None:
@@ -698,8 +686,7 @@ class StreamingScheduler:
         is merely re-ranked by :meth:`ResidentSimulationKernel.begin_epoch`,
         which also tombstones the slots of departed flows.  The first
         re-plan makes the session kernel through
-        :func:`~repro.sim.simulator.make_kernel` (the session's backend,
-        else the plan's).
+        :func:`~repro.sim.simulator.make_kernel`.
 
         The delta is O(new + changed): _finalize_plan canonicalises every
         path and records re-routes, and the admission loop records new
@@ -709,11 +696,8 @@ class StreamingScheduler:
         """
         kernel = self._session_kernel
         if kernel is None:
-            backend = self.backend
-            if backend is None:
-                backend = sub_plan.backend
             kernel = self._session_kernel = make_kernel(
-                self.network, sub_plan.allocator, backend=backend, start_time=now
+                self.network, sub_plan.allocator, start_time=now
             )
         slot_map = kernel._pos
         current_path = self._current_path
@@ -915,17 +899,6 @@ class StreamingScheduler:
                 current_path[fid] = tuple(
                     self.network.shortest_path(flow.source, flow.destination)
                 )
-        segments: Iterable[Tuple[FlowId, List[List[float]]]]
-        if self._session_kernel is None:
-            segments = self._segments.items()
-        else:
-            # The session accumulates segments inside the kernel, attributed
-            # by ingest-unique slot ids so the free-list can recycle slots.
-            sid_to_fid = self._sid_to_fid
-            segments = (
-                (sid_to_fid[sid], segs)
-                for sid, segs in self._session_kernel.segment_log()
-            )
         previous_plan = self._previous_plan
         final_plan = SimulationPlan(
             paths=dict(current_path),
@@ -940,9 +913,19 @@ class StreamingScheduler:
             final_plan.normalized(instance),
             self._completion,
             self._events,
-            segments=segments,
+            segments=self._segment_log(),
             starts=self._start.items(),
         )
+
+    def _segment_log(self) -> Iterable[Tuple[FlowId, List[List[float]]]]:
+        """Every flow's realised segments, keyed by flow id: the session
+        kernel's log, which attributes them by ingest-unique slot ids so
+        the free list can recycle slots (none when no kernel was made)."""
+        kernel = self._session_kernel
+        if kernel is None:
+            return ()
+        sid_to_fid = self._sid_to_fid
+        return ((sid_to_fid[sid], segs) for sid, segs in kernel.segment_log())
 
 
 class LPReplanner:

@@ -86,6 +86,34 @@ class TestTopLevel:
                 assert line == f"{label}: compiled, loaded from {core.path}"
                 assert core.path.name.startswith(core.name + "_")
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            pytest.param(["sweep", str(SPECS_DIR / "fig3.yaml"), "--smoke", "--out"],
+                         marks=needs_yaml, id="sweep"),
+            pytest.param(["run", "--scheme", "Baseline", "--output"], id="run"),
+        ],
+    )
+    def test_a_bad_tier_name_stops_every_command_before_any_work(
+        self, command, tmp_path, monkeypatch
+    ):
+        """A bad ``REPRO_SIM_BACKEND`` exits 1 with one line naming the
+        variable, its value and the accepted names; nothing runs, nothing
+        is written, and the check loads no C core."""
+        from repro.sim import kernel_jit
+
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "turbo")
+        monkeypatch.setattr(
+            kernel_jit, "available", lambda: pytest.fail("the C core was probed")
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, str(tmp_path / "out")])
+        assert exit_info.value.code == (
+            "repro: REPRO_SIM_BACKEND='turbo' names no simulator backend "
+            "(expected one of: array, jit, auto)"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
         assert "sweep" in capsys.readouterr().out
@@ -153,26 +181,46 @@ class TestRun:
         assert document["metrics"]["weighted_completion_time"] > 0
         assert document["provenance"]["version"]
 
-    def test_backend_flag_is_provenance_not_identity(self, capsys, monkeypatch):
-        """``--backend`` picks the kernel tier (via ``REPRO_SIM_BACKEND``)
-        and is recorded in the document, but never changes the results."""
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-        args = ["run", "--scheme", "Baseline", "--num-coflows", "2",
+    @staticmethod
+    def _tier_document(capsys, scheme):
+        args = ["run", "--scheme", scheme, "--num-coflows", "2",
                 "--coflow-width", "2", "--seed", "1"]
-        documents = {}
-        for backend in ("array", "auto"):
-            assert main(args + ["--backend", backend]) == 0
-            documents[backend] = json.loads(capsys.readouterr().out)
-            # The flag travels to scheme-built simulators as the env var.
-            assert os.environ["REPRO_SIM_BACKEND"] == backend
-            monkeypatch.delenv("REPRO_SIM_BACKEND")
+        assert main(args) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_records_the_tier_that_ran_and_never_changes_results(
+        self, capsys, monkeypatch
+    ):
+        """``REPRO_SIM_BACKEND`` picks the kernel tier, and the document
+        records the tier that ran, but the tier never changes the results."""
         from repro.sim import kernel_jit
 
+        documents = {}
+        for backend in ("array", ""):
+            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+            documents[backend] = self._tier_document(capsys, "SEBF")
         assert documents["array"]["simulator"]["backend"] == "array"
         expected = "jit" if kernel_jit.available() else "array"
-        assert documents["auto"]["simulator"]["backend"] == expected
+        assert documents[""]["simulator"]["backend"] == expected
         # Bit-identity contract: the tier is a speed knob, not a parameter.
-        assert documents["array"]["metrics"] == documents["auto"]["metrics"]
+        assert documents["array"]["metrics"] == documents[""]["metrics"]
+
+    def test_a_non_greedy_scheme_records_the_python_tier(self, capsys, monkeypatch):
+        """Every allocator but the greedy one runs on the Python tier."""
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        document = self._tier_document(capsys, "SEBF-MaxMin")
+        assert document["simulator"]["backend"] == "array"
+
+    def test_jit_without_the_c_core_records_the_python_tier(
+        self, capsys, monkeypatch
+    ):
+        from repro.sim import kernel_jit, simulator
+
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "jit")
+        monkeypatch.setattr(kernel_jit, "available", lambda: False)
+        monkeypatch.setattr(simulator, "_fallback_warned", True)
+        document = self._tier_document(capsys, "SEBF")
+        assert document["simulator"]["backend"] == "array"
 
     def test_online_scheme_runs_its_replanning_loop(self, capsys):
         # Regression: `repro run` must dispatch through Scheme.simulate(),

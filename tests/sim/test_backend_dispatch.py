@@ -2,13 +2,14 @@
 
 The kernel tier (``array`` / ``jit`` / ``auto``) is a *speed* knob — the
 backends are bit-identical by contract — so the dispatch layer must (a)
-resolve the explicit argument > plan field > ``REPRO_SIM_BACKEND``
-environment variable > ``"auto"`` chain deterministically (an unpinned run
-gets the compiled tier wherever its C core builds), (b) degrade
-gracefully (warn on an explicit ``jit`` request, never fail; stay silent
-when unpinned) when the compiled tier cannot run, and (c)
-keep the choice *out* of scheme signatures and run-store keys: the same
-experiment simulated on either backend must hit the same cache entry.
+decide the tier in one place, :func:`repro.sim.kernel_tier`, from the
+explicit argument > ``REPRO_SIM_BACKEND`` environment variable >
+``"auto"`` chain and the allocator (an unpinned greedy run gets the
+compiled tier wherever its C core builds), (b) degrade gracefully (warn on
+an explicit ``jit`` request, never fail; stay silent when unpinned) when
+the compiled tier cannot run, and (c) keep the choice *out* of scheme
+signatures and run-store keys: the same experiment simulated on either
+backend must hit the same cache entry.
 """
 
 import warnings
@@ -28,6 +29,7 @@ from repro.sim import (
     StaticPlanReplanner,
     StreamingScheduler,
     kernel_jit,
+    kernel_tier,
     make_kernel,
     resolve_backend,
     validate_backend,
@@ -79,21 +81,6 @@ class TestResolution:
             resolve_backend("cython")
         for backend in BACKENDS:
             validate_backend(backend)  # all published names are valid
-
-    def test_plan_validate_rejects_unknown_backend(self, case):
-        import dataclasses
-
-        network, _config, instance, plan = case
-        bad = dataclasses.replace(plan, backend="turbo")
-        with pytest.raises(ValueError, match="unknown simulator backend"):
-            bad.validate(instance, network)
-
-    def test_plan_backend_survives_normalization(self, case):
-        import dataclasses
-
-        _network, _config, instance, plan = case
-        pinned = dataclasses.replace(plan, backend="jit")
-        assert pinned.normalized(instance).backend == "jit"
 
 
 class TestDispatch:
@@ -148,18 +135,31 @@ class TestDispatch:
         greedy = make_kernel(network, GreedyPriorityAllocator(), backend="jit")
         assert type(greedy) is ResidentJitKernel
 
-    def test_run_precedence_argument_over_simulator_over_plan(
+    def test_kernel_tier_names_the_class_make_kernel_builds(
         self, case, monkeypatch
     ):
-        """``FlowLevelSimulator.run`` resolves its backend as run argument >
-        simulator backend > plan backend > environment."""
-        if not kernel_jit.available():
-            pytest.skip("compiled kernel tier unavailable")
-        import dataclasses
-
+        """The tier ``kernel_tier`` reports is the kernel ``make_kernel``
+        builds, for every backend request and allocator."""
         from repro.sim import simulator as simulator_module
 
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        monkeypatch.setattr(simulator_module, "_fallback_warned", True)
+        network, _config, _instance, _plan = case
+        classes = {"array": ResidentSimulationKernel, "jit": ResidentJitKernel}
+        for environment in ("", "array", "jit"):
+            monkeypatch.setenv("REPRO_SIM_BACKEND", environment)
+            for backend in (None, *BACKENDS):
+                for allocator in ("greedy", "max-min", "weighted"):
+                    tier = kernel_tier(allocator, backend)
+                    kernel = make_kernel(network, allocator, backend=backend)
+                    assert type(kernel) is classes[tier]
+                    if allocator != "greedy":
+                        assert tier == "array"
+
+    def test_run_argument_wins_over_the_environment(self, case, monkeypatch):
+        if not kernel_jit.available():
+            pytest.skip("compiled kernel tier unavailable")
+        from repro.sim import simulator as simulator_module
+
         network, _config, instance, plan = case
         made = []
         real_make_kernel = simulator_module.make_kernel
@@ -170,29 +170,24 @@ class TestDispatch:
             return kernel
 
         monkeypatch.setattr(simulator_module, "make_kernel", spy)
-        pinned = dataclasses.replace(plan, backend="jit")
-        FlowLevelSimulator(network).run(instance, pinned)
-        FlowLevelSimulator(network, backend="array").run(instance, pinned)
-        FlowLevelSimulator(network, backend="array").run(
-            instance, plan, backend="jit"
-        )
-        assert made == [ResidentJitKernel, ResidentSimulationKernel, ResidentJitKernel]
+        simulator = FlowLevelSimulator(network)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "array")
+        simulator.run(instance, plan)
+        simulator.run(instance, plan, backend="jit")
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "jit")
+        simulator.run(instance, plan)
+        simulator.run(instance, plan, backend="array")
+        assert made == [ResidentSimulationKernel, ResidentJitKernel,
+                        ResidentJitKernel, ResidentSimulationKernel]
 
-    def test_streaming_session_honours_the_plan_backend(self, case, monkeypatch):
+    def test_streaming_session_takes_the_environment_tier(self, case, monkeypatch):
         if not kernel_jit.available():
             pytest.skip("compiled kernel tier unavailable")
-        import dataclasses
-
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
         network, _config, instance, plan = case
-        restrict = StaticPlanReplanner(plan)
-
-        def pinned(context):
-            return dataclasses.replace(restrict(context), backend="jit")
-
-        for backend, expected in ((None, ResidentJitKernel),
+        for backend, expected in (("", ResidentJitKernel),
                                   ("array", ResidentSimulationKernel)):
-            session = StreamingScheduler(network, pinned, backend=backend)
+            monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
+            session = StreamingScheduler(network, StaticPlanReplanner(plan))
             session.run(instance)
             assert type(session._session_kernel) is expected
 
@@ -237,11 +232,6 @@ class TestDispatch:
         assert fallback.flow_completion == expected.flow_completion
         assert fallback.flow_start == expected.flow_start
         assert fallback.events == expected.events
-
-    def test_simulator_constructor_validates_backend(self, case):
-        network, _config, _instance, _plan = case
-        with pytest.raises(ValueError, match="unknown simulator backend"):
-            FlowLevelSimulator(network, backend="fortran")
 
 
 class TestCacheIdentity:

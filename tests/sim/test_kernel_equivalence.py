@@ -175,12 +175,13 @@ def test_jit_segments_are_bit_identical_to_array(seed, flow_sizes, endpoints, sc
 
 @pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
 @pytest.mark.parametrize("seed,flow_sizes,endpoints,scheme", CASES)
-def test_online_with_frozen_plan_equals_static(seed, flow_sizes, endpoints, scheme, backend):
+def test_online_with_frozen_plan_equals_static(
+    seed, flow_sizes, endpoints, scheme, backend, monkeypatch
+):
+    monkeypatch.setenv("REPRO_SIM_BACKEND", backend)
     network, instance, plan = build_case(seed, flow_sizes, endpoints, scheme)
     static = FlowLevelSimulator(network).run(instance, plan)
-    online = StreamingScheduler(
-        network, StaticPlanReplanner(plan), backend=backend
-    ).run(instance)
+    online = StreamingScheduler(network, StaticPlanReplanner(plan)).run(instance)
     assert set(online.flow_completion) == set(static.flow_completion)
     for fid, completion in static.flow_completion.items():
         assert online.flow_completion[fid] == pytest.approx(

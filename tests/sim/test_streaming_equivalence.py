@@ -62,16 +62,33 @@ needs_jit = pytest.mark.skipif(
 TIERS = ["array", pytest.param("jit", marks=needs_jit)]
 
 
+@pytest.fixture(params=TIERS)
+def tier(request, monkeypatch):
+    """Each kernel tier, forced the way an operator forces one: through
+    ``REPRO_SIM_BACKEND``."""
+    monkeypatch.setenv("REPRO_SIM_BACKEND", request.param)
+    return request.param
+
+
 class RebuildOracle(StreamingScheduler):
     """The rebuild-per-epoch reference a resident session is held to.
 
-    Every epoch runs on a fresh kernel of the class the session would use,
-    loaded from the epoch's sub-instance and plan (remaining volumes as
-    sizes, starting at the re-plan time), and its outcome is folded into
-    the session's accumulators: volumes, first starts, segments coalesced
-    across epoch boundaries, a pin for every flow that moved, completions.
-    The oracle never holds a session kernel.
+    Every epoch runs on a fresh kernel of the class the session would use
+    (or of the oracle's own ``tier``, when one is given), loaded from the
+    epoch's sub-instance and plan (remaining volumes as sizes, starting at
+    the re-plan time), and its outcome is folded into the session's
+    accumulators: volumes, first starts, segments coalesced across epoch
+    boundaries, a pin for every flow that moved, completions.  The oracle
+    never holds a session kernel, so it keeps its segments itself.
     """
+
+    def __init__(self, *args, tier=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tier = tier
+        self._segments = {}
+
+    def _segment_log(self):
+        return self._segments.items()
 
     def _finalize_plan(self, sub_plan, sub_instance, fid_map):
         sub_plan = super()._finalize_plan(sub_plan, sub_instance, fid_map)
@@ -94,9 +111,8 @@ class RebuildOracle(StreamingScheduler):
             return
         self._epoch_open = False
         now, sub_instance, sub_plan, fid_map = self._epoch
-        backend = self.backend if self.backend is not None else sub_plan.backend
         kernel = make_kernel(
-            self.network, sub_plan.allocator, backend=backend, start_time=now
+            self.network, sub_plan.allocator, backend=self.tier, start_time=now
         )
         ingested = load_plan(
             kernel, sub_instance, sub_plan, max_events=self.max_events
@@ -446,19 +462,18 @@ class TestResidentEqualsRebuild:
     slots into a free-list — and the results must stay bit-identical
     (``==``, no tolerance) to :class:`RebuildOracle`, on both tiers."""
 
-    def _sessions(self, network, replanner, policy=None, backend=None):
+    def _sessions(self, network, replanner, policy=None):
         policy = policy or BatchPolicy(max_batch=1)
         return tuple(
-            cls(network, replanner(), policy=policy, backend=backend)
+            cls(network, replanner(), policy=policy)
             for cls in (StreamingScheduler, RebuildOracle)
         )
 
-    @pytest.mark.parametrize("backend", TIERS)
     @pytest.mark.parametrize("topology_key", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
     @pytest.mark.parametrize("allocator", ["greedy", "max-min"])
     def test_bit_identical_across_matrix(
-        self, topology_key, workload_key, allocator, backend
+        self, topology_key, workload_key, allocator, tier
     ):
         network, instance = seeded_case(topology_key, workload_key)
         base = scheme_from_spec("SEBF").plan(instance, network)
@@ -466,7 +481,7 @@ class TestResidentEqualsRebuild:
             paths=base.paths, order=base.order, name="sebf", allocator=allocator
         )
         session, oracle = self._sessions(
-            network, lambda: StaticPlanReplanner(plan), backend=backend
+            network, lambda: StaticPlanReplanner(plan)
         )
         resident = session.run(instance)
         rebuild = oracle.run(instance)
@@ -492,44 +507,44 @@ class TestResidentEqualsRebuild:
     @pytest.mark.parametrize("topology_key", sorted(TOPOLOGIES))
     @pytest.mark.parametrize("workload_key", sorted(WORKLOADS))
     def test_bit_identical_on_the_compiled_tier(
-        self, topology_key, workload_key
+        self, topology_key, workload_key, monkeypatch
     ):
         network, instance = seeded_case(topology_key, workload_key)
         plan = scheme_from_spec("SEBF").plan(instance, network)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "jit")
         session, oracle = self._sessions(
-            network, lambda: StaticPlanReplanner(plan), backend="jit"
+            network, lambda: StaticPlanReplanner(plan)
         )
         resident = session.run(instance)
         assert_results_identical(resident, oracle.run(instance))
         assert isinstance(session._session_kernel, ResidentJitKernel)
         # ... and both agree with the Python-tier session.
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "array")
         array_session, _ = self._sessions(
-            network, lambda: StaticPlanReplanner(plan), backend="array"
+            network, lambda: StaticPlanReplanner(plan)
         )
         array = array_session.run(instance)
         assert_results_identical(array, resident)
         assert_schedules_identical(array, resident, instance)
 
-    @pytest.mark.parametrize("backend", TIERS)
-    def test_departures_recycle_slots(self, backend):
+    def test_departures_recycle_slots(self, tier):
         """The staircase stream departs coflows mid-session: the resident
         kernel must tombstone their slots and hand them to later arrivals
         (the free list is load-bearing, not decorative)."""
         network, instance = staircase_stream()
         session, oracle = self._sessions(
-            network, lambda: RecordingReplanner(network), backend=backend
+            network, lambda: RecordingReplanner(network)
         )
         result = session.run(instance)
         assert_results_identical(result, oracle.run(instance))
         assert session._session_kernel.slots_reused > 0
 
-    @pytest.mark.parametrize("backend", TIERS)
     @pytest.mark.parametrize(
         "policy",
         [BatchPolicy(max_batch=1), BatchPolicy(max_batch=2, max_delay=4.0)],
         ids=["per-arrival", "batched"],
     )
-    def test_lp_replanner_with_departures(self, policy, backend):
+    def test_lp_replanner_with_departures(self, policy, tier):
         """The LP replanner re-solves its LP over one pinned grid while
         coflows depart mid-stream; the session must still equal the
         oracle."""
@@ -544,7 +559,7 @@ class TestResidentEqualsRebuild:
         )
         horizon = _default_horizon(routed, network)
         session, oracle = self._sessions(
-            network, lambda: LPReplanner(network, horizon), policy, backend
+            network, lambda: LPReplanner(network, horizon), policy
         )
         result = session.run(instance)
         rebuild = oracle.run(instance)
@@ -560,8 +575,7 @@ class TestResidentEqualsRebuild:
                 pruned = True
         assert pruned, "no coflow departed mid-stream; the case is too easy"
 
-    @pytest.mark.parametrize("backend", TIERS)
-    def test_reroutes_of_unmoved_flows_are_identical(self, backend, monkeypatch):
+    def test_reroutes_of_unmoved_flows_are_identical(self, tier, monkeypatch):
         """Re-plans that move admitted-but-unmoved flows to other paths
         patch the session kernel in place (``update_path``) and must still
         equal the oracle, which simply builds each epoch on the new paths."""
@@ -576,7 +590,7 @@ class TestResidentEqualsRebuild:
         policies = (BatchPolicy(max_batch=1), BatchPolicy(max_batch=2, max_delay=4.0))
         for policy in policies:
             session, oracle = self._sessions(
-                network, lambda: ReroutingReplanner(network), policy, backend
+                network, lambda: ReroutingReplanner(network), policy
             )
             result = session.run(instance)
             rebuild = oracle.run(instance)
@@ -584,8 +598,7 @@ class TestResidentEqualsRebuild:
             assert_schedules_identical(result, rebuild, instance)
         assert reroutes, "no admitted flow was re-routed; the case is too easy"
 
-    @pytest.mark.parametrize("backend", TIERS)
-    def test_zero_size_ghost_never_reaches_the_session(self, backend):
+    def test_zero_size_ghost_never_reaches_the_session(self, tier):
         """Zero-size coflows complete at submit time; the resident kernel
         must never see them (ingesting one is an error by contract)."""
         network = topologies.triangle()
@@ -600,7 +613,7 @@ class TestResidentEqualsRebuild:
             name="stable-membership",
         )
         session, oracle = self._sessions(
-            network, lambda: RecordingReplanner(network), backend=backend
+            network, lambda: RecordingReplanner(network)
         )
         result = session.run(instance)
         assert_results_identical(result, oracle.run(instance))
@@ -608,21 +621,20 @@ class TestResidentEqualsRebuild:
         kernel = session._session_kernel
         assert all(fid != (1, 0) for fid in kernel.fids if fid is not None)
 
-    @pytest.mark.parametrize("backend", TIERS)
     @pytest.mark.parametrize(
         "policy",
         [BatchPolicy(max_batch=1), BatchPolicy(max_batch=2, max_delay=4.0)],
         ids=["per-arrival", "batched"],
     )
-    def test_pause_resume_splice_stays_identical(self, policy, backend):
+    def test_pause_resume_splice_stays_identical(self, policy, tier):
         network, instance = seeded_case("leaf-spine", "poisson", seed=51)
         one_shot, oracle = self._sessions(
-            network, lambda: RecordingReplanner(network), policy, backend
+            network, lambda: RecordingReplanner(network), policy
         )
         expected = one_shot.run(instance)
 
         spliced = StreamingScheduler(
-            network, RecordingReplanner(network), policy=policy, backend=backend
+            network, RecordingReplanner(network), policy=policy
         )
         for coflow in sorted(instance.coflows, key=lambda c: c.release_time):
             spliced.submit(coflow)
@@ -634,10 +646,9 @@ class TestResidentEqualsRebuild:
         # The spliced resident stream also matches the rebuild reference.
         assert_results_identical(result, oracle.run(instance))
 
-    @pytest.mark.parametrize("backend", TIERS)
     @pytest.mark.parametrize("allocator", ["greedy", "max-min"])
     def test_single_epoch_session_equals_the_static_simulator(
-        self, allocator, backend
+        self, allocator, tier
     ):
         """Every coflow arrives at t=0, so the session runs one epoch: it
         must equal ``FlowLevelSimulator.run`` of the same plan, segments
@@ -673,11 +684,9 @@ class TestResidentEqualsRebuild:
         plan = SimulationPlan(
             paths=base.paths, order=base.order, name="sebf", allocator=allocator
         )
-        session = StreamingScheduler(
-            network, StaticPlanReplanner(plan), backend=backend
-        )
+        session = StreamingScheduler(network, StaticPlanReplanner(plan))
         streamed = session.run(instance)
-        static = FlowLevelSimulator(network).run(instance, plan, backend=backend)
+        static = FlowLevelSimulator(network).run(instance, plan)
         assert session.replan_count == 1
         assert_results_identical(streamed, static)
         assert streamed.breakdown == static.breakdown
@@ -698,19 +707,20 @@ class TestResidentEqualsRebuild:
 
         return replan
 
-    @pytest.mark.parametrize("oracle_backend", TIERS)
-    def test_python_tier_follows_an_allocator_switch(self, oracle_backend):
+    @pytest.mark.parametrize("oracle_tier", TIERS)
+    def test_python_tier_follows_an_allocator_switch(
+        self, oracle_tier, monkeypatch
+    ):
         """The Python-tier session re-resolves the allocator at every
         epoch and equals the rebuild oracle, whose fresh per-epoch kernels
         pick their tier from each plan (greedy epochs reach the compiled
         tier when the oracle runs on ``jit``)."""
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "array")
         network, instance = seeded_case("leaf-spine", "poisson")
         plan = scheme_from_spec("SEBF").plan(instance, network)
-        session = StreamingScheduler(
-            network, self._switching_replanner(plan), backend="array"
-        )
+        session = StreamingScheduler(network, self._switching_replanner(plan))
         oracle = RebuildOracle(
-            network, self._switching_replanner(plan), backend=oracle_backend
+            network, self._switching_replanner(plan), tier=oracle_tier
         )
         result = session.run(instance)
         rebuild = oracle.run(instance)
@@ -720,7 +730,7 @@ class TestResidentEqualsRebuild:
         assert_schedules_identical(result, rebuild, instance)
 
     @needs_jit
-    @pytest.mark.parametrize("backend", ["jit", None], ids=["jit", "unpinned"])
+    @pytest.mark.parametrize("backend", ["jit", ""], ids=["jit", "unpinned"])
     def test_compiled_session_rejects_an_allocator_switch(
         self, backend, monkeypatch
     ):
@@ -728,15 +738,13 @@ class TestResidentEqualsRebuild:
         builds, keeps the greedy allocator of its first plan: a later plan
         naming another allocator is refused, not run, and the error names
         the remedy."""
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", backend)  # "" reads as unset
         network, instance = seeded_case("leaf-spine", "poisson")
         plan = scheme_from_spec("SEBF").plan(instance, network)
-        session = StreamingScheduler(
-            network, self._switching_replanner(plan), backend=backend
-        )
+        session = StreamingScheduler(network, self._switching_replanner(plan))
         with pytest.raises(ValueError, match="'max-min' mid-session") as error:
             session.run(instance)
-        assert 'backend="array"' in str(error.value)
+        assert "REPRO_SIM_BACKEND=array" in str(error.value)
         assert isinstance(session._session_kernel, ResidentJitKernel)
 
 
