@@ -62,7 +62,7 @@ from ..core.network import Network
 from ..core.topologies import from_spec, parse_spec
 from ..faults import FaultConfig
 from ..workloads.generator import WorkloadConfig
-from .engine import EngineRunStats, ExperimentEngine, PointSpec
+from .engine import EngineRunStats, ExperimentEngine, PointSpec, failure_label
 from .report import REPORT_FORMATS, render_report
 from .runstore import RunStore, run_key
 from .sweep import SweepPoint, SweepResult
@@ -596,7 +596,7 @@ def results_from_store(
             for scheme, signature in zip(schemes, signatures):
                 record = store.peek(run_key(fingerprint, config, signature))
                 if record is not None and record.get("failed"):
-                    error = str(record.get("error", "UnknownError"))
+                    error = failure_label(record)
                     for metric in metrics:
                         results[metric].points[index].add_failure(
                             scheme.name, error

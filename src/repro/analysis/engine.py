@@ -206,6 +206,17 @@ def _failure_record(
     return record
 
 
+def failure_label(record: Dict[str, Any]) -> str:
+    """The error name a failure record is reported under.
+
+    Its ``error`` field, or ``"UnknownError"`` for a record that names none
+    (a hand-edited store).  The engine's aggregation and
+    :func:`~repro.analysis.artifacts.results_from_store` both label
+    failures here, so a sweep's report and ``repro report`` agree.
+    """
+    return str(record.get("error", "UnknownError"))
+
+
 #: Per-worker state installed by the pool initializer (network and schemes
 #: are pickled once per worker instead of once per task; each worker keeps
 #: its own last instance).
@@ -446,7 +457,7 @@ class ExperimentEngine:
             if record.get("failed"):
                 self.last_run_stats.failed += 1
                 result.points[task.point_index].add_failure(
-                    task.scheme_name, str(record.get("error", "unknown"))
+                    task.scheme_name, failure_label(record)
                 )
             else:
                 result.points[task.point_index].add(

@@ -3,8 +3,8 @@
 ``repro merge`` (and the coordinator half of ``repro sweep --shards N``)
 fold any subset of shard stores — whole store directories or individual
 ``shard-*.jsonl`` files, sharded and single-file stores alike — into one
-record mapping without re-simulating anything.  The fold is the sharded
-store's own conflict logic:
+record mapping without re-simulating anything.  Every file goes through
+the run store's one reader and fold (DESIGN.md §7, the run-store bullet):
 
 * duplicate result records for one key collapse (they are bit-identical by
   construction — same key means same topology fingerprint, config incl.
@@ -25,12 +25,12 @@ reads fleet output with zero changes.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple, Union
 
-from .store import SHARD_GLOB, parse_shard_entry
+from ..runstore import RunStore
+from .store import SHARD_GLOB
 
 __all__ = ["MergeStats", "expand_sources", "merge_stores", "write_merged"]
 
@@ -88,56 +88,26 @@ def expand_sources(paths: Iterable[Union[str, Path]]) -> List[Path]:
 
 
 def merge_stores(
-    paths: Iterable[Union[str, Path]], warn: bool = True
+    paths: Iterable[Union[str, Path]],
 ) -> Tuple[Dict[str, Dict[str, Any]], MergeStats]:
     """Fold shard stores into ``(records, stats)`` without re-simulation.
 
-    Sources are folded in :func:`expand_sources` order; within one file
-    later records win (the single-file store's append semantics), across
-    files a success supersedes a failure and identical successes collapse.
-    Torn tails and corrupt lines are skipped — with a stderr warning naming
-    the file when ``warn`` — and counted in ``stats.skipped``.
+    Sources are folded in :func:`expand_sources` order by the run store's
+    fold: within one file later records win, across files a success
+    supersedes a failure and identical successes collapse.  Torn tails and
+    corrupt lines are skipped with a stderr warning naming the file, and
+    counted in ``stats.skipped``.
     """
-    records: Dict[str, Dict[str, Any]] = {}
-    source_of: Dict[str, str] = {}
+    store = RunStore()
     stats = MergeStats()
     for path in expand_sources(paths):
         stats.sources.append(str(path))
-        data = path.read_bytes()
-        file_skipped = 0
-        for raw in data.splitlines(keepends=True):
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            entry = parse_shard_entry(stripped)
-            if entry is None or not raw.endswith(b"\n"):
-                file_skipped += 1
-                continue
-            if "claim" in entry:
-                stats.claim_markers += 1
-                continue
-            key, record = entry["key"], entry["record"]
-            existing = records.get(key)
-            if existing is None:
-                records[key] = record
-                source_of[key] = str(path)
-                continue
-            stats.duplicates += 1
-            if source_of[key] == str(path):
-                records[key] = record  # later wins within one file
-            elif existing.get("failed") and not record.get("failed"):
-                records[key] = record  # success heals a foreign failure
-                source_of[key] = str(path)
-        if file_skipped:
-            stats.skipped += file_skipped
-            if warn:
-                print(
-                    f"merge: skipped {file_skipped} torn/corrupt line(s) in "
-                    f"{path}; remaining records were merged",
-                    file=sys.stderr,
-                )
-    stats.records = len(records)
-    return records, stats
+        _, duplicates, claims = store._read(path)
+        stats.duplicates += duplicates
+        stats.claim_markers += claims
+    stats.records = len(store)
+    stats.skipped = store.skipped_lines
+    return store._records, stats
 
 
 def write_merged(

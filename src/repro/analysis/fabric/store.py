@@ -25,23 +25,22 @@ what makes the whole design safe:
   duplicates (dropped) and failure records (superseded by a success for
   the same key, which is how ``--retry-failed`` heals across shards).
 
-Crash tolerance matches the single-file store per shard: a worker killed
-mid-append leaves a torn tail in *its* file only.  On resume the owning
-shard truncates back to its last intact line before appending (claims are
-intact lines too); readers simply never consume an unterminated tail — a
-live writer may still be completing it — and a *final* (merge-time) refresh
-skips it with a warning instead of aborting the merge, counting it in
-``skipped_lines`` so reports can surface the loss.
+Every shard file has the single-file store's line format and goes through
+its one reader, fold and append (DESIGN.md §7, the run-store bullet): a
+worker killed mid-append leaves a torn tail in *its* file only, which the
+owning shard truncates away before its next append (claims are intact
+lines too).
+Peer polls never consume an unterminated tail, since a live writer may
+still be completing it; a merge view skips it with a warning, counting it
+in ``skipped_lines`` so reports can surface the loss.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
-from ...faults import maybe_inject
 from ..runstore import RunStore
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "SHARD_GLOB",
     "MANIFEST_NAME",
     "shard_filename",
-    "parse_shard_entry",
 ]
 
 #: Glob matching the per-shard record files inside a store directory.
@@ -64,24 +62,6 @@ MANIFEST_NAME = "fleet.json"
 def shard_filename(shard_id: int) -> str:
     """The record file name owned by shard ``shard_id`` (zero-padded)."""
     return f"shard-{shard_id:04d}.jsonl"
-
-
-def parse_shard_entry(stripped: bytes) -> Optional[Dict[str, Any]]:
-    """Parse one shard line into an entry dict, ``None`` when corrupt.
-
-    Valid entries carry a ``key`` plus either a ``record`` (a run result or
-    failure record, exactly as the single-file store writes them) or a
-    ``claim`` (the claiming shard id).
-    """
-    try:
-        parsed = json.loads(stripped)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(parsed, dict) or "key" not in parsed:
-        return None
-    if "record" in parsed or "claim" in parsed:
-        return parsed
-    return None
 
 
 class ShardedRunStore(RunStore):
@@ -131,38 +111,20 @@ class ShardedRunStore(RunStore):
         self.path = self.root
         self.shard_id = shard_id
         self.declared_shards = shards
-        #: key -> shard ids that claimed it (advisory markers seen so far).
-        self._claims: Dict[str, Set[int]] = {}
-        #: key -> shard file that supplied the current record (merge rule:
-        #: later wins within a file, success beats failure across files).
-        self._record_source: Dict[str, str] = {}
-        #: shard file name -> byte offset consumed so far (terminated lines).
-        self._cursors: Dict[str, int] = {}
-        #: duplicate result records observed across shards (safe: identical).
-        self.duplicate_records = 0
-        #: claim markers observed (own and foreign).
-        self.claim_markers = 0
-        self._own_resync: Optional[int] = None
+        #: peer shard file -> byte offset consumed so far (terminated lines).
+        self._cursors: Dict[Path, int] = {}
         if self.shard_id is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             self._ensure_manifest()
-            self._load_own_shard()
+            self._file = self.root / shard_filename(self.shard_id)
             # An idle shard (everything cached or ceded) still leaves its
             # file behind, so missing_shards() means "never started", not
             # "had nothing to write".
-            own = self.own_path
-            assert own is not None
-            own.touch(exist_ok=True)
+            self._file.touch(exist_ok=True)
+            self._read(self._file)
         self.refresh(final=self.shard_id is None)
 
     # -------------------------------------------------------------- identity
-    @property
-    def own_path(self) -> Optional[Path]:
-        """The one shard file this instance appends to (``None`` read-only)."""
-        if self.shard_id is None:
-            return None
-        return self.root / shard_filename(self.shard_id)
-
     @property
     def expected_shards(self) -> Optional[int]:
         """Fleet size: the constructor's ``shards`` or the manifest's."""
@@ -205,74 +167,6 @@ class ShardedRunStore(RunStore):
         tmp.replace(manifest)
 
     # --------------------------------------------------------------- loading
-    def _apply(self, entry: Dict[str, Any], source: str) -> None:
-        """Fold one parsed shard entry into the merged in-memory view."""
-        key = entry["key"]
-        if "claim" in entry:
-            self.claim_markers += 1
-            claimant = entry["claim"]
-            if isinstance(claimant, int):
-                self._claims.setdefault(key, set()).add(claimant)
-            return
-        record = entry["record"]
-        existing = self._records.get(key)
-        if existing is None:
-            self._records[key] = record
-            self._record_source[key] = source
-            return
-        self.duplicate_records += 1
-        if self._record_source.get(key) == source:
-            # Later wins within one shard file — exactly the single-file
-            # store's semantics (how --retry-failed heals a failure).
-            self._records[key] = record
-        elif existing.get("failed") and not record.get("failed"):
-            # Across shards the only meaningful conflict is failure vs
-            # success (a peer re-ran a failed task): the success wins.
-            self._records[key] = record
-            self._record_source[key] = source
-
-    def _load_own_shard(self) -> None:
-        """Load this shard's own file, arming truncate-on-append resync.
-
-        Identical contract to the single-file store's loader, with claim
-        markers counting as intact lines: a torn or corrupt tail is skipped
-        with a warning and the next append truncates back to the last
-        intact line, so this shard's crashes can never corrupt its file.
-        """
-        path = self.own_path
-        assert path is not None
-        if not path.exists():
-            self._cursors[path.name] = 0
-            return
-        data = path.read_bytes()
-        clean_end = 0
-        offset = 0
-        for raw in data.splitlines(keepends=True):
-            line_end = offset + len(raw)
-            terminated = raw.endswith(b"\n")
-            stripped = raw.strip()
-            if not stripped:
-                if terminated:
-                    clean_end = line_end
-                offset = line_end
-                continue
-            entry = parse_shard_entry(stripped)
-            if entry is not None and terminated:
-                self._apply(entry, source=path.name)
-                clean_end = line_end
-            else:
-                self.skipped_lines += 1
-            offset = line_end
-        self._cursors[path.name] = clean_end
-        if clean_end < len(data):
-            self._own_resync = clean_end
-            print(
-                f"sharded run store {path}: skipped "
-                f"{len(data) - clean_end} torn/corrupt trailing byte(s); "
-                "the next append truncates back to the last intact line",
-                file=sys.stderr,
-            )
-
     def refresh(self, final: bool = False) -> int:
         """Fold other shards' newly appended lines into the merged view.
 
@@ -284,46 +178,16 @@ class ShardedRunStore(RunStore):
         counted in ``skipped_lines`` instead of aborting the merge.
         Returns the number of new result records folded in.
         """
-        own = self.own_path
-        folded = 0
+        before = len(self)
         for path in self.shard_paths():
-            if own is not None and path.name == own.name:
-                continue  # in-memory state is authoritative for own shard
+            if path == self._file:
+                continue  # the own shard is read once, at open
+            offset = self._cursors.get(path, 0)
             try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            offset = self._cursors.get(path.name, 0)
-            if size <= offset:
-                continue
-            with path.open("rb") as handle:
-                handle.seek(offset)
-                data = handle.read()
-            consumed = 0
-            for raw in data.splitlines(keepends=True):
-                if not raw.endswith(b"\n"):
-                    break  # torn or in-flight tail: do not consume
-                stripped = raw.strip()
-                if stripped:
-                    entry = parse_shard_entry(stripped)
-                    if entry is None:
-                        self.skipped_lines += 1
-                    else:
-                        if "record" in entry and entry["key"] not in self._records:
-                            folded += 1
-                        self._apply(entry, source=path.name)
-                consumed += len(raw)
-            self._cursors[path.name] = offset + consumed
-            if final and offset + consumed < size:
-                self.skipped_lines += 1
-                print(
-                    f"sharded run store {path}: skipped torn tail "
-                    f"({size - offset - consumed} byte(s)) — shard writer "
-                    "crashed mid-append; merge continues without it",
-                    file=sys.stderr,
-                )
-                self._cursors[path.name] = size
-        return folded
+                self._cursors[path] = self._read(path, offset, live=not final)[0]
+            except FileNotFoundError:
+                continue  # gone since the glob: a peer restarting --fresh
+        return len(self) - before
 
     # ------------------------------------------------------------ the queue
     def claimants(self, key: str) -> Set[int]:
@@ -359,34 +223,13 @@ class ShardedRunStore(RunStore):
     def put(self, key: str, record: Dict[str, Any]) -> None:
         """Insert a record and append it to this worker's own shard file.
 
-        Single flushed write of record + newline, same crash contract as
-        the single-file store; the fault-injection ``store`` site fires
-        here too, so chaos sweeps exercise the sharded path unchanged.
+        The single-file store's ``put``: same fold, same crash contract,
+        and the fault-injection ``store`` site fires here too, so chaos
+        sweeps exercise the sharded path unchanged.
         """
-        maybe_inject("store")
         if self.shard_id is None:
             raise RuntimeError("merge views are read-only; open with shard_id")
-        self._records[key] = record
-        self._record_source[key] = shard_filename(self.shard_id)
-        self._append({"key": key, "record": record})
-
-    def _append(self, entry: Dict[str, Any]) -> None:
-        """Append one JSONL entry to our shard file (resync-then-append)."""
-        path = self.own_path
-        assert path is not None
-        self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(entry, default=repr) + "\n"
-        if self._own_resync is not None:
-            with path.open("r+") as handle:
-                handle.truncate(self._own_resync)
-            self._cursors[path.name] = self._own_resync
-            self._own_resync = None
-        with path.open("a") as handle:
-            handle.write(line)
-            handle.flush()
-        self._cursors[path.name] = self._cursors.get(path.name, 0) + len(
-            line.encode()
-        )
+        super().put(key, record)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         who = "merge-view" if self.shard_id is None else f"shard {self.shard_id}"

@@ -12,13 +12,14 @@ The record carries the full key fields (topology fingerprint, config dict,
 scheme signature) alongside the metrics, so a store file is self-describing
 and can be post-processed without the engine.
 
-Crash tolerance: a process killed mid-append (``kill -9``, OOM) leaves a
-truncated trailing line.  Loading such a file skips the torn tail with a
-warning on stderr instead of crashing, and remembers the byte offset of the
-last intact record so the *next* append first truncates the file back to
-that offset — the torn bytes can never corrupt a later record.  ``put``
-writes the record and its newline in one flushed ``write`` call, so a crash
-can only ever tear the final line, never interleave two records.
+This module holds the file format for every store, single-file and sharded
+alike: one line reader (:func:`read_lines`), one fold
+(:meth:`RunStore._fold`) and one append (:meth:`RunStore._append`).  The
+line grammar, the skip/warn/resync rule and the fold rule are stated once,
+in DESIGN.md §7 (the run-store bullet).  In short: a crash can only tear
+the final line, loading skips torn and corrupt lines with a warning on
+stderr instead of crashing, and the owner's next append first truncates a
+torn tail away, so the torn bytes can never corrupt a later record.
 """
 
 from __future__ import annotations
@@ -27,14 +28,17 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from .. import __version__
 from ..faults import maybe_inject
 from ..workloads.generator import WorkloadConfig
 from ..workloads.serialization import config_to_dict
 
-__all__ = ["RunStore", "run_key"]
+__all__ = ["RunStore", "read_lines", "run_key"]
+
+#: One valid line: ``(key, record, None)`` or ``(key, None, claimant)``.
+Entry = Tuple[str, Optional[Dict[str, Any]], Optional[int]]
 
 
 def run_key(topology_fingerprint: str, config: WorkloadConfig, scheme_signature: str) -> str:
@@ -60,6 +64,40 @@ def run_key(topology_fingerprint: str, config: WorkloadConfig, scheme_signature:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
+def read_lines(path: Path, offset: int = 0) -> Tuple[List[Entry], int, int, bytes]:
+    """Split the bytes of ``path`` past ``offset`` into run-store lines.
+
+    Returns ``(entries, corrupt, end, tail)``: the valid entries in file
+    order, the number of corrupt lines, the byte offset just past the last
+    newline, and the bytes after it (the torn tail, or nothing).  A valid
+    entry is a JSON object with a string ``key`` and either an object
+    ``record`` or an integer ``claim``; any other non-blank,
+    newline-terminated line is corrupt, and blank lines are ignored.
+    """
+    with path.open("rb") as handle:
+        handle.seek(offset)
+        data = handle.read()
+    *lines, tail = data.split(b"\n")
+    entries: List[Entry] = []
+    corrupt = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError:  # not JSON, or not UTF-8
+            entry = None
+        if isinstance(entry, dict) and isinstance(entry.get("key"), str):
+            if isinstance(entry.get("record"), dict):
+                entries.append((entry["key"], entry["record"], None))
+                continue
+            if "record" not in entry and type(entry.get("claim")) is int:
+                entries.append((entry["key"], None, entry["claim"]))
+                continue
+        corrupt += 1
+    return entries, corrupt, offset + len(data) - len(tail), tail
+
+
 class RunStore:
     """A dict of run records, optionally mirrored to an append-only JSONL file.
 
@@ -69,74 +107,107 @@ class RunStore:
         JSONL file backing the store.  ``None`` keeps the store in memory
         only (still useful for intra-process caching).  Existing files are
         loaded eagerly; later records for the same key win, so appending is
-        always safe.  A truncated or corrupt trailing line (a crashed
-        writer) is skipped with a warning, and the next append truncates
-        the file back to the last intact record before writing.
+        always safe.  Torn and corrupt lines are skipped with a warning,
+        and the next append truncates a torn tail away before writing.
     """
 
     def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self.path = Path(path) if path is not None else None
         self._records: Dict[str, Dict[str, Any]] = {}
+        #: key -> file that supplied its record (the fold's cross-file rule).
+        self._source: Dict[str, Optional[Path]] = {}
+        #: key -> shard ids whose claim markers were read (the shard queue).
+        self._claims: Dict[str, Set[int]] = {}
         #: cache accounting for the current process (resume/determinism tests
         #: and benchmark reports read these).
         self.hits = 0
         self.misses = 0
-        #: byte offset the next append must truncate the file to, set when
-        #: loading found torn/corrupt bytes after the last intact record.
-        self._resync_offset: Optional[int] = None
-        #: corrupt lines skipped while loading (diagnostic for tests/tools).
+        #: torn/corrupt lines skipped while reading (diagnostic for tools).
         self.skipped_lines = 0
+        #: the one file this store appends to (``None``: nothing to write).
+        self._file = self.path
+        #: offset the next append truncates the file to (a torn tail).
+        self._resync: Optional[int] = None
         if self.path is not None and self.path.exists():
-            self._load(self.path)
+            self._read(self.path)
 
-    def _load(self, path: Path) -> None:
-        """Parse the JSONL file, tolerating a torn tail and corrupt lines."""
-        data = path.read_bytes()
-        clean_end = 0  # byte offset after the last intact, parseable line
-        offset = 0
-        for raw in data.splitlines(keepends=True):
-            line_end = offset + len(raw)
-            terminated = raw.endswith(b"\n")
-            stripped = raw.strip()
-            if not stripped:
-                if terminated:
-                    clean_end = line_end
-                offset = line_end
+    # --------------------------------------------------------------- format
+    def _read(
+        self, path: Path, offset: int = 0, live: bool = False
+    ) -> Tuple[int, int, int]:
+        """Fold the lines of ``path`` past ``offset`` into the store.
+
+        Corrupt lines are skipped, counted in ``skipped_lines`` and warned
+        about.  A torn tail is left unread when ``live`` (a writer may still
+        be completing it); otherwise it is skipped, counted once and warned
+        about, and when ``path`` is this store's own file the next append
+        truncates it away.  Returns ``(consumed, duplicates, claims)``: the
+        offset the next read of ``path`` starts from, and :meth:`_fold`'s
+        counts.
+        """
+        entries, corrupt, end, tail = read_lines(path, offset)
+        duplicates, claims = self._fold(entries, path)
+        torn = not live and bool(tail.strip())
+        owner = path == self._file
+        if owner and tail:
+            self._resync = end
+        if corrupt or torn:
+            self.skipped_lines += corrupt + torn
+            tear = f" (a torn tail of {len(tail)} byte(s))" if torn else ""
+            cut = "; the next append truncates it away" if owner and torn else ""
+            print(
+                f"run store {path}: skipped {corrupt + torn} torn/corrupt "
+                f"line(s){tear}; intact records were kept{cut}",
+                file=sys.stderr,
+            )
+        return (end if live else end + len(tail)), duplicates, claims
+
+    def _fold(
+        self, entries: Iterable[Entry], source: Optional[Path]
+    ) -> Tuple[int, int]:
+        """Fold ``entries``, read in order from ``source``, into the store.
+
+        The one rule for which record wins a key: a later record wins
+        within one file (how ``--retry-failed`` heals a failure), and
+        across files a success supersedes a failure; otherwise the record
+        already held stays (equal keys mean bit-identical results).  Claim
+        markers go to the shard queue.  Returns ``(duplicates, claims)``:
+        the records whose key already held one, and the claim markers.
+        """
+        duplicates = claims = 0
+        for key, record, claimant in entries:
+            if record is None:
+                self._claims.setdefault(key, set()).add(claimant)
+                claims += 1
                 continue
-            entry: Optional[Dict[str, Any]] = None
-            try:
-                parsed = json.loads(stripped)
-                if isinstance(parsed, dict) and "key" in parsed and "record" in parsed:
-                    entry = parsed
-            except json.JSONDecodeError:
-                entry = None
-            if entry is not None and terminated:
-                self._records[entry["key"]] = entry["record"]
-                clean_end = line_end
-            else:
-                # Torn tail (unterminated) or corrupt bytes: skip, and leave
-                # clean_end pointing at the last record worth keeping.
-                self.skipped_lines += 1
-            offset = line_end
-        if clean_end < len(data):
-            # Torn/corrupt bytes at the very end: arm the truncate-on-append
-            # resync so they can never prefix-corrupt a later record.
-            self._resync_offset = clean_end
-            print(
-                f"run store {path}: skipped {self.skipped_lines} "
-                f"corrupt/truncated line(s) ({len(data) - clean_end} trailing "
-                "bytes); the next append truncates back to the last intact "
-                "record",
-                file=sys.stderr,
-            )
-        elif self.skipped_lines:
-            # Corrupt lines in the middle of the file (each newline-terminated,
-            # so later appends are safe): warn, keep the intact records.
-            print(
-                f"run store {path}: skipped {self.skipped_lines} "
-                "corrupt line(s); intact records were kept",
-                file=sys.stderr,
-            )
+            held = self._records.get(key)
+            if (
+                held is None
+                or self._source[key] == source
+                or (held.get("failed") and not record.get("failed"))
+            ):
+                self._records[key] = record
+                self._source[key] = source
+            duplicates += held is not None
+        return duplicates, claims
+
+    def _append(self, entry: Dict[str, Any]) -> None:
+        """Append one line to this store's file, resyncing first.
+
+        A torn tail found on load is truncated away, then the line and its
+        newline go out in a single flushed ``write``, so a crash mid-append
+        can only tear the final line.
+        """
+        assert self._file is not None
+        line = json.dumps(entry, default=repr) + "\n"
+        self._file.parent.mkdir(parents=True, exist_ok=True)
+        if self._resync is not None:
+            with self._file.open("r+") as handle:
+                handle.truncate(self._resync)
+            self._resync = None
+        with self._file.open("a") as handle:
+            handle.write(line)
+            handle.flush()
 
     # ------------------------------------------------------------------ query
     def __len__(self) -> int:
@@ -164,29 +235,11 @@ class RunStore:
 
     # ----------------------------------------------------------------- update
     def put(self, key: str, record: Dict[str, Any]) -> None:
-        """Insert a record and (when file-backed) append it to disk.
-
-        The line (record + newline) goes out in a single flushed ``write``,
-        so a crash mid-``put`` can only tear the final line — which the
-        next load skips and the next append truncates away.
-        """
+        """Insert a record and (when file-backed) append it to disk."""
         maybe_inject("store")
-        self._records[key] = record
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            line = json.dumps({"key": key, "record": record}, default=repr) + "\n"
-            if self._resync_offset is not None:
-                with self.path.open("r+") as handle:
-                    handle.truncate(self._resync_offset)
-                self._resync_offset = None
-            with self.path.open("a") as handle:
-                handle.write(line)
-                handle.flush()
-
-    def reset_counters(self) -> None:
-        """Zero the hit/miss counters (between engine passes in tests)."""
-        self.hits = 0
-        self.misses = 0
+        self._fold([(key, record, None)], self._file)
+        if self._file is not None:
+            self._append({"key": key, "record": record})
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = str(self.path) if self.path else "memory"

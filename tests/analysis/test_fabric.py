@@ -99,6 +99,15 @@ class TestShardedStore:
         assert view.refresh() == 0  # live poll leaves the tail alone
         assert view.skipped_lines == 0
 
+    def test_refresh_passes_over_a_shard_file_gone_since_the_glob(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "s"
+        view = ShardedRunStore(root, shard_id=0, shards=2)
+        # A peer restarting with --fresh unlinks its file mid-poll.
+        monkeypatch.setattr(view, "shard_paths", lambda: [root / shard_filename(1)])
+        assert view.refresh() == 0
+
     def test_final_refresh_skips_torn_tail_with_warning(self, tmp_path, capsys):
         root = tmp_path / "s"
         s0 = ShardedRunStore(root, shard_id=0, shards=2)

@@ -5,14 +5,17 @@ line in the JSONL store.  These tests pin the recovery contract: loading
 skips the torn tail with a stderr warning instead of crashing, intact
 records before it all survive, and the next append first truncates the
 file back to the last intact record so the torn bytes can never corrupt a
-later line.
+later line.  ``TestOneAnswer`` holds every reader of the line format — the
+single-file store, a shard's own load, the merge view and ``merge_stores``
+— to the same records, skip count and warning on the same bytes.
 """
 
 import json
 
 import pytest
 
-from repro.analysis import RunStore
+from repro.analysis import RunStore, ShardedRunStore, merge_stores
+from repro.analysis.fabric.store import shard_filename
 
 
 def write_lines(path, *entries):
@@ -139,3 +142,61 @@ class TestFailureRecordsInStore:
         store.put("a", {"metrics": {"m": 1.0}})
         reloaded = RunStore(path)
         assert reloaded.peek("a") == {"metrics": {"m": 1.0}}
+
+
+GOOD_A = json.dumps({"key": "a", "record": {"metrics": {"m": 1.0}}}) + "\n"
+GOOD_C = json.dumps({"key": "c", "record": {"metrics": {"m": 3.0}}}) + "\n"
+
+#: case -> (file contents, record keys that survive, lines skipped)
+READER_CASES = {
+    "torn tail": (GOOD_A + '{"key": "b", "record": {"metr', {"a"}, 1),
+    "complete but unterminated line": (
+        GOOD_A + json.dumps({"key": "b", "record": {}}), {"a"}, 1
+    ),
+    "whitespace-only unterminated tail": (GOOD_A + " \t ", {"a"}, 0),
+    "corrupt middle line": (GOOD_A + "%% not json %%\n" + GOOD_C, {"a", "c"}, 1),
+    "claim line": (json.dumps({"key": "b", "claim": 0}) + "\n" + GOOD_A, {"a"}, 0),
+    "key not a string": (
+        GOOD_A + json.dumps({"key": ["a"], "record": {}}) + "\n", {"a"}, 1
+    ),
+    "record not an object": (
+        GOOD_A + json.dumps({"key": "a", "record": [1, 2]}) + "\n", {"a"}, 1
+    ),
+}
+
+
+class TestOneAnswer:
+    @staticmethod
+    def answers(tmp_path, contents, capsys):
+        """``(records, skipped, stderr)`` from each reader of ``contents``."""
+        single = tmp_path / "store.jsonl"
+        single.write_text(contents)
+        root = tmp_path / "shards"
+        root.mkdir()
+        (root / shard_filename(0)).write_text(contents)
+        readers = {
+            "RunStore": lambda: RunStore(single),
+            "own shard": lambda: ShardedRunStore(root, shard_id=0, shards=1),
+            "merge view": lambda: ShardedRunStore(root),
+        }
+        for name, open_store in readers.items():
+            store = open_store()
+            err = capsys.readouterr().err
+            yield name, dict(store._records), store.skipped_lines, err
+        records, stats = merge_stores([root])
+        yield "merge_stores", records, stats.skipped, capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(READER_CASES))
+    def test_every_reader_gives_the_same_answer(self, case, tmp_path, capsys):
+        contents, keys, skipped = READER_CASES[case]
+        expected = {
+            key: json.loads(GOOD_A if key == "a" else GOOD_C)["record"]
+            for key in keys
+        }
+        for name, records, count, err in self.answers(tmp_path, contents, capsys):
+            assert records == expected, name
+            assert count == skipped, name
+            if skipped:
+                assert f"skipped {skipped} torn/corrupt line(s)" in err, name
+            else:
+                assert err == "", name

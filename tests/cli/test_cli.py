@@ -463,6 +463,49 @@ class TestSweepAndReport:
         assert "store covers 1/4 tasks" in captured.err
         assert "nan" in captured.out
 
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    @pytest.mark.parametrize("malformed", ["key not a string", "record not an object"])
+    def test_malformed_lines_that_parse_are_skipped_with_a_warning(
+        self, command, malformed, tmp_path, capsys
+    ):
+        spec = tiny_spec_path(tmp_path)
+        out = tmp_path / "artifacts"
+        main(["sweep", str(spec), "--out", str(out)])
+        store_path = out / "tiny" / "runstore.jsonl"
+        key = json.loads(store_path.read_text().splitlines()[0])["key"]
+        line = {
+            "key not a string": {"key": ["a"], "record": {}},
+            "record not an object": {"key": key, "record": [1, 2]},
+        }[malformed]
+        with store_path.open("a") as handle:
+            handle.write(json.dumps(line) + "\n")
+        report = (out / "tiny" / "report.txt").read_text()
+        capsys.readouterr()
+        assert main([command, str(spec), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "skipped 1 torn/corrupt line(s)" in captured.err
+        if command == "report":
+            assert captured.out == report
+        else:  # the resumed sweep re-runs nothing and renders the same
+            assert (out / "tiny" / "report.txt").read_text() == report
+            assert run_metadata(out, "tiny")["engine"]["executed"] == 0
+
+    def test_sweep_and_report_name_an_error_less_failure_alike(
+        self, tmp_path, capsys
+    ):
+        spec = tiny_spec_path(tmp_path)
+        out = tmp_path / "artifacts"
+        main(["sweep", str(spec), "--out", str(out)])
+        store_path = out / "tiny" / "runstore.jsonl"
+        key = json.loads(store_path.read_text().splitlines()[0])["key"]
+        store_path.write_text(json.dumps({"key": key, "record": {"failed": True}}) + "\n")
+        assert main(["sweep", str(spec), "--out", str(out)]) == 3
+        report = (out / "tiny" / "report.txt").read_text()
+        assert "UnknownError" in report
+        capsys.readouterr()
+        assert main(["report", str(spec), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == report
+
     def test_report_export_rewrites_artifacts(self, tmp_path, capsys):
         spec = tiny_spec_path(tmp_path)
         out = tmp_path / "artifacts"
