@@ -45,7 +45,7 @@ Quickstart::
     print(lp_result.weighted_completion_time, base_result.weighted_completion_time)
 """
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 from importlib import import_module
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..runstore import RunStore
 
@@ -57,6 +57,10 @@ SHARD_GLOB = "shard-*.jsonl"
 #: written once so later readers know how many shards were *expected* and
 #: can name the missing ones instead of rendering a silently partial report.
 MANIFEST_NAME = "fleet.json"
+
+#: Bytes before a peer file's cursor that must still be there for a
+#: refresh to resume from the cursor (:meth:`ShardedRunStore._peer_cursor`).
+_ANCHOR_BYTES = 256
 
 
 def shard_filename(shard_id: int) -> str:
@@ -111,8 +115,10 @@ class ShardedRunStore(RunStore):
         self.path = self.root
         self.shard_id = shard_id
         self.declared_shards = shards
-        #: peer shard file -> byte offset consumed so far (terminated lines).
-        self._cursors: Dict[Path, int] = {}
+        #: peer shard file -> ``((st_dev, st_ino), offset, anchor)``: the
+        #: file's identity, the byte offset consumed so far (terminated
+        #: lines) and the bytes just before it (see :meth:`_peer_cursor`).
+        self._cursors: Dict[Path, Tuple[Tuple[int, int], int, bytes]] = {}
         if self.shard_id is not None:
             self.root.mkdir(parents=True, exist_ok=True)
             self._ensure_manifest()
@@ -171,10 +177,11 @@ class ShardedRunStore(RunStore):
         """Fold other shards' newly appended lines into the merged view.
 
         Incremental and cheap: each shard file is read only past the byte
-        offset already consumed.  An *unterminated* trailing line is left
-        for the next refresh — a live writer may still be completing it —
-        unless ``final`` is true (a merge, not a poll), in which case the
-        torn tail is skipped with a warning naming the shard file and
+        offset already consumed, or from 0 once it was replaced or cut
+        short (:meth:`_peer_cursor`).  An *unterminated* trailing line is
+        left for the next refresh — a live writer may still be completing
+        it — unless ``final`` is true (a merge, not a poll), in which case
+        the torn tail is skipped with a warning naming the shard file and
         counted in ``skipped_lines`` instead of aborting the merge.
         Returns the number of new result records folded in.
         """
@@ -182,12 +189,40 @@ class ShardedRunStore(RunStore):
         for path in self.shard_paths():
             if path == self._file:
                 continue  # the own shard is read once, at open
-            offset = self._cursors.get(path, 0)
             try:
-                self._cursors[path] = self._read(path, offset, live=not final)[0]
+                identity, offset = self._peer_cursor(path)
+                end = self._read(path, offset, live=not final)[0]
+                with path.open("rb") as handle:
+                    handle.seek(max(0, end - _ANCHOR_BYTES))
+                    anchor = handle.read(min(end, _ANCHOR_BYTES))
             except FileNotFoundError:
                 continue  # gone since the glob: a peer restarting --fresh
+            self._cursors[path] = (identity, end, anchor)
         return len(self) - before
+
+    def _peer_cursor(self, path: Path) -> Tuple[Tuple[int, int], int]:
+        """``((st_dev, st_ino), offset)``: peer file ``path``'s identity and
+        the byte offset its next read starts from.
+
+        The cursor holds while the file is the one it was taken on: the
+        same identity, at least as long, and the bytes just before the
+        cursor unchanged.  Otherwise the file was replaced (a peer
+        restarting with ``--fresh`` unlinks its file and starts a new one)
+        or truncated, and it is read from offset 0.  The bytes catch a new
+        file that got the unlinked one's inode number, which ext4 hands out
+        again at once.
+        """
+        stat = path.stat()
+        identity = (stat.st_dev, stat.st_ino)
+        seen, offset, anchor = self._cursors.get(path, (identity, 0, b""))
+        if seen != identity or stat.st_size < offset:
+            return identity, 0
+        if anchor:
+            with path.open("rb") as handle:
+                handle.seek(offset - len(anchor))
+                if handle.read(len(anchor)) != anchor:
+                    return identity, 0
+        return identity, offset
 
     # ------------------------------------------------------------ the queue
     def claimants(self, key: str) -> Set[int]:

@@ -22,11 +22,14 @@ The algorithm has the paper's three-part structure:
    (8) reads ``sum_{flows through e} b[i,j,ell] <= c(e)``.
 
    :class:`GivenPathsLP` builds the LP in the form HiGHS presolve would
-   reduce it to: the one-variable release rows (9) and transfer rows are
-   variable bounds, and capacity rows (8) that cannot bind, or terms of
-   them that a release bound fixes at 0, are left out (DESIGN.md Section
-   3).  The feasible region is unchanged, and the LP-equivalence tests hold
-   the model and its solutions to the LP as written.
+   reduce it to: the release rows (9) and the ``x`` they fix at 0 are left
+   out, the transfer rows are bounds, and so are the capacity rows (8)
+   that cannot bind (DESIGN.md Section 3).  Put back zeros for the missing
+   ``x`` and its solutions are exactly those of (4)-(10): the objective and
+   the Lemma-4 bound are the written LP's, while the flow proxies ``c``,
+   which are degenerate (only ``C`` is in the objective), may come from
+   another optimal vertex.  The LP-equivalence tests hold the model and its
+   solutions to the LP as written.
 
 3. **Rounding** — each flow is assigned to the ``D``-th interval after its
    alpha-interval and runs there at the constant rate ``sigma / len_k``.
@@ -56,7 +59,7 @@ from ..core.flows import CoflowInstance, FlowId
 from ..core.intervals import DEFAULT_EPSILON, IntervalGrid, RoundingParameters
 from ..core.network import Network
 from ..core.schedule import CircuitSchedule, ScheduleError
-from ..lp import LinearProgram, LPSolution, solve
+from ..lp import LinearProgram, LPSolution, solve, stacked_aranges
 from ._assembly import (
     add_completion_variables_bulk,
     add_core_families_bulk,
@@ -153,21 +156,24 @@ class GivenPathsLP:
     """Builder for the interval-indexed LP (4)-(10).
 
     :meth:`build` emits the LP HiGHS presolve would leave of (4)-(10) as
-    written (Andersen & Andersen's singleton-row and redundant-row
-    reductions, done while building; DESIGN.md §3):
+    written (Andersen & Andersen's singleton-row, fixed-column and
+    redundant-row reductions, done while building; DESIGN.md §3):
 
     * the release rows (9), ``x[f, ell] = 0`` for intervals closing before
-      the flow's release, are the upper bounds ``x[f, ell] <= 0``;
+      the flow's release, are left out with the columns they fix: ``x[f,
+      ell]`` is registered only from the flow's release interval on;
     * the transfer rows ``c[f] >= r + sigma / bottleneck`` are lower bounds
       on ``c[f]``;
     * a capacity row (8) for edge ``e`` and interval ``ell`` is emitted only
       if it can bind: if the ``sigma / len_ell`` of its users released by
-      ``ell`` sum to more than ``c(e)``, and it carries only those users'
-      terms (presolve drops the ones a release bound fixes at 0).
+      ``ell`` sum to more than ``c(e)``.
 
-    The feasible region is that of (4)-(10); ``tests/lp`` checks the
-    emission row for row against the LP as written, and the solutions
-    against its solutions.
+    Every other row is kept.  A solution, with zeros put back for the
+    missing ``x``, is a solution of (4)-(10) and every solution of (4)-(10)
+    is one of this LP, so the objective is the written LP's; the
+    relaxation's ``fractions`` are length-``L`` arrays, 0 before release.
+    ``tests/lp`` checks the emission row for row against the LP as written,
+    and the solutions against its rows and bounds.
     """
 
     def __init__(
@@ -197,23 +203,16 @@ class GivenPathsLP:
         per distinct edge of each path, flows in ``iter_flows()`` order: a
         non-simple path crossing an edge twice loads it once), the
         ``_capacity`` of every edge id and the per-flow ``_bottleneck``
-        capacity.  A path that is too short or uses a missing edge raises
-        the ``ValueError`` of :meth:`Network.validate_path`.
+        capacity.  The ids come from :meth:`Network.path_edge_ids`, so a
+        path that is too short or uses a missing edge raises the
+        ``ValueError`` of :meth:`Network.validate_path`.
         """
-        index = self.network.edge_index()
+        path_edge_ids = self.network.path_edge_ids
         inc_flow: List[int] = []
         inc_edge: List[int] = []
         starts: List[int] = []
         for pos, (_i, _j, flow) in enumerate(self.instance.iter_flows()):
-            path = flow.path
-            if len(path) < 2:
-                raise ValueError("path must contain at least two nodes")
-            ids: Dict[int, None] = {}
-            for edge in zip(path[:-1], path[1:]):
-                k = index.get(edge)
-                if k is None:
-                    raise ValueError(f"path uses missing edge {edge!r}")
-                ids[k] = None
+            ids = dict.fromkeys(path_edge_ids(flow.path))
             starts.append(len(inc_edge))
             inc_edge.extend(ids)
             inc_flow.extend([pos] * len(ids))
@@ -236,22 +235,18 @@ class GivenPathsLP:
         sizes = np.asarray([f.size for _i, _j, f in flows], dtype=float)
         releases = [f.release_time for _i, _j, f in flows]
         first = grid.release_intervals(releases)
-        ells = np.arange(L, dtype=np.int64)
-        runnable = ells >= first[:, None]  # (F, L): x[f, ell] may be > 0
 
-        # Release rows (9) as x <= 0, transfer rows as c >= r + sigma / c_m.
-        upper = np.ones((F, L + 1))
-        upper[:, :L][~runnable] = 0.0
-        upper[:, L] = np.inf
-        lower = np.zeros((F, L + 1))
+        # Release rows (9) fold away with the columns they fix at 0: x[f, ell]
+        # exists only from ell = first[f] on.  Transfer rows are the lower
+        # bounds c >= r + sigma / c_m.
         sized = sizes > 0
-        lower[sized, L] = (
-            np.asarray(releases, dtype=float)[sized]
-            + sizes[sized] / self._bottleneck[sized]
+        c_lower = np.zeros(F)
+        c_lower[sized] = (
+            np.asarray(releases)[sized] + sizes[sized] / self._bottleneck[sized]
         )
         lp = LinearProgram(name="circuit-given-paths")
         layout = add_completion_variables_bulk(
-            lp, instance, grid, lower=lower, upper=upper
+            lp, instance, grid, first=first, c_lower=c_lower
         )
         self._layout = layout
         add_core_families_bulk(lp, instance, layout)
@@ -259,7 +254,8 @@ class GivenPathsLP:
         # (7)+(8) capacity per edge per interval, with bandwidths expressed
         # directly in terms of x: sum_f sigma_f * x_f_ell / len_ell <= c(e).
         # Edges own L rows each, in first-seen order; a row is emitted only
-        # if its users released by ell, all at x = 1, would exceed c(e).
+        # if its users released by ell, all at x = 1, would exceed c(e), and
+        # it holds only those users' terms.
         edges, first_seen, inc_slot = np.unique(
             self._inc_edge, return_index=True, return_inverse=True
         )
@@ -269,21 +265,22 @@ class GivenPathsLP:
         rank[seen] = np.arange(E)
         cell_cap = np.repeat(self._capacity[edges[seen]], L)
         inc = np.flatnonzero(sized[self._inc_flow])  # zero sizes add no term
-        flow = self._inc_flow[inc]
-        cell = (rank[inc_slot[inc]][:, None] * L + ells).ravel()
-        coef = (sizes[flow][:, None] / layout.lengths).ravel()
-        released = runnable[flow].ravel()
+        # One term per incidence and interval from the flow's release on,
+        # incidence-major.
+        users = self._inc_flow[inc]
+        runs = L - first[users]
+        flow = np.repeat(users, runs)
+        ell = np.repeat(first[users], runs) + stacked_aranges(runs)
+        cell = np.repeat(rank[inc_slot[inc]] * L, runs) + ell
+        coef = sizes[flow] / layout.lengths[ell]
         # bincount sums each cell's terms in entry order: users in flow order.
-        load = np.bincount(
-            cell, weights=np.where(released, coef, 0.0), minlength=E * L
-        )
+        load = np.bincount(cell, weights=coef, minlength=E * L)
         live = load > cell_cap
         if live.any():
             row_of = np.cumsum(live) - 1
-            # Terms of x fixed at 0 by a release bound are left out too, as
-            # presolve drops them; keeping them led HiGHS to other vertices.
-            keep = live[cell] & released
-            cols = (layout.xc_base[flow][:, None] + ells).ravel()
+            keep = live[cell]
+            # x[f, ell] sits ell - first[f] columns into the flow's block.
+            cols = layout.xc_base[flow] + ell - first[flow]
             lp.add_constraints_coo(
                 rows=row_of[cell[keep]],
                 cols=cols[keep],

@@ -108,6 +108,27 @@ class TestShardedStore:
         monkeypatch.setattr(view, "shard_paths", lambda: [root / shard_filename(1)])
         assert view.refresh() == 0
 
+    @pytest.mark.parametrize("count", [4, 1], ids=["longer", "shorter"])
+    def test_refresh_rereads_a_replaced_peer_file(self, tmp_path, count):
+        """A peer restarting with --fresh unlinks its shard file and starts
+        a new one, which may get the old inode number back: the next poll
+        reads the new file from offset 0, not from the old cursor."""
+        root = tmp_path / "s"
+        view = ShardedRunStore(root, shard_id=0, shards=2)
+        old = ShardedRunStore(root, shard_id=1, shards=2)
+        for k in range(3):
+            old.put(f"old-{k}", {"metrics": {"x": float(k)}})
+        assert view.refresh() == 3
+        (root / shard_filename(1)).unlink()
+        new = ShardedRunStore(root, shard_id=1, shards=2)
+        for k in range(count):
+            new.put(f"new-{k}", {"metrics": {"x": float(k)}})
+        assert view.refresh() == count
+        assert view.skipped_lines == 0
+        assert all(view.peek(f"new-{k}") is not None for k in range(count))
+        new.put("new-last", {"metrics": {}})
+        assert view.refresh() == 1  # and polls resume from the new cursor
+
     def test_final_refresh_skips_torn_tail_with_warning(self, tmp_path, capsys):
         root = tmp_path / "s"
         s0 = ShardedRunStore(root, shard_id=0, shards=2)

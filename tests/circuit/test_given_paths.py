@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.baselines.base import load_balanced_route
 from repro.circuit import GivenPathsLP, GivenPathsScheduler, feasible_rounding_parameters
 from repro.circuit.given_paths import DEFAULT_EPSILON, lower_bound
 from repro.core import Coflow, CoflowInstance, Flow, IntervalGrid, RoundingParameters, topologies
 from repro.core.schedule import ScheduleError
+from repro.workloads import CoflowGenerator, WorkloadConfig
 
 
 @pytest.fixture
@@ -218,6 +220,46 @@ class TestRounding:
     def test_lp_order_policy(self, figure1_instance, triangle):
         order = GivenPathsScheduler(figure1_instance, triangle).lp_order()
         assert set(order) == set(figure1_instance.flow_ids())
+
+
+ONLINE_STREAM_FABRIC = "leaf_spine(num_leaves=4, num_spines=2, hosts_per_leaf=2)"
+
+
+class TestStaggeredReleases:
+    """The Section-2.1 guarantees on instances whose coflows arrive over
+    time, so the LP registers no ``x`` before a flow's release interval."""
+
+    @pytest.mark.parametrize("topology", ["fat_tree(k=4)", ONLINE_STREAM_FABRIC])
+    @pytest.mark.parametrize("seed, arrival_rate", [(1, 0.05), (2, 0.1), (3, 0.2)])
+    def test_guarantees_hold(self, topology, seed, arrival_rate):
+        network = topologies.from_spec(topology)
+        instance = CoflowGenerator(
+            network,
+            WorkloadConfig(
+                num_coflows=6,
+                coflow_width=4,
+                coflow_arrival_rate=arrival_rate,
+                seed=seed,
+            ),
+        ).instance()
+        instance = instance.with_paths(load_balanced_route(instance, network))
+
+        builder = GivenPathsLP(instance, network)
+        lp = builder.build()
+        lower, upper = lp.bounds_arrays()
+        assert not ((lower == 0) & (upper == 0)).any()
+        # A third or more of the x columns of the LP as written are gone.
+        F, L = instance.num_flows, builder.grid.num_intervals
+        first = builder.grid.release_intervals(
+            [flow.release_time for _i, _j, flow in instance.iter_flows()]
+        )
+        assert lp.num_variables == F * (L + 1) - first.sum() + len(instance.coflows)
+        assert 3 * first.sum() >= F * L
+
+        result = GivenPathsScheduler(instance, network).schedule()
+        result.schedule.validate(instance, network)
+        assert result.objective >= result.lower_bound
+        assert result.approximation_ratio <= result.parameters.blowup_factor
 
 
 class TestFeasibleParameters:

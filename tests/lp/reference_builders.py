@@ -5,9 +5,9 @@ COO pipeline (``build()``).  The functions here assemble the paper's LP the
 legacy way, one ``add_variable`` / ``add_constraint`` call at a time
 straight from its constraint families.  ``test_equivalence.py`` asserts
 that the two are numerically identical, except for the Section-2.1 LP:
-its builder folds rows into bounds while building, and
-:func:`fold_given_paths_rows` applies the same reductions to the LP as
-written here.  The routing and packet references read only builder
+its builder folds rows into bounds, and deletes the columns they fix at
+0, while building, and :func:`fold_given_paths_rows` applies the same
+reductions to the LP as written here.  The routing and packet references read only builder
 helpers that the bulk path uses too (``_transfer_rhs``, ``_edge_users``,
 ``candidate_paths``, ...), so neither side has a private helper a shared
 bug could hide in; the Section-2.1 reference reads only the builder's
@@ -132,13 +132,13 @@ def fold_given_paths_rows(full: LinearProgram) -> LinearProgram:
 
     * the singleton ``release[...]`` rows (``x == 0``) and ``transfer[...]``
       rows (``c >= rhs``) become bounds of their variable;
+    * the columns those bounds fix at 0 (``lower == upper == 0``, zero
+      cost) are deleted, with their terms in every row;
     * a ``capacity[...]`` row whose largest activity under those bounds,
       summed term by term in row order, is at most its right-hand side
-      cannot bind and is dropped;
-    * the capacity rows kept lose the terms of variables those bounds fix
-      at 0.
+      cannot bind and is dropped.
 
-    Every other row is kept as it is, in order.
+    Every other row and column is kept as it is, in order.
     """
     keys = full.variable_keys
     lower, upper = (np.array(bound) for bound in full.bounds_arrays())
@@ -154,9 +154,14 @@ def fold_given_paths_rows(full: LinearProgram) -> LinearProgram:
             lower[col] = max(lower[col], row.rhs / coef)
         if row.sense in ("<=", "=="):
             upper[col] = min(upper[col], row.rhs / coef)
+    objective = full.objective_vector()
+    fixed = (lower == 0) & (upper == 0) & (objective == 0)
     folded = LinearProgram(name=full.name)
     folded.add_variables(
-        keys, lower=lower, upper=upper, objective=full.objective_vector()
+        [key for key, gone in zip(keys, fixed) if not gone],
+        lower=lower[~fixed],
+        upper=upper[~fixed],
+        objective=objective[~fixed],
     )
     for row in kept:
         terms = list(zip(row.indices, row.coefficients))
@@ -166,14 +171,38 @@ def fold_given_paths_rows(full: LinearProgram) -> LinearProgram:
                 peak += coef * (upper[col] if coef > 0 else lower[col])
             if peak <= row.rhs:
                 continue
-            terms = [(col, coef) for col, coef in terms if not lower[col] == upper[col] == 0]
         folded.add_constraint(
-            [(keys[col], coef) for col, coef in terms],
+            [(keys[col], coef) for col, coef in terms if not fixed[col]],
             row.sense,
             row.rhs,
             name=row.name,
         )
     return folded
+
+
+def written_lp_violation(written: LinearProgram, solution) -> float:
+    """The largest amount by which ``solution``, an :class:`LPSolution` of
+    ``GivenPathsLP.build``'s LP, violates a row or a bound of the LP as
+    written (:func:`circuit_given_paths_scalar`).
+
+    The solution's values are scattered by key onto the written LP's
+    columns, with zeros for the columns ``build`` leaves out.
+    """
+    x = np.zeros(written.num_variables)
+    x[[written.variable_index(key) for key in solution.keys]] = solution.x
+    lower, upper = written.bounds_arrays()
+    form = written.columnwise()
+    column = np.repeat(np.arange(written.num_variables), np.diff(form.start))
+    activity = np.bincount(
+        form.index, weights=form.value * x[column], minlength=len(form.row_upper)
+    )
+    return float(max(
+        0.0,
+        np.max(lower - x, initial=0.0),
+        np.max(x - upper, initial=0.0),
+        np.max(form.row_lower - activity, initial=0.0),
+        np.max(activity - form.row_upper, initial=0.0),
+    ))
 
 
 def routing_edge_scalar(builder: RoutingLP) -> LinearProgram:

@@ -10,13 +10,16 @@ refactor of the bulk path that changes a coefficient, a row, or the
 variable ordering fails here immediately.
 
 The Section-2.1 builder emits the LP as written minus what presolve would
-remove: its release and transfer rows are bounds, its capacity rows that
-cannot bind are not emitted, and the others lose the terms of variables
-fixed at 0.  Its model must be identical to
-:func:`fold_given_paths_rows` of the LP as written, and its solution must
-match the written LP's: equal objective, identical flow and coflow orders,
-and every variable within ``1e-12``.  The instance fixtures live in
-``conftest.py``.
+remove: its release and transfer rows are bounds, the columns the release
+bounds fix at 0 are not registered, and its capacity rows that cannot bind
+are not emitted.  Its model must be identical to
+:func:`fold_given_paths_rows` of the LP as written.  Its solution, with
+zeros put back for the deleted columns, must be a solution of the written
+LP: equal objective, identical coflow order, and every row and bound of
+the written LP satisfied within ``1e-9``.  The LP is degenerate (only the
+coflow proxies are in the objective), so the flow proxies, and with them
+``flow_order()``, may come from another optimal vertex.  The instance
+fixtures live in ``conftest.py``.
 """
 
 import dataclasses
@@ -24,7 +27,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.circuit._assembly import extract_completion
+from repro.circuit._assembly import (
+    add_completion_variables_bulk,
+    extract_completion,
+)
 from repro.circuit.given_paths import (
     DEFAULT_EPSILON,
     GivenPathsLP,
@@ -36,12 +42,16 @@ from repro.core import topologies
 from repro.core.flows import Coflow, CoflowInstance, Flow
 from repro.core.intervals import IntervalGrid
 from repro.core.network import Network
-from repro.lp import solve
+from repro.lp import LinearProgram, solve
 from repro.packet.given_paths import PacketGivenPathsLP
 from repro.packet.routing import PacketRoutingLP
 from repro.sim import LPReplanner, StreamingScheduler
 
-from .reference_builders import build_scalar, fold_given_paths_rows
+from .reference_builders import (
+    build_scalar,
+    fold_given_paths_rows,
+    written_lp_violation,
+)
 
 
 def assert_identical_lps(bulk, scalar):
@@ -65,13 +75,17 @@ def assert_identical_lps(bulk, scalar):
 
 
 def assert_given_paths_matches_written_lp(builder):
-    """``build()`` is the folded LP as written, and both solve alike."""
+    """``build()`` is the folded LP as written, and its solution solves it."""
     written = build_scalar(builder)
     assert_identical_lps(builder.build(), fold_given_paths_rows(written))
     built = builder.relax()
     solution = solve(written)
+    # The written LP registers every x, in the layout of first = 0.
+    layout = add_completion_variables_bulk(
+        LinearProgram(), builder.instance, builder.grid
+    )
     fractions, flow_completion, coflow_completion = extract_completion(
-        solution, builder._layout
+        solution, layout
     )
     oracle = GivenPathsRelaxation(
         instance=builder.instance,
@@ -83,9 +97,8 @@ def assert_given_paths_matches_written_lp(builder):
         coflow_completion=coflow_completion,
     )
     assert built.objective == oracle.objective
-    assert built.flow_order() == oracle.flow_order()
     assert built.coflow_order() == oracle.coflow_order()
-    assert np.allclose(built.solution.x, solution.x, rtol=1e-12, atol=1e-12)
+    assert written_lp_violation(written, built.solution) <= 1e-9
     return written
 
 
