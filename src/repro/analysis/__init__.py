@@ -23,12 +23,12 @@ from .artifacts import (
     export_artifacts,
     load_spec,
     provenance,
-    result_from_store,
+    replay_spec,
     run_spec,
     spec_from_dict,
     stats_summary,
 )
-from .engine import EngineRunStats, ExperimentEngine, ExperimentTask
+from .engine import EngineRunStats, ExperimentEngine, ExperimentTask, replay
 from .report import (
     csv_report,
     failure_rows,
@@ -58,6 +58,7 @@ __all__ = [
     "ExperimentEngine",
     "ExperimentTask",
     "EngineRunStats",
+    "replay",
     "RunStore",
     "run_key",
     "SweepPoint",
@@ -79,7 +80,7 @@ __all__ = [
     "spec_from_dict",
     "load_spec",
     "run_spec",
-    "result_from_store",
+    "replay_spec",
     "stats_summary",
     "provenance",
     "export_artifacts",

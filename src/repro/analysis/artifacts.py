@@ -36,14 +36,14 @@ Every point resolves to a full :class:`~repro.workloads.generator.
 WorkloadConfig` (the ``base`` mapping is merged under each point's
 ``config``), and every config must carry a ``topology`` spec string so the
 document alone describes the experiment.  Points may use different
-topologies; :func:`run_spec` groups them and runs one engine per topology,
-all sharing the spec's run store (store keys embed the topology
-fingerprint, so this is safe).
+topologies; :func:`spec_engines` makes one engine per topology, all sharing
+the spec's run store (store keys embed the topology fingerprint, so this is
+safe).
 
-:func:`result_from_store` rebuilds the same :class:`~repro.analysis.sweep.
-SweepResult` from a run store *without executing anything* — this is what
-``repro report`` uses, and why reports re-rendered from the store are
-byte-identical to the ones written when the sweep ran.
+:func:`replay_spec` reads a spec's results back from a run store *without
+executing anything*: :func:`run_spec` reads its own run through it, as do
+``repro report`` and the sharded sweep, which is why reports re-rendered
+from the store are byte-identical to the ones written when the sweep ran.
 """
 
 from __future__ import annotations
@@ -61,11 +61,12 @@ from ..baselines.spec import SCHEME_ALIASES, known_scheme_names, scheme_from_spe
 from ..core.network import Network
 from ..core.topologies import from_spec, parse_spec
 from ..faults import FaultConfig
+from ..sim.simulator import check_metric
 from ..workloads.generator import WorkloadConfig
-from .engine import EngineRunStats, ExperimentEngine, PointSpec, failure_label
+from .engine import EngineRunStats, ExperimentEngine, ExperimentTask, PointSpec, replay
 from .report import REPORT_FORMATS, render_report
-from .runstore import RunStore, run_key
-from .sweep import SweepPoint, SweepResult
+from .runstore import RunStore
+from .sweep import SweepResult
 
 _NOT_LOADED = object()
 #: PyYAML, imported at the first YAML document (:func:`load_document`);
@@ -87,13 +88,14 @@ __all__ = [
     "load_document",
     "load_spec",
     "spec_networks",
+    "spec_engines",
     "run_spec",
-    "result_from_store",
-    "results_from_store",
+    "replay_spec",
     "stats_summary",
     "provenance",
     "provenance_lines",
     "export_artifacts",
+    "file_text",
     "ARTIFACT_FORMATS",
 ]
 
@@ -166,7 +168,8 @@ class SweepSpec:
     config's seed, exactly like :meth:`ExperimentEngine.run`.  ``schemes``
     entries are scheme specs — alias names or ``pipeline(...)``
     compositions — validated eagerly at construction, as are the points'
-    topology specs (:func:`~repro.core.topologies.parse_spec`).
+    topology specs (:func:`~repro.core.topologies.parse_spec`) and the
+    metric names (:data:`~repro.sim.simulator.METRICS`).
     """
 
     name: str
@@ -194,8 +197,8 @@ class SweepSpec:
             raise ValueError(f"spec {self.name!r} declares no schemes")
         if self.tries < 1:
             raise ValueError("tries must be at least 1")
-        if any(not m for m in self.extra_metrics):
-            raise ValueError(f"spec {self.name!r} has an empty extra metric name")
+        for metric in (self.metric, *self.extra_metrics):
+            check_metric(metric)
         if self.faults is not None:
             try:
                 FaultConfig.from_spec(self.faults)
@@ -443,9 +446,9 @@ def spec_networks(spec: SweepSpec) -> Dict[str, Network]:
     A spec checks its topology strings when it is built
     (:func:`~repro.core.topologies.parse_spec`), but only a builder knows
     which values it takes: ``fat_tree(k=3)`` parses and fails here, with a
-    ``ValueError`` that names the first point using it.  :func:`run_spec`,
-    :func:`results_from_store` and the fabric's workers build every
-    topology here before their first engine starts.
+    ``ValueError`` that names the first point using it.
+    :func:`spec_engines` builds every topology here before its first
+    engine.
     """
     networks: Dict[str, Network] = {}
     for point in spec.points:
@@ -460,19 +463,51 @@ def spec_networks(spec: SweepSpec) -> Dict[str, Network]:
     return networks
 
 
-def _topology_groups(spec: SweepSpec) -> List[Tuple[str, Network, List[int]]]:
-    """``(topology spec, network, point indices)`` per distinct topology,
-    first-seen order, every network built before the first is returned."""
-    networks = spec_networks(spec)
-    groups: Dict[str, List[int]] = {}
-    for index, point in enumerate(spec.points):
-        groups.setdefault(point.config.topology, []).append(index)
-    return [(topology, networks[topology], indices) for topology, indices in groups.items()]
+#: One engine of a spec: its topology spec string, the engine, and its
+#: share of the grid's tasks (with the spec's point indices).
+SpecEngine = Tuple[str, ExperimentEngine, List[ExperimentTask]]
+
+
+def spec_engines(
+    spec: SweepSpec,
+    store: RunStore,
+    faults: Union[FaultConfig, str, None] = None,
+    **knobs: Any,
+) -> List[SpecEngine]:
+    """One engine per distinct topology of ``spec``, in the order the
+    points first name them, each with its share of the grid's tasks.
+
+    Every engine shares ``store``, whose keys embed the topology
+    fingerprint.  ``faults=None`` falls back to the spec's own ``faults``
+    entry; ``knobs`` (``workers``, ``max_retries``, ...) go to every
+    :class:`ExperimentEngine`.
+    """
+    point_specs = spec.point_specs()
+    engines: List[SpecEngine] = []
+    for topology, network in spec_networks(spec).items():
+        engine = ExperimentEngine(
+            network,
+            build_schemes(spec.schemes),
+            tries=spec.tries,
+            metric=spec.metric,
+            store=store,
+            faults=spec.faults if faults is None else faults,
+            **knobs,
+        )
+        indices = [
+            index
+            for index, point in enumerate(spec.points)
+            if point.config.topology == topology
+        ]
+        tasks = engine.tasks_for([point_specs[i] for i in indices], indices)
+        engines.append((topology, engine, tasks))
+    return engines
 
 
 @dataclass
 class SpecRunResult:
-    """What :func:`run_spec` returns: the aggregate plus its accounting."""
+    """A spec's results read back from its run store (:func:`replay_spec`),
+    and their accounting."""
 
     spec: SweepSpec
     result: SweepResult
@@ -481,6 +516,43 @@ class SpecRunResult:
     fingerprints: Dict[str, str] = field(default_factory=dict)
     #: extra metric name -> its aggregate (one per ``spec.extra_metrics``).
     extras: Dict[str, SweepResult] = field(default_factory=dict)
+
+
+def replay_spec(
+    spec: SweepSpec, store: RunStore, engines: Optional[List[SpecEngine]] = None
+) -> SpecRunResult:
+    """Read a spec's results back from ``store``, running nothing.
+
+    Replays the tasks of ``engines`` (default: :func:`spec_engines`, which
+    builds every topology to hash the keys) for the spec's metric and its
+    ``extra_metrics``.  ``stats`` count the grid, its failed and missing
+    cells and the store's skipped lines, so ``stats.coverage`` is the
+    coverage every exit code and ``run.json`` read.
+    """
+    if engines is None:
+        engines = spec_engines(spec, store)
+    tasks = [task for _, _, group in engines for task in group]
+    results, missing = replay(
+        tasks,
+        store,
+        [point.label for point in spec.points],
+        [spec.metric, *spec.extra_metrics],
+    )
+    result = results[spec.metric]
+    return SpecRunResult(
+        spec=spec,
+        result=result,
+        stats=EngineRunStats(
+            total_tasks=len(tasks),
+            failed=result.total_failures(),
+            missing=missing,
+            skipped_records=store.skipped_lines,
+        ),
+        fingerprints={
+            topology: engine.topology_fingerprint for topology, engine, _ in engines
+        },
+        extras={metric: results[metric] for metric in spec.extra_metrics},
+    )
 
 
 def run_spec(
@@ -493,12 +565,12 @@ def run_spec(
     retry_failed: bool = False,
     lp_time_limit: Optional[float] = None,
 ) -> SpecRunResult:
-    """Execute a sweep spec on the experiment engine.
+    """Execute a sweep spec on the experiment engine, then read it back.
 
-    One engine is created per distinct topology in the spec (the engine is
-    single-network); all engines share ``store``, whose keys embed the
-    topology fingerprint.  Tasks already in the store are never re-run, so
-    invoking this against a warm store is pure aggregation.
+    Runs each engine of :func:`spec_engines` over its tasks (tasks already
+    in the store are never re-run, so a warm store is pure replay) and
+    returns :func:`replay_spec` of the same engines, which rebuilds no
+    topology and rehashes no key, with their accounting.
 
     The fault-tolerance knobs mirror :class:`ExperimentEngine`'s:
     ``faults`` enables deterministic injection (``None`` falls back to the
@@ -508,125 +580,22 @@ def run_spec(
     """
     if not isinstance(store, RunStore):
         store = RunStore(store)
-    if faults is None and spec.faults is not None:
-        faults = spec.faults
-    if isinstance(faults, str):
-        faults = FaultConfig.from_spec(faults)
-    point_specs = spec.point_specs()
-    merged = SweepResult(metric=spec.metric)
-    merged.points = [SweepPoint(label=label) for label, _ in point_specs]
-    stats = EngineRunStats(workers=workers or 1)
-    fingerprints: Dict[str, str] = {}
-    for topology, network, indices in _topology_groups(spec):
-        engine = ExperimentEngine(
-            network,
-            build_schemes(spec.schemes),
-            tries=spec.tries,
-            metric=spec.metric,
-            workers=workers,
-            store=store,
-            faults=faults,
-            max_retries=max_retries,
-            task_timeout=task_timeout,
-            retry_failed=retry_failed,
-            lp_time_limit=lp_time_limit,
-        )
-        fingerprints[topology] = engine.topology_fingerprint
-        group_result = engine.run_points([point_specs[i] for i in indices])
-        for index, point in zip(indices, group_result.points):
-            merged.points[index] = point
-        stats.total_tasks += engine.last_run_stats.total_tasks
-        stats.cached += engine.last_run_stats.cached
-        stats.executed += engine.last_run_stats.executed
-        stats.seconds += engine.last_run_stats.seconds
-        stats.failed += engine.last_run_stats.failed
-        stats.retried += engine.last_run_stats.retried
-        stats.pool_restarts += engine.last_run_stats.pool_restarts
-    stats.skipped_records = store.skipped_lines
-    extras = (
-        results_from_store(spec, store, spec.extra_metrics)[0]
-        if spec.extra_metrics
-        else {}
+    engines = spec_engines(
+        spec,
+        store,
+        faults,
+        workers=workers,
+        max_retries=max_retries,
+        task_timeout=task_timeout,
+        retry_failed=retry_failed,
+        lp_time_limit=lp_time_limit,
     )
-    return SpecRunResult(
-        spec=spec, result=merged, stats=stats, fingerprints=fingerprints,
-        extras=extras,
-    )
-
-
-def results_from_store(
-    spec: SweepSpec, store: RunStore, metrics: Sequence[str]
-) -> Tuple[Dict[str, SweepResult], Dict[str, int], Dict[str, str]]:
-    """Rebuild several metrics' :class:`SweepResult` in one store pass.
-
-    Iterates the spec's (point x try x scheme) grid in the same order the
-    engine aggregates it — once, peeking each record a single time however
-    many metrics are requested.  Returns ``(results, missing,
-    fingerprints)``: per-metric results and per-metric missing-cell counts
-    (a record lacking a metric — e.g. written by an older version — counts
-    as missing for that metric only), plus topology spec -> network
-    fingerprint.
-
-    Failure records (``{"failed": true, ...}``, written by the engine for
-    permanently failed tasks) are routed to each result's failure ledger
-    instead of counting as missing — a failed cell is *known* bad, not
-    absent, and reports render it as NaN with a failures block.
-
-    When the store has lost shards (:meth:`RunStore.missing_shards`),
-    every scheme keeps its column in every result even if all its cells
-    were on a lost shard, so those cells render as NaN (DESIGN §8).
-    """
-    schemes = build_schemes(spec.schemes)
-    signatures = [scheme.signature() for scheme in schemes]
-    fingerprints = {
-        topology: network.fingerprint()
-        for topology, network in spec_networks(spec).items()
-    }
-    keep_columns = bool(store.missing_shards())
-    results = {metric: SweepResult(metric=metric) for metric in metrics}
-    for result in results.values():
-        result.points = [SweepPoint(label=point.label) for point in spec.points]
-        if keep_columns:
-            for point in result.points:
-                point.values.update((scheme.name, []) for scheme in schemes)
-    missing = {metric: 0 for metric in metrics}
-    for index, (label, configs) in enumerate(spec.point_specs()):
-        fingerprint = fingerprints[spec.points[index].config.topology]
-        for config in configs:
-            for scheme, signature in zip(schemes, signatures):
-                record = store.peek(run_key(fingerprint, config, signature))
-                if record is not None and record.get("failed"):
-                    error = failure_label(record)
-                    for metric in metrics:
-                        results[metric].points[index].add_failure(
-                            scheme.name, error
-                        )
-                    continue
-                values = record.get("metrics", {}) if record is not None else {}
-                for metric in metrics:
-                    if metric not in values:
-                        missing[metric] += 1
-                        continue
-                    results[metric].points[index].add(
-                        scheme.name, float(values[metric])
-                    )
-    return results, missing, fingerprints
-
-
-def result_from_store(
-    spec: SweepSpec, store: RunStore, metric: Optional[str] = None
-) -> Tuple[SweepResult, int, Dict[str, str]]:
-    """Rebuild a spec's :class:`SweepResult` from a run store, running nothing.
-
-    Single-metric convenience over :func:`results_from_store` (``metric``
-    defaults to the spec's primary metric), returning ``(result, missing,
-    fingerprints)``; a complete store yields a result identical to
-    :func:`run_spec`'s, and a partial store simply contributes no value for
-    its missing cells.
-    """
-    metric = metric or spec.metric
-    results, missing, fingerprints = results_from_store(spec, store, [metric])
-    return results[metric], missing[metric], fingerprints
+    ran = [engine.run_tasks(tasks) for _, engine, tasks in engines]
+    run = replay_spec(spec, store, engines)
+    run.stats.workers = workers or 1
+    for name in ("cached", "executed", "seconds", "retried", "pool_restarts"):
+        setattr(run.stats, name, sum(getattr(stats, name) for stats in ran))
+    return run
 
 
 def stats_summary(stats: EngineRunStats) -> str:
@@ -726,6 +695,13 @@ def provenance_lines() -> List[str]:
 
 # ---------------------------------------------------------------- artifacts
 
+def file_text(rendered: str) -> str:
+    """A rendered report as its file holds it: ending in one newline (CSV
+    already does, the tables do not).  ``repro report`` writes stdout by
+    the same rule, so its output equals the file byte for byte."""
+    return rendered if rendered.endswith("\n") else rendered + "\n"
+
+
 def export_artifacts(
     out_dir: Union[str, Path],
     spec: SweepSpec,
@@ -789,6 +765,6 @@ def export_artifacts(
             extras=extras,
         )
         path = target / f"report.{ARTIFACT_FORMATS[fmt]}"
-        path.write_text(rendered if rendered.endswith("\n") else rendered + "\n")
+        path.write_text(file_text(rendered))
         paths[fmt] = path
     return paths

@@ -40,6 +40,9 @@ Per-task failure is data, not a process-fatal event:
 * failed cells aggregate as failures on the :class:`SweepResult` (NaN in
   the tables) instead of aborting the sweep.
 
+Every result is a replay of the store: :func:`replay` is the one place run
+records become :class:`SweepResult` values, for a sweep and for a report.
+
 Chaos testing threads through the same machinery: pass a
 :class:`~repro.faults.FaultConfig` (CLI: ``--inject-faults``) and the
 seeded injector fires deterministic faults inside the LP solve, the
@@ -51,6 +54,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import faults
@@ -59,13 +63,14 @@ from .. import faults as _faults_module  # the engine's ``faults=`` parameter
 from ..baselines.base import Scheme
 from ..core.flows import CoflowInstance
 from ..core.network import Network
-from ..sim import FlowLevelSimulator, SchemeComparison
+from ..sim import FlowLevelSimulator
+from ..sim.simulator import check_metric
 from ..workloads.generator import CoflowGenerator, WorkloadConfig
 from ..workloads.serialization import config_to_dict
 from .runstore import RunStore, run_key
 from .sweep import SweepPoint, SweepResult
 
-__all__ = ["ExperimentEngine", "ExperimentTask", "EngineRunStats"]
+__all__ = ["ExperimentEngine", "ExperimentTask", "EngineRunStats", "replay"]
 
 #: One sweep point: display label plus the workload configs (one per random
 #: try, each carrying its own seed) evaluated at that point.
@@ -87,7 +92,8 @@ class ExperimentTask:
 
 @dataclass
 class EngineRunStats:
-    """Accounting for the most recent :meth:`ExperimentEngine.run_points`."""
+    """Accounting for a task grid: what :meth:`ExperimentEngine.run_tasks`
+    served and executed, and what its :func:`replay` found."""
 
     total_tasks: int = 0
     cached: int = 0
@@ -95,7 +101,7 @@ class EngineRunStats:
     workers: int = 1
     seconds: float = 0.0
     #: tasks whose *final* stored record is a failure record (counted over
-    #: the whole grid at aggregation, cached failures included).
+    #: the whole grid at the replay, cached failures included).
     failed: int = 0
     #: transient-failure retries performed during this run.
     retried: int = 0
@@ -104,6 +110,9 @@ class EngineRunStats:
     #: corrupt or torn store lines skipped while loading/merging the run
     #: store(s) backing this run (sharded merges count every shard's tail).
     skipped_records: int = 0
+    #: cells with no record (a lost shard's), or none of the metric; not
+    #: written to ``run.json``.
+    missing: int = 0
 
     @property
     def all_cached(self) -> bool:
@@ -112,10 +121,11 @@ class EngineRunStats:
 
     @property
     def coverage(self) -> float:
-        """Fraction of grid tasks with a successful record (1.0 when empty)."""
+        """Fraction of grid tasks with a successful record (1.0 when empty):
+        a failed cell and a missing one are both uncovered."""
         if self.total_tasks <= 0:
             return 1.0
-        return (self.total_tasks - self.failed) / self.total_tasks
+        return (self.total_tasks - self.failed - self.missing) / self.total_tasks
 
 
 # ----------------------------------------------------------------- task body
@@ -143,32 +153,32 @@ class _LastInstance:
         return self._instance
 
 
-def _execute_task(
-    network: Network,
-    simulator: FlowLevelSimulator,
-    scheme: Scheme,
-    task: ExperimentTask,
-    topology_fingerprint: str,
-    instances: _LastInstance,
-) -> Dict[str, Any]:
-    """Generate (or reuse) the instance, plan, simulate; return the
-    run-store record.
+def _attempt(state: Any, task: ExperimentTask, attempt: int) -> Dict[str, Any]:
+    """One try of ``task``: its backoff, then, in its fault scope and under
+    its deadline, generate (or reuse) the instance, plan, simulate; return
+    the run-store record.  ``state`` is the engine, or :data:`_WORKER` in
+    a pool worker.
 
     Dispatches through :meth:`~repro.baselines.base.Scheme.simulate`, so
     online schemes run their arrival-driven re-planning loop while static
     schemes plan once and execute as one kernel session.
     """
-    instance = instances.get(network, task.config)
-    result = scheme.simulate(instance, network, simulator)
-    return {
-        "scheme": scheme.name,
-        "signature": scheme.signature(),
-        "topology": topology_fingerprint,
-        "config": config_to_dict(task.config),
-        "metrics": result.metrics(),
-        "events": result.events,
-        "instance": instance.name,
-    }
+    delay = faults.backoff_delay(task.key, attempt, state.retry_backoff)
+    if delay:
+        time.sleep(delay)
+    with faults.task_scope(task.key, attempt), faults.deadline(state.task_timeout):
+        instance = state._instances.get(state.network, task.config)
+        scheme = state.schemes[task.scheme_index]
+        result = scheme.simulate(instance, state.network, state.simulator)
+        return {
+            "scheme": scheme.name,
+            "signature": scheme.signature(),
+            "topology": state.topology_fingerprint,
+            "config": config_to_dict(task.config),
+            "metrics": result.metrics(),
+            "events": result.events,
+            "instance": instance.name,
+        }
 
 
 def _failure_record(
@@ -210,17 +220,54 @@ def failure_label(record: Dict[str, Any]) -> str:
     """The error name a failure record is reported under.
 
     Its ``error`` field, or ``"UnknownError"`` for a record that names none
-    (a hand-edited store).  The engine's aggregation and
-    :func:`~repro.analysis.artifacts.results_from_store` both label
-    failures here, so a sweep's report and ``repro report`` agree.
+    (a hand-edited store); :func:`replay` labels every failure here.
     """
     return str(record.get("error", "UnknownError"))
 
 
-#: Per-worker state installed by the pool initializer (network and schemes
-#: are pickled once per worker instead of once per task; each worker keeps
-#: its own last instance).
-_WORKER_STATE: Dict[str, Any] = {}
+def replay(
+    tasks: Sequence[ExperimentTask],
+    store: RunStore,
+    labels: Sequence[str],
+    metrics: Sequence[str],
+) -> Tuple[Dict[str, SweepResult], int]:
+    """The records of ``tasks`` as one :class:`SweepResult` per metric, and
+    the count of missing cells: the one place records become results.
+
+    Each value is appended to the point ``labels[task.point_index]`` in task
+    order, which fixes every report byte.  A failure record adds its
+    :func:`failure_label`; a task with no record, or none of ``metrics[0]``,
+    is missing (lacking a later metric gives that one no value).  With lost
+    shards every scheme keeps its column, so lost cells render as NaN.
+    """
+    results = {
+        metric: SweepResult(metric, [SweepPoint(label) for label in labels])
+        for metric in metrics
+    }
+    if store.missing_shards():
+        names = dict.fromkeys(task.scheme_name for task in tasks)
+        for result in results.values():
+            for point in result.points:
+                point.values.update((name, []) for name in names)
+    missing = 0
+    for task in tasks:
+        record = store.peek(task.key) or {}
+        values = record.get("metrics", {})
+        for metric, result in results.items():
+            point = result.points[task.point_index]
+            if record.get("failed"):
+                point.add_failure(task.scheme_name, failure_label(record))
+            elif metric in values:
+                point.add(task.scheme_name, float(values[metric]))
+            elif metric == metrics[0]:
+                missing += 1
+    return results, missing
+
+
+#: A pool worker's copy of the engine state :func:`_attempt` reads (the
+#: network and schemes are pickled once per worker instead of once per
+#: task; each worker keeps its own last instance).
+_WORKER = SimpleNamespace()
 
 
 def _worker_init(
@@ -232,13 +279,15 @@ def _worker_init(
     retry_backoff: float = 0.0,
     lp_time_limit: Optional[float] = None,
 ) -> None:
-    _WORKER_STATE["network"] = network
-    _WORKER_STATE["schemes"] = list(schemes)
-    _WORKER_STATE["simulator"] = FlowLevelSimulator(network)
-    _WORKER_STATE["instances"] = _LastInstance()
-    _WORKER_STATE["fingerprint"] = fingerprint
-    _WORKER_STATE["task_timeout"] = task_timeout
-    _WORKER_STATE["retry_backoff"] = retry_backoff
+    vars(_WORKER).update(
+        network=network,
+        schemes=list(schemes),
+        simulator=FlowLevelSimulator(network),
+        topology_fingerprint=fingerprint,
+        task_timeout=task_timeout,
+        retry_backoff=retry_backoff,
+        _instances=_LastInstance(),
+    )
     faults.mark_worker_process()
     faults.install(
         faults.FaultInjector(fault_config) if fault_config is not None else None
@@ -269,21 +318,8 @@ def _lp_time_limit(limit: Optional[float]):
         solver.DEFAULT_TIME_LIMIT = previous
 
 
-def _worker_run(task: ExperimentTask, attempt: int = 0) -> Tuple[str, Dict[str, Any]]:
-    delay = faults.backoff_delay(task.key, attempt, _WORKER_STATE["retry_backoff"])
-    if delay:
-        time.sleep(delay)
-    with faults.task_scope(task.key, attempt):
-        with faults.deadline(_WORKER_STATE["task_timeout"]):
-            record = _execute_task(
-                _WORKER_STATE["network"],
-                _WORKER_STATE["simulator"],
-                _WORKER_STATE["schemes"][task.scheme_index],
-                task,
-                _WORKER_STATE["fingerprint"],
-                _WORKER_STATE["instances"],
-            )
-    return task.key, record
+def _worker_run(task: ExperimentTask, attempt: int) -> Dict[str, Any]:
+    return _attempt(_WORKER, task, attempt)
 
 
 # -------------------------------------------------------------------- engine
@@ -303,8 +339,8 @@ class ExperimentEngine:
     tries:
         Random instances averaged per sweep point (the paper uses 10).
     metric:
-        Attribute of :class:`~repro.sim.simulator.SimulationResult` reported
-        by the resulting :class:`~repro.analysis.sweep.SweepResult`.
+        The run metric (one of :data:`~repro.sim.simulator.METRICS`)
+        reported by the resulting :class:`~repro.analysis.sweep.SweepResult`.
     workers:
         ``None``, 0 or 1 run serially in-process; ``>= 2`` fans tasks out
         over that many worker processes.
@@ -360,6 +396,7 @@ class ExperimentEngine:
             raise ValueError("workers must be non-negative")
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")
+        check_metric(metric)
         self.network = network
         self.schemes = list(schemes)
         self.tries = tries
@@ -388,17 +425,13 @@ class ExperimentEngine:
         return cls(config.build_network(), schemes, **kwargs)
 
     # ----------------------------------------------------------------- pieces
-    def run_instance(self, instance: CoflowInstance) -> SchemeComparison:
-        """Run every scheme on one concrete instance (serial, uncached)."""
-        comparison = SchemeComparison(metric=self.metric)
-        for scheme in self.schemes:
-            comparison.add(scheme.simulate(instance, self.network, self.simulator))
-        return comparison
-
-    def tasks_for(self, points: Sequence[PointSpec]) -> List[ExperimentTask]:
-        """Expand point specs into the flat (point x try x scheme) task list."""
+    def tasks_for(
+        self, points: Sequence[PointSpec], indices: Optional[Sequence[int]] = None
+    ) -> List[ExperimentTask]:
+        """Expand point specs into the flat (point x try x scheme) task list;
+        ``indices`` number the points (default: their positions)."""
         tasks: List[ExperimentTask] = []
-        for point_index, (label, configs) in enumerate(points):
+        for point_index, (label, configs) in zip(indices or range(len(points)), points):
             for trial, config in enumerate(configs):
                 for scheme_index, scheme in enumerate(self.schemes):
                     tasks.append(
@@ -418,66 +451,64 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------------- runs
     def run_points(self, points: Sequence[PointSpec]) -> SweepResult:
-        """Execute all tasks for ``points`` and aggregate a sweep result.
+        """Execute all tasks for ``points`` (:meth:`run_tasks`) and replay
+        the store into a sweep result.
 
-        Tasks whose key is already in the run store are served from it
-        (failure records included, unless ``retry_failed``); the rest run
-        serially or in the worker pool and stream into the store as they
-        complete (so interruption loses at most the in-flight tasks).
         Failures never abort the sweep: transient ones are retried,
         permanent ones become failure records and NaN cells.
         """
-        started = time.perf_counter()
         tasks = self.tasks_for(points)
-        pending: List[ExperimentTask] = []
-        for task in tasks:
-            record = self.store.get(task.key)
-            if record is None or (self.retry_failed and record.get("failed")):
-                pending.append(task)
-        cached = len(tasks) - len(pending)
+        stats = self.run_tasks(tasks)
+        results, stats.missing = replay(
+            tasks, self.store, [label for label, _ in points], [self.metric]
+        )
+        stats.failed = results[self.metric].total_failures()
+        return results[self.metric]
 
+    def run_tasks(self, tasks: Sequence[ExperimentTask]) -> EngineRunStats:
+        """Execute the tasks the store does not hold; return (and keep in
+        ``last_run_stats``) the accounting.
+
+        One ``store.get`` per task serves it from the store (failure
+        records included, unless ``retry_failed``); the rest stream into
+        the store as they complete (so interruption loses at most the
+        in-flight tasks).  A task left without a record raises
+        ``RuntimeError`` naming it.
+        """
+        started = time.perf_counter()
+        pending = [
+            task
+            for task in tasks
+            if (record := self.store.get(task.key)) is None
+            or (self.retry_failed and record.get("failed"))
+        ]
         self.last_run_stats = EngineRunStats(
             total_tasks=len(tasks),
-            cached=cached,
+            cached=len(tasks) - len(pending),
             executed=len(pending),
             workers=self.workers or 1,
         )
-        if pending:
-            self.execute_pending(pending)
-
-        result = SweepResult(metric=self.metric)
-        result.points = [SweepPoint(label=label) for label, _ in points]
-        for task in tasks:
-            record = self.store.peek(task.key)
-            if record is None:
+        self.execute_pending(pending)
+        for task in pending:
+            if task.key not in self.store:
                 raise RuntimeError(
                     f"run store lost task: point {task.label!r}, trial "
                     f"{task.trial}, scheme {task.scheme_name!r} (key {task.key})"
                 )
-            if record.get("failed"):
-                self.last_run_stats.failed += 1
-                result.points[task.point_index].add_failure(
-                    task.scheme_name, failure_label(record)
-                )
-            else:
-                result.points[task.point_index].add(
-                    task.scheme_name, float(record["metrics"][self.metric])
-                )
-
         self.last_run_stats.seconds = time.perf_counter() - started
-        return result
+        return self.last_run_stats
 
     # ----------------------------------------------------------- execution
     def execute_pending(self, pending: Sequence[ExperimentTask]) -> None:
         """Execute ``pending`` tasks through the hardened per-task path.
 
-        This is the execution half of :meth:`run_points` — fault injector
+        This is the execution half of :meth:`run_tasks` — fault injector
         installed, LP time limit applied, serial-or-pool dispatch with
         retries, deadlines and failure records — without the cache lookup
-        or aggregation around it.  The sweep fabric's shard workers call it
-        directly on the chunks they claim, so distributed execution
-        composes with every robustness guarantee of PR 6 unchanged.
-        Results stream into ``self.store`` as they complete.
+        around it.  The sweep fabric's shard workers call it directly on the
+        chunks they claim, so distributed execution composes with every
+        robustness guarantee unchanged.  Results stream into ``self.store``
+        as they complete.
         """
         if not pending:
             return
@@ -510,21 +541,6 @@ class ExperimentEngine:
                     continue
                 raise
 
-    def _attempt_serial(self, task: ExperimentTask, attempt: int) -> Dict[str, Any]:
-        delay = _faults_module.backoff_delay(task.key, attempt, self.retry_backoff)
-        if delay:
-            time.sleep(delay)
-        with _faults_module.task_scope(task.key, attempt):
-            with _faults_module.deadline(self.task_timeout):
-                return _execute_task(
-                    self.network,
-                    self.simulator,
-                    self.schemes[task.scheme_index],
-                    task,
-                    self.topology_fingerprint,
-                    self._instances,
-                )
-
     def _run_serial(
         self,
         pending: Sequence[ExperimentTask],
@@ -538,7 +554,7 @@ class ExperimentEngine:
             task_started = time.perf_counter()
             while True:
                 try:
-                    record = self._attempt_serial(task, attempt)
+                    record = _attempt(self, task, attempt)
                     break
                 except Exception as error:
                     if (
@@ -602,7 +618,7 @@ class ExperimentEngine:
                         for future in done:
                             task = futures.pop(future)
                             try:
-                                _, record = future.result()
+                                record = future.result()
                             except BrokenProcessPool:
                                 raise
                             except Exception as error:

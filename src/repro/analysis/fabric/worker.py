@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ...faults import FaultConfig
-from ..artifacts import SweepSpec, _topology_groups, build_schemes
+from ..artifacts import SweepSpec, spec_engines
 from ..engine import ExperimentEngine, ExperimentTask
 from .store import ShardedRunStore
 
@@ -132,7 +132,8 @@ class Worker:
         pool is kept busy without hoarding unstarted claims).
     faults, max_retries, task_timeout, retry_failed, lp_time_limit:
         Passed straight to each per-topology
-        :class:`~repro.analysis.engine.ExperimentEngine` — the PR 6
+        :class:`~repro.analysis.engine.ExperimentEngine` of
+        :func:`~repro.analysis.artifacts.spec_engines` — the engine's
         fault-tolerance surface, unchanged.  ``faults=None`` falls back to
         the spec's own ``faults`` entry.
     """
@@ -161,10 +162,6 @@ class Worker:
         self.steal_after = steal_after
         self.poll_interval = max(poll_interval, 1e-4)
         self.claim_chunk = claim_chunk or max(1, workers or 1)
-        if faults is None and spec.faults is not None:
-            faults = spec.faults
-        if isinstance(faults, str):
-            faults = FaultConfig.from_spec(faults)
         self.faults = faults
         self.max_retries = max_retries
         self.task_timeout = task_timeout
@@ -179,22 +176,16 @@ class Worker:
         shards = self.store.expected_shards or 1
         stats = WorkerStats(shard_id=self.store.shard_id or 0, shards=shards)
         self.last_stats = stats
-        point_specs = self.spec.point_specs()
-        for _, network, indices in _topology_groups(self.spec):
-            engine = ExperimentEngine(
-                network,
-                build_schemes(self.spec.schemes),
-                tries=self.spec.tries,
-                metric=self.spec.metric,
-                workers=self.workers,
-                store=self.store,
-                faults=self.faults,
-                max_retries=self.max_retries,
-                task_timeout=self.task_timeout,
-                retry_failed=self.retry_failed,
-                lp_time_limit=self.lp_time_limit,
-            )
-            tasks = engine.tasks_for([point_specs[i] for i in indices])
+        for _, engine, tasks in spec_engines(
+            self.spec,
+            self.store,
+            self.faults,
+            workers=self.workers,
+            max_retries=self.max_retries,
+            task_timeout=self.task_timeout,
+            retry_failed=self.retry_failed,
+            lp_time_limit=self.lp_time_limit,
+        ):
             stats.total_tasks += len(tasks)
             self._drain(engine, self._rotated(tasks), stats)
             stats.retried += engine.last_run_stats.retried

@@ -3,9 +3,10 @@
 Re-renders the paper-style tables for a sweep spec from its run store
 alone: no topology is simulated, no LP is solved, no instance is generated
 (networks are only built to recompute store keys).  Because ``report`` and
-``sweep`` share the same row builders and float formats, a report rendered
-from the store of a completed sweep is byte-identical to the artifact files
-the sweep wrote.
+``sweep`` read the store through the same replay and share the same row
+builders and float formats, a report rendered from the store of a
+completed sweep is byte-identical to the artifact files the sweep wrote,
+in every format.
 
 A partially filled store — an interrupted sweep — still renders: missing
 grid cells are reported on stderr and contribute no values (schemes absent
@@ -27,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from ..analysis.artifacts import export_artifacts, results_from_store
+from ..analysis.artifacts import export_artifacts, file_text, replay_spec
 from ..analysis.engine import EngineRunStats
 from ..analysis.report import REPORT_FORMATS, render_report
 from ..analysis.runstore import RunStore
@@ -68,7 +69,8 @@ def _recorded_stats(args: argparse.Namespace, spec) -> Optional[EngineRunStats]:
     """The engine stats the sweep wrote to run.json, if still on disk.
 
     ``--export`` rewrites run.json; re-using the recorded stats keeps the
-    sweep's execution accounting instead of silently dropping it.
+    sweep's execution accounting instead of silently dropping it (the
+    caller adds the missing cells, which run.json does not record).
     """
     metadata_path = Path(args.out) / spec.name / "run.json"
     if not metadata_path.exists():
@@ -137,45 +139,47 @@ def execute(args: argparse.Namespace) -> int:
         print("run `repro sweep` first, or pass --store", file=sys.stderr)
         return 1
 
-    metrics = [spec.metric, *spec.extra_metrics]
-    results, missing_counts, fingerprints = results_from_store(spec, store, metrics)
-    result = results[spec.metric]
-    missing = missing_counts[spec.metric]
+    run = replay_spec(spec, store)
+    missing, total = run.stats.missing, run.stats.total_tasks
     if missing:
-        total = spec.total_tasks()
         print(
             f"repro report: store covers {total - missing}/{total} tasks "
             "(sweep incomplete; missing cells render as nan)",
             file=sys.stderr,
         )
-    if result.has_failures():
+    if run.stats.failed:
         print(
-            f"repro report: {result.total_failures()} task(s) recorded as "
+            f"repro report: {run.stats.failed} task(s) recorded as "
             "permanent failures (failed cells render as nan; re-run the "
             "sweep with --retry-failed to try them again)",
             file=sys.stderr,
         )
-    extras = {metric: results[metric] for metric in spec.extra_metrics}
     if args.export:
         # Made before the report prints, so an --out that cannot be
         # written ends the command with its error line alone.
         make_directory("report", args.out, args.out / spec.name)
 
-    print(
-        render_report(
-            result, spec.display_title(), spec.reference, fmt=args.fmt, extras=extras
+    sys.stdout.write(
+        file_text(
+            render_report(
+                run.result, spec.display_title(), spec.reference, fmt=args.fmt,
+                extras=run.extras,
+            )
         )
     )
     if args.export:
+        stats = _recorded_stats(args, spec)
+        if stats is not None:
+            stats.missing = missing
         try:
             paths = export_artifacts(
                 args.out,
                 spec,
-                result,
-                stats=_recorded_stats(args, spec),
-                fingerprints=fingerprints,
+                run.result,
+                stats=stats,
+                fingerprints=run.fingerprints,
                 store=store,
-                extras=extras,
+                extras=run.extras,
             )
         except OSError as error:
             raise cannot_write("report", args.out, error) from None

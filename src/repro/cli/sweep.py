@@ -49,13 +49,11 @@ from ..analysis.artifacts import (
     SweepSpec,
     export_artifacts,
     load_spec,
-    result_from_store,
-    results_from_store,
+    replay_spec,
     run_spec,
     spec_networks,
     stats_summary,
 )
-from ..analysis.engine import EngineRunStats
 from ..analysis.report import render_report
 from ..analysis.runstore import RunStore
 from ..faults import FaultConfig
@@ -316,20 +314,6 @@ def resolve_shard_root(args: argparse.Namespace, spec: SweepSpec) -> Path:
     return args.out / spec.name / "shards"
 
 
-def _grid_coverage(spec: SweepSpec, store: RunStore) -> float:
-    """Grid coverage of a (possibly partial) store: successes / tasks.
-
-    Unlike :attr:`EngineRunStats.coverage` this also counts *missing*
-    cells — a lost shard's never-run tasks — as uncovered, which is what
-    the sharded exit-code decision needs.
-    """
-    result, missing, _ = result_from_store(spec, store)
-    total = spec.total_tasks()
-    if total <= 0:
-        return 1.0
-    return (total - missing - result.total_failures()) / total
-
-
 def _execute_shard(
     args: argparse.Namespace, spec: SweepSpec, faults, root: Path
 ) -> int:
@@ -370,7 +354,7 @@ def _execute_shard(
     stats.write(root)
     print(stats.summary())
     store.refresh(final=True)
-    coverage = _grid_coverage(spec, store)
+    coverage = replay_spec(spec, store).stats.coverage
     if coverage < args.min_coverage:
         print(
             f"repro sweep: shard {args.shard_id}: merged grid coverage "
@@ -471,36 +455,23 @@ def _execute_fleet(args: argparse.Namespace, spec: SweepSpec, root: Path) -> int
         | {k for k in range(args.shards) if k not in shard_stats}
     )
 
-    metrics = [spec.metric, *spec.extra_metrics]
-    results, missing_counts, fingerprints = results_from_store(
-        spec, view, metrics
-    )
-    result = results[spec.metric]
-    missing = missing_counts[spec.metric]
-    extras = {metric: results[metric] for metric in spec.extra_metrics}
-    total = spec.total_tasks()
-    executed = sum(s.get("executed", 0) for s in shard_stats.values())
-    stats = EngineRunStats(
-        total_tasks=total,
-        cached=max(0, total - executed),
-        executed=executed,
-        workers=args.workers or 1,
-        seconds=time.perf_counter() - started,
-        failed=result.total_failures(),
-        retried=sum(s.get("retried", 0) for s in shard_stats.values()),
-        pool_restarts=sum(
-            s.get("pool_restarts", 0) for s in shard_stats.values()
-        ),
-        skipped_records=view.skipped_lines,
-    )
+    run = replay_spec(spec, view)
+    stats = run.stats
+    for name in ("executed", "retried", "pool_restarts"):
+        setattr(stats, name, sum(s.get(name, 0) for s in shard_stats.values()))
+    # What the fleet did not execute was on record already; a shard's
+    # duplicate of a stolen task can make ``executed`` exceed the grid.
+    stats.cached = max(0, stats.total_tasks - stats.missing - stats.executed)
+    stats.workers = args.workers or 1
+    stats.seconds = time.perf_counter() - started
     paths = export_artifacts(
         args.out,
         spec,
-        result,
+        run.result,
         stats,
-        fingerprints,
+        run.fingerprints,
         view,
-        extras=extras,
+        extras=run.extras,
         extra_metadata={
             "fleet": {
                 "shards": args.shards,
@@ -514,8 +485,8 @@ def _execute_fleet(args: argparse.Namespace, spec: SweepSpec, root: Path) -> int
 
     print(
         render_report(
-            result, spec.display_title(), spec.reference, fmt="text",
-            extras=extras,
+            run.result, spec.display_title(), spec.reference, fmt="text",
+            extras=run.extras,
         )
     )
     print()
@@ -533,7 +504,7 @@ def _execute_fleet(args: argparse.Namespace, spec: SweepSpec, root: Path) -> int
         print(f"  {kind:<8} -> {paths[kind]}")
     print(f"  store    -> {root}")
 
-    coverage = (total - missing - stats.failed) / total if total else 1.0
+    coverage = stats.coverage
     status = 0
     for shard_id in lost:
         print(

@@ -64,7 +64,9 @@ from .plan import SimulationPlan
 __all__ = [
     "BACKENDS",
     "FlowLevelSimulator",
+    "METRICS",
     "SimulationResult",
+    "check_metric",
     "kernel_tier",
     "load_plan",
     "make_kernel",
@@ -86,6 +88,27 @@ _TIME_EPS = 1e-12
 #: bit-identical by contract — a speed knob only — so the choice never
 #: enters scheme signatures or run-store keys.
 BACKENDS: Tuple[str, ...] = ("array", "jit", "auto")
+
+#: The scalar metrics a run records, in record order
+#: (:meth:`SimulationResult.metrics`): the names a sweep's ``metric`` and
+#: ``extra_metrics`` may take.
+METRICS: Tuple[str, ...] = (
+    "weighted_completion_time",
+    "total_completion_time",
+    "average_completion_time",
+    "makespan",
+    "mean_slowdown",
+    "max_slowdown",
+)
+
+
+def check_metric(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is one of :data:`METRICS`."""
+    if name not in METRICS:
+        raise ValueError(
+            f"unknown metric {name!r}; a run records {', '.join(METRICS)}"
+        )
+
 
 #: Environment variable consulted when the caller names no backend.
 _BACKEND_ENV = "REPRO_SIM_BACKEND"
@@ -343,14 +366,7 @@ class SimulationResult:
         This is the payload the experiment engine persists in its run store;
         keys match the metric names accepted by sweeps and comparisons.
         """
-        return {
-            "weighted_completion_time": float(self.weighted_completion_time),
-            "total_completion_time": float(self.total_completion_time),
-            "average_completion_time": float(self.average_completion_time),
-            "makespan": float(self.makespan),
-            "mean_slowdown": float(self.mean_slowdown),
-            "max_slowdown": float(self.max_slowdown),
-        }
+        return {name: float(getattr(self, name)) for name in METRICS}
 
 
 def _build_result(

@@ -14,7 +14,7 @@ from repro.analysis.artifacts import (
     load_spec,
     provenance,
     provenance_lines,
-    result_from_store,
+    replay_spec,
     run_spec,
     scheme_from_spec,
     spec_from_dict,
@@ -103,6 +103,22 @@ class TestSpecParsing:
         del data["points"][0]["config"]["topology"]
         with pytest.raises(ValueError, match="topology"):
             spec_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"metric": "weighted_completion_tim"},
+            {"extra_metrics": ["mean_slowdown", "mean_slowdwn"]},
+        ],
+    )
+    def test_unknown_metric_rejected_listing_the_recorded_ones(self, override):
+        bad = next(iter(override.values()))
+        bad = bad if isinstance(bad, str) else bad[-1]
+        with pytest.raises(ValueError) as excinfo:
+            spec_from_dict(tiny_spec_dict(**override))
+        message = str(excinfo.value)
+        assert message.startswith(f"unknown metric {bad!r}")
+        assert "weighted_completion_time" in message and "max_slowdown" in message
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown scheme"):
@@ -228,12 +244,12 @@ class TestRunSpec:
         for a, b in zip(first.result.points, warm.result.points):
             assert a.values == b.values
 
-    def test_result_from_store_matches_run(self, executed):
+    def test_replay_spec_matches_run(self, executed):
         spec, store, run = executed
-        rebuilt, missing, fingerprints = result_from_store(spec, store)
-        assert missing == 0
-        assert fingerprints == run.fingerprints
-        for a, b in zip(run.result.points, rebuilt.points):
+        replayed = replay_spec(spec, store)
+        assert replayed.stats.missing == 0
+        assert replayed.fingerprints == run.fingerprints
+        for a, b in zip(run.result.points, replayed.result.points):
             assert a.label == b.label
             assert a.values == b.values
 
@@ -262,8 +278,9 @@ class TestRunSpec:
         for index, (key, record) in enumerate(store._records.items()):
             if index % 2 == 0:
                 partial.put(key, record)
-        _, missing, _ = result_from_store(spec, partial)
-        assert missing == spec.total_tasks() - len(partial)
+        stats = replay_spec(spec, partial).stats
+        assert stats.missing == spec.total_tasks() - len(partial)
+        assert stats.coverage == len(partial) / spec.total_tasks()
 
 
 class TestExtraMetrics:
@@ -293,11 +310,21 @@ class TestExtraMetrics:
                     assert all(v >= 0.0 for v in values)
 
     def test_records_missing_the_metric_count_as_missing(self):
-        spec = spec_from_dict(tiny_spec_dict())
+        """Hand-written records: one without the spec's metric is a missing
+        cell; one without an extra metric gives that column no value."""
+        spec = spec_from_dict(tiny_spec_dict(extra_metrics=["makespan"]))
         store = RunStore()
         run_spec(spec, store, workers=0)
-        _, missing, _ = result_from_store(spec, store, metric="no_such_metric")
-        assert missing == spec.total_tasks()
+        for key, metric in zip(list(store._records), (spec.metric, "makespan")):
+            record = json.loads(json.dumps(store.peek(key)))
+            del record["metrics"][metric]
+            store.put(key, record)
+        run = replay_spec(spec, store)
+        assert run.stats.missing == 1
+        assert run.stats.coverage == (spec.total_tasks() - 1) / spec.total_tasks()
+        for result in (run.result, run.extras["makespan"]):
+            values = [v for p in result.points for vs in p.values.values() for v in vs]
+            assert len(values) == spec.total_tasks() - 1
 
     def test_extras_render_as_report_blocks_and_csv_columns(self):
         from repro.analysis.report import csv_report, render_report
@@ -406,14 +433,14 @@ class TestFailureAggregation:
             assert point.failures == {"LP-Based": ["LPInfeasibleError"]}
             assert set(point.values) == {"Baseline"}
 
-    def test_result_from_store_routes_failures_not_missing(self):
+    def test_replay_spec_routes_failures_not_missing(self):
         spec = self.chaos_spec()
         store = RunStore()
         run_spec(spec, store, workers=0, faults="rate=1.0,kinds=lp")
-        rebuilt, missing, _ = result_from_store(spec, store)
-        assert missing == 0  # a failed cell is known-bad, not absent
-        assert rebuilt.total_failures() == len(spec.points)
-        for point in rebuilt.points:
+        replayed = replay_spec(spec, store)
+        assert replayed.stats.missing == 0  # a failed cell is known-bad, not absent
+        assert replayed.stats.failed == len(spec.points)
+        for point in replayed.result.points:
             assert point.failures == {"LP-Based": ["LPInfeasibleError"]}
 
     def test_stats_summary_mentions_failures_only_when_present(self):

@@ -185,6 +185,28 @@ class TestEngineApi:
         with pytest.raises(ValueError):
             ExperimentEngine(network, [scheme_from_spec("Baseline")], workers=-1)
 
+    def test_unknown_metric_rejected_listing_the_recorded_ones(self, network):
+        with pytest.raises(ValueError, match="unknown metric 'makespam'.*makespan"):
+            ExperimentEngine(network, [scheme_from_spec("Baseline")], metric="makespam")
+
+    def test_a_record_without_the_metric_is_a_missing_cell(self, network, config):
+        """A hand-written record that lacks the metric renders no value and
+        counts against coverage, where it used to end the run in a
+        ``KeyError``."""
+        store = RunStore()
+        engine = ExperimentEngine(
+            network, [scheme_from_spec("Baseline")], tries=2, store=store
+        )
+        engine.run(config, "coflow_width", [2])
+        key = next(iter(store._records))
+        record = json.loads(json.dumps(store.peek(key)))
+        del record["metrics"]["weighted_completion_time"]
+        store.put(key, record)
+        result = engine.run(config, "coflow_width", [2])
+        assert len(result.points[0].values["Baseline"]) == 1
+        assert engine.last_run_stats.missing == 1
+        assert engine.last_run_stats.coverage == 0.5
+
     def test_run_store_accepts_runstore_instance(self, tmp_path, network, config):
         store = RunStore(tmp_path / "shared.jsonl")
         a = ExperimentEngine(network, [scheme_from_spec("Baseline")], tries=1, store=store)

@@ -424,18 +424,23 @@ class TestSweepAndReport:
     def test_report_renders_identical_tables_from_the_store_alone(
         self, tmp_path, capsys
     ):
-        spec = tiny_spec_path(tmp_path)
+        """Every format prints byte for byte as the sweep wrote its file:
+        the CSV, which ends in a newline already, gets no second one."""
+        spec = tiny_spec_path(tmp_path, extra_metrics=["makespan"])
         out = tmp_path / "artifacts"
         main(["sweep", str(spec), "--out", str(out)])
         capsys.readouterr()
 
-        for fmt, filename in (("markdown", "report.md"), ("csv", "report.csv")):
+        for fmt, filename in (
+            ("text", "report.txt"),
+            ("markdown", "report.md"),
+            ("csv", "report.csv"),
+        ):
             assert (
                 main(["report", str(spec), "--out", str(out), "--format", fmt]) == 0
             )
             stdout = capsys.readouterr().out
-            artifact = (out / "tiny" / filename).read_text()
-            assert stdout.rstrip("\n") == artifact.rstrip("\n"), fmt
+            assert stdout == (out / "tiny" / filename).read_text(), fmt
 
     def test_report_without_store_fails_cleanly(self, tmp_path, capsys):
         spec = tiny_spec_path(tmp_path)
@@ -695,6 +700,41 @@ class TestSpecFiles:
             "fat-tree arity k must be an even integer >= 2, got 3"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("metric", "weighted_completion_tim"),
+            ("extra_metrics", ["makespan", "mean_slowdwn"]),
+        ],
+    )
+    def test_unknown_metric_exits_with_a_named_reason(
+        self, command, key, value, tmp_path
+    ):
+        """A metric no run records makes the spec invalid: one line naming
+        it and listing the recorded ones, before any task runs (``sweep``
+        writes nothing) and whatever the store holds (``report`` finds
+        every record of the spec's grid here)."""
+        good = tiny_spec_path(tmp_path)
+        out = tmp_path / "artifacts"
+        if command == "report":
+            assert main(["sweep", str(good), "--out", str(out)]) == 0
+        document = json.loads(good.read_text())
+        document[key] = value
+        spec = tmp_path / "bad-metric.json"
+        spec.write_text(json.dumps(document))
+        bad = value if isinstance(value, str) else value[-1]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(spec), "--out", str(out)])
+        assert excinfo.value.code == (
+            f"repro: invalid sweep spec {spec}: unknown metric "
+            f"{bad!r}; a run records weighted_completion_time, "
+            "total_completion_time, average_completion_time, makespan, "
+            "mean_slowdown, max_slowdown"
+        )
+        if command == "sweep":
+            assert not out.exists()
 
     @needs_yaml
     @pytest.mark.parametrize("command", ["sweep", "report", "bench"])
@@ -1391,6 +1431,33 @@ class TestShardedSweep:
             == 0
         )
         capsys.readouterr()
+
+    def test_a_fleet_that_records_nothing_covers_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Every shard exits before recording: run.json counts no task as
+        cached and reads coverage 0, the same coverage the exit code reads,
+        and every cell renders nan."""
+        import sys as _sys
+
+        from repro.cli import sweep as sweep_module
+
+        spec = tiny_spec_path(tmp_path)
+        out = tmp_path / "artifacts"
+        monkeypatch.setattr(
+            sweep_module,
+            "_shard_command",
+            lambda args, root, shard_id: [_sys.executable, "-c", "raise SystemExit(9)"],
+        )
+        fleet = ["sweep", str(spec), "--out", str(out), "--shards", "2"]
+        assert main(fleet) == 3
+        assert "coverage 0.0% is below --min-coverage 100.0%" in capsys.readouterr().err
+        assert main(fleet + ["--min-coverage", "0"]) == 0
+        assert "engine: 4 tasks, 0 cached, 0 executed" in capsys.readouterr().out
+        engine = run_metadata(out, "tiny")["engine"]
+        assert (engine["cached"], engine["executed"], engine["coverage"]) == (0, 0, 0.0)
+        rows = (out / "tiny" / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4 and all(",nan," in row for row in rows)
 
     def test_merge_cli_produces_a_reportable_plain_store(
         self, tmp_path, capsys
